@@ -20,7 +20,7 @@ import sys
 
 from . import calibration, lbm, stability, verification
 from .errors import DomainError, NoRealRoot
-from .scheme import BoundarySpec, Grid1D, run, snapshot_csv_lines
+from .scheme import snapshot_csv_lines
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -180,17 +180,11 @@ def _cmd_run(ns) -> int:
         return _fail(str(exc), EXIT_INFEASIBLE)
     except DomainError as exc:
         return _fail(str(exc), EXIT_USAGE)
-    res = case.params
-    params = calibration.ModelParams.from_rates(res.omega0, res.s1, res.s2,
-                                                dx=case.dx, dt=case.dt)
-    grid = Grid1D(round(1.0 / case.dx))
     try:
-        final = run(params, grid,
-                    lambda x, t: verification.analytic_phi(x, t, case.kappa),
-                    BoundarySpec.dirichlet(0.0, 0.0), ns.t_end)
+        xs, finals = verification._march_decaying_sine([case], ns.t_end)
     except DomainError as exc:
         return _fail(str(exc), EXIT_USAGE)
-    xs = grid.nodes()
+    final = finals[0]
     if ns.format == "json":
         _write_json({"x": [float(v) for v in xs],
                      "phi": [float(v) for v in final]}, ns.output)
@@ -216,8 +210,8 @@ def _cmd_convergence(ns) -> int:
     if ns.format == "json":
         payload = {"reports": [
             {"epsilon": rep.epsilon, "order": rep.order,
-             "rows": [{"dx": dx, "dt": 30.0 * dx ** 2, "rmse": err}
-                      for dx, err in rep.rows],
+             "rows": [{"dx": dx, "dt": dt, "rmse": err}
+                      for (dx, err), dt in zip(rep.rows, rep.dts())],
              "rates": list(rep.rates)} for rep in reports]}
         _write_json(payload, ns.output)
     else:

@@ -93,19 +93,34 @@ class BenchmarkCase:
                                                        self.epsilon))
 
 
-def run_benchmark(case: BenchmarkCase) -> float:
-    """March the scheme to t_end and return the interior-node RMSE."""
-    res = case.params
-    params = ModelParams.from_rates(res.omega0, res.s1, res.s2,
-                                    dx=case.dx, dt=case.dt)
-    grid = Grid1D(round(1.0 / case.dx))
-    boundary = BoundarySpec.dirichlet(0.0, 0.0)
-    final = run(params, grid,
-                lambda x, t: analytic_phi(x, t, case.kappa),
-                boundary, case.t_end)
-    xs = grid.nodes()
+def _march_decaying_sine(cases,
+                         t_end: float) -> tuple[np.ndarray, np.ndarray]:
+    """March benchmark cases that share dx to t_end as one batch.
+
+    Returns the grid nodes and a (cases, nodes) array whose row i is the
+    field of cases[i] at t_end.  dt = 30*dx**2 does not depend on epsilon,
+    so every case at one dx shares the grid and the step count.
+    """
+    params = [ModelParams.from_rates(c.params.omega0, c.params.s1,
+                                     c.params.s2, dx=c.dx, dt=c.dt)
+              for c in cases]
+    kappa = np.array([[c.kappa] for c in cases])
+    grid = Grid1D(round(1.0 / cases[0].dx))
+    finals = run(params, grid, lambda x, t: analytic_phi(x, t, kappa),
+                 BoundarySpec.dirichlet(0.0, 0.0), t_end)
+    return grid.nodes(), finals
+
+
+def _interior_rmse(case: BenchmarkCase, xs: np.ndarray,
+                   final: np.ndarray) -> float:
     exact = analytic_phi(xs, case.t_end, case.kappa)
     return rmse(final[1:-1], exact[1:-1])
+
+
+def run_benchmark(case: BenchmarkCase) -> float:
+    """March the scheme to t_end and return the interior-node RMSE."""
+    xs, finals = _march_decaying_sine([case], case.t_end)
+    return _interior_rmse(case, xs, finals[0])
 
 
 @dataclass(frozen=True)
@@ -133,16 +148,21 @@ def reproduce_table(order: str, eps_list=None,
         raise DomainError("epsilon and dx lists must not be empty")
     if any(b >= a for a, b in zip(dx_values, dx_values[1:])):
         raise DomainError("dx list must be strictly decreasing")
+    # One batched march per spacing; column j holds the errors at dx_values[j].
+    columns = []
+    for dx in dx_values:
+        cases = [BenchmarkCase(epsilon=eps, dx=dx, order=order)
+                 for eps in eps_values]
+        xs, finals = _march_decaying_sine(cases, _T_END)
+        columns.append([_interior_rmse(case, xs, final)
+                        for case, final in zip(cases, finals)])
     reports = []
-    for eps in eps_values:
-        rows = []
-        for dx in dx_values:
-            case = BenchmarkCase(epsilon=eps, dx=dx, order=order)
-            rows.append((dx, run_benchmark(case)))
-        rates = tuple(convergence_rate(rows[i][1], rows[i + 1][1])
-                      for i in range(len(rows) - 1))
+    for i, eps in enumerate(eps_values):
+        rows = tuple((dx, col[i]) for dx, col in zip(dx_values, columns))
+        rates = tuple(convergence_rate(rows[k][1], rows[k + 1][1])
+                      for k in range(len(rows) - 1))
         reports.append(ConvergenceReport(epsilon=eps, order=order,
-                                         rows=tuple(rows), rates=rates))
+                                         rows=rows, rates=rates))
     return reports
 
 
@@ -150,13 +170,13 @@ def convergence_csv_lines(reports: list[ConvergenceReport]) -> list[str]:
     """Serialize refinement reports; the coarsest row has an empty rate."""
     lines = ["epsilon,order,dx,dt,rmse,rate"]
     for rep in reports:
-        for i, (dx, err) in enumerate(rep.rows):
+        for i, ((dx, err), dt) in enumerate(zip(rep.rows, rep.dts())):
             rate = "" if i == 0 else _FMT.format(rep.rates[i - 1])
             lines.append(",".join([
                 _FMT.format(rep.epsilon),
                 rep.order,
                 _FMT.format(dx),
-                _FMT.format(_DT_OVER_DX2 * dx ** 2),
+                _FMT.format(dt),
                 _FMT.format(err),
                 rate,
             ]))
@@ -179,20 +199,17 @@ def profile_solution(epsilon_list=None, dx: float = 0.025,
     """Full-field comparison against the exact solution at t_end."""
     eps_values = tuple(DEFAULT_EPSILONS if epsilon_list is None
                        else epsilon_list)
+    cases = [BenchmarkCase(epsilon=eps, dx=dx, order=order)
+             for eps in eps_values]
+    if not cases:
+        return []
+    xs, finals = _march_decaying_sine(cases, _T_END)
     profiles = []
-    for eps in eps_values:
-        case = BenchmarkCase(epsilon=eps, dx=dx, order=order)
-        res = case.params
-        params = ModelParams.from_rates(res.omega0, res.s1, res.s2,
-                                        dx=case.dx, dt=case.dt)
-        grid = Grid1D(round(1.0 / case.dx))
-        final = run(params, grid,
-                    lambda x, t: analytic_phi(x, t, case.kappa),
-                    BoundarySpec.dirichlet(0.0, 0.0), case.t_end)
-        xs = grid.nodes()
+    for case, final in zip(cases, finals):
         exact = analytic_phi(xs, case.t_end, case.kappa)
         profiles.append(SolutionProfile(
-            epsilon=eps, x=xs, phi_numeric=final, phi_analytic=exact,
+            epsilon=case.epsilon, x=xs, phi_numeric=final,
+            phi_analytic=exact,
             max_abs_deviation=float(np.max(np.abs(final - exact)))))
     return profiles
 

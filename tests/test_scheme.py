@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from lbmfd import calibration as cal
-from lbmfd import stability
+from lbmfd import scheme, stability
 from lbmfd.errors import DomainError, LengthMismatch, StateError
 from lbmfd.scheme import (
     BoundarySpec,
@@ -45,6 +45,9 @@ def test_coefficient_weights_sum_to_one():
         triples.append((res.omega0, res.s1, res.s2))
     for triple in triples:
         co = coefficients(*triple)
+        assert abs(co.weight_sum() - 1.0) <= 2.0 ** -53
+    for _ in range(200):
+        co = srt_coefficients(rng.uniform(0.01, 1.99), rng.uniform(0.01, 0.49))
         assert abs(co.weight_sum() - 1.0) <= 2.0 ** -53
 
 
@@ -157,6 +160,52 @@ def test_steady_parabola_with_source_stays_stationary():
         assert float(np.max(np.abs(new - exact))) <= 1e-10
 
 
+def _reference_step(cur, prev, old, co, src, boundary):
+    # The four-level update as one numpy expression, with np.roll for the
+    # periodic wrap; the kernel must reproduce it bit for bit.
+    if boundary.kind == "periodic":
+        return (co.side_n * (np.roll(cur, 1) + np.roll(cur, -1))
+                + co.center_n * cur
+                + co.side_nm1 * (np.roll(prev, 1) + np.roll(prev, -1))
+                + co.center_nm1 * prev
+                + co.center_nm2 * old
+                + src)
+    new = np.empty_like(cur)
+    new[1:-1] = (co.side_n * (cur[:-2] + cur[2:])
+                 + co.center_n * cur[1:-1]
+                 + co.side_nm1 * (prev[:-2] + prev[2:])
+                 + co.center_nm1 * prev[1:-1]
+                 + co.center_nm2 * old[1:-1]
+                 + src)
+    new[0] = boundary.left_value
+    new[-1] = boundary.right_value
+    return new
+
+
+@pytest.mark.parametrize("chunk", [None, 4])
+def test_step_matches_the_reference_expression_bit_for_bit(chunk,
+                                                            monkeypatch):
+    # chunk = 4 makes the kernel sweep the interior in many short passes.
+    if chunk is not None:
+        monkeypatch.setattr(scheme, "_CHUNK", chunk)
+    rng = np.random.default_rng(29)
+    co = coefficients(0.83, 0.92, 1.15)
+    dt, R = 0.37, -0.6
+    cases = [(BoundarySpec.periodic(), False), (BoundarySpec.periodic(), True),
+             (BoundarySpec.dirichlet(0.25, -1.5), False)]
+    for boundary, complex_levels in cases:
+        for n in (2, 3, 6, 17, 64):
+            levels = [rng.standard_normal(n) for _ in range(3)]
+            if complex_levels:
+                levels = [lv + 1j * rng.standard_normal(n) for lv in levels]
+            history = PhiHistory.from_levels(*levels, dt=dt)
+            new = step(history, co, dt, R, boundary)
+            expected = _reference_step(levels[2], levels[1], levels[0], co,
+                                       co.source * dt * R, boundary)
+            assert new.dtype == expected.dtype
+            np.testing.assert_array_equal(new, expected)
+
+
 def test_step_requires_three_seeded_levels():
     phi = np.zeros(8)
     history = PhiHistory([phi.copy(), phi.copy(), phi.copy()], 0.1, 1)
@@ -262,3 +311,55 @@ def test_snapshot_csv_lines_round_trip():
     np.testing.assert_array_equal(parsed, phi)
     with pytest.raises(LengthMismatch):
         snapshot_csv_lines(xs, phi[:2])
+
+
+def _sine_bump(x, t):
+    return np.sin(np.pi * x) * np.exp(-t) + 0.25 * np.cos(2.0 * np.pi * x)
+
+
+def test_batched_run_rows_equal_single_runs():
+    grid = Grid1D(20)
+    triples = ((0.83, 0.92, 1.15), (0.6, 1.4, 0.7), (0.8, 1.0, 1.0))
+    sources = (0.0, 0.5, -1.25)
+    params = [cal.ModelParams.from_rates(*t, dx=grid.dx, dt=0.01,
+                                         source_R=r)
+              for t, r in zip(triples, sources)]
+    for boundary in (BoundarySpec.dirichlet(0.0, 0.0),
+                     BoundarySpec.periodic()):
+        batch = run(params, grid, _sine_bump, boundary, 0.5)
+        assert batch.shape == (3, 20 if boundary.kind == "periodic" else 21)
+        for row, p in zip(batch, params):
+            np.testing.assert_array_equal(
+                row, run(p, grid, _sine_bump, boundary, 0.5))
+
+
+def test_batched_run_accepts_one_row_per_case():
+    grid = Grid1D(10)
+    params = [cal.ModelParams.from_rates(0.8, 1.0, 1.0, dx=0.1, dt=0.3)] * 2
+    scale = np.array([[1.0], [2.0]])
+    final = run(params, grid, lambda x, t: scale * np.sin(np.pi * x),
+                BoundarySpec.dirichlet(0.0, 0.0), 0.6)
+    np.testing.assert_array_equal(final[1], 2.0 * final[0])
+
+
+def test_run_rejects_empty_and_mismatched_batches():
+    grid = Grid1D(10)
+    init = lambda x, t: 0.0
+    boundary = BoundarySpec.dirichlet(0.0, 0.0)
+    base = cal.ModelParams.from_rates(0.8, 1.0, 1.0, dx=0.1, dt=0.3)
+    other_dt = cal.ModelParams.from_rates(0.8, 1.0, 1.0, dx=0.1, dt=0.2)
+    other_dx = cal.ModelParams.from_rates(0.8, 1.0, 1.0, dx=0.05, dt=0.3)
+    for params in ([], (), [base, other_dt], [base, other_dx]):
+        with pytest.raises(DomainError):
+            run(params, grid, init, boundary, 1.2)
+
+
+def test_run_leaves_the_initializer_result_untouched():
+    grid = Grid1D(10)
+    params = cal.ModelParams.from_rates(0.7, 1.3, 0.9, dx=0.1, dt=0.3)
+    start = np.sin(np.pi * grid.nodes())
+    kept = start.copy()
+    final = run(params, grid, lambda x, t: start,
+                BoundarySpec.dirichlet(0.0, 0.0), 1.5)
+    np.testing.assert_array_equal(start, kept)
+    assert not np.shares_memory(final, start)

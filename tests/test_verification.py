@@ -169,6 +169,15 @@ def test_profile_solution_accuracy_and_symmetry():
         ver.analytic_phi(prof.x, 12.0, 0.1 / 30.0), rtol=1e-15)
 
 
+def test_reproduce_table_rows_equal_run_benchmark():
+    for order in ("second", "sixth"):
+        for rep in ver.reproduce_table(order, eps_list=(0.1, 0.24, 0.15)):
+            for dx, err in rep.rows:
+                case = ver.BenchmarkCase(epsilon=rep.epsilon, dx=dx,
+                                         order=order)
+                assert err == ver.run_benchmark(case)
+
+
 def test_reproduce_table_validation():
     with pytest.raises(DomainError):
         ver.reproduce_table("sixth", dx_list=(0.05, 0.1))
