@@ -132,7 +132,8 @@ class ModelParams:
 
     kappa, epsilon, the weights and the rates are mutually constrained:
     kappa = 2*omega1*(1/s1 - 1/2)*dx**2/dt and epsilon = kappa*dt/dx**2.
-    Construction checks both identities to 1e-12 relative.
+    Construction rejects non-finite dx, dt, kappa, source_R and epsilon and
+    checks both identities to 1e-12 relative.
     """
 
     dx: float
@@ -144,6 +145,10 @@ class ModelParams:
     epsilon: float
 
     def __post_init__(self):
+        for name in ("dx", "dt", "kappa", "source_R", "epsilon"):
+            if not math.isfinite(getattr(self, name)):
+                raise DomainError(f"{name} must be finite, got "
+                                  f"{getattr(self, name)}")
         if self.dx <= 0.0 or self.dt <= 0.0:
             raise DomainError("dx and dt must be positive")
         if self.kappa <= 0.0:

@@ -16,19 +16,26 @@ moment-space definition with explicit M, S, M_inv products.  Both walk the
 same trajectory to rounding error, and the conserved-moment rate s0 drops
 out exactly because the conserved moment already equals its equilibrium.
 
+`evolve` and `fd_equivalence_deviation` share one in-place kernel that
+collides and streams three preallocated population arrays with slice
+operations.  The equivalence check streams the trajectory through it and
+holds only the latest four macroscopic levels, so its memory grows with the
+node count, not with nodes times steps.
+
 Only periodic streaming is supported at this level; bounded domains are the
 business of the equivalent finite-difference form.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 import numpy as np
 
 from .calibration import ModelParams, Weights
 from .errors import DomainError, LengthMismatch, UnsupportedBoundary
-from .scheme import BoundarySpec, PhiHistory, coefficients, step
+from .scheme import BoundarySpec, _advance, _field_weights, coefficients
 
 
 @dataclass(frozen=True)
@@ -94,33 +101,70 @@ def initialize(phi0: np.ndarray, weights: Weights, dt: float,
     return DistributionField(fm, f0, fp)
 
 
-def evolve(f: DistributionField, params: ModelParams,
-           boundary: BoundarySpec) -> DistributionField:
-    """One collision-streaming update in substituted population form.
-
-    Only periodic streaming is supported; any other boundary raises
-    UnsupportedBoundary.
-    """
-    if boundary.kind != "periodic":
-        raise UnsupportedBoundary(
-            "the mesoscopic update only streams periodically; use the "
-            "finite-difference form for bounded domains")
+def _collide_stream(f_minus, f_zero, f_plus, params: ModelParams, phi,
+                    asym, pull, tmp) -> None:
+    # One periodic update of the three population arrays, in place.  `phi`
+    # receives the macroscopic field of the incoming populations; asym,
+    # pull and tmp are scratch of the same shape.  Each term is summed in
+    # the order of the substituted population form, written out in
+    # `evolve`'s docstring, and the last addition of each moving population
+    # lands one node downstream, so streaming costs no extra pass.
     omega0 = params.weights.omega0
     omega1 = params.weights.omega1
     s1 = params.relax.s1
     s2 = params.relax.s2
     dt_R = params.dt * params.source_R
-    phi = macro_phi(f, params.dt, params.source_R)
-    asym = 0.5 * s1 * (f.f_minus - f.f_plus)
-    pull = 0.5 * s2 * f.f_zero - 0.5 * omega0 * s2 * phi
-    g_minus = f.f_minus - asym + pull + (omega1 + omega0 * s2 / 4.0) * dt_R
-    g_zero = ((1.0 - s2) * f.f_zero + omega0 * s2 * phi
-              + omega0 * (1.0 - s2 / 2.0) * dt_R)
-    g_plus = f.f_plus + asym + pull + (omega1 + omega0 * s2 / 4.0) * dt_R
-    return DistributionField(
-        f_minus=np.roll(g_minus, -1),
-        f_zero=g_zero,
-        f_plus=np.roll(g_plus, 1))
+    np.add(f_minus, f_zero, out=phi)
+    np.add(phi, f_plus, out=phi)
+    np.add(phi, 0.5 * params.dt * params.source_R, out=phi)
+    np.subtract(f_minus, f_plus, out=asym)
+    np.multiply(asym, 0.5 * s1, out=asym)
+    np.multiply(f_zero, 0.5 * s2, out=pull)
+    np.multiply(phi, 0.5 * omega0 * s2, out=tmp)
+    np.subtract(pull, tmp, out=pull)
+    np.multiply(f_zero, 1.0 - s2, out=f_zero)
+    np.multiply(phi, omega0 * s2, out=tmp)
+    np.add(f_zero, tmp, out=f_zero)
+    np.add(f_zero, omega0 * (1.0 - s2 / 2.0) * dt_R, out=f_zero)
+    moving_src = (omega1 + omega0 * s2 / 4.0) * dt_R
+    np.subtract(f_minus, asym, out=tmp)
+    np.add(tmp, pull, out=tmp)
+    np.add(tmp[1:], moving_src, out=f_minus[:-1])
+    np.add(tmp[:1], moving_src, out=f_minus[-1:])
+    np.add(f_plus, asym, out=tmp)
+    np.add(tmp, pull, out=tmp)
+    np.add(tmp[:-1], moving_src, out=f_plus[1:])
+    np.add(tmp[-1:], moving_src, out=f_plus[:1])
+
+
+def evolve(f: DistributionField, params: ModelParams,
+           boundary: BoundarySpec) -> DistributionField:
+    """One collision-streaming update in substituted population form.
+
+    With phi = macro_phi(f), asym = s1/2 * (f_minus - f_plus) and
+    pull = s2/2 * f_zero - omega0*s2/2 * phi, the post-collision
+    populations are
+
+        g_minus = f_minus - asym + pull + (omega1 + omega0*s2/4) * dt*R
+        g_zero  = (1 - s2) * f_zero + omega0*s2 * phi
+                  + omega0*(1 - s2/2) * dt*R
+        g_plus  = f_plus + asym + pull + (omega1 + omega0*s2/4) * dt*R
+
+    summed left to right; g_minus then streams one node left and g_plus
+    one node right, with periodic wrap.  The result is a new field and f
+    is left untouched.  Only periodic streaming is supported; any other
+    boundary raises UnsupportedBoundary.
+    """
+    if boundary.kind != "periodic":
+        raise UnsupportedBoundary(
+            "the mesoscopic update only streams periodically; use the "
+            "finite-difference form for bounded domains")
+    pops = (f.f_minus, f.f_zero, f.f_plus)
+    dtype = np.result_type(*pops, 1.0)
+    new = [np.array(p, dtype=dtype) for p in pops]
+    work = [np.empty_like(new[0]) for _ in range(4)]
+    _collide_stream(*new, params, *work)
+    return DistributionField(*new)
 
 
 def evolve_matrix_form(f: DistributionField,
@@ -157,8 +201,14 @@ def fd_equivalence_deviation(n_nodes: int, steps: int, omega0: float,
     evolves the mesoscopic model `steps` times on a periodic lattice with
     dx = dt = 1, and predicts each level n+1 (n >= 2) from the three
     preceding macroscopic levels with the four-level stencil.  Returns
-    (max absolute deviation, max absolute field value).
+    (max absolute deviation, max absolute field value); a NaN anywhere in
+    the trajectory or a prediction makes the deviation NaN.  The
+    trajectory is streamed: only the latest four levels are held.
     """
+    try:
+        n_nodes, steps = operator.index(n_nodes), operator.index(steps)
+    except TypeError:
+        raise DomainError("n_nodes and steps must be integers") from None
     if n_nodes < 8:
         raise DomainError("need at least 8 nodes")
     if steps < 3:
@@ -167,20 +217,26 @@ def fd_equivalence_deviation(n_nodes: int, steps: int, omega0: float,
     phi0 = rng.random(n_nodes)
     params = ModelParams.from_rates(omega0, s1, s2, dx=1.0, dt=1.0,
                                     source_R=source_R)
-    boundary = BoundarySpec.periodic()
     field = initialize(phi0, params.weights, params.dt, params.source_R)
-    trace = [macro_phi(field, params.dt, params.source_R)]
-    for _ in range(steps):
-        field = evolve(field, params, boundary)
-        trace.append(macro_phi(field, params.dt, params.source_R))
+    pops = (field.f_minus, field.f_zero, field.f_plus)
     coeffs = coefficients(omega0, s1, s2)
-    max_dev = 0.0
-    for n in range(2, steps):
-        history = PhiHistory.from_levels(trace[n - 2], trace[n - 1],
-                                         trace[n], params.dt)
-        predicted = step(history, coeffs, params.dt, params.source_R,
-                         boundary)
-        dev = float(np.max(np.abs(predicted - trace[n + 1])))
-        max_dev = max(max_dev, dev)
-    max_phi = float(max(np.max(np.abs(lv)) for lv in trace))
-    return max_dev, max_phi
+    weights = _field_weights(coeffs)
+    src = coeffs.source * params.dt * params.source_R
+    boundary = BoundarySpec.periodic()
+    # Levels n-3, n-2, n-1 and n rotate through these buffers.
+    old, prev, cur, new = (np.empty(n_nodes) for _ in range(4))
+    predicted, tmp, *work = (np.empty(n_nodes) for _ in range(5))
+    max_dev = max_phi = 0.0
+    for n in range(steps + 1):
+        if n < steps:
+            _collide_stream(*pops, params, new, *work)
+        else:
+            new[...] = macro_phi(field, params.dt, params.source_R)
+        max_phi = np.maximum(max_phi, np.abs(new, out=tmp).max())
+        if n >= 3:
+            _advance(cur, prev, old, weights, src, boundary, predicted, tmp)
+            np.subtract(predicted, new, out=predicted)
+            np.abs(predicted, out=predicted)
+            max_dev = np.maximum(max_dev, predicted.max())
+        old, prev, cur, new = prev, cur, new, old
+    return float(max_dev), float(max_phi)

@@ -314,7 +314,7 @@ def run(params, grid: Grid1D, initializer, boundary: BoundarySpec,
     at t = 0, dt, 2*dt, called once per level with the array x of node
     positions; its result is broadcast to the level's shape and copied, so
     it may return a scalar, a field on the nodes or one row per case, and
-    it is never modified.  t_end must be an integer multiple of dt
+    it is never modified.  t_end must be finite, an integer multiple of dt
     (relative slack 1e-9) and at least 2*dt.  For t_end = 2*dt the third
     seeded level is returned with zero four-level updates applied, so the
     result is always the field at exactly t_end.  The result is a fresh
@@ -328,6 +328,8 @@ def run(params, grid: Grid1D, initializer, boundary: BoundarySpec,
     dx, dt = cases[0].dx, cases[0].dt
     if any(p.dx != dx or p.dt != dt for p in cases):
         raise DomainError("batched params must share dx and dt")
+    if not math.isfinite(t_end):
+        raise DomainError(f"t_end must be finite, got {t_end}")
     if t_end < 2.0 * dt:
         raise DomainError("t_end must be at least 2*dt")
     n_steps = round(t_end / dt)

@@ -74,10 +74,11 @@ class BenchmarkCase:
     params: CalibrationResult = field(init=False)
 
     def __post_init__(self):
-        if self.epsilon <= 0.0:
-            raise DomainError("epsilon must be positive")
-        if self.dx <= 0.0:
-            raise DomainError("dx must be positive")
+        if not (math.isfinite(self.epsilon) and self.epsilon > 0.0):
+            raise DomainError(f"epsilon must be positive and finite, got "
+                              f"{self.epsilon}")
+        if not (math.isfinite(self.dx) and self.dx > 0.0):
+            raise DomainError(f"dx must be positive and finite, got {self.dx}")
         n = round(1.0 / self.dx)
         if abs(n * self.dx - 1.0) > 1e-9:
             raise DomainError(f"dx = {self.dx} does not divide the unit "

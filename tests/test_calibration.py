@@ -114,6 +114,19 @@ def test_model_params_rejects_inconsistent_fields():
     with pytest.raises(DomainError):
         cal.ModelParams(-0.1, good.dt, good.kappa, 0.0,
                         good.weights, good.relax, good.epsilon)
+    fields = (good.dx, good.dt, good.kappa, 0.0, good.weights, good.relax,
+              good.epsilon)
+    for bad in (float("nan"), float("inf"), -float("inf")):
+        for i in (0, 1, 2, 3, 6):
+            with pytest.raises(DomainError):
+                cal.ModelParams(*fields[:i], bad, *fields[i + 1:])
+        with pytest.raises(DomainError):
+            cal.ModelParams.from_rates(0.5, 1.5, 0.5, dx=bad, dt=1.0)
+        with pytest.raises(DomainError):
+            cal.ModelParams.from_rates(0.5, 1.5, 0.5, dx=1.0, dt=bad)
+        with pytest.raises(DomainError):
+            cal.ModelParams.from_rates(0.5, 1.5, 0.5, dx=1.0, dt=1.0,
+                                       source_R=bad)
 
 
 def test_residual_second_vanishes_on_calibrated_parameters():

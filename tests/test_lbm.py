@@ -6,7 +6,7 @@ import pytest
 from lbmfd import lbm
 from lbmfd.calibration import ModelParams, Relaxations, weights_from_omega0
 from lbmfd.errors import DomainError, LengthMismatch, UnsupportedBoundary
-from lbmfd.scheme import BoundarySpec
+from lbmfd.scheme import BoundarySpec, PhiHistory, coefficients, step
 
 
 def _random_params(rng, source_R=0.0, s0=1.0):
@@ -116,6 +116,101 @@ def test_fd_equivalence_deviation_validation():
         lbm.fd_equivalence_deviation(4, 60, 0.7, 1.2, 0.9, seed=5)
     with pytest.raises(DomainError):
         lbm.fd_equivalence_deviation(32, 2, 0.7, 1.2, 0.9, seed=5)
+    with pytest.raises(DomainError):
+        lbm.fd_equivalence_deviation(16.0, 60, 0.7, 1.2, 0.9, seed=5)
+    with pytest.raises(DomainError):
+        lbm.fd_equivalence_deviation(32, 60.0, 0.7, 1.2, 0.9, seed=5)
+    assert lbm.fd_equivalence_deviation(np.int64(16), np.int32(20), 0.7,
+                                        1.2, 0.9, seed=5) == \
+        lbm.fd_equivalence_deviation(16, 20, 0.7, 1.2, 0.9, seed=5)
+
+
+def test_fd_equivalence_deviation_carries_nan_through():
+    # The source overflows the populations to inf and then NaN; a check
+    # that dropped NaN would report a zero deviation and pass.
+    with np.errstate(over="ignore", invalid="ignore"):
+        dev, max_phi = lbm.fd_equivalence_deviation(16, 20, 0.5, 1.5, 0.5,
+                                                    seed=1, source_R=1e308)
+    assert np.isnan(dev)
+    assert not dev <= 1e-12 * max_phi
+
+
+def _pops(f):
+    return (f.f_minus, f.f_zero, f.f_plus)
+
+
+def _roll_evolve(f, params):
+    # The substituted population update written as whole-array expressions
+    # with np.roll streaming; the in-place kernel must match it bit for bit.
+    omega0 = params.weights.omega0
+    omega1 = params.weights.omega1
+    s1 = params.relax.s1
+    s2 = params.relax.s2
+    dt_R = params.dt * params.source_R
+    phi = lbm.macro_phi(f, params.dt, params.source_R)
+    asym = 0.5 * s1 * (f.f_minus - f.f_plus)
+    pull = 0.5 * s2 * f.f_zero - 0.5 * omega0 * s2 * phi
+    g_minus = f.f_minus - asym + pull + (omega1 + omega0 * s2 / 4.0) * dt_R
+    g_zero = ((1.0 - s2) * f.f_zero + omega0 * s2 * phi
+              + omega0 * (1.0 - s2 / 2.0) * dt_R)
+    g_plus = f.f_plus + asym + pull + (omega1 + omega0 * s2 / 4.0) * dt_R
+    return lbm.DistributionField(np.roll(g_minus, -1), g_zero,
+                                 np.roll(g_plus, 1))
+
+
+def _stored_trajectory_deviation(n_nodes, steps, omega0, s1, s2, seed,
+                                 source_R):
+    # The equivalence check with every level kept: `_roll_evolve` walks the
+    # trajectory and the public `step` predicts each level from a fresh
+    # history of the three before it.
+    phi0 = np.random.default_rng(seed).random(n_nodes)
+    params = ModelParams.from_rates(omega0, s1, s2, dx=1.0, dt=1.0,
+                                    source_R=source_R)
+    f = lbm.initialize(phi0, params.weights, params.dt, params.source_R)
+    trace = [lbm.macro_phi(f, params.dt, params.source_R)]
+    for _ in range(steps):
+        f = _roll_evolve(f, params)
+        trace.append(lbm.macro_phi(f, params.dt, params.source_R))
+    coeffs = coefficients(omega0, s1, s2)
+    max_dev = 0.0
+    for n in range(2, steps):
+        history = PhiHistory.from_levels(trace[n - 2], trace[n - 1],
+                                         trace[n], params.dt)
+        predicted = step(history, coeffs, params.dt, params.source_R,
+                         BoundarySpec.periodic())
+        max_dev = max(max_dev,
+                      float(np.max(np.abs(predicted - trace[n + 1]))))
+    max_phi = float(max(np.max(np.abs(lv)) for lv in trace))
+    return max_dev, max_phi
+
+
+def test_evolve_matches_the_roll_expression_bit_for_bit():
+    rng = np.random.default_rng(14)
+    for n_nodes in (1, 2, 3, 17, 64):
+        for source_R in (0.0, rng.uniform(-2.0, 2.0)):
+            params = _random_params(rng, source_R=source_R)
+            f = lbm.initialize(rng.random(n_nodes), params.weights,
+                               params.dt, params.source_R)
+            for _ in range(20):
+                before = [p.tobytes() for p in _pops(f)]
+                new = lbm.evolve(f, params, BoundarySpec.periodic())
+                assert [p.tobytes() for p in _pops(f)] == before
+                want = _roll_evolve(f, params)
+                assert ([p.tobytes() for p in _pops(new)]
+                        == [p.tobytes() for p in _pops(want)])
+                f = new
+
+
+def test_streamed_check_matches_the_stored_trajectory_bit_for_bit():
+    rng = np.random.default_rng(16)
+    for seed in (1, 2, 3):
+        for source_R in (0.0, 0.3, -1.7):
+            triple = (rng.uniform(0.05, 0.95), rng.uniform(0.1, 1.9),
+                      rng.uniform(0.1, 1.9))
+            for n_nodes, steps in ((8, 3), (37, 50)):
+                args = (n_nodes, steps, *triple, seed, source_R)
+                assert lbm.fd_equivalence_deviation(*args) == \
+                    _stored_trajectory_deviation(*args)
 
 
 def test_matrix_form_matches_the_substituted_form():

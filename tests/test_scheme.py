@@ -265,6 +265,9 @@ def test_run_validates_its_time_and_grid_arguments():
         run(params, grid, init, boundary, 0.3)
     with pytest.raises(DomainError):
         run(params, grid, init, boundary, 1.0)
+    for bad in (float("inf"), float("nan")):
+        with pytest.raises(DomainError):
+            run(params, grid, init, boundary, bad)
     with pytest.raises(DomainError):
         run(params, Grid1D(12), init, boundary, 1.2)
 

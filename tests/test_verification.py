@@ -72,6 +72,11 @@ def test_benchmark_case_derived_fields():
         ver.BenchmarkCase(epsilon=0.1, dx=0.03, order="sixth")
     with pytest.raises(DomainError):
         ver.BenchmarkCase(epsilon=0.0, dx=0.1, order="sixth")
+    for bad in (float("nan"), float("inf")):
+        with pytest.raises(DomainError):
+            ver.BenchmarkCase(epsilon=bad, dx=0.1, order="sixth")
+        with pytest.raises(DomainError):
+            ver.BenchmarkCase(epsilon=0.1, dx=bad, order="sixth")
     with pytest.raises(DomainError):
         ver.BenchmarkCase(epsilon=0.1, dx=0.1, order="fifth")
 
