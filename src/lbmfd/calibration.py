@@ -126,6 +126,11 @@ def from_modified_lattice_kinetic(omega: float, eta: float) -> Relaxations:
     return Relaxations(omega, omega / den, omega)
 
 
+def _mesh_range_error(dx: float, dt: float) -> DomainError:
+    return DomainError(f"dx = {dx} and dt = {dt} put kappa or epsilon outside "
+                       "the float range")
+
+
 @dataclass(frozen=True)
 class ModelParams:
     """Complete parameter set for one model run.
@@ -153,11 +158,15 @@ class ModelParams:
             raise DomainError("dx and dt must be positive")
         if self.kappa <= 0.0:
             raise DomainError(f"kappa must be positive, got {self.kappa}")
-        kappa_id = (2.0 * self.weights.omega1 * (1.0 / self.relax.s1 - 0.5)
-                    * self.dx ** 2 / self.dt)
+        try:
+            kappa_id = (2.0 * self.weights.omega1
+                        * (1.0 / self.relax.s1 - 0.5)
+                        * self.dx ** 2 / self.dt)
+            eps_id = self.kappa * self.dt / self.dx ** 2
+        except (OverflowError, ZeroDivisionError):
+            raise _mesh_range_error(self.dx, self.dt) from None
         if abs(self.kappa - kappa_id) > 1e-12 * abs(kappa_id):
             raise DomainError("kappa does not match the weights and rates")
-        eps_id = self.kappa * self.dt / self.dx ** 2
         if abs(self.epsilon - eps_id) > 1e-12 * abs(eps_id):
             raise DomainError("epsilon does not match kappa*dt/dx**2")
 
@@ -168,8 +177,11 @@ class ModelParams:
         """Derive kappa and epsilon from (omega0, s1, s2) on a given mesh."""
         weights = weights_from_omega0(omega0)
         relax = Relaxations(s0, s1, s2)
-        kappa = 2.0 * weights.omega1 * (1.0 / s1 - 0.5) * dx ** 2 / dt
-        epsilon = kappa * dt / dx ** 2
+        try:
+            kappa = 2.0 * weights.omega1 * (1.0 / s1 - 0.5) * dx ** 2 / dt
+            epsilon = kappa * dt / dx ** 2
+        except (OverflowError, ZeroDivisionError):
+            raise _mesh_range_error(dx, dt) from None
         return cls(dx, dt, kappa, source_R, weights, relax, epsilon)
 
 

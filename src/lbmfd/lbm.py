@@ -35,7 +35,8 @@ import numpy as np
 
 from .calibration import ModelParams, Weights
 from .errors import DomainError, LengthMismatch, UnsupportedBoundary
-from .scheme import BoundarySpec, _advance, _field_weights, coefficients
+from .scheme import (BoundarySpec, _advance, _views, _weight_passes,
+                     _weight_row, coefficients)
 
 
 @dataclass(frozen=True)
@@ -220,23 +221,25 @@ def fd_equivalence_deviation(n_nodes: int, steps: int, omega0: float,
     field = initialize(phi0, params.weights, params.dt, params.source_R)
     pops = (field.f_minus, field.f_zero, field.f_plus)
     coeffs = coefficients(omega0, s1, s2)
-    weights = _field_weights(coeffs)
-    src = coeffs.source * params.dt * params.source_R
     boundary = BoundarySpec.periodic()
     # Levels n-3, n-2, n-1 and n rotate through these buffers.
-    old, prev, cur, new = (np.empty(n_nodes) for _ in range(4))
-    predicted, tmp, *work = (np.empty(n_nodes) for _ in range(5))
+    old, prev, cur, new, predicted, tmp = (
+        _views(np.empty(n_nodes), (n_nodes,), True) for _ in range(6))
+    weights = _weight_passes(
+        [_weight_row(coeffs, params.dt, params.source_R)], (n_nodes,), True,
+        len(tmp.passes))
+    work = [np.empty(n_nodes) for _ in range(3)]
     max_dev = max_phi = 0.0
     for n in range(steps + 1):
         if n < steps:
-            _collide_stream(*pops, params, new, *work)
+            _collide_stream(*pops, params, new.buf, *work)
         else:
-            new[...] = macro_phi(field, params.dt, params.source_R)
-        max_phi = np.maximum(max_phi, np.abs(new, out=tmp).max())
+            new.buf[...] = macro_phi(field, params.dt, params.source_R)
+        max_phi = np.maximum(max_phi, np.abs(new.buf, out=tmp.buf).max())
         if n >= 3:
-            _advance(cur, prev, old, weights, src, boundary, predicted, tmp)
-            np.subtract(predicted, new, out=predicted)
-            np.abs(predicted, out=predicted)
-            max_dev = np.maximum(max_dev, predicted.max())
+            _advance(cur, prev, old, weights, boundary, predicted, tmp)
+            np.subtract(predicted.buf, new.buf, out=predicted.buf)
+            np.abs(predicted.buf, out=predicted.buf)
+            max_dev = np.maximum(max_dev, predicted.buf.max())
         old, prev, cur, new = prev, cur, new, old
     return float(max_dev), float(max_phi)

@@ -21,14 +21,19 @@ puts their exact sum within one rounding of one.  With s1 = s2 = 1 the three
 history levels drop out and the classical two-level central scheme with mesh
 Fourier number epsilon = (1 - omega0)/2 remains.
 
-`step` and `run` share one kernel.  It writes the new level into a
-preallocated array with in-place numpy operations on slices of the last
-axis, adding the terms in the order written above, so a level gets the same
-bits whether it is marched alone or as one row of a batch.  Long rows are
-swept in cache-sized chunks, and periodic wrap nodes are computed from the
-same expression on strided views.  `run` accepts a sequence of parameter
-sets that share dx and dt and marches them as one (cases, nodes) array,
-with its own four level buffers.
+`step`, `bootstrap_history`, `run` and the mesoscopic equivalence check
+share one kernel.  A batch of levels is one contiguous 1-D row of cases x
+nodes, and the kernel writes the new level with in-place numpy operations
+on the 1-D slices [lo:hi], [lo+1:hi+1] and [lo+2:hi+2] of that row, adding
+the terms in the order written above, so a level gets the same bits whether
+it is marched alone or as one row of a batch.  The passes also cover the
+seam nodes between rows; Dirichlet pinning or the periodic wrap, computed
+from the same expression on strided (cases, 2) views, overwrites them.
+Long rows are swept in cache-sized passes.  `run` builds every view once
+per march, so a step only iterates over them; a weight or source term that
+is equal on every row stays a scalar, and any other is read per node.
+`run` accepts a sequence of parameter sets that share dx and dt and marches
+them as one batch, with its own four level buffers.
 
 The recorded convergence tables that the tests compare against match, to
 their three printed digits, the RMSE over all N+1 nodes in 44 of their 45
@@ -45,6 +50,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -198,60 +204,107 @@ class PhiHistory:
         return new_level
 
 
-# Interior nodes per pass of the kernel.  A pass runs its twelve operations
-# on slices of 256 KiB per row and array, which stay in a 2 MiB L2 cache
-# between operations; a longer level would otherwise be streamed from
-# memory twelve times per step.
+# Nodes per pass of the kernel.  A pass runs its twelve operations on slices
+# of 256 KiB per array, which stay in a 2 MiB L2 cache between operations;
+# a longer row would otherwise be streamed from memory twelve times per step.
 _CHUNK = 2 ** 15
 
 
-def _field_weights(coeffs: FdCoefficients) -> tuple:
+def _weight_row(coeffs: FdCoefficients, dt: float, R: float) -> tuple:
+    # The five field weights in stencil order, then the source term.
     return (coeffs.side_n, coeffs.center_n, coeffs.side_nm1,
-            coeffs.center_nm1, coeffs.center_nm2)
+            coeffs.center_nm1, coeffs.center_nm2, coeffs.source * dt * R)
 
 
-def _combine(cur, prev, old, left, mid, right, coeffs, src, out, tmp):
-    # The recurrence at the last-axis positions `mid` of out, whose
-    # neighbours sit at `left` and `right`, summed in the order of the
-    # module docstring.
-    side_n, center_n, side_nm1, center_nm1, center_nm2 = coeffs
-    acc, scratch = out[..., mid], tmp[..., mid]
-    np.add(cur[..., left], cur[..., right], out=acc)
+class _Views(NamedTuple):
+    """A flat buffer of one or more levels and the views the kernel uses.
+
+    `passes` holds one (left, mid, right) triple per pass: the 1-D slices
+    [lo:hi], [lo+1:hi+1] and [lo+2:hi+2] of the flat buffer, then, for a
+    periodic boundary, the wrap nodes 0 and n-1 of every row as one strided
+    view with their neighbours.  `rows` is the buffer in the level's shape,
+    (nodes,) or (cases, nodes), and the wrap views have its rank; `first`
+    and `last` are the end nodes that Dirichlet pinning writes.
+    """
+
+    buf: np.ndarray
+    rows: np.ndarray
+    passes: tuple
+    first: np.ndarray
+    last: np.ndarray
+
+
+def _views(buf: np.ndarray, shape: tuple, periodic: bool) -> _Views:
+    interior = buf.shape[0] - 2
+    passes = []
+    for lo in range(0, interior, _CHUNK):
+        hi = min(lo + _CHUNK, interior)
+        passes.append((buf[lo:hi], buf[lo + 1:hi + 1], buf[lo + 2:hi + 2]))
+    rows = buf.reshape(shape)
+    if periodic:
+        # The wrap nodes 0 and n-1; their left neighbours are n-1, n-2 and
+        # their right ones 1, 0.  A 1-D level keeps 1-D views, which numpy
+        # sweeps without its multi-dimensional iterator.
+        passes.append((rows[..., :-3:-1], rows[..., ::max(shape[-1] - 1, 1)],
+                       rows[..., 1::-1]))
+    return _Views(buf, rows, tuple(passes), rows[..., 0], rows[..., -1])
+
+
+def _weight_passes(table, shape: tuple, periodic: bool,
+                   n_passes: int) -> tuple:
+    """Per-pass tuples of the five field weights and the source term.
+
+    `table` has one `_weight_row` per row of `shape`.  A column whose
+    entries are equal in every bit stays a Python float; any other is
+    repeated over the nodes of each row, once, and each pass takes its
+    slice of it.
+    """
+    columns = []
+    for col in zip(*table):
+        if len({w.hex() for w in col}) == 1:
+            columns.append((col[0],) * n_passes)
+        else:
+            per_node = _views(np.repeat(col, shape[-1]), shape, periodic)
+            columns.append(tuple(mid for _, mid, _ in per_node.passes))
+    return tuple(zip(*columns))
+
+
+def _combine(cur, prev, old, weights, acc, scratch):
+    # The recurrence at the mid views of one pass, summed in the order of
+    # the module docstring.
+    (cur_l, cur_m, cur_r), (prev_l, prev_m, prev_r), (_, old_m, _) = (
+        cur, prev, old)
+    side_n, center_n, side_nm1, center_nm1, center_nm2, src = weights
+    np.add(cur_l, cur_r, out=acc)
     np.multiply(acc, side_n, out=acc)
-    np.multiply(cur[..., mid], center_n, out=scratch)
+    np.multiply(cur_m, center_n, out=scratch)
     np.add(acc, scratch, out=acc)
-    np.add(prev[..., left], prev[..., right], out=scratch)
+    np.add(prev_l, prev_r, out=scratch)
     np.multiply(scratch, side_nm1, out=scratch)
     np.add(acc, scratch, out=acc)
-    np.multiply(prev[..., mid], center_nm1, out=scratch)
+    np.multiply(prev_m, center_nm1, out=scratch)
     np.add(acc, scratch, out=acc)
-    np.multiply(old[..., mid], center_nm2, out=scratch)
+    np.multiply(old_m, center_nm2, out=scratch)
     np.add(acc, scratch, out=acc)
     np.add(acc, src, out=acc)
 
 
-def _advance(cur, prev, old, coeffs, src, boundary, out, tmp):
-    """Write the level after (old, prev, cur) into `out`, along the last axis.
+def _advance(cur: _Views, prev: _Views, old: _Views, weights: tuple,
+             boundary: BoundarySpec, out: _Views, tmp: _Views) -> None:
+    """Write the level after (old, prev, cur) into `out`.
 
-    `coeffs` holds the five field weights in `FdCoefficients` order and
-    `src` the source term, each a scalar or a (cases, 1) column; `tmp` is
-    scratch of out's shape.  `out` and `tmp` must not overlap the levels.
+    All five buffers have the same shape; `weights` comes from
+    `_weight_passes` for it.  The flat passes also write the seam nodes
+    between rows, which the Dirichlet pinning or the periodic wrap pass
+    then overwrites.  `out` and `tmp` must not overlap the levels.
     """
-    interior = cur.shape[-1] - 2
-    for lo in range(0, interior, _CHUNK):
-        hi = min(lo + _CHUNK, interior)
-        _combine(cur, prev, old, slice(lo, hi), slice(lo + 1, hi + 1),
-                 slice(lo + 2, hi + 2), coeffs, src, out, tmp)
-    if boundary.kind == "periodic":
-        # The wrap nodes 0 and n-1 as one strided view; their left
-        # neighbours are n-1, n-2 and their right ones 1, 0.
-        ends = slice(None, None, max(cur.shape[-1] - 1, 1))
-        _combine(cur, prev, old, slice(None, -3, -1), ends, slice(1, None, -1),
-                 coeffs, src, out, tmp)
-    else:
-        out[..., 0] = boundary.left_value
-        out[..., -1] = boundary.right_value
-    return out
+    for c, p, o, w, (_, acc, _), (_, scratch, _) in zip(
+            cur.passes, prev.passes, old.passes, weights, out.passes,
+            tmp.passes):
+        _combine(c, p, o, w, acc, scratch)
+    if boundary.kind != "periodic":
+        out.first.fill(boundary.left_value)
+        out.last.fill(boundary.right_value)
 
 
 def step(history: PhiHistory, coeffs: FdCoefficients, dt: float, R: float,
@@ -264,10 +317,15 @@ def step(history: PhiHistory, coeffs: FdCoefficients, dt: float, R: float,
     """
     if history.step_index < 2:
         raise StateError("the four-level update needs three seeded levels")
-    cur, prev, old = history.current, history.previous, history.oldest
-    out = np.empty(cur.shape, np.result_type(cur, prev, old, 1.0))
-    _advance(cur, prev, old, _field_weights(coeffs), coeffs.source * dt * R,
-             boundary, out, np.empty_like(out))
+    periodic = boundary.kind == "periodic"
+    levels = (history.current, history.previous, history.oldest)
+    out = np.empty(levels[0].shape, np.result_type(*levels, 1.0))
+    cur, prev, old, out_v, tmp = (
+        _views(a, out.shape, periodic)
+        for a in (*levels, out, np.empty_like(out)))
+    weights = _weight_passes([_weight_row(coeffs, dt, R)], out.shape,
+                             periodic, len(tmp.passes))
+    _advance(cur, prev, old, weights, boundary, out_v, tmp)
     return history.push(out)
 
 
@@ -292,12 +350,10 @@ def bootstrap_history(phi0: np.ndarray, epsilon: float, dx: float, dt: float,
     coeffs = coefficients(1.0 - 2.0 * eps_sub, 1.0, 1.0)
     cur = np.asarray(phi0, dtype=float)
     levels = [cur]
-    tmp = np.empty_like(cur)
     for _ in range(2):
         for _ in range(substeps):
-            cur = _advance(cur, cur, cur, _field_weights(coeffs),
-                           coeffs.source * dt_sub * R, boundary,
-                           np.empty_like(cur), tmp)
+            cur = step(PhiHistory.from_levels(cur, cur, cur, dt_sub), coeffs,
+                       dt_sub, R, boundary)
         levels.append(cur)
     return PhiHistory.from_levels(levels[0], levels[1], levels[2], dt)
 
@@ -339,23 +395,25 @@ def run(params, grid: Grid1D, initializer, boundary: BoundarySpec,
     if abs(grid.dx - dx) > 1e-12 * dx:
         raise DomainError("grid spacing does not match params.dx")
     xs = grid.nodes()
-    if boundary.kind == "periodic":
+    periodic = boundary.kind == "periodic"
+    if periodic:
         xs = xs[:-1]
-    # Four levels rotate through these buffers; the fourth is written next.
-    levels = [np.empty((len(cases), xs.size)) for _ in range(4)]
-    for k in range(3):
-        levels[k][...] = initializer(xs, k * dt)
-    coeffs = [coefficients(p.weights.omega0, p.relax.s1, p.relax.s2)
-              for p in cases]
-    weights = np.array([_field_weights(c) for c in coeffs]).T[:, :, None]
-    src = np.array([[c.source * dt * p.source_R]
-                    for c, p in zip(coeffs, cases)])
-    old, prev, cur, spare = levels
-    tmp = np.empty_like(cur)
+    shape = (len(cases), xs.size)
+    # Four levels rotate through these flat rows x nodes buffers; the
+    # fourth is written next.
+    old, prev, cur, spare, tmp = (
+        _views(np.empty(math.prod(shape)), shape, periodic)
+        for _ in range(5))
+    for k, level in enumerate((old, prev, cur)):
+        level.rows[...] = initializer(xs, k * dt)
+    table = [_weight_row(coefficients(p.weights.omega0, p.relax.s1,
+                                      p.relax.s2), dt, p.source_R)
+             for p in cases]
+    weights = _weight_passes(table, shape, periodic, len(tmp.passes))
     for _ in range(n_steps - 2):
-        _advance(cur, prev, old, weights, src, boundary, spare, tmp)
+        _advance(cur, prev, old, weights, boundary, spare, tmp)
         old, prev, cur, spare = prev, cur, spare, old
-    return cur if batch else cur[0]
+    return cur.rows if batch else cur.rows[0]
 
 
 def snapshot_csv_lines(xs: np.ndarray, phi: np.ndarray) -> list[str]:

@@ -79,14 +79,19 @@ class BenchmarkCase:
                               f"{self.epsilon}")
         if not (math.isfinite(self.dx) and self.dx > 0.0):
             raise DomainError(f"dx must be positive and finite, got {self.dx}")
-        n = round(1.0 / self.dx)
+        try:
+            n = round(1.0 / self.dx)
+            dt = _DT_OVER_DX2 * self.dx ** 2
+            n_steps = round(_T_END / dt)
+        except (OverflowError, ZeroDivisionError):
+            raise DomainError(f"dx = {self.dx} is too small: 1/dx, dt or the "
+                              "step count leaves the float range") from None
         if abs(n * self.dx - 1.0) > 1e-9:
             raise DomainError(f"dx = {self.dx} does not divide the unit "
                               "interval")
-        object.__setattr__(self, "dt", _DT_OVER_DX2 * self.dx ** 2)
+        object.__setattr__(self, "dt", dt)
         object.__setattr__(self, "kappa", self.epsilon / _DT_OVER_DX2)
         object.__setattr__(self, "t_end", _T_END)
-        n_steps = round(self.t_end / self.dt)
         if abs(n_steps * self.dt - self.t_end) > 1e-9 * self.t_end:
             raise DomainError("t_end is not an integer multiple of dt at "
                               f"dx = {self.dx}")

@@ -127,6 +127,12 @@ def test_model_params_rejects_inconsistent_fields():
         with pytest.raises(DomainError):
             cal.ModelParams.from_rates(0.5, 1.5, 0.5, dx=1.0, dt=1.0,
                                        source_R=bad)
+    # dx**2 overflows at dx = 1e200 and vanishes at dx = 1e-200.
+    for dx in (1e200, 1e-200):
+        with pytest.raises(DomainError):
+            cal.ModelParams.from_rates(0.5, 1.5, 0.5, dx=dx, dt=1.0)
+        with pytest.raises(DomainError):
+            cal.ModelParams(dx, *fields[1:])
 
 
 def test_residual_second_vanishes_on_calibrated_parameters():

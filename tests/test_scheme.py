@@ -366,3 +366,69 @@ def test_run_leaves_the_initializer_result_untouched():
                 BoundarySpec.dirichlet(0.0, 0.0), 1.5)
     np.testing.assert_array_equal(start, kept)
     assert not np.shares_memory(final, start)
+
+
+def _reference_run(triple, source_R, scale, grid, boundary, t_end):
+    # run's march for one case, spelled out with the whole-array reference
+    # expression, from the start levels scale * _sine_bump.
+    p = cal.ModelParams.from_rates(*triple, dx=grid.dx, dt=0.01,
+                                   source_R=source_R)
+    xs = grid.nodes()[:-1] if boundary.kind == "periodic" else grid.nodes()
+    levels = [scale * _sine_bump(xs, k * p.dt) for k in range(3)]
+    co = coefficients(*triple)
+    src = co.source * p.dt * p.source_R
+    for _ in range(round(t_end / p.dt) - 2):
+        levels = levels[1:] + [_reference_step(levels[2], levels[1],
+                                               levels[0], co, src, boundary)]
+    return levels[2]
+
+
+@pytest.mark.parametrize("chunk", [4, 7])
+def test_batched_run_matches_the_reference_march_bit_for_bit(chunk,
+                                                             monkeypatch):
+    # Passes of 4 and 7 nodes straddle the seams between the rows of the
+    # flat batch.  A weight or source that differs between rows is read per
+    # node and one that is shared is a scalar; both must give the bits of
+    # the reference march of each row on its own.
+    monkeypatch.setattr(scheme, "_CHUNK", chunk)
+    grid = Grid1D(12)
+    t0, t1, t2 = (0.83, 0.92, 1.15), (0.6, 1.4, 0.7), (0.8, 1.0, 1.0)
+    r0, r1, r2 = 0.0, 0.5, -1.25
+    batches = ([(t0, r0), (t1, r1), (t2, r2)],
+               [(t0, r0), (t0, r1), (t0, r2)],
+               [(t0, r1), (t1, r1), (t2, r1)],
+               [(t1, r2)] * 3)
+    scale = np.array([[1.0], [-2.0], [0.5]])
+    for boundary in (BoundarySpec.dirichlet(0.25, -1.5),
+                     BoundarySpec.periodic()):
+        for rows in batches:
+            params = [cal.ModelParams.from_rates(*t, dx=grid.dx, dt=0.01,
+                                                 source_R=r)
+                      for t, r in rows]
+            batch = run(params, grid, lambda x, t: scale * _sine_bump(x, t),
+                        boundary, 0.2)
+            for i, ((triple, source_R), p) in enumerate(zip(rows, params)):
+                expected = _reference_run(triple, source_R, scale[i], grid,
+                                          boundary, 0.2)
+                assert batch[i].tobytes() == expected.tobytes()
+                single = run(p, grid,
+                             lambda x, t: scale[i] * _sine_bump(x, t),
+                             boundary, 0.2)
+                assert single.tobytes() == expected.tobytes()
+
+
+def test_batched_run_keeps_the_sign_of_zero_per_row():
+    # source_R = 0.0 and -0.0 compare equal, but on a field of -0.0 they
+    # give different bits, so rows may share a scalar weight only when its
+    # bits are equal.
+    grid = Grid1D(6)
+    params = [cal.ModelParams.from_rates(0.8, 1.0, 1.0, dx=grid.dx, dt=0.01,
+                                         source_R=r) for r in (0.0, -0.0)]
+    init = lambda x, t: np.full_like(x, -0.0)
+    for boundary in (BoundarySpec.periodic(),
+                     BoundarySpec.dirichlet(-0.0, -0.0)):
+        batch = run(params, grid, init, boundary, 0.05)
+        singles = [run(p, grid, init, boundary, 0.05) for p in params]
+        assert singles[0].tobytes() != singles[1].tobytes()
+        for row, single in zip(batch, singles):
+            assert row.tobytes() == single.tobytes()

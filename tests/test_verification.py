@@ -77,6 +77,11 @@ def test_benchmark_case_derived_fields():
             ver.BenchmarkCase(epsilon=bad, dx=0.1, order="sixth")
         with pytest.raises(DomainError):
             ver.BenchmarkCase(epsilon=0.1, dx=bad, order="sixth")
+    # 1/dx overflows at 1e-320, dt = 30*dx**2 vanishes at 1e-200 and the
+    # step count t_end/dt overflows at 1e-160.
+    for tiny in (1e-320, 1e-200, 1e-160):
+        with pytest.raises(DomainError):
+            ver.BenchmarkCase(epsilon=0.1, dx=tiny, order="sixth")
     with pytest.raises(DomainError):
         ver.BenchmarkCase(epsilon=0.1, dx=0.1, order="fifth")
 
