@@ -49,10 +49,6 @@ _MAX_NEWTON_ITER = 100
 _MAX_DAMPINGS = 60
 
 
-class _SixthSolveFailed(Exception):
-    """Internal marker: no admissible sixth-order solution at this epsilon."""
-
-
 @dataclass(frozen=True)
 class Weights:
     """Equilibrium weights of the three-velocity lattice.
@@ -332,39 +328,69 @@ def _reduced_cubic(eps: float) -> tuple[float, float, float, float]:
     return a3, a2, a1, a0
 
 
-def _cubic_discriminant(a3: float, a2: float, a1: float, a0: float) -> float:
-    # Negative exactly when the cubic has one real root and a complex pair.
-    return (18.0 * a3 * a2 * a1 * a0 - 4.0 * a2 ** 3 * a0
-            + a2 ** 2 * a1 ** 2 - 4.0 * a3 * a1 ** 3
-            - 27.0 * a3 ** 2 * a0 ** 2)
+def _sixth_discriminant_sign(eps: float) -> float:
+    """A value with the sign of the discriminant of _reduced_cubic(eps).
 
-
-def _solve_sixth(eps: float):
-    """Solve both accuracy conditions from the reduced cubic.
-
-    Returns (omega0, s1, s2).  Raises _SixthSolveFailed when the cubic does
-    not have a single real root (epsilon past epsilon_max) or when the root
-    leaves the admissible parameter box.
+    The discriminant factors as 768*e**2*q(e**2); this is q.  It is negative
+    exactly when the cubic has one real root and a complex pair.  The generic
+    formula in the four coefficients cancels to rounding noise below epsilon
+    of about 1e-8, where q stays near q(0) = -33.
     """
-    a3, a2, a1, a0 = _reduced_cubic(eps)
-    if not _cubic_discriminant(a3, a2, a1, a0) < 0.0:
-        raise _SixthSolveFailed(eps)
-    roots = np.roots([a3, a2, a1, a0])
-    s1 = float(roots[np.argmin(np.abs(roots.imag))].real)
+    x = eps * eps
+    return (((((25920000000 * x - 2777760000) * x + 84960000) * x - 1277280)
+             * x + 9760) * x - 33)
+
+
+def _triple_from_root(eps: float, s1: float):
+    """(omega0, s1, s2) polished from one real root of the reduced cubic, or
+    None when the root leaves the admissible box or the polish fails."""
     if not 0.0 < s1 < 2.0:
-        raise _SixthSolveFailed(eps)
+        return None
     omega0 = _omega0_of_s1(s1, eps)
     den = s1 / 12.0 - omega0 / 2.0 + (s1 / 2.0 - 1.0) * eps
     if den == 0.0:
-        raise _SixthSolveFailed(eps)
+        return None
     s2 = (s1 / 2.0 - 1.0 + s1 * eps) / den
     if not _inside_box(s1, s2, eps):
-        raise _SixthSolveFailed(eps)
+        return None
     sol = _newton_sixth(eps, s1, s2)
     if sol is None:
-        raise _SixthSolveFailed(eps)
+        return None
     s1, s2 = sol
     return _omega0_of_s1(s1, eps), s1, s2
+
+
+def _solve_sixth(eps_values) -> list:
+    """Solve both accuracy conditions from the reduced cubic at each epsilon.
+
+    Returns one (omega0, s1, s2) per epsilon, or None where the cubic does
+    not have a single real root (epsilon past epsilon_max), or where no real
+    root gives an admissible triple that the Newton polish accepts.  The
+    cubics with a negative discriminant share one eigenvalue call on the
+    companion matrices that np.roots builds.  LAPACK can return a near-double
+    complex pair as two real roots (epsilon near 1e-8 puts one near s1 = 2),
+    so the real roots are tried in LAPACK's order and the first that passes
+    wins.
+    """
+    out = [None] * len(eps_values)
+    rows, cubics = [], []
+    for i, eps in enumerate(eps_values):
+        if _sixth_discriminant_sign(eps) < 0.0:
+            rows.append(i)
+            cubics.append(_reduced_cubic(eps))
+    if not rows:
+        return out
+    coef = np.array(cubics)
+    comp = np.zeros((len(rows), 3, 3))
+    comp[:, 0, :] = -coef[:, 1:] / coef[:, :1]
+    comp[:, 1, 0] = comp[:, 2, 1] = 1.0
+    for i, roots in zip(rows, np.linalg.eigvals(comp)):
+        for root in roots:
+            if root.imag == 0.0:
+                out[i] = _triple_from_root(eps_values[i], float(root.real))
+                if out[i] is not None:
+                    break
+    return out
 
 
 def calibrate_sixth(epsilon: float) -> CalibrationResult:
@@ -376,13 +402,13 @@ def calibrate_sixth(epsilon: float) -> CalibrationResult:
     """
     if not epsilon > 0.0:
         raise DomainError(f"epsilon must be positive, got {epsilon}")
-    try:
-        omega0, s1, s2 = _solve_sixth(epsilon)
-    except _SixthSolveFailed:
+    sol = _solve_sixth([epsilon])[0]
+    if sol is None:
         raise NoRealRoot(
             f"no real sixth-order solution at epsilon = {epsilon}; "
             f"the solvable range is 0 < epsilon <= {epsilon_max():.6f}"
-        ) from None
+        )
+    omega0, s1, s2 = sol
     return CalibrationResult(
         epsilon=epsilon, omega0=omega0, s1=s1, s2=s2,
         residual_second=residual_second(omega0, s1, s2, epsilon),
@@ -451,9 +477,7 @@ def epsilon_max() -> float:
     lo, hi = 0.24, 0.30
     while hi - lo > 1e-6:
         mid = 0.5 * (lo + hi)
-        try:
-            _solve_sixth(mid)
-        except _SixthSolveFailed:
+        if _solve_sixth([mid])[0] is None:
             hi = mid
         else:
             lo = mid
@@ -483,12 +507,6 @@ def calibration_sweep(eps_grid) -> list[SweepRow]:
     if grid[0] <= 0.0 or any(b <= a for a, b in zip(grid, grid[1:])):
         raise DomainError("the epsilon grid must be positive and strictly "
                           "increasing")
-    rows: list[SweepRow] = []
-    for eps in grid:
-        try:
-            omega0, s1, s2 = _solve_sixth(eps)
-        except _SixthSolveFailed:
-            rows.append(SweepRow(eps, None, None, None, "no_real_root"))
-        else:
-            rows.append(SweepRow(eps, omega0, s1, s2, "ok"))
-    return rows
+    return [SweepRow(eps, None, None, None, "no_real_root") if sol is None
+            else SweepRow(eps, *sol, "ok")
+            for eps, sol in zip(grid, _solve_sixth(grid))]

@@ -14,6 +14,13 @@ condition onto five sign conditions on the coefficients (Routh-Hurwitz);
 checks the root moduli directly on a theta grid.  The fourth condition
 vanishes identically at theta = 0: that root is the conserved mode, which
 always has modulus exactly one.
+
+The same five conditions on the cubic scaled to radius rho (coefficients
+p0/rho**3, p1/rho**2, p2/rho) put every root inside |lambda| < rho.  The
+scan uses that as a screen: rho sits a factor 1 - _SCREEN_TAU (1e-4) below
+the LAPACK radius of the row with the largest cos(theta), and a row whose
+five scaled values all exceed _SCREEN_DELTA (1e-12) cannot hold the maximum,
+so LAPACK never sees it.  Every reported radius still comes from LAPACK.
 """
 
 from __future__ import annotations
@@ -27,6 +34,18 @@ from .scheme import FdCoefficients
 
 _RADIUS_SLACK = 1e-10
 _COS_ONE = 1.0 - 1e-12
+# Screen of `spectral_radius_scan`.  rho = r0*(1 - _SCREEN_TAU) must sit below
+# the seed radius r0 by more than LAPACK's radius error on any skipped row, or
+# that row could still return a radius of r0 or more.  The error on a root of
+# multiplicity m grows like (u*|A|)**(1/m), and a companion can hold a triple
+# root: the cubic tends to (lambda + 1)**3 at theta = pi as (omega0, s1, s2)
+# tends to (0, 0, 2), where errors of 1.2e-5 against 60-digit roots were
+# measured.  _SCREEN_DELTA must exceed the float error of evaluating the five
+# scaled values.  Over the box corners and 20,000 random triples r0 >= 0.95,
+# so the scaled coefficients stay below 3.1 in modulus and that error below
+# about 2e-14.
+_SCREEN_TAU = 1e-4
+_SCREEN_DELTA = 1e-12
 
 
 @dataclass(frozen=True)
@@ -77,11 +96,7 @@ def char_poly(omega0: float, s1: float, s2: float, theta: float) -> CharPoly:
     """Characteristic cubic of the amplification problem at wavenumber theta."""
     _check_rates(omega0, s1, s2)
     _check_theta(theta)
-    c = np.cos(theta)
-    p0 = (s1 - 1.0) * (1.0 - s2)
-    p1 = ((s1 - 1.0) * (s2 * omega0 - 1.0)
-          + ((s1 - 2.0) * (s2 - 1.0) + s2 * omega0 * (1.0 - s1)) * c)
-    p2 = s2 - s2 * omega0 - 1.0 + (s2 * omega0 + s1 - 2.0) * c
+    p0, p1, p2 = _char_coeff_grid(omega0, s1, s2, np.cos(theta))
     return CharPoly(p0=float(p0), p1=float(p1), p2=float(p2),
                     theta=float(theta))
 
@@ -134,6 +149,11 @@ def _companion_stack(p0, p1, p2) -> np.ndarray:
     return comp
 
 
+def _max_moduli(p0, p1, p2) -> np.ndarray:
+    # Largest root modulus of each monic cubic in a batch (LAPACK geev).
+    return np.abs(np.linalg.eigvals(_companion_stack(p0, p1, p2))).max(axis=1)
+
+
 def cubic_roots(p: CharPoly) -> np.ndarray:
     """Roots of the characteristic cubic via companion-matrix eigenvalues."""
     comp = _companion_stack(np.array([p.p0]), np.array([p.p1]),
@@ -149,13 +169,7 @@ def routh_hurwitz_values(p: CharPoly) -> tuple[float, float, float, float, float
     means strict stability; the fourth value is identically zero at
     theta = 0 (conserved mode).
     """
-    return (
-        1.0 - p.p0 + p.p1 - p.p2,
-        1.0 - p.p0,
-        1.0 + p.p0,
-        1.0 + p.p0 + p.p1 + p.p2,
-        1.0 - p.p1 + p.p0 * p.p2 - p.p0 ** 2,
-    )
+    return _rh_value_grid(p.p0, p.p1, p.p2)
 
 
 def margin_decomposition(omega0: float, s1: float,
@@ -191,14 +205,33 @@ def _rh_value_grid(p0, p1, p2):
     )
 
 
+def _candidate_rows(p0, p1, p2, cos_t) -> np.ndarray:
+    """Indices of the rows that could hold the largest root modulus: the
+    screen of the module docstring, seeded by the largest cos(theta).  The
+    seed row is always kept, so the result is never empty."""
+    seed = int(np.argmax(cos_t))
+    rho = _max_moduli(p0[[seed]], p1[[seed]], p2[[seed]])[0] \
+        * (1.0 - _SCREEN_TAU)
+    scaled = _rh_value_grid(p0 / rho ** 3, p1 / rho ** 2, p2 / rho)
+    inside = np.logical_and.reduce([v > _SCREEN_DELTA for v in scaled])
+    inside[seed] = False
+    return np.flatnonzero(~inside)
+
+
 def spectral_radius_scan(omega0: float, s1: float, s2: float,
                          n_theta: int = 720) -> StabilityReport:
     """Scan the characteristic root moduli over theta in [-pi, pi].
 
-    Uses n_theta + 1 equispaced samples including both endpoints.  The
-    reported Routh-Hurwitz margin is the minimum of the five condition
-    values over the grid, excluding the fourth condition where
-    cos(theta) = 1 (it vanishes there identically).
+    Uses n_theta + 1 equispaced samples including both endpoints.  LAPACK
+    computes every reported radius, but only on the rows the screen keeps:
+    a row left out has every root inside r0*(1 - _SCREEN_TAU), where r0 is
+    the radius at the largest cos(theta), all five scaled Routh-Hurwitz
+    values being above _SCREEN_DELTA.  So the report equals a full-grid
+    scan's; a typical scan sends one to a few rows to LAPACK, and one where
+    the screen keeps every row does the full-grid work.  The reported
+    Routh-Hurwitz margin is the minimum of the five condition values over
+    the grid, excluding the fourth condition where cos(theta) = 1 (it
+    vanishes there identically).
     """
     _check_rates(omega0, s1, s2)
     if n_theta < 64:
@@ -206,8 +239,9 @@ def spectral_radius_scan(omega0: float, s1: float, s2: float,
     thetas = -np.pi + 2.0 * np.pi * np.arange(n_theta + 1) / n_theta
     cos_t = np.cos(thetas)
     p0, p1, p2 = _char_coeff_grid(omega0, s1, s2, cos_t)
-    radii = np.abs(np.linalg.eigvals(_companion_stack(p0, p1, p2))).max(axis=1)
-    worst = int(np.argmax(radii))
+    rows = _candidate_rows(p0, p1, p2, cos_t)
+    radii = _max_moduli(p0[rows], p1[rows], p2[rows])
+    worst = int(rows[np.argmax(radii)])
     rh = _rh_value_grid(p0, p1, p2)
     margin = np.inf
     at_one = cos_t > _COS_ONE
@@ -218,7 +252,7 @@ def spectral_radius_scan(omega0: float, s1: float, s2: float,
                 margin = min(margin, float(masked.min()))
         else:
             margin = min(margin, float(values.min()))
-    max_radius = float(radii[worst])
+    max_radius = float(radii.max())
     return StabilityReport(
         max_spectral_radius=max_radius,
         worst_theta=float(thetas[worst]),

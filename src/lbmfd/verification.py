@@ -28,6 +28,9 @@ DEFAULT_EPSILONS = (0.1, 0.15, 0.175, 0.2, 0.24)
 DEFAULT_SPACINGS = (0.1, 0.05, 0.025)
 _DT_OVER_DX2 = 30.0
 _T_END = 12.0
+# A march holds about six float64 arrays of the node count: 2**22 intervals
+# keep that near 200 MB.
+_MAX_INTERVALS = 2 ** 22
 
 
 def analytic_phi(x, t, kappa: float):
@@ -86,6 +89,10 @@ class BenchmarkCase:
         except (OverflowError, ZeroDivisionError):
             raise DomainError(f"dx = {self.dx} is too small: 1/dx, dt or the "
                               "step count leaves the float range") from None
+        if n > _MAX_INTERVALS:
+            raise DomainError(f"dx = {self.dx} needs {float(n):.3g} "
+                              f"intervals, more than the {_MAX_INTERVALS} a "
+                              "march may hold")
         if abs(n * self.dx - 1.0) > 1e-9:
             raise DomainError(f"dx = {self.dx} does not divide the unit "
                               "interval")

@@ -180,11 +180,56 @@ def test_calibrate_sixth_beyond_the_solvable_range():
     with pytest.raises(NoRealRoot) as info:
         cal.calibrate_sixth(0.3)
     assert "0.262" in str(info.value)
+    # epsilon**3 overflows a Python float here.
+    with pytest.raises(NoRealRoot):
+        cal.calibrate_sixth(1e200)
+
+
+def test_calibrate_sixth_at_tiny_epsilon():
+    # LAPACK returns the near-double complex pair near s1 = 2 as two real
+    # roots here; the first, 1.99999988, leaves residual_fourth at 3.1e-10.
+    res = cal.calibrate_sixth(1.011457467486107e-08)
+    np.testing.assert_allclose(res.s1, 2.0229147e-07, rtol=1e-7)
+    assert abs(res.residual_second) <= 1e-12
+    assert abs(res.residual_fourth) <= 1e-12
+    # Down to about 1.7e-9 the triple is representable: below it omega0
+    # rounds to one.  The generic discriminant formula lost its sign below
+    # about 1.6e-8.
+    rows = cal.calibration_sweep(np.geomspace(2e-9, 1e-6, 300))
+    assert all(row.status == "ok" for row in rows)
+
+
+def test_sixth_discriminant_factor_is_exact():
+    # The discriminant of the reduced cubic equals 768*e**2*q(e**2) with q
+    # the polynomial that _sixth_discriminant_sign evaluates.  Each
+    # coefficient of the cubic is a cubic in e, recovered exactly from its
+    # values at e = 0..3 (small integers, exact in floats); both sides have
+    # degree 12 in e, so equality at 14 rational points is an identity.
+    from fractions import Fraction
+
+    samples = [cal._reduced_cubic(float(k)) for k in range(4)]
+
+    def coeff(j, e):
+        total = Fraction(0)
+        for k in range(4):
+            basis = Fraction(1)
+            for m in range(4):
+                if m != k:
+                    basis *= Fraction(e - m, k - m)
+            total += Fraction(samples[k][j]) * basis
+        return total
+
+    for e in (Fraction(n, 7) for n in range(-6, 8)):
+        a3, a2, a1, a0 = (coeff(j, e) for j in range(4))
+        textbook = (18 * a3 * a2 * a1 * a0 - 4 * a2 ** 3 * a0
+                    + a2 ** 2 * a1 ** 2 - 4 * a3 * a1 ** 3
+                    - 27 * a3 ** 2 * a0 ** 2)
+        assert textbook == 768 * e ** 2 * cal._sixth_discriminant_sign(e)
 
 
 def test_epsilon_max_brackets_the_boundary():
     em = cal.epsilon_max()
-    assert 0.255 < em < 0.270
+    assert em == 0.26241760253906254
     cal.calibrate_sixth(em)
     cal.calibrate_sixth(em - 1e-4)
     with pytest.raises(NoRealRoot):
@@ -273,6 +318,37 @@ def test_calibration_sweep_flags_unsolvable_points():
                                         "no_real_root"]
     for row in rows[2:]:
         assert row.omega0 is None and row.s1 is None and row.s2 is None
+
+
+def test_calibration_sweep_rows_equal_calibrate_sixth():
+    em = cal.epsilon_max()
+    grid = np.union1d(np.linspace(1e-3, 0.3, 400),
+                      em + 1e-7 * np.arange(-5, 6))
+    rows = cal.calibration_sweep(grid)
+    statuses = [row.status for row in rows]
+    assert "ok" in statuses and "no_real_root" in statuses
+    for row in rows:
+        if row.status == "no_real_root":
+            assert row.epsilon > em
+            with pytest.raises(NoRealRoot):
+                cal.calibrate_sixth(row.epsilon)
+            continue
+        res = cal.calibrate_sixth(row.epsilon)
+        assert [v.hex() for v in (row.omega0, row.s1, row.s2)] == [
+            v.hex() for v in (res.omega0, res.s1, res.s2)]
+
+
+def test_calibration_sweep_roots_equal_np_roots():
+    # The batched eigenvalue call returns the roots np.roots gives, bit for
+    # bit.  From 1e-6 up the cubic has one real root, which np.roots'
+    # argmin(|imag|) picks as the first real root does.
+    grid = np.linspace(1e-6, 0.26, 300)
+    for row in cal.calibration_sweep(grid):
+        roots = np.roots(cal._reduced_cubic(row.epsilon))
+        s1 = float(roots[np.argmin(np.abs(roots.imag))].real)
+        want = cal._triple_from_root(row.epsilon, s1)
+        assert [v.hex() for v in (row.omega0, row.s1, row.s2)] == [
+            v.hex() for v in want]
 
 
 def test_calibration_sweep_rejects_bad_grids():

@@ -73,7 +73,7 @@ def test_run_rejects_infeasible_and_invalid(capsys):
     capsys.readouterr()
     for flags in (["--dx", "nan"], ["--dx", "inf"], ["--epsilon", "nan"],
                   ["--t-end", "inf"], ["--t-end", "nan"], ["--dx", "1e-320"],
-                  ["--epsilon", "-0.1"]):
+                  ["--dx", "1e-100"], ["--epsilon", "-0.1"]):
         assert main(["run", "--epsilon", "0.1", *flags]) == 1
         err = capsys.readouterr().err
         assert err.startswith("lbmfd: error: ") and err.count("\n") == 1

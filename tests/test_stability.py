@@ -182,3 +182,103 @@ def test_scan_validation_and_report_payload():
     assert tuple(payload) == ("max_spectral_radius", "worst_theta",
                               "rh_min_margin", "stable", "theta_samples")
     assert payload["theta_samples"] == 65
+
+
+def _lapack_radii(p0, p1, p2):
+    comp = np.zeros((p0.size, 3, 3))
+    comp[:, 0] = np.stack([-p2, -p1, -p0], axis=1)
+    comp[:, 1, 0] = comp[:, 2, 1] = 1.0
+    return np.abs(np.linalg.eigvals(comp)).max(axis=1)
+
+
+def _full_grid_reference(omega0, s1, s2, n_theta):
+    # The scan without its screen: LAPACK on every theta row.
+    thetas = -np.pi + 2.0 * np.pi * np.arange(n_theta + 1) / n_theta
+    cos_t = np.cos(thetas)
+    p0, p1, p2 = stab._char_coeff_grid(omega0, s1, s2, cos_t)
+    radii = _lapack_radii(p0, p1, p2)
+    worst = int(np.argmax(radii))
+    values = np.array(stab._rh_value_grid(p0, p1, p2))
+    margin = min(float(np.delete(values, 3, axis=0).min()),
+                 float(values[3][cos_t <= 1.0 - 1e-12].min()))
+    return {"max_spectral_radius": float(radii[worst]),
+            "worst_theta": float(thetas[worst]),
+            "rh_min_margin": margin,
+            "stable": bool(radii[worst] <= 1.0 + 1e-10),
+            "theta_samples": n_theta + 1}
+
+
+def _hexed(payload):
+    return {k: v.hex() if isinstance(v, float) else v
+            for k, v in payload.items()}
+
+
+def test_screened_scan_matches_the_full_grid_reference():
+    from lbmfd.calibration import calibrate_fourth, calibrate_sixth
+
+    rng = np.random.default_rng(808)
+    triples = [REFERENCE_TRIPLE, (0.8, 1.0, 1.0)]
+    for eps in (0.001, 0.05, 0.1, 0.2, 0.26):
+        for res in (calibrate_sixth(eps), calibrate_fourth(eps)):
+            triples.append((res.omega0, res.s1, res.s2))
+    triples += [_rand_triple(rng) for _ in range(30)]
+    low, high = 1e-9, 2.0 - 1e-9
+    triples += [(a, b, c) for a in (low, 1.0 - low)
+                for b in (low, high) for c in (low, high)]
+    triples += [(1e-300, 1e-300, 2.0 - 2.0 ** -52), (0.5, 1e-300, 1.0)]
+    for _ in range(10):
+        s = rng.uniform(0.01, 1.99)
+        omega0 = rng.uniform(0.01, 0.99)
+        triples += [(omega0, s, s), (omega0, s, float(np.nextafter(s, 2.0)))]
+    for triple in triples:
+        for n_theta in (64, 101, 720):
+            report = stab.spectral_radius_scan(*triple, n_theta)
+            assert _hexed(report.to_json_dict()) == _hexed(
+                _full_grid_reference(*triple, n_theta)), (triple, n_theta)
+
+
+def _random_cubic_rows(rng, n, rho):
+    # Monic cubics whose largest root modulus sits just inside or outside
+    # rho (relative gaps 1e-8 to 1), as a real root or a complex pair, with
+    # the other roots anywhere inside that modulus.  A third of the real
+    # cases hold a near-triple root, and a quarter of the pairs have their
+    # real root on the same circle.
+    gap = 10.0 ** rng.uniform(-8.0, 0.0, n) * rng.choice((-1.0, 1.0), n)
+    top = rho * np.maximum(1.0 + gap, 0.05)
+    pair = rng.random(n) < 0.5
+    phi = rng.uniform(0.0, np.pi, n)
+    sign = rng.choice((-1.0, 1.0), n)
+    roots = np.empty((n, 3), dtype=complex)
+    roots[:, 0] = np.where(pair, top * np.exp(1j * phi), top * sign)
+    roots[:, 1] = np.where(pair, np.conj(roots[:, 0]),
+                           rng.uniform(-1.0, 1.0, n) * top)
+    roots[:, 2] = rng.uniform(-1.0, 1.0, n) * top
+    ring = pair & (rng.random(n) < 0.25)
+    roots[ring, 2] = top[ring] * sign[ring]
+    triple = ~pair & (rng.random(n) < 0.3)
+    roots[triple, 1] = roots[triple, 2] = (
+        roots[triple, 0] * (1.0 - 1e-6 * rng.random(triple.sum())))
+    a, b, c = roots.T
+    return (np.real(-a * b * c), np.real(a * b + a * c + b * c),
+            np.real(-(a + b + c)))
+
+
+def test_scan_screen_leaves_out_only_rows_inside_the_scaled_radius():
+    # The screen's lemma: every row it leaves out has a LAPACK radius below
+    # rho = r0*(1 - tau), where r0 is the LAPACK radius of the seed row (the
+    # largest cos(theta), here row 0).  The seed row itself is always kept.
+    rng = np.random.default_rng(4242)
+    tau = stab._SCREEN_TAU
+    for _ in range(40):
+        r0 = rng.uniform(0.3, 1.2)
+        p0, p1, p2 = _random_cubic_rows(rng, 300, r0 * (1.0 - tau))
+        seed = np.real(np.poly([r0, 0.4 * r0, -0.3 * r0]))
+        p0[0], p1[0], p2[0] = seed[3], seed[2], seed[1]
+        cos_t = np.zeros(p0.size)
+        cos_t[0] = 1.0
+        radii = _lapack_radii(p0, p1, p2)
+        rows = stab._candidate_rows(p0, p1, p2, cos_t)
+        assert 0 in rows
+        left_out = np.setdiff1d(np.arange(p0.size), rows)
+        assert left_out.size > 0
+        assert np.all(radii[left_out] < radii[0] * (1.0 - tau))

@@ -79,9 +79,13 @@ def test_benchmark_case_derived_fields():
             ver.BenchmarkCase(epsilon=0.1, dx=bad, order="sixth")
     # 1/dx overflows at 1e-320, dt = 30*dx**2 vanishes at 1e-200 and the
     # step count t_end/dt overflows at 1e-160.
-    for tiny in (1e-320, 1e-200, 1e-160):
+    # dx = 1e-100 stays in the float range but asks for 1e100 nodes; 2**-23
+    # is the first power of two past the node bound.  Neither allocates.
+    for tiny in (1e-320, 1e-200, 1e-160, 1e-100, 2.0 ** -23):
         with pytest.raises(DomainError):
             ver.BenchmarkCase(epsilon=0.1, dx=tiny, order="sixth")
+    assert ver.BenchmarkCase(epsilon=0.1, dx=2.0 ** -22, order="sixth").dx \
+        == 2.0 ** -22
     with pytest.raises(DomainError):
         ver.BenchmarkCase(epsilon=0.1, dx=0.1, order="fifth")
 
