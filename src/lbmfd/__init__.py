@@ -10,13 +10,10 @@ from .calibration import (
     calibrate_fourth,
     calibrate_sixth,
     calibration_sweep,
-    diffusivity,
     epsilon_max,
-    mesh_fourier,
     residual_fourth,
     residual_second,
     second_order_reference,
-    weights_from_omega0,
 )
 from .errors import (
     DomainError,
@@ -41,11 +38,9 @@ from .scheme import (
     FdCoefficients,
     Grid1D,
     PhiHistory,
-    bootstrap_history,
     coefficients,
     run,
     snapshot_csv_lines,
-    srt_coefficients,
     step,
 )
 from .stability import (

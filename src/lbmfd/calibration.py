@@ -35,7 +35,7 @@ and s2 in [1.12, 2) over the accepted domain.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
@@ -49,6 +49,16 @@ _MAX_NEWTON_ITER = 100
 _MAX_DAMPINGS = 60
 
 
+def check_box(omega0: float | None = None, s1: float | None = None,
+              s2: float | None = None) -> None:
+    """Raise DomainError unless each given parameter lies in its open
+    interval: omega0 in (0, 1), s1 and s2 in (0, 2).  None skips a check."""
+    for name, value, hi in (("omega0", omega0, 1.0), ("s1", s1, 2.0),
+                            ("s2", s2, 2.0)):
+        if value is not None and not 0.0 < value < hi:
+            raise DomainError(f"{name} must lie in (0, {hi:g}), got {value}")
+
+
 @dataclass(frozen=True)
 class Weights:
     """Equilibrium weights of the three-velocity lattice.
@@ -58,13 +68,11 @@ class Weights:
     """
 
     omega0: float
-    omega1: float
+    omega1: float = field(init=False)
 
     def __post_init__(self):
-        if not 0.0 < self.omega0 < 1.0:
-            raise DomainError(f"omega0 must lie in (0, 1), got {self.omega0}")
-        if self.omega1 != (1.0 - self.omega0) / 2.0:
-            raise DomainError("omega1 must equal (1 - omega0)/2 exactly")
+        check_box(self.omega0)
+        object.__setattr__(self, "omega1", (1.0 - self.omega0) / 2.0)
 
 
 @dataclass(frozen=True)
@@ -82,118 +90,55 @@ class Relaxations:
     def __post_init__(self):
         if not math.isfinite(self.s0):
             raise DomainError(f"s0 must be finite, got {self.s0}")
-        if not 0.0 < self.s1 < 2.0:
-            raise DomainError(f"s1 must lie in (0, 2), got {self.s1}")
-        if not 0.0 < self.s2 < 2.0:
-            raise DomainError(f"s2 must lie in (0, 2), got {self.s2}")
-
-
-def weights_from_omega0(omega0: float) -> Weights:
-    """Build the weight triple from the rest-population weight."""
-    if not 0.0 < omega0 < 1.0:
-        raise DomainError(f"omega0 must lie in (0, 1), got {omega0}")
-    return Weights(omega0, (1.0 - omega0) / 2.0)
-
-
-def from_srt(omega: float) -> Relaxations:
-    """Single-relaxation-time collision: every rate equals omega."""
-    return Relaxations(omega, omega, omega)
-
-
-def from_trt(s_plus: float, s_minus: float) -> Relaxations:
-    """Two-relaxation-time collision: even rates s_plus, odd rate s_minus."""
-    return Relaxations(s_plus, s_minus, s_plus)
-
-
-def from_regularized(omega: float) -> Relaxations:
-    """Regularized collision: non-conserved even modes projected out (rate 1)."""
-    return Relaxations(1.0, omega, 1.0)
-
-
-def from_modified_lattice_kinetic(omega: float, eta: float) -> Relaxations:
-    """Modified lattice-kinetic collision with tuning parameter eta.
-
-    The first-moment rate becomes omega / (1 - omega*eta); the result must
-    still land in (0, 2).
-    """
-    den = 1.0 - omega * eta
-    if den == 0.0:
-        raise DomainError("omega*eta = 1 makes the first-moment rate singular")
-    return Relaxations(omega, omega / den, omega)
-
-
-def _mesh_range_error(dx: float, dt: float) -> DomainError:
-    return DomainError(f"dx = {dx} and dt = {dt} put kappa or epsilon outside "
-                       "the float range")
+        check_box(s1=self.s1, s2=self.s2)
 
 
 @dataclass(frozen=True)
 class ModelParams:
     """Complete parameter set for one model run.
 
-    kappa, epsilon, the weights and the rates are mutually constrained:
+    kappa and epsilon are derived from the weights, the rates and the mesh:
     kappa = 2*omega1*(1/s1 - 1/2)*dx**2/dt and epsilon = kappa*dt/dx**2.
-    Construction rejects non-finite dx, dt, kappa, source_R and epsilon and
-    checks both identities to 1e-12 relative.
+    Construction rejects non-finite dx, dt and source_R, and a kappa or
+    epsilon that leaves the float range.
     """
 
     dx: float
     dt: float
-    kappa: float
+    kappa: float = field(init=False)
     source_R: float
     weights: Weights
     relax: Relaxations
-    epsilon: float
+    epsilon: float = field(init=False)
 
     def __post_init__(self):
-        for name in ("dx", "dt", "kappa", "source_R", "epsilon"):
+        for name in ("dx", "dt", "source_R"):
             if not math.isfinite(getattr(self, name)):
                 raise DomainError(f"{name} must be finite, got "
                                   f"{getattr(self, name)}")
         if self.dx <= 0.0 or self.dt <= 0.0:
             raise DomainError("dx and dt must be positive")
-        if self.kappa <= 0.0:
-            raise DomainError(f"kappa must be positive, got {self.kappa}")
         try:
-            kappa_id = (2.0 * self.weights.omega1
-                        * (1.0 / self.relax.s1 - 0.5)
-                        * self.dx ** 2 / self.dt)
-            eps_id = self.kappa * self.dt / self.dx ** 2
+            kappa = (2.0 * self.weights.omega1 * (1.0 / self.relax.s1 - 0.5)
+                     * self.dx ** 2 / self.dt)
+            epsilon = kappa * self.dt / self.dx ** 2
         except (OverflowError, ZeroDivisionError):
-            raise _mesh_range_error(self.dx, self.dt) from None
-        if abs(self.kappa - kappa_id) > 1e-12 * abs(kappa_id):
-            raise DomainError("kappa does not match the weights and rates")
-        if abs(self.epsilon - eps_id) > 1e-12 * abs(eps_id):
-            raise DomainError("epsilon does not match kappa*dt/dx**2")
+            kappa = epsilon = math.inf
+        if not (math.isfinite(kappa) and math.isfinite(epsilon)):
+            raise DomainError(f"dx = {self.dx} and dt = {self.dt} put kappa "
+                              "or epsilon outside the float range")
+        if kappa <= 0.0:
+            raise DomainError(f"kappa must be positive, got {kappa}")
+        object.__setattr__(self, "kappa", kappa)
+        object.__setattr__(self, "epsilon", epsilon)
 
     @classmethod
     def from_rates(cls, omega0: float, s1: float, s2: float, dx: float,
                    dt: float, source_R: float = 0.0,
                    s0: float = 1.0) -> "ModelParams":
-        """Derive kappa and epsilon from (omega0, s1, s2) on a given mesh."""
-        weights = weights_from_omega0(omega0)
-        relax = Relaxations(s0, s1, s2)
-        try:
-            kappa = 2.0 * weights.omega1 * (1.0 / s1 - 0.5) * dx ** 2 / dt
-            epsilon = kappa * dt / dx ** 2
-        except (OverflowError, ZeroDivisionError):
-            raise _mesh_range_error(dx, dt) from None
-        return cls(dx, dt, kappa, source_R, weights, relax, epsilon)
-
-
-def mesh_fourier(omega0: float, s1: float) -> float:
-    """Mesh Fourier number epsilon = (1 - omega0)*(1/s1 - 1/2)."""
-    if not 0.0 < omega0 < 1.0:
-        raise DomainError(f"omega0 must lie in (0, 1), got {omega0}")
-    if not 0.0 < s1 < 2.0:
-        raise DomainError(f"s1 must lie in (0, 2), got {s1}")
-    return (1.0 - omega0) * (1.0 / s1 - 0.5)
-
-
-def diffusivity(params: ModelParams) -> float:
-    """Diffusion coefficient implied by the weights, rates and mesh."""
-    return (2.0 * params.weights.omega1 * (1.0 / params.relax.s1 - 0.5)
-            * params.dx ** 2 / params.dt)
+        """Parameter set of the triple (omega0, s1, s2) on a given mesh."""
+        return cls(dx, dt, source_R, Weights(omega0),
+                   Relaxations(s0, s1, s2))
 
 
 def residual_second(omega0: float, s1: float, s2: float,
@@ -229,10 +174,7 @@ class CalibrationResult:
     def __post_init__(self):
         if self.order not in ORDERS:
             raise DomainError(f"order must be one of {ORDERS}")
-        if not 0.0 < self.omega0 < 1.0:
-            raise DomainError("omega0 out of (0, 1)")
-        if not 0.0 < self.s1 < 2.0 or not 0.0 < self.s2 < 2.0:
-            raise DomainError("relaxation rates out of (0, 2)")
+        check_box(self.omega0, self.s1, self.s2)
         if self.order in ("fourth", "sixth") \
                 and abs(self.residual_second) > _RESIDUAL_TOL:
             raise DomainError("fourth/sixth order requires a vanishing "
@@ -240,12 +182,6 @@ class CalibrationResult:
         if self.order == "sixth" and abs(self.residual_fourth) > _RESIDUAL_TOL:
             raise DomainError("sixth order requires a vanishing dx**4 "
                               "residual")
-
-    def weights(self) -> Weights:
-        return weights_from_omega0(self.omega0)
-
-    def relaxations(self, s0: float = 1.0) -> Relaxations:
-        return Relaxations(s0, self.s1, self.s2)
 
     def to_json_dict(self) -> dict:
         return {
@@ -262,6 +198,15 @@ class CalibrationResult:
 def _omega0_of_s1(s1: float, epsilon: float) -> float:
     # epsilon identity solved for omega0 at fixed s1.
     return 1.0 - 2.0 * epsilon * s1 / (2.0 - s1)
+
+
+def _s2_of(omega0: float, s1: float, epsilon: float) -> float | None:
+    # dx**2 condition solved for s2 (it is linear in s2); None where it
+    # degenerates.
+    den = s1 / 12.0 - omega0 / 2.0 + (s1 / 2.0 - 1.0) * epsilon
+    if den == 0.0:
+        return None
+    return (s1 / 2.0 - 1.0 + s1 * epsilon) / den
 
 
 def _sixth_system(s1: float, s2: float, eps: float) -> tuple[float, float]:
@@ -346,12 +291,8 @@ def _triple_from_root(eps: float, s1: float):
     None when the root leaves the admissible box or the polish fails."""
     if not 0.0 < s1 < 2.0:
         return None
-    omega0 = _omega0_of_s1(s1, eps)
-    den = s1 / 12.0 - omega0 / 2.0 + (s1 / 2.0 - 1.0) * eps
-    if den == 0.0:
-        return None
-    s2 = (s1 / 2.0 - 1.0 + s1 * eps) / den
-    if not _inside_box(s1, s2, eps):
+    s2 = _s2_of(_omega0_of_s1(s1, eps), s1, eps)
+    if s2 is None or not _inside_box(s1, s2, eps):
         return None
     sol = _newton_sixth(eps, s1, s2)
     if sol is None:
@@ -425,18 +366,16 @@ def calibrate_fourth(epsilon: float, s1: float = 1.0) -> CalibrationResult:
     """
     if not epsilon > 0.0:
         raise DomainError(f"epsilon must be positive, got {epsilon}")
-    if not 0.0 < s1 < 2.0:
-        raise DomainError(f"s1 must lie in (0, 2), got {s1}")
+    check_box(s1=s1)
     omega0 = 1.0 - epsilon / (1.0 / s1 - 0.5)
     if not 0.0 < omega0 < 1.0:
         raise DomainError(
             f"epsilon = {epsilon} with s1 = {s1} forces omega0 = {omega0} "
             "outside (0, 1)")
-    den = s1 / 12.0 - omega0 / 2.0 + (s1 / 2.0 - 1.0) * epsilon
-    if den == 0.0:
+    s2 = _s2_of(omega0, s1, epsilon)
+    if s2 is None:
         raise DomainError("the dx**2 condition degenerates at these "
                           "parameters")
-    s2 = (s1 / 2.0 - 1.0 + s1 * epsilon) / den
     if not 0.0 < s2 < 2.0:
         raise DomainError(
             f"the dx**2 condition forces s2 = {s2} outside (0, 2)")

@@ -1,10 +1,13 @@
 """Command-line front end.
 
 Subcommands: calibrate, run, convergence, stability, equivalence, sweep,
-profile.  Every command accepts --output (default stdout), --format where
-both csv and json make sense, and --config pointing at a JSON file whose
-keys are flag names with dashes replaced by underscores; explicit flags
-override config values, which override built-in defaults.  Randomness
+profile.  Every command accepts --output (default stdout), --format (csv or
+json where both make sense, json only otherwise), and --config pointing at
+a JSON object of flag values whose keys are flag names with dashes replaced
+by underscores.  Each key becomes the flag --key with its value (a list
+joined with commas), parsed like the flags given on the command line and
+placed before them, so explicit flags override config values, which
+override built-in defaults; an unknown key is a usage error.  Randomness
 (equivalence start fields) comes from numpy's seedable PCG64 generator, so
 identical invocations produce byte-identical output.
 
@@ -41,9 +44,7 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _float_list(text):
-    if isinstance(text, (list, tuple)):
-        return [float(v) for v in text]
-    items = [part for part in str(text).split(",") if part.strip() != ""]
+    items = [part for part in text.split(",") if part.strip() != ""]
     return [float(part) for part in items]
 
 
@@ -65,25 +66,24 @@ def _fail(message: str, code: int) -> int:
     return code
 
 
-def _build_parser() -> tuple[_Parser, dict[str, _Parser]]:
+def _build_parser() -> _Parser:
     parser = _Parser(prog="lbmfd", description=__doc__,
                      formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = parser.add_subparsers(dest="command", required=True,
                                 parser_class=_Parser)
-    commands: dict[str, _Parser] = {}
 
-    def cmd(name: str, help_text: str) -> _Parser:
+    def cmd(name: str, help_text: str,
+            formats: tuple = ("csv", "json")) -> _Parser:
         p = sub.add_parser(name, help=help_text)
-        commands[name] = p
         p.add_argument("--output", default=None,
                        help="write to this path instead of stdout")
-        p.add_argument("--format", default=None, choices=("csv", "json"),
-                       help="output format where both make sense")
+        p.add_argument("--format", default=None, choices=formats,
+                       help="output format")
         p.add_argument("--config", default=None,
-                       help="JSON file of defaults; flags override")
+                       help="JSON file of flag values; flags override")
         return p
 
-    p = cmd("calibrate", "solve the accuracy conditions")
+    p = cmd("calibrate", "solve the accuracy conditions", ("json",))
     p.add_argument("--epsilon", type=float, required=True)
     p.add_argument("--order", type=int, choices=(4, 6), required=True)
     p.add_argument("--s1", type=float, default=1.0,
@@ -100,13 +100,14 @@ def _build_parser() -> tuple[_Parser, dict[str, _Parser]]:
     p.add_argument("--eps-list", type=_float_list, default=None)
     p.add_argument("--dx-list", type=_float_list, default=None)
 
-    p = cmd("stability", "spectral radius scan of one triple")
+    p = cmd("stability", "spectral radius scan of one triple", ("json",))
     p.add_argument("--omega0", type=float, required=True)
     p.add_argument("--s1", type=float, required=True)
     p.add_argument("--s2", type=float, required=True)
     p.add_argument("--n-theta", type=int, default=720)
 
-    p = cmd("equivalence", "mesoscopic versus four-level trajectory gap")
+    p = cmd("equivalence", "mesoscopic versus four-level trajectory gap",
+            ("json",))
     p.add_argument("--n-nodes", type=int, default=64)
     p.add_argument("--steps", type=int, default=200)
     p.add_argument("--omega0", type=float, required=True)
@@ -123,13 +124,20 @@ def _build_parser() -> tuple[_Parser, dict[str, _Parser]]:
     p = cmd("profile", "field versus exact solution at t_end")
     p.add_argument("--eps-list", type=_float_list, default=None)
 
-    return parser, commands
+    return parser
 
 
-def _apply_config(parser: _Parser, commands: dict[str, _Parser],
-                  argv: list[str]) -> argparse.Namespace:
-    probe, _ = parser.parse_known_args(argv)
-    config_path = getattr(probe, "config", None)
+def _parse_args(parser: _Parser, argv: list[str]) -> argparse.Namespace:
+    # The probe reads only --config, so flags that the config file supplies
+    # are not yet required; a malformed --config is left to the full parse
+    # to report.  Config tokens go right after the subcommand, before the
+    # explicit flags, which argparse lets override them.
+    probe = argparse.ArgumentParser(add_help=False, exit_on_error=False)
+    probe.add_argument("--config", default=None)
+    try:
+        config_path = probe.parse_known_args(argv)[0].config
+    except argparse.ArgumentError:
+        config_path = None
     if config_path:
         try:
             with open(config_path) as handle:
@@ -138,9 +146,12 @@ def _apply_config(parser: _Parser, commands: dict[str, _Parser],
             parser.error(f"cannot read config {config_path}: {exc}")
         if not isinstance(config, dict):
             parser.error(f"config {config_path} must hold a JSON object")
-        sub_parser = commands.get(probe.command)
-        if sub_parser is not None:
-            sub_parser.set_defaults(**config)
+        tokens = []
+        for key, value in config.items():
+            if isinstance(value, list):
+                value = ",".join(str(v) for v in value)
+            tokens += ["--" + key.replace("_", "-"), str(value)]
+        argv = argv[:1] + tokens + argv[1:]
     return parser.parse_args(argv)
 
 
@@ -149,12 +160,12 @@ def _fmt(value: float) -> str:
 
 
 def _cmd_calibrate(ns) -> int:
-    if ns.format == "csv":
-        return _fail("calibrate emits json only", EXIT_USAGE)
     if ns.epsilon <= 0.0:
         return _fail("--epsilon must be positive", EXIT_USAGE)
-    if not 0.0 < ns.s1 < 2.0:
-        return _fail("--s1 must lie in (0, 2)", EXIT_USAGE)
+    try:
+        calibration.check_box(s1=ns.s1)
+    except DomainError as exc:
+        return _fail(str(exc), EXIT_USAGE)
     try:
         if ns.order == 6:
             result = calibration.calibrate_sixth(ns.epsilon)
@@ -216,8 +227,6 @@ def _cmd_convergence(ns) -> int:
 
 
 def _cmd_stability(ns) -> int:
-    if ns.format == "csv":
-        return _fail("stability emits json only", EXIT_USAGE)
     try:
         report = stability.spectral_radius_scan(ns.omega0, ns.s1, ns.s2,
                                                 ns.n_theta)
@@ -228,8 +237,6 @@ def _cmd_stability(ns) -> int:
 
 
 def _cmd_equivalence(ns) -> int:
-    if ns.format == "csv":
-        return _fail("equivalence emits json only", EXIT_USAGE)
     try:
         max_dev, max_phi = lbm.fd_equivalence_deviation(
             ns.n_nodes, ns.steps, ns.omega0, ns.s1, ns.s2, ns.seed)
@@ -320,10 +327,9 @@ _DISPATCH = {
 
 
 def main(argv=None) -> int:
-    parser, commands = _build_parser()
+    parser = _build_parser()
     try:
-        ns = _apply_config(parser, commands,
-                           list(sys.argv[1:] if argv is None else argv))
+        ns = _parse_args(parser, list(sys.argv[1:] if argv is None else argv))
     except SystemExit as exc:
         return int(exc.code or 0)
     try:

@@ -35,8 +35,8 @@ import numpy as np
 
 from .calibration import ModelParams, Weights
 from .errors import DomainError, LengthMismatch, UnsupportedBoundary
-from .scheme import (BoundarySpec, _advance, _views, _weight_passes,
-                     _weight_row, coefficients)
+from .scheme import (BoundarySpec, _advance, _check_node_steps, _views,
+                     _weight_passes, _weight_row, coefficients)
 
 
 @dataclass(frozen=True)
@@ -204,7 +204,8 @@ def fd_equivalence_deviation(n_nodes: int, steps: int, omega0: float,
     preceding macroscopic levels with the four-level stencil.  Returns
     (max absolute deviation, max absolute field value); a NaN anywhere in
     the trajectory or a prediction makes the deviation NaN.  The
-    trajectory is streamed: only the latest four levels are held.
+    trajectory is streamed: only the latest four levels are held.  At most
+    2**36 node-steps (n_nodes x steps) are taken, as in `scheme.run`.
     """
     try:
         n_nodes, steps = operator.index(n_nodes), operator.index(steps)
@@ -214,6 +215,7 @@ def fd_equivalence_deviation(n_nodes: int, steps: int, omega0: float,
         raise DomainError("need at least 8 nodes")
     if steps < 3:
         raise DomainError("need at least 3 steps")
+    _check_node_steps(n_nodes, steps)
     rng = np.random.default_rng(seed)
     phi0 = rng.random(n_nodes)
     params = ModelParams.from_rates(omega0, s1, s2, dx=1.0, dt=1.0,

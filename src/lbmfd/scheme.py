@@ -21,12 +21,12 @@ puts their exact sum within one rounding of one.  With s1 = s2 = 1 the three
 history levels drop out and the classical two-level central scheme with mesh
 Fourier number epsilon = (1 - omega0)/2 remains.
 
-`step`, `bootstrap_history`, `run` and the mesoscopic equivalence check
-share one kernel.  A batch of levels is one contiguous 1-D row of cases x
-nodes, and the kernel writes the new level with in-place numpy operations
-on the 1-D slices [lo:hi], [lo+1:hi+1] and [lo+2:hi+2] of that row, adding
-the terms in the order written above, so a level gets the same bits whether
-it is marched alone or as one row of a batch.  The passes also cover the
+`step`, `run` and the mesoscopic equivalence check share one kernel.  A
+batch of levels is one contiguous 1-D row of cases x nodes, and the kernel
+writes the new level with in-place numpy operations on the 1-D slices
+[lo:hi], [lo+1:hi+1] and [lo+2:hi+2] of that row, adding the terms in the
+order written above, so a level gets the same bits whether it is marched
+alone or as one row of a batch.  The passes also cover the
 seam nodes between rows; Dirichlet pinning or the periodic wrap, computed
 from the same expression on strided (cases, 2) views, overwrites them.
 Long rows are swept in cache-sized passes.  `run` builds every view once
@@ -54,7 +54,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .calibration import ModelParams
+from .calibration import ModelParams, check_box
 from .errors import DomainError, LengthMismatch, StateError
 
 _FMT = "{:.17g}"
@@ -91,12 +91,7 @@ def coefficients(omega0: float, s1: float, s2: float) -> FdCoefficients:
     the all-node RMSE, not the interior one, in 44 of 45 cells (see the
     module docstring).
     """
-    if not 0.0 < omega0 < 1.0:
-        raise DomainError(f"omega0 must lie in (0, 1), got {omega0}")
-    if not 0.0 < s1 < 2.0:
-        raise DomainError(f"s1 must lie in (0, 2), got {s1}")
-    if not 0.0 < s2 < 2.0:
-        raise DomainError(f"s2 must lie in (0, 2), got {s2}")
+    check_box(omega0, s1, s2)
     side_n = 1.0 - s1 / 2.0 - omega0 * s2 / 2.0
     side_nm1 = (omega0 * s1 * s2 / 2.0 - s1 * s2 / 2.0 - omega0 * s2 / 2.0
                 + s1 / 2.0 + s2 - 1.0)
@@ -107,16 +102,6 @@ def coefficients(omega0: float, s1: float, s2: float) -> FdCoefficients:
     return FdCoefficients(side_n=side_n, center_n=center_n,
                           side_nm1=side_nm1, center_nm1=center_nm1,
                           center_nm2=center_nm2, source=s1 * s2)
-
-
-def srt_coefficients(omega: float, omega1: float) -> FdCoefficients:
-    """Stencil weights for the single-relaxation-time case: the general
-    weights at omega0 = 1 - 2*omega1 and s1 = s2 = omega."""
-    if not 0.0 < omega < 2.0:
-        raise DomainError(f"omega must lie in (0, 2), got {omega}")
-    if not 0.0 < omega1 < 0.5:
-        raise DomainError(f"omega1 must lie in (0, 1/2), got {omega1}")
-    return coefficients(1.0 - 2.0 * omega1, omega, omega)
 
 
 @dataclass(frozen=True)
@@ -208,6 +193,12 @@ class PhiHistory:
 # of 256 KiB per array, which stay in a 2 MiB L2 cache between operations;
 # a longer row would otherwise be streamed from memory twelve times per step.
 _CHUNK = 2 ** 15
+
+# Upper bound on the node-steps (nodes x time levels) of one march.  The
+# kernel takes about 6.5 ns per node-step on a 2 MiB-L2 Xeon core, so 2**36
+# is about 7 minutes; a larger count comes from a t_end, dx or step count
+# that nobody means to wait for, and would otherwise just hang.
+_MAX_NODE_STEPS = 2 ** 36
 
 
 def _weight_row(coeffs: FdCoefficients, dt: float, R: float) -> tuple:
@@ -329,33 +320,11 @@ def step(history: PhiHistory, coeffs: FdCoefficients, dt: float, R: float,
     return history.push(out)
 
 
-def bootstrap_history(phi0: np.ndarray, epsilon: float, dx: float, dt: float,
-                      R: float, boundary: BoundarySpec,
-                      substeps: int = 4) -> PhiHistory:
-    """Seed the two missing start levels with the degenerate two-level scheme.
-
-    Each of the two coarse levels is produced by `substeps` sub-steps of the
-    classical scheme at epsilon/substeps, which keeps the seeding stable and
-    second-order consistent when no closed-form start data exists.  The
-    classical scheme is the four-level stencil at s1 = s2 = 1, whose
-    history weights vanish.
-    """
-    if substeps < 1:
-        raise DomainError("substeps must be at least 1")
-    eps_sub = epsilon / substeps
-    if not 0.0 < eps_sub < 0.5:
-        raise DomainError("epsilon/substeps must lie in (0, 1/2) for a "
-                          "stable bootstrap")
-    dt_sub = dt / substeps
-    coeffs = coefficients(1.0 - 2.0 * eps_sub, 1.0, 1.0)
-    cur = np.asarray(phi0, dtype=float)
-    levels = [cur]
-    for _ in range(2):
-        for _ in range(substeps):
-            cur = step(PhiHistory.from_levels(cur, cur, cur, dt_sub), coeffs,
-                       dt_sub, R, boundary)
-        levels.append(cur)
-    return PhiHistory.from_levels(levels[0], levels[1], levels[2], dt)
+def _check_node_steps(nodes: int, steps: float) -> None:
+    """Raise DomainError when nodes x steps exceeds _MAX_NODE_STEPS."""
+    if not nodes * steps <= _MAX_NODE_STEPS:
+        raise DomainError(f"{nodes} nodes x {steps:.3g} steps exceed the "
+                          f"{_MAX_NODE_STEPS} node-steps a march may take")
 
 
 def run(params, grid: Grid1D, initializer, boundary: BoundarySpec,
@@ -371,7 +340,8 @@ def run(params, grid: Grid1D, initializer, boundary: BoundarySpec,
     positions; its result is broadcast to the level's shape and copied, so
     it may return a scalar, a field on the nodes or one row per case, and
     it is never modified.  t_end must be finite, an integer multiple of dt
-    (relative slack 1e-9) and at least 2*dt.  For t_end = 2*dt the third
+    (relative slack 1e-9) and at least 2*dt, and the march may take at most
+    2**36 node-steps (nodes x time levels).  For t_end = 2*dt the third
     seeded level is returned with zero four-level updates applied, so the
     result is always the field at exactly t_end.  The result is a fresh
     array.  Periodic runs use the n_intervals distinct nodes x0 + j*dx,
@@ -388,6 +358,7 @@ def run(params, grid: Grid1D, initializer, boundary: BoundarySpec,
         raise DomainError(f"t_end must be finite, got {t_end}")
     if t_end < 2.0 * dt:
         raise DomainError("t_end must be at least 2*dt")
+    _check_node_steps(len(cases) * (grid.n_intervals + 1), t_end / dt)
     n_steps = round(t_end / dt)
     if abs(n_steps * dt - t_end) > 1e-9 * abs(t_end):
         raise DomainError(

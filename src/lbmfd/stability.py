@@ -29,6 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .calibration import check_box
 from .errors import DomainError
 from .scheme import FdCoefficients
 
@@ -78,15 +79,6 @@ class StabilityReport:
         }
 
 
-def _check_rates(omega0: float, s1: float, s2: float) -> None:
-    if not 0.0 < omega0 < 1.0:
-        raise DomainError(f"omega0 must lie in (0, 1), got {omega0}")
-    if not 0.0 < s1 < 2.0:
-        raise DomainError(f"s1 must lie in (0, 2), got {s1}")
-    if not 0.0 < s2 < 2.0:
-        raise DomainError(f"s2 must lie in (0, 2), got {s2}")
-
-
 def _check_theta(theta: float) -> None:
     if not -np.pi <= theta <= np.pi:
         raise DomainError(f"theta must lie in [-pi, pi], got {theta}")
@@ -94,7 +86,7 @@ def _check_theta(theta: float) -> None:
 
 def char_poly(omega0: float, s1: float, s2: float, theta: float) -> CharPoly:
     """Characteristic cubic of the amplification problem at wavenumber theta."""
-    _check_rates(omega0, s1, s2)
+    check_box(omega0, s1, s2)
     _check_theta(theta)
     p0, p1, p2 = _char_coeff_grid(omega0, s1, s2, np.cos(theta))
     return CharPoly(p0=float(p0), p1=float(p1), p2=float(p2),
@@ -109,7 +101,7 @@ def population_amplification(omega0: float, s1: float, s2: float,
     theta = 0 (conservation), so (1, 1, 1) is a left eigenvector with
     eigenvalue one there.
     """
-    _check_rates(omega0, s1, s2)
+    check_box(omega0, s1, s2)
     _check_theta(theta)
     a = 1.0 - s1 / 2.0 - omega0 * s2 / 2.0
     b = s2 / 2.0 - omega0 * s2 / 2.0
@@ -180,7 +172,7 @@ def margin_decomposition(omega0: float, s1: float,
     1 - p1 + p0*p2 - p0**2 = slope*(1 - cos(theta)) + constant;
     the constant s1*s2*(s1 + s2 - s1*s2) is positive for admissible rates.
     """
-    _check_rates(omega0, s1, s2)
+    check_box(omega0, s1, s2)
     slope = (s1 * (1.0 - s2) * (2.0 - s1)
              + omega0 * s2 * (1.0 - s1) * (2.0 - s2))
     constant = s1 * s2 * (s1 + s2 - s1 * s2)
@@ -233,7 +225,7 @@ def spectral_radius_scan(omega0: float, s1: float, s2: float,
     the grid, excluding the fourth condition where cos(theta) = 1 (it
     vanishes there identically).
     """
-    _check_rates(omega0, s1, s2)
+    check_box(omega0, s1, s2)
     if n_theta < 64:
         raise DomainError(f"n_theta must be at least 64, got {n_theta}")
     thetas = -np.pi + 2.0 * np.pi * np.arange(n_theta + 1) / n_theta

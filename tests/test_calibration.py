@@ -28,22 +28,17 @@ FOURTH_REFERENCE = {
 
 
 def test_weights_from_omega0_splits_the_rest_weight():
-    w = cal.weights_from_omega0(0.8)
+    w = cal.Weights(0.8)
     np.testing.assert_allclose(w.omega0, 0.8, rtol=1e-15)
     np.testing.assert_allclose(w.omega1, 0.1, rtol=1e-15)
-    w = cal.weights_from_omega0(1.0 / 3.0)
+    w = cal.Weights(1.0 / 3.0)
     np.testing.assert_allclose(w.omega1, 1.0 / 3.0, rtol=1e-15)
 
 
 def test_weights_from_omega0_rejects_closed_ends():
     for omega0 in (0.0, 1.0, -0.2, 1.3):
         with pytest.raises(DomainError):
-            cal.weights_from_omega0(omega0)
-
-
-def test_weights_dataclass_rejects_inconsistent_pair():
-    with pytest.raises(DomainError):
-        cal.Weights(0.8, 0.2)
+            cal.Weights(omega0)
 
 
 def test_relaxations_validation():
@@ -58,37 +53,28 @@ def test_relaxations_validation():
         cal.Relaxations(1.0, 0.5, 0.0)
 
 
-def test_collision_presets():
-    r = cal.from_srt(1.2)
-    assert (r.s0, r.s1, r.s2) == (1.2, 1.2, 1.2)
-    r = cal.from_trt(1.1, 0.7)
-    assert (r.s0, r.s1, r.s2) == (1.1, 0.7, 1.1)
-    r = cal.from_regularized(0.9)
-    assert (r.s0, r.s1, r.s2) == (1.0, 0.9, 1.0)
-    r = cal.from_modified_lattice_kinetic(0.8, 0.5)
-    np.testing.assert_allclose(r.s1, 0.8 / 0.6, rtol=1e-15)
-    assert (r.s0, r.s2) == (0.8, 0.8)
-    with pytest.raises(DomainError):
-        cal.from_modified_lattice_kinetic(1.25, 0.8)
+def _mesh_fourier(omega0, s1):
+    # The epsilon identity, epsilon = (1 - omega0)*(1/s1 - 1/2).
+    return (1.0 - omega0) * (1.0 / s1 - 0.5)
 
 
 def test_mesh_fourier_values():
-    np.testing.assert_allclose(cal.mesh_fourier(0.8, 1.0), 0.1, rtol=1e-14)
-    np.testing.assert_allclose(cal.mesh_fourier(0.6, 1.0), 0.2, rtol=1e-14)
+    np.testing.assert_allclose(_mesh_fourier(0.8, 1.0), 0.1, rtol=1e-14)
+    np.testing.assert_allclose(_mesh_fourier(0.6, 1.0), 0.2, rtol=1e-14)
     for eps, (omega0, s1, _) in SIXTH_REFERENCE.items():
-        np.testing.assert_allclose(cal.mesh_fourier(omega0, s1), eps,
+        np.testing.assert_allclose(_mesh_fourier(omega0, s1), eps,
                                    rtol=1e-12)
+        params = cal.ModelParams.from_rates(omega0, s1, 1.0, dx=1.0, dt=1.0)
+        np.testing.assert_allclose(params.epsilon, eps, rtol=1e-12)
     with pytest.raises(DomainError):
-        cal.mesh_fourier(1.0, 1.0)
+        cal.check_box(1.0, 1.0, 1.0)
     with pytest.raises(DomainError):
-        cal.mesh_fourier(0.8, 2.0)
+        cal.check_box(0.8, 2.0, 1.0)
 
 
 def test_model_params_from_rates_and_diffusivity():
     params = cal.ModelParams.from_rates(0.8, 1.0, 1.0, dx=0.025, dt=0.01875)
     np.testing.assert_allclose(params.kappa, 1.0 / 300.0, rtol=1e-14)
-    np.testing.assert_allclose(cal.diffusivity(params), params.kappa,
-                               rtol=1e-15)
     np.testing.assert_allclose(params.epsilon, 0.1, rtol=1e-14)
     rng = np.random.default_rng(7)
     for _ in range(20):
@@ -99,25 +85,17 @@ def test_model_params_from_rates_and_diffusivity():
         dt = rng.uniform(0.01, 0.5)
         params = cal.ModelParams.from_rates(omega0, s1, s2, dx=dx, dt=dt)
         np.testing.assert_allclose(
-            cal.diffusivity(params) * params.dt / params.dx ** 2,
-            params.epsilon, rtol=1e-13)
+            params.kappa * params.dt / params.dx ** 2,
+            _mesh_fourier(omega0, s1), rtol=1e-13)
 
 
 def test_model_params_rejects_inconsistent_fields():
     good = cal.ModelParams.from_rates(0.8, 1.0, 1.0, dx=0.1, dt=0.3)
     with pytest.raises(DomainError):
-        cal.ModelParams(good.dx, good.dt, good.kappa * 1.01, 0.0,
-                        good.weights, good.relax, good.epsilon)
-    with pytest.raises(DomainError):
-        cal.ModelParams(good.dx, good.dt, good.kappa, 0.0,
-                        good.weights, good.relax, good.epsilon * 1.01)
-    with pytest.raises(DomainError):
-        cal.ModelParams(-0.1, good.dt, good.kappa, 0.0,
-                        good.weights, good.relax, good.epsilon)
-    fields = (good.dx, good.dt, good.kappa, 0.0, good.weights, good.relax,
-              good.epsilon)
+        cal.ModelParams(-0.1, good.dt, 0.0, good.weights, good.relax)
+    fields = (good.dx, good.dt, 0.0, good.weights, good.relax)
     for bad in (float("nan"), float("inf"), -float("inf")):
-        for i in (0, 1, 2, 3, 6):
+        for i in (0, 1, 2):
             with pytest.raises(DomainError):
                 cal.ModelParams(*fields[:i], bad, *fields[i + 1:])
         with pytest.raises(DomainError):
@@ -166,7 +144,7 @@ def test_calibrate_sixth_residuals_and_identity():
         assert abs(res.residual_fourth) <= 1e-12
         assert abs(cal.residual_second(res.omega0, res.s1, res.s2,
                                        res.epsilon)) <= 1e-12
-        np.testing.assert_allclose(cal.mesh_fourier(res.omega0, res.s1),
+        np.testing.assert_allclose(_mesh_fourier(res.omega0, res.s1),
                                    eps, rtol=1e-10)
 
 

@@ -73,7 +73,8 @@ def test_run_rejects_infeasible_and_invalid(capsys):
     capsys.readouterr()
     for flags in (["--dx", "nan"], ["--dx", "inf"], ["--epsilon", "nan"],
                   ["--t-end", "inf"], ["--t-end", "nan"], ["--dx", "1e-320"],
-                  ["--dx", "1e-100"], ["--epsilon", "-0.1"]):
+                  ["--dx", "1e-100"], ["--epsilon", "-0.1"],
+                  ["--t-end", "1e300"], ["--dx", repr(2.0 ** -22)]):
         assert main(["run", "--epsilon", "0.1", *flags]) == 1
         err = capsys.readouterr().err
         assert err.startswith("lbmfd: error: ") and err.count("\n") == 1
@@ -160,6 +161,9 @@ def test_equivalence_usage_errors(capsys):
     assert main(base + ["--steps", "2"]) == 1
     assert main(base + ["--n-nodes", "4"]) == 1
     capsys.readouterr()
+    assert main(base + ["--steps", str(2 ** 40)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("lbmfd: error: ") and err.count("\n") == 1
 
 
 def test_equivalence_same_seed_same_bytes(tmp_path):
@@ -232,16 +236,44 @@ def test_config_file_supplies_defaults(tmp_path, capsys):
     # Explicit flags win over config values.
     main(base + ["--config", str(cfg), "--steps", "60"])
     assert json.loads(capsys.readouterr().out)["steps"] == 60
+    # Config values are parsed like flags: they can supply required flags,
+    # and a list is joined with commas.
+    for command, config, flags in (
+            ("calibrate", {"epsilon": 0.1, "order": 6},
+             ["--epsilon", "0.1", "--order", "6"]),
+            ("convergence", {"order": 4, "eps_list": [0.1],
+                             "dx_list": [0.1, 0.05]},
+             ["--order", "4", "--eps-list", "0.1", "--dx-list", "0.1,0.05"]),
+            ("profile", {"eps_list": 0.1}, ["--eps-list", "0.1"])):
+        cfg.write_text(json.dumps(config))
+        assert main([command, "--config", str(cfg)]) == 0
+        from_config = capsys.readouterr().out
+        assert main([command, *flags]) == 0
+        assert from_config == capsys.readouterr().out
 
 
 def test_config_file_errors(tmp_path, capsys):
     missing = tmp_path / "absent.json"
     base = ["equivalence", "--omega0", "0.5", "--s1", "1.5", "--s2", "0.5"]
     assert main(base + ["--config", str(missing)]) == 1
+    assert main(base + ["--config"]) == 1
     not_a_dict = tmp_path / "list.json"
     not_a_dict.write_text("[1, 2]")
     assert main(base + ["--config", str(not_a_dict)]) == 1
     capsys.readouterr()
+    # Out-of-choice values and unknown keys end in argparse's usage line
+    # and one error line, as the same flags would.
+    cfg = tmp_path / "cfg.json"
+    for command, config in (("run", {"epsilon": 0.1, "order": 5}),
+                            ("calibrate", {"epsilon": 0.1, "order": 6,
+                                           "format": "xml"}),
+                            ("run", {"epsilon": 0.1, "bogus": 3})):
+        cfg.write_text(json.dumps(config))
+        assert main([command, "--config", str(cfg)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("usage: lbmfd ") and err.count("error:") == 1
+        assert err.splitlines()[-1].startswith("lbmfd")
+        assert ": error: " in err.splitlines()[-1]
 
 
 def test_unknown_command_is_a_usage_error(capsys):

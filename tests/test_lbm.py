@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from lbmfd import lbm
-from lbmfd.calibration import ModelParams, Relaxations, weights_from_omega0
+from lbmfd.calibration import ModelParams, Relaxations, Weights
 from lbmfd.errors import DomainError, LengthMismatch, UnsupportedBoundary
 from lbmfd.scheme import BoundarySpec, PhiHistory, coefficients, step
 
@@ -17,7 +17,7 @@ def _random_params(rng, source_R=0.0, s0=1.0):
 
 
 def test_equilibrium_shares_phi_by_weight():
-    weights = weights_from_omega0(0.8)
+    weights = Weights(0.8)
     fm, f0, fp = lbm.equilibrium(np.array([2.0]), weights)
     np.testing.assert_allclose(fm, [0.2], rtol=1e-15)
     np.testing.assert_allclose(f0, [1.6], rtol=1e-15)
@@ -27,7 +27,7 @@ def test_equilibrium_shares_phi_by_weight():
 def test_equilibrium_moments():
     rng = np.random.default_rng(2)
     phi = rng.random(16)
-    weights = weights_from_omega0(0.65)
+    weights = Weights(0.65)
     fm, f0, fp = lbm.equilibrium(phi, weights)
     c = 1.7
     np.testing.assert_allclose(fm + f0 + fp, phi, rtol=1e-14)
@@ -41,7 +41,7 @@ def test_equilibrium_moments():
 def test_initialize_macro_phi_round_trip():
     rng = np.random.default_rng(4)
     phi0 = rng.random(12)
-    weights = weights_from_omega0(0.7)
+    weights = Weights(0.7)
     for dt, R in ((1.0, 0.0), (0.25, 1.3)):
         f = lbm.initialize(phi0, weights, dt, R)
         np.testing.assert_allclose(lbm.macro_phi(f, dt, R), phi0, rtol=1e-13,
@@ -50,7 +50,7 @@ def test_initialize_macro_phi_round_trip():
 
 def test_initialize_applies_the_half_step_source_shift():
     phi0 = np.array([1.0, 2.0])
-    f = lbm.initialize(phi0, weights_from_omega0(0.8), 1.0, 0.4)
+    f = lbm.initialize(phi0, Weights(0.8), 1.0, 0.4)
     np.testing.assert_allclose(f.f_zero, 0.8 * (phi0 - 0.2), rtol=1e-14)
 
 
@@ -120,6 +120,11 @@ def test_fd_equivalence_deviation_validation():
         lbm.fd_equivalence_deviation(16.0, 60, 0.7, 1.2, 0.9, seed=5)
     with pytest.raises(DomainError):
         lbm.fd_equivalence_deviation(32, 60.0, 0.7, 1.2, 0.9, seed=5)
+    # More than 2**36 node-steps is refused before anything is allocated.
+    for n_nodes, steps in ((2 ** 20, 2 ** 16 + 1), (2 ** 40, 3)):
+        with pytest.raises(DomainError):
+            lbm.fd_equivalence_deviation(n_nodes, steps, 0.7, 1.2, 0.9,
+                                         seed=5)
     assert lbm.fd_equivalence_deviation(np.int64(16), np.int32(20), 0.7,
                                         1.2, 0.9, seed=5) == \
         lbm.fd_equivalence_deviation(16, 20, 0.7, 1.2, 0.9, seed=5)

@@ -10,11 +10,9 @@ from lbmfd.scheme import (
     BoundarySpec,
     Grid1D,
     PhiHistory,
-    bootstrap_history,
     coefficients,
     run,
     snapshot_csv_lines,
-    srt_coefficients,
     step,
 )
 
@@ -46,9 +44,6 @@ def test_coefficient_weights_sum_to_one():
     for triple in triples:
         co = coefficients(*triple)
         assert abs(co.weight_sum() - 1.0) <= 2.0 ** -53
-    for _ in range(200):
-        co = srt_coefficients(rng.uniform(0.01, 1.99), rng.uniform(0.01, 0.49))
-        assert abs(co.weight_sum() - 1.0) <= 2.0 ** -53
 
 
 def test_coefficients_validation():
@@ -67,7 +62,7 @@ def test_unit_rates_reduce_to_a_two_level_stencil():
         assert abs(co.side_nm1) < 1e-15
         assert abs(co.center_nm1) < 1e-15
         assert co.center_nm2 == 0.0
-        eps = cal.mesh_fourier(omega0, 1.0)
+        eps = (1.0 - omega0) / 2.0  # the mesh Fourier number at s1 = 1
         phi = rng.random(24)
         R = rng.uniform(-1.0, 1.0)
         dt = 0.37
@@ -77,25 +72,6 @@ def test_unit_rates_reduce_to_a_two_level_stencil():
         lap = np.roll(phi, 1) - 2.0 * phi + np.roll(phi, -1)
         np.testing.assert_allclose(new, phi + eps * lap + dt * R,
                                    rtol=1e-13, atol=1e-13)
-
-
-def test_srt_coefficients_match_the_general_form():
-    rng = np.random.default_rng(9)
-    for _ in range(100):
-        omega = rng.uniform(0.05, 1.95)
-        omega1 = rng.uniform(0.01, 0.49)
-        a = srt_coefficients(omega, omega1)
-        b = coefficients(1.0 - 2.0 * omega1, omega, omega)
-        for name in ("side_n", "center_n", "side_nm1", "center_nm1",
-                     "center_nm2", "source"):
-            np.testing.assert_allclose(getattr(a, name), getattr(b, name),
-                                       atol=1e-14)
-    np.testing.assert_allclose(srt_coefficients(1.5, 0.25).center_nm2, 0.25,
-                               rtol=1e-14)
-    with pytest.raises(DomainError):
-        srt_coefficients(2.0, 0.25)
-    with pytest.raises(DomainError):
-        srt_coefficients(1.0, 0.5)
 
 
 def test_constant_field_is_a_fixed_point():
@@ -232,30 +208,6 @@ def test_history_validation_and_rotation():
     np.testing.assert_array_equal(history.current, d)
 
 
-def test_bootstrap_history_seeds_a_decaying_mode():
-    n = 32
-    xs = np.arange(n) / n
-    phi0 = np.sin(2.0 * np.pi * xs)
-    eps = 0.2
-    history = bootstrap_history(phi0, eps, 1.0 / n, 1.0,
-                                0.0, BoundarySpec.periodic(), substeps=8)
-    assert history.step_index == 2
-    np.testing.assert_allclose(history.oldest, phi0)
-    # The sine mode is an exact eigenvector of the two-level bootstrap, so
-    # each coarse level is damped by the substep factor exactly.
-    lam = 1.0 - 2.0 * (eps / 8.0) * (1.0 - np.cos(2.0 * np.pi / n))
-    np.testing.assert_allclose(history.previous, lam ** 8 * phi0,
-                               rtol=1e-12, atol=1e-13)
-    np.testing.assert_allclose(history.current, lam ** 16 * phi0,
-                               rtol=1e-12, atol=1e-13)
-    with pytest.raises(DomainError):
-        bootstrap_history(phi0, eps, 1.0 / n, 1.0, 0.0,
-                          BoundarySpec.periodic(), substeps=0)
-    with pytest.raises(DomainError):
-        bootstrap_history(phi0, 3.0, 1.0 / n, 1.0, 0.0,
-                          BoundarySpec.periodic(), substeps=1)
-
-
 def test_run_validates_its_time_and_grid_arguments():
     params = cal.ModelParams.from_rates(0.8, 1.0, 1.0, dx=0.1, dt=0.3)
     grid = Grid1D(10)
@@ -270,6 +222,14 @@ def test_run_validates_its_time_and_grid_arguments():
             run(params, grid, init, boundary, bad)
     with pytest.raises(DomainError):
         run(params, Grid1D(12), init, boundary, 1.2)
+    # More than 2**36 node-steps is refused before anything is allocated,
+    # also where t_end/dt overflows to inf.
+    for grid_n, t_end in ((10, 1e300), (2 ** 40, 0.9)):
+        with pytest.raises(DomainError):
+            run(params, Grid1D(grid_n), init, boundary, t_end)
+    tiny = cal.ModelParams.from_rates(0.8, 1.0, 1.0, dx=0.1, dt=1e-300)
+    with pytest.raises(DomainError):
+        run(tiny, grid, init, boundary, 1e300)
 
 
 def test_run_with_zero_updates_returns_the_third_seed():
