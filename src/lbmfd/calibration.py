@@ -49,6 +49,12 @@ _MAX_NEWTON_ITER = 100
 _MAX_DAMPINGS = 60
 
 
+def _check_epsilon(epsilon: float) -> None:
+    if not (math.isfinite(epsilon) and epsilon > 0.0):
+        raise DomainError(f"epsilon must be positive and finite, got "
+                          f"{epsilon}")
+
+
 def check_box(omega0: float | None = None, s1: float | None = None,
               s2: float | None = None) -> None:
     """Raise DomainError unless each given parameter lies in its open
@@ -339,10 +345,9 @@ def calibrate_sixth(epsilon: float) -> CalibrationResult:
 
     Raises NoRealRoot when epsilon leaves the range where the reduced cubic
     has a single real root (see epsilon_max); raises DomainError for a
-    non-positive epsilon.
+    non-positive or non-finite epsilon.
     """
-    if not epsilon > 0.0:
-        raise DomainError(f"epsilon must be positive, got {epsilon}")
+    _check_epsilon(epsilon)
     sol = _solve_sixth([epsilon])[0]
     if sol is None:
         raise NoRealRoot(
@@ -361,24 +366,21 @@ def calibrate_fourth(epsilon: float, s1: float = 1.0) -> CalibrationResult:
     """Calibrate for fourth-order accuracy at a pinned s1.
 
     omega0 is forced by the epsilon identity and s2 solves the dx**2
-    condition, which is linear in s2.  Raises DomainError when the forced
-    omega0 or s2 leaves its open interval.
+    condition, which is linear in s2.  Raises NoRealRoot when the forced
+    omega0 or s2 leaves its open interval or the dx**2 condition
+    degenerates; raises DomainError for an invalid epsilon or s1.
     """
-    if not epsilon > 0.0:
-        raise DomainError(f"epsilon must be positive, got {epsilon}")
+    _check_epsilon(epsilon)
     check_box(s1=s1)
     omega0 = 1.0 - epsilon / (1.0 / s1 - 0.5)
     if not 0.0 < omega0 < 1.0:
-        raise DomainError(
+        raise NoRealRoot(
             f"epsilon = {epsilon} with s1 = {s1} forces omega0 = {omega0} "
             "outside (0, 1)")
     s2 = _s2_of(omega0, s1, epsilon)
-    if s2 is None:
-        raise DomainError("the dx**2 condition degenerates at these "
-                          "parameters")
-    if not 0.0 < s2 < 2.0:
-        raise DomainError(
-            f"the dx**2 condition forces s2 = {s2} outside (0, 2)")
+    if s2 is None or not 0.0 < s2 < 2.0:
+        raise NoRealRoot(f"epsilon = {epsilon} with s1 = {s1} leaves the "
+                         f"dx**2 condition no s2 in (0, 2) (it gives {s2})")
     return CalibrationResult(
         epsilon=epsilon, omega0=omega0, s1=s1, s2=s2,
         residual_second=residual_second(omega0, s1, s2, epsilon),
@@ -390,13 +392,15 @@ def second_order_reference(epsilon: float) -> CalibrationResult:
     """Baseline second-order parameter set: s1 = s2 = 1, omega0 = 1 - 2*epsilon.
 
     With unit rates the four-level update degenerates to the classical
-    two-level central scheme with mesh Fourier number epsilon.
+    two-level central scheme with mesh Fourier number epsilon.  Raises
+    NoRealRoot where omega0 leaves (0, 1): for epsilon >= 0.5, and where it
+    rounds to one.
     """
-    if not 0.0 < epsilon < 0.5:
-        raise DomainError(
-            f"the second-order reference needs 0 < epsilon < 0.5, "
-            f"got {epsilon}")
+    _check_epsilon(epsilon)
     omega0 = 1.0 - 2.0 * epsilon
+    if not 0.0 < omega0 < 1.0:
+        raise NoRealRoot(f"epsilon = {epsilon} forces omega0 = {omega0} "
+                         "outside (0, 1)")
     return CalibrationResult(
         epsilon=epsilon, omega0=omega0, s1=1.0, s2=1.0,
         residual_second=residual_second(omega0, 1.0, 1.0, epsilon),
@@ -443,9 +447,10 @@ def calibration_sweep(eps_grid) -> list[SweepRow]:
     grid = [float(e) for e in eps_grid]
     if not grid:
         raise DomainError("the epsilon grid must not be empty")
-    if grid[0] <= 0.0 or any(b <= a for a, b in zip(grid, grid[1:])):
-        raise DomainError("the epsilon grid must be positive and strictly "
-                          "increasing")
+    if not all(map(math.isfinite, grid)) or grid[0] <= 0.0 \
+            or any(b <= a for a, b in zip(grid, grid[1:])):
+        raise DomainError("the epsilon grid must be finite, positive and "
+                          "strictly increasing")
     return [SweepRow(eps, None, None, None, "no_real_root") if sol is None
             else SweepRow(eps, *sol, "ok")
             for eps, sol in zip(grid, _solve_sixth(grid))]

@@ -11,8 +11,11 @@ override built-in defaults; an unknown key is a usage error.  Randomness
 (equivalence start fields) comes from numpy's seedable PCG64 generator, so
 identical invocations produce byte-identical output.
 
-Exit codes: 0 success, 1 usage or validation error, 2 calibration
-infeasible, 3 a checked numerical property failed to hold.
+Exit codes: 0 success; 1 a usage or validation error, or an output file
+that cannot be written; 2 a valid epsilon with no admissible (omega0, s1,
+s2) triple, at any order; 3 a checked numerical property failed to hold.
+`main` alone maps the library's errors to codes 1 and 2, each with one
+"lbmfd: error:" line on stderr and no traceback.
 """
 
 from __future__ import annotations
@@ -31,6 +34,9 @@ EXIT_INFEASIBLE = 2
 EXIT_PROPERTY = 3
 
 _EQUIV_TOL = 1e-12
+# A sweep point costs about 1.5 kB on its way to JSON output (row object,
+# payload dict and text): 2**17 points keep that near 200 MB.
+_MAX_SWEEP_POINTS = 2 ** 17
 _ORDER_WORDS = {2: "second", 4: "fourth", 6: "sixth"}
 
 
@@ -59,11 +65,6 @@ def _write_lines(lines: list[str], output: str | None) -> None:
 
 def _write_json(payload: dict, output: str | None) -> None:
     _write_lines([json.dumps(payload, indent=2)], output)
-
-
-def _fail(message: str, code: int) -> int:
-    print(f"lbmfd: error: {message}", file=sys.stderr)
-    return code
 
 
 def _build_parser() -> _Parser:
@@ -160,37 +161,20 @@ def _fmt(value: float) -> str:
 
 
 def _cmd_calibrate(ns) -> int:
-    if ns.epsilon <= 0.0:
-        return _fail("--epsilon must be positive", EXIT_USAGE)
-    try:
-        calibration.check_box(s1=ns.s1)
-    except DomainError as exc:
-        return _fail(str(exc), EXIT_USAGE)
-    try:
-        if ns.order == 6:
-            result = calibration.calibrate_sixth(ns.epsilon)
-        else:
-            result = calibration.calibrate_fourth(ns.epsilon, ns.s1)
-    except NoRealRoot as exc:
-        return _fail(str(exc), EXIT_INFEASIBLE)
-    except DomainError as exc:
-        return _fail(f"calibration infeasible: {exc}", EXIT_INFEASIBLE)
+    # --s1 is checked at order 6 too, where the calibration does not use it.
+    calibration.check_box(s1=ns.s1)
+    if ns.order == 6:
+        result = calibration.calibrate_sixth(ns.epsilon)
+    else:
+        result = calibration.calibrate_fourth(ns.epsilon, ns.s1)
     _write_json(result.to_json_dict(), ns.output)
     return EXIT_OK
 
 
 def _cmd_run(ns) -> int:
-    try:
-        case = verification.BenchmarkCase(epsilon=ns.epsilon, dx=ns.dx,
-                                          order=_ORDER_WORDS[ns.order])
-    except NoRealRoot as exc:
-        return _fail(str(exc), EXIT_INFEASIBLE)
-    except DomainError as exc:
-        return _fail(str(exc), EXIT_USAGE)
-    try:
-        xs, finals = verification._march_decaying_sine([case], ns.t_end)
-    except DomainError as exc:
-        return _fail(str(exc), EXIT_USAGE)
+    case = verification.BenchmarkCase(epsilon=ns.epsilon, dx=ns.dx,
+                                      order=_ORDER_WORDS[ns.order])
+    xs, finals = verification._march_decaying_sine([case], ns.t_end)
     final = finals[0]
     if ns.format == "json":
         _write_json({"x": [float(v) for v in xs],
@@ -201,19 +185,8 @@ def _cmd_run(ns) -> int:
 
 
 def _cmd_convergence(ns) -> int:
-    eps_list = ns.eps_list
-    dx_list = ns.dx_list
-    if eps_list is not None and len(eps_list) == 0:
-        return _fail("--eps-list must not be empty", EXIT_USAGE)
-    if dx_list is not None and len(dx_list) == 0:
-        return _fail("--dx-list must not be empty", EXIT_USAGE)
-    try:
-        reports = verification.reproduce_table(_ORDER_WORDS[ns.order],
-                                               eps_list, dx_list)
-    except NoRealRoot as exc:
-        return _fail(str(exc), EXIT_INFEASIBLE)
-    except DomainError as exc:
-        return _fail(str(exc), EXIT_USAGE)
+    reports = verification.reproduce_table(_ORDER_WORDS[ns.order],
+                                           ns.eps_list, ns.dx_list)
     if ns.format == "json":
         payload = {"reports": [
             {"epsilon": rep.epsilon, "order": rep.order,
@@ -227,21 +200,15 @@ def _cmd_convergence(ns) -> int:
 
 
 def _cmd_stability(ns) -> int:
-    try:
-        report = stability.spectral_radius_scan(ns.omega0, ns.s1, ns.s2,
-                                                ns.n_theta)
-    except DomainError as exc:
-        return _fail(str(exc), EXIT_USAGE)
+    report = stability.spectral_radius_scan(ns.omega0, ns.s1, ns.s2,
+                                            ns.n_theta)
     _write_json(report.to_json_dict(), ns.output)
     return EXIT_OK if report.stable else EXIT_PROPERTY
 
 
 def _cmd_equivalence(ns) -> int:
-    try:
-        max_dev, max_phi = lbm.fd_equivalence_deviation(
-            ns.n_nodes, ns.steps, ns.omega0, ns.s1, ns.s2, ns.seed)
-    except DomainError as exc:
-        return _fail(str(exc), EXIT_USAGE)
+    max_dev, max_phi = lbm.fd_equivalence_deviation(
+        ns.n_nodes, ns.steps, ns.omega0, ns.s1, ns.s2, ns.seed)
     threshold = _EQUIV_TOL * max_phi
     passed = max_dev <= threshold
     _write_json({
@@ -256,23 +223,14 @@ def _cmd_equivalence(ns) -> int:
 
 
 def _cmd_sweep(ns) -> int:
-    if ns.n_points < 1:
-        return _fail("--n-points must be at least 1", EXIT_USAGE)
-    if ns.eps_min <= 0.0 or ns.eps_max < ns.eps_min:
-        return _fail("need 0 < --eps-min <= --eps-max", EXIT_USAGE)
-    if ns.n_points == 1:
-        grid = [ns.eps_min]
-    else:
-        span = ns.eps_max - ns.eps_min
-        if span <= 0.0:
-            return _fail("--n-points > 1 needs eps-min < eps-max",
-                         EXIT_USAGE)
-        grid = [ns.eps_min + span * i / (ns.n_points - 1)
-                for i in range(ns.n_points)]
-    try:
-        rows = calibration.calibration_sweep(grid)
-    except DomainError as exc:
-        return _fail(str(exc), EXIT_USAGE)
+    if ns.n_points > _MAX_SWEEP_POINTS:
+        raise DomainError(f"--n-points must be at most {_MAX_SWEEP_POINTS}, "
+                          f"got {ns.n_points}")
+    # calibration_sweep rejects an empty, non-finite or non-increasing grid.
+    span = ns.eps_max - ns.eps_min
+    grid = [ns.eps_min + span * i / max(ns.n_points - 1, 1)
+            for i in range(ns.n_points)]
+    rows = calibration.calibration_sweep(grid)
     if ns.format == "json":
         payload = {"rows": [
             {"epsilon": r.epsilon, "omega0": r.omega0, "s1": r.s1,
@@ -292,15 +250,7 @@ def _cmd_sweep(ns) -> int:
 
 
 def _cmd_profile(ns) -> int:
-    eps_list = ns.eps_list
-    if eps_list is not None and len(eps_list) == 0:
-        return _fail("--eps-list must not be empty", EXIT_USAGE)
-    try:
-        profiles = verification.profile_solution(eps_list)
-    except NoRealRoot as exc:
-        return _fail(str(exc), EXIT_INFEASIBLE)
-    except DomainError as exc:
-        return _fail(str(exc), EXIT_USAGE)
+    profiles = verification.profile_solution(ns.eps_list)
     if ns.format == "json":
         payload = {"profiles": [
             {"epsilon": prof.epsilon,
@@ -336,6 +286,10 @@ def main(argv=None) -> int:
         return _DISPATCH[ns.command](ns)
     except BrokenPipeError:
         return EXIT_OK
+    except (DomainError, OSError) as exc:
+        # OSError here comes from writing --output.
+        print(f"lbmfd: error: {exc}", file=sys.stderr)
+        return EXIT_INFEASIBLE if isinstance(exc, NoRealRoot) else EXIT_USAGE
 
 
 def entry() -> None:

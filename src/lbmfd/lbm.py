@@ -38,6 +38,11 @@ from .errors import DomainError, LengthMismatch, UnsupportedBoundary
 from .scheme import (BoundarySpec, _advance, _check_node_steps, _views,
                      _weight_passes, _weight_row, coefficients)
 
+# The equivalence check holds about 110 B per node (populations, six level
+# buffers, work arrays and the start field): 2**21 nodes keep that near
+# 230 MB.
+_MAX_EQUIV_NODES = 2 ** 21
+
 
 @dataclass(frozen=True)
 class DistributionField:
@@ -205,16 +210,21 @@ def fd_equivalence_deviation(n_nodes: int, steps: int, omega0: float,
     (max absolute deviation, max absolute field value); a NaN anywhere in
     the trajectory or a prediction makes the deviation NaN.  The
     trajectory is streamed: only the latest four levels are held.  At most
-    2**36 node-steps (n_nodes x steps) are taken, as in `scheme.run`.
+    2**21 nodes and, as in `scheme.run`, 2**36 node-steps (n_nodes x steps)
+    are taken; the seed must be a non-negative integer.
     """
     try:
-        n_nodes, steps = operator.index(n_nodes), operator.index(steps)
+        n_nodes, steps, seed = (operator.index(v)
+                                for v in (n_nodes, steps, seed))
     except TypeError:
-        raise DomainError("n_nodes and steps must be integers") from None
-    if n_nodes < 8:
-        raise DomainError("need at least 8 nodes")
+        raise DomainError("n_nodes, steps and seed must be "
+                          "integers") from None
+    if not 8 <= n_nodes <= _MAX_EQUIV_NODES:
+        raise DomainError(f"need 8 to {_MAX_EQUIV_NODES} nodes, got {n_nodes}")
     if steps < 3:
         raise DomainError("need at least 3 steps")
+    if seed < 0:
+        raise DomainError(f"seed must be non-negative, got {seed}")
     _check_node_steps(n_nodes, steps)
     rng = np.random.default_rng(seed)
     phi0 = rng.random(n_nodes)

@@ -47,6 +47,10 @@ _COS_ONE = 1.0 - 1e-12
 # about 2e-14.
 _SCREEN_TAU = 1e-4
 _SCREEN_DELTA = 1e-12
+# A scan holds about 200 B per theta sample when the screen keeps every row
+# (the coefficient and Routh-Hurwitz grids, the companion stack and LAPACK's
+# roots): 2**20 samples keep that near 200 MB.
+_MAX_THETA_SAMPLES = 2 ** 20
 
 
 @dataclass(frozen=True)
@@ -226,8 +230,9 @@ def spectral_radius_scan(omega0: float, s1: float, s2: float,
     vanishes there identically).
     """
     check_box(omega0, s1, s2)
-    if n_theta < 64:
-        raise DomainError(f"n_theta must be at least 64, got {n_theta}")
+    if not 64 <= n_theta <= _MAX_THETA_SAMPLES:
+        raise DomainError(f"n_theta must lie in [64, {_MAX_THETA_SAMPLES}], "
+                          f"got {n_theta}")
     thetas = -np.pi + 2.0 * np.pi * np.arange(n_theta + 1) / n_theta
     cos_t = np.cos(thetas)
     p0, p1, p2 = _char_coeff_grid(omega0, s1, s2, cos_t)

@@ -66,7 +66,8 @@ def _params_for(order: str, epsilon: float) -> CalibrationResult:
 
 @dataclass(frozen=True)
 class BenchmarkCase:
-    """One benchmark configuration with its calibrated parameter set."""
+    """One benchmark configuration with its calibrated parameter set; the
+    calibrator of `order` validates epsilon."""
 
     epsilon: float
     dx: float
@@ -77,9 +78,6 @@ class BenchmarkCase:
     params: CalibrationResult = field(init=False)
 
     def __post_init__(self):
-        if not (math.isfinite(self.epsilon) and self.epsilon > 0.0):
-            raise DomainError(f"epsilon must be positive and finite, got "
-                              f"{self.epsilon}")
         if not (math.isfinite(self.dx) and self.dx > 0.0):
             raise DomainError(f"dx must be positive and finite, got {self.dx}")
         try:
@@ -212,10 +210,10 @@ def profile_solution(epsilon_list=None, dx: float = 0.025,
     """Full-field comparison against the exact solution at t_end."""
     eps_values = tuple(DEFAULT_EPSILONS if epsilon_list is None
                        else epsilon_list)
+    if not eps_values:
+        raise DomainError("the epsilon list must not be empty")
     cases = [BenchmarkCase(epsilon=eps, dx=dx, order=order)
              for eps in eps_values]
-    if not cases:
-        return []
     xs, finals = _march_decaying_sine(cases, _T_END)
     profiles = []
     for case, final in zip(cases, finals):

@@ -6,6 +6,17 @@ import pytest
 from lbmfd import calibration as cal
 from lbmfd.errors import DomainError, NoRealRoot
 
+# Invalid epsilons: each calibrator raises a plain DomainError on them, never
+# NoRealRoot, which is kept for a valid epsilon with no admissible triple.
+INVALID_EPSILONS = (0.0, -0.1, float("nan"), float("inf"), float("-inf"))
+
+
+def _assert_invalid_epsilon(calibrate, *args):
+    for eps in INVALID_EPSILONS:
+        with pytest.raises(DomainError) as info:
+            calibrate(eps, *args)
+        assert type(info.value) is DomainError, eps
+
 # Recorded high-precision sixth-order triples (omega0, s1, s2), one per
 # mesh Fourier number.  Used as regression pins at 1e-9 relative.
 SIXTH_REFERENCE = {
@@ -149,9 +160,7 @@ def test_calibrate_sixth_residuals_and_identity():
 
 
 def test_calibrate_sixth_rejects_nonpositive_epsilon():
-    for eps in (0.0, -0.1):
-        with pytest.raises(DomainError):
-            cal.calibrate_sixth(eps)
+    _assert_invalid_epsilon(cal.calibrate_sixth)
 
 
 def test_calibrate_sixth_beyond_the_solvable_range():
@@ -225,12 +234,11 @@ def test_calibrate_fourth_closed_form():
 
 
 def test_calibrate_fourth_validation():
-    with pytest.raises(DomainError):
-        cal.calibrate_fourth(0.0, 1.0)
+    _assert_invalid_epsilon(cal.calibrate_fourth, 1.0)
     with pytest.raises(DomainError):
         cal.calibrate_fourth(0.1, 2.0)
     # epsilon = 0.6 at s1 = 1 forces omega0 = -0.2.
-    with pytest.raises(DomainError):
+    with pytest.raises(NoRealRoot):
         cal.calibrate_fourth(0.6, 1.0)
 
 
@@ -240,8 +248,10 @@ def test_second_order_reference_values():
     assert res.s1 == 1.0 and res.s2 == 1.0
     assert res.order == "second"
     assert abs(res.residual_second) > 1e-3
-    for eps in (0.0, 0.5, -0.2):
-        with pytest.raises(DomainError):
+    _assert_invalid_epsilon(cal.second_order_reference)
+    # omega0 = 1 - 2*epsilon leaves (0, 1) at 0.5 and rounds to one at 1e-300.
+    for eps in (0.5, 1e300, 1e-300):
+        with pytest.raises(NoRealRoot):
             cal.second_order_reference(eps)
 
 
@@ -336,3 +346,8 @@ def test_calibration_sweep_rejects_bad_grids():
         cal.calibration_sweep((0.1, 0.1))
     with pytest.raises(DomainError):
         cal.calibration_sweep((-0.1, 0.2))
+    for bad in (float("nan"), float("inf")):
+        with pytest.raises(DomainError):
+            cal.calibration_sweep((0.1, bad))
+        with pytest.raises(DomainError):
+            cal.calibration_sweep((bad,))

@@ -1,11 +1,26 @@
-"""Tests for the command-line front end (in-process invocations)."""
+"""Tests for the command-line front end (in-process invocations, and one
+real process)."""
 
+import contextlib
+import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from lbmfd import cli, lbm, stability
 from lbmfd.cli import main
+
+
+def _assert_one_error_line(capsys):
+    err = capsys.readouterr().err
+    assert err.startswith("lbmfd: error: ") and err.count("\n") == 1, err
 
 
 def test_calibrate_sixth_emits_json():
@@ -44,9 +59,26 @@ def test_calibrate_usage_errors(capsys):
     assert main(["calibrate", "--epsilon", "-0.1", "--order", "6"]) == 1
     assert main(["calibrate", "--epsilon", "0.1", "--order", "6",
                  "--format", "csv"]) == 1
-    assert main(["calibrate", "--epsilon", "0.1", "--order", "4",
-                 "--s1", "2.5"]) == 1
     capsys.readouterr()
+    # An invalid --s1 is refused at order 6 too, where it goes unused, and
+    # a non-finite epsilon is invalid input at both orders.
+    nonfinite = (["--order", order, f"--epsilon={eps}"]
+                 for order in ("4", "6") for eps in ("nan", "inf", "-inf"))
+    for flags in (["--order", "4", "--s1", "2.5"],
+                  ["--order", "6", "--s1", "2.5"], *nonfinite):
+        assert main(["calibrate", "--epsilon", "0.1", *flags]) == 1
+        _assert_one_error_line(capsys)
+
+
+@pytest.mark.parametrize("argv", [
+    ["calibrate", "--epsilon", "0.6", "--order", "4"],
+    ["run", "--epsilon", "0.6", "--order", "4"],
+    ["convergence", "--order", "4", "--eps-list", "0.6"],
+    ["run", "--epsilon", "0.6", "--order", "2"],
+])
+def test_valid_epsilon_without_a_triple_exits_2(argv, capsys):
+    assert main(argv) == 2
+    _assert_one_error_line(capsys)
 
 
 def test_run_csv_snapshot(capsys):
@@ -66,7 +98,7 @@ def test_run_json_snapshot(capsys):
     assert len(payload["x"]) == 11 and len(payload["phi"]) == 11
 
 
-def test_run_rejects_infeasible_and_invalid(capsys):
+def test_run_rejects_infeasible_and_invalid(capsys, tmp_path):
     assert main(["run", "--epsilon", "0.3"]) == 2
     assert main(["run", "--epsilon", "0.1", "--dx", "-0.1"]) == 1
     assert main(["run", "--epsilon", "0.1", "--dx", "0.03"]) == 1
@@ -74,10 +106,10 @@ def test_run_rejects_infeasible_and_invalid(capsys):
     for flags in (["--dx", "nan"], ["--dx", "inf"], ["--epsilon", "nan"],
                   ["--t-end", "inf"], ["--t-end", "nan"], ["--dx", "1e-320"],
                   ["--dx", "1e-100"], ["--epsilon", "-0.1"],
-                  ["--t-end", "1e300"], ["--dx", repr(2.0 ** -22)]):
+                  ["--t-end", "1e300"], ["--dx", repr(2.0 ** -22)],
+                  ["--dx", "0.1", "--output", str(tmp_path / "no" / "x.csv")]):
         assert main(["run", "--epsilon", "0.1", *flags]) == 1
-        err = capsys.readouterr().err
-        assert err.startswith("lbmfd: error: ") and err.count("\n") == 1
+        _assert_one_error_line(capsys)
 
 
 def test_run_output_is_byte_identical(tmp_path):
@@ -135,7 +167,10 @@ def test_stability_json_payload(capsys):
 def test_stability_usage_error(capsys):
     assert main(["stability", "--omega0", "0.8", "--s1", "2.5",
                  "--s2", "1.0"]) == 1
-    capsys.readouterr()
+    _assert_one_error_line(capsys)
+    assert main(["stability", "--omega0", "0.8", "--s1", "1.0", "--s2", "1.0",
+                 "--n-theta", str(stability._MAX_THETA_SAMPLES + 1)]) == 1
+    _assert_one_error_line(capsys)
 
 
 def test_equivalence_reports_a_tiny_deviation(capsys):
@@ -161,9 +196,11 @@ def test_equivalence_usage_errors(capsys):
     assert main(base + ["--steps", "2"]) == 1
     assert main(base + ["--n-nodes", "4"]) == 1
     capsys.readouterr()
-    assert main(base + ["--steps", str(2 ** 40)]) == 1
-    err = capsys.readouterr().err
-    assert err.startswith("lbmfd: error: ") and err.count("\n") == 1
+    too_many_nodes = str(lbm._MAX_EQUIV_NODES + 1)
+    for flags in (["--steps", str(2 ** 40)], ["--seed", "-1"],
+                  ["--steps", "3", "--n-nodes", too_many_nodes]):
+        assert main(base + flags) == 1
+        _assert_one_error_line(capsys)
 
 
 def test_equivalence_same_seed_same_bytes(tmp_path):
@@ -212,6 +249,12 @@ def test_sweep_json_and_usage_errors(capsys):
     assert main(["sweep", "--eps-min", "0.1", "--eps-max", "0.2",
                  "--n-points", "0"]) == 1
     capsys.readouterr()
+    for lo, hi, n in (("nan", "0.3", 3), ("0.1", "nan", 3), ("0.1", "inf", 3),
+                      ("-inf", "0.3", 3), ("inf", "inf", 1), ("0.1", "inf", 1),
+                      ("0.1", "0.2", cli._MAX_SWEEP_POINTS + 1)):
+        assert main(["sweep", f"--eps-min={lo}", f"--eps-max={hi}",
+                     "--n-points", str(n)]) == 1
+        _assert_one_error_line(capsys)
 
 
 def test_profile_csv(capsys):
@@ -279,3 +322,50 @@ def test_config_file_errors(tmp_path, capsys):
 def test_unknown_command_is_a_usage_error(capsys):
     assert main(["frobnicate"]) == 1
     capsys.readouterr()
+
+
+# Values that have broken validation before, mixed with in-range ones.
+_FLOAT_FLAG = st.one_of(
+    st.sampled_from([float("nan"), float("inf"), float("-inf"), 0.0, -0.0,
+                     -1.0, 1e-320, 1e300]),
+    st.floats(0.01, 0.99), st.floats(0.01, 1.99))
+
+
+@pytest.mark.filterwarnings("error")
+@settings(derandomize=True, max_examples=120, deadline=None)
+@given(command=st.sampled_from(["calibrate", "run", "stability",
+                                "equivalence", "sweep"]),
+       a=_FLOAT_FLAG, b=_FLOAT_FLAG, c=_FLOAT_FLAG,
+       order=st.sampled_from(["2", "4", "6"]), n_points=st.integers(1, 5))
+def test_float_flags_end_in_an_exit_code_and_one_line(command, a, b, c,
+                                                      order, n_points):
+    # Only flags whose cost does not grow with their value are drawn; the
+    # "=" form lets argparse take values such as -inf.  A warning fails the
+    # test, since a real process would print it on stderr.
+    argv = {
+        "calibrate": [f"--epsilon={a!r}", f"--s1={b!r}",
+                      "--order", "4" if order == "2" else order],
+        "run": [f"--epsilon={a!r}", "--order", order, "--dx", "0.1"],
+        "stability": [f"--omega0={a!r}", f"--s1={b!r}", f"--s2={c!r}"],
+        "equivalence": [f"--omega0={a!r}", f"--s1={b!r}", f"--s2={c!r}",
+                        "--n-nodes", "8", "--steps", "3"],
+        "sweep": [f"--eps-min={a!r}", f"--eps-max={b!r}",
+                  "--n-points", str(n_points)],
+    }[command]
+    stderr = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), \
+            contextlib.redirect_stderr(stderr):
+        code = main([command, *argv])
+    assert code in (0, 1, 2, 3)
+    assert stderr.getvalue().count("\n") <= 1, stderr.getvalue()
+
+
+def test_entry_point_exits_with_one_line():
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    proc = subprocess.run(
+        [sys.executable, "-m", "lbmfd.cli", "run", "--epsilon", "nan"],
+        env=env, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 1
+    assert proc.stderr.count("\n") == 1 and "Traceback" not in proc.stderr
+    assert proc.stderr.startswith("lbmfd: error: ")

@@ -120,8 +120,13 @@ def test_fd_equivalence_deviation_validation():
         lbm.fd_equivalence_deviation(16.0, 60, 0.7, 1.2, 0.9, seed=5)
     with pytest.raises(DomainError):
         lbm.fd_equivalence_deviation(32, 60.0, 0.7, 1.2, 0.9, seed=5)
-    # More than 2**36 node-steps is refused before anything is allocated.
-    for n_nodes, steps in ((2 ** 20, 2 ** 16 + 1), (2 ** 40, 3)):
+    for seed in (-1, 1.5, None):
+        with pytest.raises(DomainError):
+            lbm.fd_equivalence_deviation(32, 60, 0.7, 1.2, 0.9, seed=seed)
+    # More than 2**36 node-steps or 2**21 nodes is refused before anything
+    # is allocated.
+    for n_nodes, steps in ((2 ** 20, 2 ** 16 + 1), (2 ** 40, 3),
+                           (lbm._MAX_EQUIV_NODES + 1, 3)):
         with pytest.raises(DomainError):
             lbm.fd_equivalence_deviation(n_nodes, steps, 0.7, 1.2, 0.9,
                                          seed=5)

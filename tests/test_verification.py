@@ -197,6 +197,8 @@ def test_reproduce_table_validation():
         ver.reproduce_table("sixth", dx_list=(0.05, 0.1))
     with pytest.raises(DomainError):
         ver.reproduce_table("sixth", eps_list=())
+    with pytest.raises(DomainError):
+        ver.profile_solution(())
 
 
 def test_csv_serializations():
