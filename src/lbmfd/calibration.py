@@ -344,16 +344,24 @@ def calibrate_sixth(epsilon: float) -> CalibrationResult:
     """Calibrate (omega0, s1, s2) for sixth-order spatial accuracy.
 
     Raises NoRealRoot when epsilon leaves the range where the reduced cubic
-    has a single real root (see epsilon_max); raises DomainError for a
-    non-positive or non-finite epsilon.
+    has a single real root (see epsilon_max), and below about 1.7e-9, where
+    that root exists but the triple it gives rounds onto the edge of the
+    open box: omega0 = 1 - 2*epsilon*s1/(2 - s1) rounds to 1 and, below
+    about 1e-32, s1 itself to 0.  Raises DomainError for a non-positive or
+    non-finite epsilon.
     """
     _check_epsilon(epsilon)
     sol = _solve_sixth([epsilon])[0]
-    if sol is None:
+    if sol is None and epsilon > epsilon_max():
         raise NoRealRoot(
             f"no real sixth-order solution at epsilon = {epsilon}; "
             f"the solvable range is 0 < epsilon <= {epsilon_max():.6f}"
         )
+    if sol is None:
+        raise NoRealRoot(
+            f"epsilon = {epsilon} is too small: the sixth-order root exists, "
+            "but the triple it gives rounds onto the edge of the open box "
+            "(omega0 to 1, or s1 to 0)")
     omega0, s1, s2 = sol
     return CalibrationResult(
         epsilon=epsilon, omega0=omega0, s1=s1, s2=s2,

@@ -226,7 +226,12 @@ def _cmd_sweep(ns) -> int:
     if ns.n_points > _MAX_SWEEP_POINTS:
         raise DomainError(f"--n-points must be at most {_MAX_SWEEP_POINTS}, "
                           f"got {ns.n_points}")
-    # calibration_sweep rejects an empty, non-finite or non-increasing grid.
+    # One point sweeps --eps-min alone, so the grid cannot show an
+    # inverted range; calibration_sweep rejects an empty, non-finite or
+    # non-increasing grid.
+    if ns.eps_max < ns.eps_min:
+        raise DomainError(f"--eps-max {ns.eps_max} is below --eps-min "
+                          f"{ns.eps_min}")
     span = ns.eps_max - ns.eps_min
     grid = [ns.eps_min + span * i / max(ns.n_points - 1, 1)
             for i in range(ns.n_points)]

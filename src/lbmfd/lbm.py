@@ -35,8 +35,8 @@ import numpy as np
 
 from .calibration import ModelParams, Weights
 from .errors import DomainError, LengthMismatch, UnsupportedBoundary
-from .scheme import (BoundarySpec, _advance, _check_node_steps, _views,
-                     _weight_passes, _weight_row, coefficients)
+from .scheme import (BoundarySpec, _advance, _check_node_steps, _plan,
+                     _weight_row, coefficients)
 
 # The equivalence check holds about 110 B per node (populations, six level
 # buffers, work arrays and the start field): 2**21 nodes keep that near
@@ -232,26 +232,31 @@ def fd_equivalence_deviation(n_nodes: int, steps: int, omega0: float,
                                     source_R=source_R)
     field = initialize(phi0, params.weights, params.dt, params.source_R)
     pops = (field.f_minus, field.f_zero, field.f_plus)
-    coeffs = coefficients(omega0, s1, s2)
-    boundary = BoundarySpec.periodic()
-    # Levels n-3, n-2, n-1 and n rotate through these buffers.
-    old, prev, cur, new, predicted, tmp = (
-        _views(np.empty(n_nodes), (n_nodes,), True) for _ in range(6))
-    weights = _weight_passes(
-        [_weight_row(coeffs, params.dt, params.source_R)], (n_nodes,), True,
-        len(tmp.passes))
+    table = [_weight_row(coefficients(omega0, s1, s2), params.dt,
+                         params.source_R)]
+    # Level n goes into ring[n % 4], and phase (n - 3) % 4 of the plan
+    # predicts it from the three before into `predicted`.  The prediction
+    # borrows two of the collision's work arrays, so the check sweeps twelve
+    # node-length arrays: 1.5 MiB at 2**14 nodes, inside a 2 MiB L2 cache.
+    # Two arrays more measured 3-5% slower there.
+    ring = [np.empty(n_nodes) for _ in range(4)]
+    predicted = np.empty(n_nodes)
     work = [np.empty(n_nodes) for _ in range(3)]
     max_dev = max_phi = 0.0
     for n in range(steps + 1):
+        new = ring[n % 4]
         if n < steps:
-            _collide_stream(*pops, params, new.buf, *work)
+            _collide_stream(*pops, params, new, *work)
         else:
-            new.buf[...] = macro_phi(field, params.dt, params.source_R)
-        max_phi = np.maximum(max_phi, np.abs(new.buf, out=tmp.buf).max())
-        if n >= 3:
-            _advance(cur, prev, old, weights, boundary, predicted, tmp)
-            np.subtract(predicted.buf, new.buf, out=predicted.buf)
-            np.abs(predicted.buf, out=predicted.buf)
-            max_dev = np.maximum(max_dev, predicted.buf.max())
-        old, prev, cur, new = prev, cur, new, old
+            new[...] = macro_phi(field, params.dt, params.source_R)
+        # `predicted` is free until the prediction below overwrites it.
+        max_phi = np.maximum(max_phi, np.abs(new, out=predicted).max())
+        if n == 2:
+            phases = _plan(ring, [predicted] * 4, table,
+                           BoundarySpec.periodic(), (n_nodes,), work[:2])
+        elif n > 2:
+            _advance(phases[(n - 3) % 4])
+            np.subtract(predicted, new, out=predicted)
+            np.abs(predicted, out=predicted)
+            max_dev = np.maximum(max_dev, predicted.max())
     return float(max_dev), float(max_phi)

@@ -26,14 +26,18 @@ batch of levels is one contiguous 1-D row of cases x nodes, and the kernel
 writes the new level with in-place numpy operations on the 1-D slices
 [lo:hi], [lo+1:hi+1] and [lo+2:hi+2] of that row, adding the terms in the
 order written above, so a level gets the same bits whether it is marched
-alone or as one row of a batch.  The passes also cover the
-seam nodes between rows; Dirichlet pinning or the periodic wrap, computed
-from the same expression on strided (cases, 2) views, overwrites them.
-Long rows are swept in cache-sized passes.  `run` builds every view once
-per march, so a step only iterates over them; a weight or source term that
-is equal on every row stays a scalar, and any other is read per node.
-`run` accepts a sequence of parameter sets that share dx and dt and marches
-them as one batch, with its own four level buffers.
+alone or as one row of a batch.  The pair sum phi[j-1, n] + phi[j+1, n]
+that level n+1 needs is, rounded alike, the level n-1 pair of level n+2, so
+the kernel keeps it in an array from one step to the next and a pass makes
+eleven numpy calls, not twelve.  The passes also cover the seam nodes
+between rows; Dirichlet pinning or the periodic wrap, computed from the
+same expression on strided (cases, 2) views with a pair of their own,
+overwrites them.  Long rows are swept in cache-sized passes.  The levels
+of a march rotate through four buffers, so the calls of all four phases
+are built once per march and a step only makes the calls of its phase; a
+weight or source term that is equal on every row stays a scalar, and any
+other is read per node.  `run` accepts a sequence of parameter sets that
+share dx and dt and marches them as one batch.
 
 The recorded convergence tables that the tests compare against match, to
 their three printed digits, the RMSE over all N+1 nodes in 44 of their 45
@@ -50,8 +54,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import NamedTuple
-
 import numpy as np
 
 from .calibration import ModelParams, check_box
@@ -189,9 +191,9 @@ class PhiHistory:
         return new_level
 
 
-# Nodes per pass of the kernel.  A pass runs its twelve operations on slices
+# Nodes per pass of the kernel.  A pass runs its eleven operations on slices
 # of 256 KiB per array, which stay in a 2 MiB L2 cache between operations;
-# a longer row would otherwise be streamed from memory twelve times per step.
+# a longer row would otherwise be streamed from memory eleven times per step.
 _CHUNK = 2 ** 15
 
 # Upper bound on the node-steps (nodes x time levels) of one march.  The
@@ -207,42 +209,30 @@ def _weight_row(coeffs: FdCoefficients, dt: float, R: float) -> tuple:
             coeffs.center_nm1, coeffs.center_nm2, coeffs.source * dt * R)
 
 
-class _Views(NamedTuple):
-    """A flat buffer of one or more levels and the views the kernel uses.
+def _passes(buf: np.ndarray, shape: tuple, periodic: bool) -> list:
+    """One (left, mid, right) view triple of the flat level `buf` per pass.
 
-    `passes` holds one (left, mid, right) triple per pass: the 1-D slices
-    [lo:hi], [lo+1:hi+1] and [lo+2:hi+2] of the flat buffer, then, for a
-    periodic boundary, the wrap nodes 0 and n-1 of every row as one strided
-    view with their neighbours.  `rows` is the buffer in the level's shape,
-    (nodes,) or (cases, nodes), and the wrap views have its rank; `first`
-    and `last` are the end nodes that Dirichlet pinning writes.
+    The flat passes take the 1-D slices [lo:hi], [lo+1:hi+1] and
+    [lo+2:hi+2].  A periodic level adds the wrap nodes 0 and n-1 of every
+    row as one strided view with their neighbours, in the rank of `shape`.
     """
-
-    buf: np.ndarray
-    rows: np.ndarray
-    passes: tuple
-    first: np.ndarray
-    last: np.ndarray
-
-
-def _views(buf: np.ndarray, shape: tuple, periodic: bool) -> _Views:
     interior = buf.shape[0] - 2
     passes = []
     for lo in range(0, interior, _CHUNK):
         hi = min(lo + _CHUNK, interior)
         passes.append((buf[lo:hi], buf[lo + 1:hi + 1], buf[lo + 2:hi + 2]))
-    rows = buf.reshape(shape)
     if periodic:
         # The wrap nodes 0 and n-1; their left neighbours are n-1, n-2 and
         # their right ones 1, 0.  A 1-D level keeps 1-D views, which numpy
         # sweeps without its multi-dimensional iterator.
+        rows = buf.reshape(shape)
         passes.append((rows[..., :-3:-1], rows[..., ::max(shape[-1] - 1, 1)],
                        rows[..., 1::-1]))
-    return _Views(buf, rows, tuple(passes), rows[..., 0], rows[..., -1])
+    return passes
 
 
 def _weight_passes(table, shape: tuple, periodic: bool,
-                   n_passes: int) -> tuple:
+                   n_passes: int) -> list:
     """Per-pass tuples of the five field weights and the source term.
 
     `table` has one `_weight_row` per row of `shape`.  A column whose
@@ -250,52 +240,85 @@ def _weight_passes(table, shape: tuple, periodic: bool,
     repeated over the nodes of each row, once, and each pass takes its
     slice of it.
     """
+    if len(table) == 1:
+        return [table[0]] * n_passes
     columns = []
     for col in zip(*table):
         if len({w.hex() for w in col}) == 1:
             columns.append((col[0],) * n_passes)
         else:
-            per_node = _views(np.repeat(col, shape[-1]), shape, periodic)
-            columns.append(tuple(mid for _, mid, _ in per_node.passes))
-    return tuple(zip(*columns))
+            per_node = _passes(np.repeat(col, shape[-1]), shape, periodic)
+            columns.append([mid for _, mid, _ in per_node])
+    return list(zip(*columns))
 
 
-def _combine(cur, prev, old, weights, acc, scratch):
+def _combine(cur_l, cur_m, cur_r, prev_m, old_m, pair, acc, term, part,
+             side_n, center_n, side_nm1, center_nm1, center_nm2, src):
     # The recurrence at the mid views of one pass, summed in the order of
-    # the module docstring.
-    (cur_l, cur_m, cur_r), (prev_l, prev_m, prev_r), (_, old_m, _) = (
-        cur, prev, old)
-    side_n, center_n, side_nm1, center_nm1, center_nm2, src = weights
-    np.add(cur_l, cur_r, out=acc)
-    np.multiply(acc, side_n, out=acc)
-    np.multiply(cur_m, center_n, out=scratch)
-    np.add(acc, scratch, out=acc)
-    np.add(prev_l, prev_r, out=scratch)
-    np.multiply(scratch, side_nm1, out=scratch)
-    np.add(acc, scratch, out=acc)
-    np.multiply(prev_m, center_nm1, out=scratch)
-    np.add(acc, scratch, out=acc)
-    np.multiply(old_m, center_nm2, out=scratch)
-    np.add(acc, scratch, out=acc)
-    np.add(acc, src, out=acc)
+    # the module docstring.  `pair` holds prev_l + prev_r from the pass that
+    # wrote the previous level, and leaves with cur_l + cur_r for the next.
+    np.multiply(pair, side_nm1, term)
+    np.add(cur_l, cur_r, pair)
+    np.multiply(pair, side_n, acc)
+    np.multiply(cur_m, center_n, part)
+    np.add(acc, part, acc)
+    np.add(acc, term, acc)
+    np.multiply(prev_m, center_nm1, part)
+    np.add(acc, part, acc)
+    np.multiply(old_m, center_nm2, part)
+    np.add(acc, part, acc)
+    np.add(acc, src, acc)
 
 
-def _advance(cur: _Views, prev: _Views, old: _Views, weights: tuple,
-             boundary: BoundarySpec, out: _Views, tmp: _Views) -> None:
-    """Write the level after (old, prev, cur) into `out`.
+def _plan(ring: list, outs: list, table, boundary: BoundarySpec,
+          shape: tuple, scratch=None) -> tuple:
+    """The calls of each phase of a march, with the carried pair seeded.
 
-    All five buffers have the same shape; `weights` comes from
-    `_weight_passes` for it.  The flat passes also write the seam nodes
-    between rows, which the Dirichlet pinning or the periodic wrap pass
-    then overwrites.  `out` and `tmp` must not overlap the levels.
+    `ring` holds flat level buffers of `shape`; phase k reads old, prev
+    and cur from ring[k], ring[k+1] and ring[k+2] (indices mod len(ring)),
+    writes the next level into outs[k] and pins its Dirichlet ends.  Each
+    phase is a tuple of (function, args) calls.  The pair sum prev_l +
+    prev_r is carried in one array from phase to phase, so the phases must
+    run in order, from phase 0; it starts as the pair of ring[1].  The
+    periodic wrap pass carries its own pair, as the flat passes overwrite
+    the seam nodes it recomputes.  `table` is as for `_weight_passes`, and
+    the outputs must not overlap the levels a phase reads.  The two
+    pass-sized work arrays are allocated here unless `scratch` gives two
+    arrays of the levels' dtype, as long as a pass and free while a phase
+    runs.
     """
-    for c, p, o, w, (_, acc, _), (_, scratch, _) in zip(
-            cur.passes, prev.passes, old.passes, weights, out.passes,
-            tmp.passes):
-        _combine(c, p, o, w, acc, scratch)
-    if boundary.kind != "periodic":
-        out.first.fill(boundary.left_value)
-        out.last.fill(boundary.right_value)
+    periodic = boundary.kind == "periodic"
+    dtype = outs[0].dtype
+    levels = [_passes(buf, shape, periodic) for buf in ring]
+    flat = [mid for _, mid, _ in _passes(np.empty(ring[0].shape, dtype),
+                                         shape, False)]
+    width = max((m.size for m in flat), default=0)
+    term, part = np.empty((2, width), dtype) if scratch is None else scratch
+    carried = [(m, term[:m.size], part[:m.size]) for m in flat]
+    if periodic:
+        carried.append(tuple(np.empty((3, *levels[0][-1][1].shape), dtype)))
+    for (left, _, right), (pair, _, _) in zip(levels[1], carried):
+        np.add(left, right, pair)
+    weights = _weight_passes(table, shape, periodic, len(carried))
+    phases = []
+    for k, out in enumerate(outs):
+        cur, prev, old = (levels[(k + i) % len(ring)] for i in (2, 1, 0))
+        calls = [(_combine, (*c, p[1], o[1], pair, acc, t, s, *w))
+                 for c, p, o, (_, acc, _), (pair, t, s), w in zip(
+                     cur, prev, old, _passes(out, shape, periodic), carried,
+                     weights)]
+        if not periodic:
+            rows = out.reshape(shape)
+            calls += [(rows[..., 0].fill, (boundary.left_value,)),
+                      (rows[..., -1].fill, (boundary.right_value,))]
+        phases.append(tuple(calls))
+    return tuple(phases)
+
+
+def _advance(phase: tuple) -> None:
+    """Make the calls of one `_plan` phase: write one new level."""
+    for fn, args in phase:
+        fn(*args)
 
 
 def step(history: PhiHistory, coeffs: FdCoefficients, dt: float, R: float,
@@ -308,15 +331,11 @@ def step(history: PhiHistory, coeffs: FdCoefficients, dt: float, R: float,
     """
     if history.step_index < 2:
         raise StateError("the four-level update needs three seeded levels")
-    periodic = boundary.kind == "periodic"
-    levels = (history.current, history.previous, history.oldest)
+    levels = [history.oldest, history.previous, history.current]
     out = np.empty(levels[0].shape, np.result_type(*levels, 1.0))
-    cur, prev, old, out_v, tmp = (
-        _views(a, out.shape, periodic)
-        for a in (*levels, out, np.empty_like(out)))
-    weights = _weight_passes([_weight_row(coeffs, dt, R)], out.shape,
-                             periodic, len(tmp.passes))
-    _advance(cur, prev, old, weights, boundary, out_v, tmp)
+    (phase,) = _plan(levels, [out], [_weight_row(coeffs, dt, R)], boundary,
+                     out.shape)
+    _advance(phase)
     return history.push(out)
 
 
@@ -366,25 +385,22 @@ def run(params, grid: Grid1D, initializer, boundary: BoundarySpec,
     if abs(grid.dx - dx) > 1e-12 * dx:
         raise DomainError("grid spacing does not match params.dx")
     xs = grid.nodes()
-    periodic = boundary.kind == "periodic"
-    if periodic:
+    if boundary.kind == "periodic":
         xs = xs[:-1]
     shape = (len(cases), xs.size)
-    # Four levels rotate through these flat rows x nodes buffers; the
-    # fourth is written next.
-    old, prev, cur, spare, tmp = (
-        _views(np.empty(math.prod(shape)), shape, periodic)
-        for _ in range(5))
-    for k, level in enumerate((old, prev, cur)):
-        level.rows[...] = initializer(xs, k * dt)
+    # Four flat rows x nodes levels rotate through the ring; phase k of the
+    # plan writes ring[k+3], so level m ends up in ring[m % 4].
+    ring = [np.empty(math.prod(shape)) for _ in range(4)]
+    for k in range(3):
+        ring[k].reshape(shape)[...] = initializer(xs, k * dt)
     table = [_weight_row(coefficients(p.weights.omega0, p.relax.s1,
                                       p.relax.s2), dt, p.source_R)
              for p in cases]
-    weights = _weight_passes(table, shape, periodic, len(tmp.passes))
-    for _ in range(n_steps - 2):
-        _advance(cur, prev, old, weights, boundary, spare, tmp)
-        old, prev, cur, spare = prev, cur, spare, old
-    return cur.rows if batch else cur.rows[0]
+    phases = _plan(ring, ring[3:] + ring[:3], table, boundary, shape)
+    for k in range(n_steps - 2):
+        _advance(phases[k % 4])
+    final = ring[n_steps % 4].reshape(shape)
+    return final if batch else final[0]
 
 
 def snapshot_csv_lines(xs: np.ndarray, phi: np.ndarray) -> list[str]:

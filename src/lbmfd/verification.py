@@ -13,7 +13,7 @@ ratio of errors on successive 2x refinements.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -66,8 +66,12 @@ def _params_for(order: str, epsilon: float) -> CalibrationResult:
 
 @dataclass(frozen=True)
 class BenchmarkCase:
-    """One benchmark configuration with its calibrated parameter set; the
-    calibrator of `order` validates epsilon."""
+    """One benchmark configuration with its calibrated parameter set.
+
+    `params` is calibrated by the calibrator of `order`, which validates
+    epsilon; a given one must be calibrated for the same epsilon and order
+    (else `DomainError`), so cases that differ only in dx can share it.
+    """
 
     epsilon: float
     dx: float
@@ -75,7 +79,7 @@ class BenchmarkCase:
     dt: float = field(init=False)
     kappa: float = field(init=False)
     t_end: float = field(init=False)
-    params: CalibrationResult = field(init=False)
+    params: CalibrationResult | None = None
 
     def __post_init__(self):
         if not (math.isfinite(self.dx) and self.dx > 0.0):
@@ -100,8 +104,13 @@ class BenchmarkCase:
         if abs(n_steps * self.dt - self.t_end) > 1e-9 * self.t_end:
             raise DomainError("t_end is not an integer multiple of dt at "
                               f"dx = {self.dx}")
-        object.__setattr__(self, "params", _params_for(self.order,
-                                                       self.epsilon))
+        if self.params is None:
+            object.__setattr__(self, "params", _params_for(self.order,
+                                                           self.epsilon))
+        elif (self.params.epsilon, self.params.order) != (self.epsilon,
+                                                          self.order):
+            raise DomainError("params must be calibrated for the case's "
+                              "epsilon and order")
 
 
 def _march_decaying_sine(cases,
@@ -159,11 +168,13 @@ def reproduce_table(order: str, eps_list=None,
         raise DomainError("epsilon and dx lists must not be empty")
     if any(b >= a for a, b in zip(dx_values, dx_values[1:])):
         raise DomainError("dx list must be strictly decreasing")
-    # One batched march per spacing; column j holds the errors at dx_values[j].
+    # Each epsilon is calibrated once, at the first spacing; one batched
+    # march per spacing, and column j holds the errors at dx_values[j].
+    first = [BenchmarkCase(epsilon=eps, dx=dx_values[0], order=order)
+             for eps in eps_values]
     columns = []
     for dx in dx_values:
-        cases = [BenchmarkCase(epsilon=eps, dx=dx, order=order)
-                 for eps in eps_values]
+        cases = [replace(case, dx=dx) for case in first]
         xs, finals = _march_decaying_sine(cases, _T_END)
         columns.append([_interior_rmse(case, xs, final)
                         for case, final in zip(cases, finals)])

@@ -184,6 +184,15 @@ def test_calibrate_sixth_at_tiny_epsilon():
     # about 1.6e-8.
     rows = cal.calibration_sweep(np.geomspace(2e-9, 1e-6, 300))
     assert all(row.status == "ok" for row in rows)
+    # Below it the reduced cubic keeps its single real root, and the error
+    # says that the triple rounds, not that there is no root (s1 rounds to
+    # 0 at 1e-40).
+    for eps in (1.5e-9, 1e-10, 1e-40):
+        assert cal._sixth_discriminant_sign(eps) < 0.0
+        with pytest.raises(NoRealRoot) as info:
+            cal.calibrate_sixth(eps)
+        assert "too small" in str(info.value)
+        assert "no real" not in str(info.value)
 
 
 def test_sixth_discriminant_factor_is_exact():

@@ -251,6 +251,7 @@ def test_sweep_json_and_usage_errors(capsys):
     capsys.readouterr()
     for lo, hi, n in (("nan", "0.3", 3), ("0.1", "nan", 3), ("0.1", "inf", 3),
                       ("-inf", "0.3", 3), ("inf", "inf", 1), ("0.1", "inf", 1),
+                      ("0.2", "0.1", 1), ("0.2", "0.1", 5),
                       ("0.1", "0.2", cli._MAX_SWEEP_POINTS + 1)):
         assert main(["sweep", f"--eps-min={lo}", f"--eps-max={hi}",
                      "--n-points", str(n)]) == 1

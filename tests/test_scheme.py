@@ -1,5 +1,7 @@
 """Tests for the four-level finite-difference scheme."""
 
+import itertools
+
 import numpy as np
 import pytest
 
@@ -349,7 +351,10 @@ def test_batched_run_matches_the_reference_march_bit_for_bit(chunk,
     # Passes of 4 and 7 nodes straddle the seams between the rows of the
     # flat batch.  A weight or source that differs between rows is read per
     # node and one that is shared is a scalar; both must give the bits of
-    # the reference march of each row on its own.
+    # the reference march of each row on its own.  Ends at 2*dt .. 7*dt
+    # finish a march with zero updates and after each of the four phases
+    # of its call plan, the last one after the carried pair has gone once
+    # round the four level buffers.
     monkeypatch.setattr(scheme, "_CHUNK", chunk)
     grid = Grid1D(12)
     t0, t1, t2 = (0.83, 0.92, 1.15), (0.6, 1.4, 0.7), (0.8, 1.0, 1.0)
@@ -359,22 +364,22 @@ def test_batched_run_matches_the_reference_march_bit_for_bit(chunk,
                [(t0, r1), (t1, r1), (t2, r1)],
                [(t1, r2)] * 3)
     scale = np.array([[1.0], [-2.0], [0.5]])
-    for boundary in (BoundarySpec.dirichlet(0.25, -1.5),
-                     BoundarySpec.periodic()):
-        for rows in batches:
-            params = [cal.ModelParams.from_rates(*t, dx=grid.dx, dt=0.01,
-                                                 source_R=r)
-                      for t, r in rows]
-            batch = run(params, grid, lambda x, t: scale * _sine_bump(x, t),
-                        boundary, 0.2)
-            for i, ((triple, source_R), p) in enumerate(zip(rows, params)):
-                expected = _reference_run(triple, source_R, scale[i], grid,
-                                          boundary, 0.2)
-                assert batch[i].tobytes() == expected.tobytes()
-                single = run(p, grid,
-                             lambda x, t: scale[i] * _sine_bump(x, t),
-                             boundary, 0.2)
-                assert single.tobytes() == expected.tobytes()
+    ends = [0.2] + [k * 0.01 for k in range(2, 8)]
+    for boundary, rows, t_end in itertools.product(
+            (BoundarySpec.dirichlet(0.25, -1.5), BoundarySpec.periodic()),
+            batches, ends):
+        params = [cal.ModelParams.from_rates(*t, dx=grid.dx, dt=0.01,
+                                             source_R=r)
+                  for t, r in rows]
+        batch = run(params, grid, lambda x, t: scale * _sine_bump(x, t),
+                    boundary, t_end)
+        for i, ((triple, source_R), p) in enumerate(zip(rows, params)):
+            expected = _reference_run(triple, source_R, scale[i], grid,
+                                      boundary, t_end)
+            assert batch[i].tobytes() == expected.tobytes()
+            single = run(p, grid, lambda x, t: scale[i] * _sine_bump(x, t),
+                         boundary, t_end)
+            assert single.tobytes() == expected.tobytes()
 
 
 def test_batched_run_keeps_the_sign_of_zero_per_row():

@@ -88,6 +88,13 @@ def test_benchmark_case_derived_fields():
         == 2.0 ** -22
     with pytest.raises(DomainError):
         ver.BenchmarkCase(epsilon=0.1, dx=0.1, order="fifth")
+    # A case at another spacing may share the calibration, and only one
+    # made for its own epsilon and order.
+    finer = ver.BenchmarkCase(0.1, 0.05, "sixth", case.params)
+    assert finer.params is case.params and finer.dt == 30.0 * 0.05 ** 2
+    for eps, order in ((0.2, "sixth"), (0.1, "fourth")):
+        with pytest.raises(DomainError):
+            ver.BenchmarkCase(eps, 0.1, order, case.params)
 
 
 # Interior RMSE of the sixth-order epsilon = 0.1 case at the three spacings,
@@ -190,6 +197,20 @@ def test_reproduce_table_rows_equal_run_benchmark():
                 case = ver.BenchmarkCase(epsilon=rep.epsilon, dx=dx,
                                          order=order)
                 assert err == ver.run_benchmark(case)
+
+
+def test_reproduce_table_calibrates_each_epsilon_once(monkeypatch):
+    calls = []
+
+    def counted(order, epsilon):
+        calls.append((order, epsilon))
+        return calibrate(order, epsilon)
+
+    calibrate = ver._params_for
+    monkeypatch.setattr(ver, "_params_for", counted)
+    for _ in range(2):
+        ver.reproduce_table("fourth")
+    assert calls == [("fourth", eps) for eps in ver.DEFAULT_EPSILONS] * 2
 
 
 def test_reproduce_table_validation():
