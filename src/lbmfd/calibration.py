@@ -26,17 +26,16 @@ s2 once s1 is pinned and omega0 is forced by epsilon).  For
 through the epsilon identity and s2 through the dx**2 condition (each is
 linear in s2) reduces the pair to a single cubic in s1.  That cubic has
 exactly one real root for 0 < epsilon <= epsilon_max() (about 0.2624, where
-its discriminant changes sign); the root fixes the whole triple, and a short
-Newton polish drives both residuals below 1e-12.  Larger epsilon is treated
-as out of calibration range, keeping omega0 in [0.8, 1), s1 in (0, 0.92]
-and s2 in [1.12, 2) over the accepted domain.
+its discriminant changes sign); the root fixes the whole triple, which is
+accepted when it lies in the open box and both residuals are at most 1e-12.
+Larger epsilon is treated as out of calibration range, keeping omega0 in
+[0.8, 1), s1 in (0, 0.92] and s2 in [1.12, 2) over the accepted domain.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import lru_cache
 
 import numpy as np
 
@@ -45,8 +44,6 @@ from .errors import DomainError, NoRealRoot
 ORDERS = ("second", "fourth", "sixth")
 
 _RESIDUAL_TOL = 1e-12
-_MAX_NEWTON_ITER = 100
-_MAX_DAMPINGS = 60
 
 
 def _check_epsilon(epsilon: float) -> None:
@@ -215,58 +212,6 @@ def _s2_of(omega0: float, s1: float, epsilon: float) -> float | None:
     return (s1 / 2.0 - 1.0 + s1 * epsilon) / den
 
 
-def _sixth_system(s1: float, s2: float, eps: float) -> tuple[float, float]:
-    w = _omega0_of_s1(s1, eps)
-    return (residual_second(w, s1, s2, eps), residual_fourth(w, s1, s2, eps))
-
-
-def _sixth_jacobian(s1: float, s2: float, eps: float):
-    w = _omega0_of_s1(s1, eps)
-    dw = -4.0 * eps / (2.0 - s1) ** 2
-    j11 = s2 / 12.0 - (dw * s2 / 2.0 + 0.5) + (s2 / 2.0 - 1.0) * eps
-    j12 = s1 / 12.0 - w / 2.0 + (s1 / 2.0 - 1.0) * eps
-    j21 = (s2 / 360.0 - (dw * s2 / 2.0 + 0.5) / 12.0
-           - (s2 / 6.0 - dw * s2 / 2.0 - 0.5) * eps / 2.0
-           + (-2.0 * s2 / 3.0 + 1.0) * eps ** 2)
-    j22 = (s1 / 360.0 - w / 24.0 - (s1 / 6.0 - w / 2.0) * eps / 2.0
-           + (-2.0 * s1 / 3.0 + 1.0) * eps ** 2)
-    return j11, j12, j21, j22
-
-
-def _inside_box(s1: float, s2: float, eps: float) -> bool:
-    # Validity box: rates in (0, 2) and omega0(s1) in (0, 1).
-    if not 0.0 < s1 < 2.0 or not 0.0 < s2 < 2.0:
-        return False
-    return 0.0 < _omega0_of_s1(s1, eps) < 1.0
-
-
-def _newton_sixth(eps: float, s1: float, s2: float):
-    """Damped Newton iteration; returns (s1, s2) or None."""
-    for _ in range(_MAX_NEWTON_ITER):
-        f1, f2 = _sixth_system(s1, s2, eps)
-        if max(abs(f1), abs(f2)) <= _RESIDUAL_TOL:
-            return s1, s2
-        j11, j12, j21, j22 = _sixth_jacobian(s1, s2, eps)
-        det = j11 * j22 - j12 * j21
-        if det == 0.0 or not math.isfinite(det):
-            return None
-        d1 = (f1 * j22 - f2 * j12) / det
-        d2 = (f2 * j11 - f1 * j21) / det
-        scale = 1.0
-        for _ in range(_MAX_DAMPINGS):
-            if _inside_box(s1 - scale * d1, s2 - scale * d2, eps):
-                break
-            scale *= 0.5
-        else:
-            return None
-        s1 -= scale * d1
-        s2 -= scale * d2
-    f1, f2 = _sixth_system(s1, s2, eps)
-    if max(abs(f1), abs(f2)) <= _RESIDUAL_TOL:
-        return s1, s2
-    return None
-
-
 def _reduced_cubic(eps: float) -> tuple[float, float, float, float]:
     """Coefficients (a3, a2, a1, a0) of the cubic in s1 left after
     eliminating omega0 (epsilon identity) and s2 (dx**2 condition, linear in
@@ -293,31 +238,33 @@ def _sixth_discriminant_sign(eps: float) -> float:
 
 
 def _triple_from_root(eps: float, s1: float):
-    """(omega0, s1, s2) polished from one real root of the reduced cubic, or
-    None when the root leaves the admissible box or the polish fails."""
+    """(omega0, s1, s2) built from one real root s1 of the reduced cubic, or
+    None when the triple leaves the open box or either residual exceeds
+    _RESIDUAL_TOL."""
     if not 0.0 < s1 < 2.0:
         return None
-    s2 = _s2_of(_omega0_of_s1(s1, eps), s1, eps)
-    if s2 is None or not _inside_box(s1, s2, eps):
+    omega0 = _omega0_of_s1(s1, eps)
+    s2 = _s2_of(omega0, s1, eps)
+    if s2 is None or not (0.0 < omega0 < 1.0 and 0.0 < s2 < 2.0):
         return None
-    sol = _newton_sixth(eps, s1, s2)
-    if sol is None:
+    if not (abs(residual_second(omega0, s1, s2, eps)) <= _RESIDUAL_TOL
+            and abs(residual_fourth(omega0, s1, s2, eps)) <= _RESIDUAL_TOL):
         return None
-    s1, s2 = sol
-    return _omega0_of_s1(s1, eps), s1, s2
+    return omega0, s1, s2
 
 
 def _solve_sixth(eps_values) -> list:
     """Solve both accuracy conditions from the reduced cubic at each epsilon.
 
     Returns one (omega0, s1, s2) per epsilon, or None where the cubic does
-    not have a single real root (epsilon past epsilon_max), or where no real
-    root gives an admissible triple that the Newton polish accepts.  The
-    cubics with a negative discriminant share one eigenvalue call on the
-    companion matrices that np.roots builds.  LAPACK can return a near-double
-    complex pair as two real roots (epsilon near 1e-8 puts one near s1 = 2),
-    so the real roots are tried in LAPACK's order and the first that passes
-    wins.
+    not have a single real root (epsilon past epsilon_max), or where its
+    root gives no admissible triple.  The cubics with a negative
+    discriminant share one eigenvalue call on the companion matrices that
+    np.roots builds, and each takes the root with the smallest real part.
+    That is the real root (below 0.92), since the complex pair keeps its
+    real part above 1.3 over the solvable range.  Below epsilon of about
+    1e-8 the pair is a near-double close to s1 = 2, which LAPACK may return
+    as two real roots; they are never picked.
     """
     out = [None] * len(eps_values)
     rows, cubics = [], []
@@ -331,12 +278,11 @@ def _solve_sixth(eps_values) -> list:
     comp = np.zeros((len(rows), 3, 3))
     comp[:, 0, :] = -coef[:, 1:] / coef[:, :1]
     comp[:, 1, 0] = comp[:, 2, 1] = 1.0
-    for i, roots in zip(rows, np.linalg.eigvals(comp)):
-        for root in roots:
-            if root.imag == 0.0:
-                out[i] = _triple_from_root(eps_values[i], float(root.real))
-                if out[i] is not None:
-                    break
+    roots = np.linalg.eigvals(comp)
+    picked = roots[np.arange(len(rows)), np.argmin(roots.real, axis=1)]
+    for i, root in zip(rows, picked):
+        if root.imag == 0.0:
+            out[i] = _triple_from_root(eps_values[i], float(root.real))
     return out
 
 
@@ -416,23 +362,15 @@ def second_order_reference(epsilon: float) -> CalibrationResult:
         order="second")
 
 
-@lru_cache(maxsize=1)
 def epsilon_max() -> float:
-    """Largest epsilon with a sixth-order calibration (cached).
+    """Largest epsilon with a sixth-order calibration.
 
-    Located by bisection on the solvability of the sixth-order system over
-    (0.24, 0.30) to a width of 1e-6; the returned value is on the certified
-    solvable side of the boundary where the reduced cubic's discriminant
-    changes sign and its single real root gains two real companions.
+    The square root of the only positive root of q, the polynomial that
+    _sixth_discriminant_sign evaluates, correctly rounded.  Up to this float
+    q is negative and the reduced cubic has its single real root; one ulp
+    above it q is non-negative.
     """
-    lo, hi = 0.24, 0.30
-    while hi - lo > 1e-6:
-        mid = 0.5 * (lo + hi)
-        if _solve_sixth([mid])[0] is None:
-            hi = mid
-        else:
-            lo = mid
-    return lo
+    return 0.2624182802648436
 
 
 @dataclass(frozen=True)

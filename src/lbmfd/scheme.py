@@ -53,6 +53,7 @@ digit above the recorded 7.96e-11.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
 import numpy as np
 
@@ -116,10 +117,19 @@ class Grid1D:
     dx: float = field(init=False)
 
     def __post_init__(self):
+        try:
+            object.__setattr__(self, "n_intervals",
+                               operator.index(self.n_intervals))
+        except TypeError:
+            raise DomainError(f"n_intervals must be an integer, got "
+                              f"{self.n_intervals!r}") from None
         if self.n_intervals < 2:
             raise DomainError("need at least 2 intervals")
-        if self.length <= 0.0:
-            raise DomainError("length must be positive")
+        if not (math.isfinite(self.length) and self.length > 0.0):
+            raise DomainError(f"length must be positive and finite, got "
+                              f"{self.length}")
+        if not math.isfinite(self.x0):
+            raise DomainError(f"x0 must be finite, got {self.x0}")
         object.__setattr__(self, "dx", self.length / self.n_intervals)
 
     def nodes(self) -> np.ndarray:
@@ -137,6 +147,9 @@ class BoundarySpec:
     def __post_init__(self):
         if self.kind not in ("periodic", "dirichlet"):
             raise DomainError(f"unknown boundary kind {self.kind!r}")
+        if not (math.isfinite(self.left_value)
+                and math.isfinite(self.right_value)):
+            raise DomainError("boundary values must be finite")
 
     @classmethod
     def periodic(cls) -> "BoundarySpec":
@@ -161,8 +174,8 @@ class PhiHistory:
         n = levels[0].shape[0]
         if any(lv.shape != (n,) for lv in levels):
             raise LengthMismatch("history levels must share one length")
-        if dt <= 0.0:
-            raise DomainError("dt must be positive")
+        if not (math.isfinite(dt) and dt > 0.0):
+            raise DomainError(f"dt must be positive and finite, got {dt}")
         self._levels = list(levels)
         self.dt = dt
         self.step_index = step_index

@@ -239,16 +239,9 @@ def spectral_radius_scan(omega0: float, s1: float, s2: float,
     rows = _candidate_rows(p0, p1, p2, cos_t)
     radii = _max_moduli(p0[rows], p1[rows], p2[rows])
     worst = int(rows[np.argmax(radii)])
-    rh = _rh_value_grid(p0, p1, p2)
-    margin = np.inf
-    at_one = cos_t > _COS_ONE
-    for idx, values in enumerate(rh):
-        if idx == 3:
-            masked = values[~at_one]
-            if masked.size:
-                margin = min(margin, float(masked.min()))
-        else:
-            margin = min(margin, float(values.min()))
+    rh = np.stack(_rh_value_grid(p0, p1, p2))
+    rh[3, cos_t > _COS_ONE] = np.inf
+    margin = rh.min()
     max_radius = float(radii.max())
     return StabilityReport(
         max_spectral_radius=max_radius,

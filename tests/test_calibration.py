@@ -1,5 +1,7 @@
 """Tests for parameter handling and accuracy calibration."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -174,7 +176,8 @@ def test_calibrate_sixth_beyond_the_solvable_range():
 
 def test_calibrate_sixth_at_tiny_epsilon():
     # LAPACK returns the near-double complex pair near s1 = 2 as two real
-    # roots here; the first, 1.99999988, leaves residual_fourth at 3.1e-10.
+    # roots here (1.99999988 and 1.99999994); the solver takes the root with
+    # the smallest real part, 2.02e-7.
     res = cal.calibrate_sixth(1.011457467486107e-08)
     np.testing.assert_allclose(res.s1, 2.0229147e-07, rtol=1e-7)
     assert abs(res.residual_second) <= 1e-12
@@ -223,10 +226,45 @@ def test_sixth_discriminant_factor_is_exact():
         assert textbook == 768 * e ** 2 * cal._sixth_discriminant_sign(e)
 
 
+def test_calibrate_sixth_rejects_the_split_pair_roots():
+    # Below about 3.6e-12 LAPACK can split the near-double complex pair near
+    # s1 = 2 into real roots whose triple passes the absolute residual gate
+    # (at 1e-20: s1 = 1.99999999995, residual_fourth 6.8e7 times epsilon).
+    # The real root, s1 of about 20*epsilon, rounds omega0 to one.
+    for eps in (1e-20, 1e-15, 3e-12):
+        with pytest.raises(NoRealRoot) as info:
+            cal.calibrate_sixth(eps)
+        assert "too small" in str(info.value)
+    rows = cal.calibration_sweep(np.geomspace(1e-300, cal.epsilon_max(), 2000))
+    ok = [row for row in rows if row.status == "ok"]
+    assert ok
+    for row in ok:
+        assert row.s1 < 1.0
+        args = (row.omega0, row.s1, row.s2, row.epsilon)
+        assert abs(cal.residual_second(*args)) <= 1e-12
+        assert abs(cal.residual_fourth(*args)) <= 1e-12
+
+
 def test_epsilon_max_brackets_the_boundary():
-    em = cal.epsilon_max()
-    assert em == 0.26241760253906254
+    # q (see _sixth_discriminant_sign) is a quintic in x = e**2.  Its
+    # coefficients come from q at x = 0..5 by a 50-digit Vandermonde solve;
+    # it has one positive root, and epsilon_max is its square root, rounded.
+    import mpmath
+
+    with mpmath.workdps(50):
+        xs = [mpmath.mpf(k) for k in range(6)]
+        vander = mpmath.matrix([[x ** (5 - j) for j in range(6)] for x in xs])
+        values = mpmath.matrix([cal._sixth_discriminant_sign(mpmath.sqrt(x))
+                                for x in xs])
+        coeffs = mpmath.lu_solve(vander, values)
+        roots = mpmath.polyroots(list(coeffs), maxsteps=200, extraprec=100)
+        positive = [r for r in roots if mpmath.im(r) == 0 and r > 0]
+        assert len(positive) == 1
+        em = cal.epsilon_max()
+        assert em == float(mpmath.sqrt(positive[0]))
     cal.calibrate_sixth(em)
+    with pytest.raises(NoRealRoot):
+        cal.calibrate_sixth(math.nextafter(em, 1.0))
     cal.calibrate_sixth(em - 1e-4)
     with pytest.raises(NoRealRoot):
         cal.calibrate_sixth(em + 1e-3)
@@ -338,7 +376,7 @@ def test_calibration_sweep_rows_equal_calibrate_sixth():
 def test_calibration_sweep_roots_equal_np_roots():
     # The batched eigenvalue call returns the roots np.roots gives, bit for
     # bit.  From 1e-6 up the cubic has one real root, which np.roots'
-    # argmin(|imag|) picks as the first real root does.
+    # argmin(|imag|) picks as the solver's smallest real part does.
     grid = np.linspace(1e-6, 0.26, 300)
     for row in cal.calibration_sweep(grid):
         roots = np.roots(cal._reduced_cubic(row.epsilon))

@@ -198,8 +198,9 @@ def test_history_validation_and_rotation():
         PhiHistory([phi, phi], 0.1, 2)
     with pytest.raises(LengthMismatch):
         PhiHistory([phi, phi, np.zeros(9)], 0.1, 2)
-    with pytest.raises(DomainError):
-        PhiHistory([phi, phi, phi], 0.0, 2)
+    for dt in (0.0, float("nan"), float("inf")):
+        with pytest.raises(DomainError):
+            PhiHistory([phi, phi, phi], dt, 2)
     a, b, c, d = (np.full(4, v) for v in (1.0, 2.0, 3.0, 4.0))
     history = PhiHistory.from_levels(a, b, c, 0.1)
     assert history.step_index == 2
@@ -259,6 +260,20 @@ def test_grid_and_boundary_validation():
         Grid1D(1)
     with pytest.raises(DomainError):
         Grid1D(4, length=0.0)
+    assert Grid1D(np.int64(4)).n_intervals == 4
+    for bad in (float("nan"), float("inf")):
+        with pytest.raises(DomainError):
+            Grid1D(10, length=bad)
+        with pytest.raises(DomainError):
+            Grid1D(10, x0=bad)
+        with pytest.raises(DomainError):
+            BoundarySpec.dirichlet(bad, 0.0)
+        with pytest.raises(DomainError):
+            BoundarySpec.dirichlet(0.0, bad)
+    # The count must be an integer: 10.5 would give 12 nodes, past x = 1.
+    for bad in (10.5, 10.0, "10"):
+        with pytest.raises(DomainError):
+            Grid1D(bad)
     assert BoundarySpec.periodic().kind == "periodic"
     ends = BoundarySpec.dirichlet(1.0, 2.0)
     assert (ends.left_value, ends.right_value) == (1.0, 2.0)
