@@ -164,17 +164,21 @@ def residual_fourth(omega0: float, s1: float, s2: float,
 
 @dataclass(frozen=True)
 class CalibrationResult:
-    """A calibrated (omega0, s1, s2) triple with its accuracy residuals."""
+    """A calibrated (omega0, s1, s2) triple with its accuracy residuals,
+    which are computed from the triple and epsilon."""
 
     epsilon: float
     omega0: float
     s1: float
     s2: float
-    residual_second: float
-    residual_fourth: float
     order: str
+    residual_second: float = field(init=False)
+    residual_fourth: float = field(init=False)
 
     def __post_init__(self):
+        triple = (self.omega0, self.s1, self.s2, self.epsilon)
+        object.__setattr__(self, "residual_second", residual_second(*triple))
+        object.__setattr__(self, "residual_fourth", residual_fourth(*triple))
         if self.order not in ORDERS:
             raise DomainError(f"order must be one of {ORDERS}")
         check_box(self.omega0, self.s1, self.s2)
@@ -309,11 +313,7 @@ def calibrate_sixth(epsilon: float) -> CalibrationResult:
             "but the triple it gives rounds onto the edge of the open box "
             "(omega0 to 1, or s1 to 0)")
     omega0, s1, s2 = sol
-    return CalibrationResult(
-        epsilon=epsilon, omega0=omega0, s1=s1, s2=s2,
-        residual_second=residual_second(omega0, s1, s2, epsilon),
-        residual_fourth=residual_fourth(omega0, s1, s2, epsilon),
-        order="sixth")
+    return CalibrationResult(epsilon, omega0, s1, s2, "sixth")
 
 
 def calibrate_fourth(epsilon: float, s1: float = 1.0) -> CalibrationResult:
@@ -335,11 +335,7 @@ def calibrate_fourth(epsilon: float, s1: float = 1.0) -> CalibrationResult:
     if s2 is None or not 0.0 < s2 < 2.0:
         raise NoRealRoot(f"epsilon = {epsilon} with s1 = {s1} leaves the "
                          f"dx**2 condition no s2 in (0, 2) (it gives {s2})")
-    return CalibrationResult(
-        epsilon=epsilon, omega0=omega0, s1=s1, s2=s2,
-        residual_second=residual_second(omega0, s1, s2, epsilon),
-        residual_fourth=residual_fourth(omega0, s1, s2, epsilon),
-        order="fourth")
+    return CalibrationResult(epsilon, omega0, s1, s2, "fourth")
 
 
 def second_order_reference(epsilon: float) -> CalibrationResult:
@@ -355,11 +351,7 @@ def second_order_reference(epsilon: float) -> CalibrationResult:
     if not 0.0 < omega0 < 1.0:
         raise NoRealRoot(f"epsilon = {epsilon} forces omega0 = {omega0} "
                          "outside (0, 1)")
-    return CalibrationResult(
-        epsilon=epsilon, omega0=omega0, s1=1.0, s2=1.0,
-        residual_second=residual_second(omega0, 1.0, 1.0, epsilon),
-        residual_fourth=residual_fourth(omega0, 1.0, 1.0, epsilon),
-        order="second")
+    return CalibrationResult(epsilon, omega0, 1.0, 1.0, "second")
 
 
 def epsilon_max() -> float:

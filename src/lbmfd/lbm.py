@@ -28,13 +28,14 @@ business of the equivalent finite-difference form.
 
 from __future__ import annotations
 
+import math
 import operator
 from dataclasses import dataclass
 
 import numpy as np
 
 from .calibration import ModelParams, Weights
-from .errors import DomainError, LengthMismatch, UnsupportedBoundary
+from .errors import DomainError
 from .scheme import (BoundarySpec, _advance, _check_node_steps, _plan,
                      _weight_row, coefficients)
 
@@ -55,7 +56,7 @@ class DistributionField:
     def __post_init__(self):
         n = self.f_minus.shape[0]
         if self.f_zero.shape != (n,) or self.f_plus.shape != (n,):
-            raise LengthMismatch("population arrays must share one length")
+            raise DomainError("population arrays must share one length")
 
     @property
     def node_count(self) -> int:
@@ -73,8 +74,9 @@ class LatticeMatrices:
 
 def lattice_matrices(c: float, relax) -> LatticeMatrices:
     """Build the moment-space matrices for lattice speed c = dx/dt."""
-    if c <= 0.0:
-        raise DomainError(f"lattice speed must be positive, got {c}")
+    if not (math.isfinite(c) and c > 0.0):
+        raise DomainError(f"lattice speed must be positive and finite, "
+                          f"got {c}")
     M = np.array([
         [1.0, 1.0, 1.0],
         [-c, 0.0, c],
@@ -159,10 +161,10 @@ def evolve(f: DistributionField, params: ModelParams,
     summed left to right; g_minus then streams one node left and g_plus
     one node right, with periodic wrap.  The result is a new field and f
     is left untouched.  Only periodic streaming is supported; any other
-    boundary raises UnsupportedBoundary.
+    boundary raises DomainError.
     """
     if boundary.kind != "periodic":
-        raise UnsupportedBoundary(
+        raise DomainError(
             "the mesoscopic update only streams periodically; use the "
             "finite-difference form for bounded domains")
     pops = (f.f_minus, f.f_zero, f.f_plus)

@@ -58,7 +58,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .calibration import ModelParams, check_box
-from .errors import DomainError, LengthMismatch, StateError
+from .errors import DomainError
 
 _FMT = "{:.17g}"
 
@@ -170,10 +170,10 @@ class PhiHistory:
 
     def __init__(self, levels: list[np.ndarray], dt: float, step_index: int):
         if len(levels) != 3:
-            raise StateError("a history holds exactly three levels")
+            raise DomainError("a history holds exactly three levels")
         n = levels[0].shape[0]
         if any(lv.shape != (n,) for lv in levels):
-            raise LengthMismatch("history levels must share one length")
+            raise DomainError("history levels must share one length")
         if not (math.isfinite(dt) and dt > 0.0):
             raise DomainError(f"dt must be positive and finite, got {dt}")
         self._levels = list(levels)
@@ -343,7 +343,7 @@ def step(history: PhiHistory, coeffs: FdCoefficients, dt: float, R: float,
     values; periodic indexing wraps.
     """
     if history.step_index < 2:
-        raise StateError("the four-level update needs three seeded levels")
+        raise DomainError("the four-level update needs three seeded levels")
     levels = [history.oldest, history.previous, history.current]
     out = np.empty(levels[0].shape, np.result_type(*levels, 1.0))
     (phase,) = _plan(levels, [out], [_weight_row(coeffs, dt, R)], boundary,
@@ -419,7 +419,7 @@ def run(params, grid: Grid1D, initializer, boundary: BoundarySpec,
 def snapshot_csv_lines(xs: np.ndarray, phi: np.ndarray) -> list[str]:
     """Serialize one field snapshot as CSV lines with header x,phi."""
     if xs.shape != phi.shape:
-        raise LengthMismatch("x and phi must share a length")
+        raise DomainError("x and phi must share a length")
     lines = ["x,phi"]
     for x, v in zip(xs, phi):
         lines.append(f"{_FMT.format(float(x))},{_FMT.format(float(v))}")

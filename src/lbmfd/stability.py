@@ -25,6 +25,7 @@ so LAPACK never sees it.  Every reported radius still comes from LAPACK.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -230,6 +231,11 @@ def spectral_radius_scan(omega0: float, s1: float, s2: float,
     vanishes there identically).
     """
     check_box(omega0, s1, s2)
+    try:
+        n_theta = operator.index(n_theta)
+    except TypeError:
+        raise DomainError(f"n_theta must be an integer, got "
+                          f"{n_theta!r}") from None
     if not 64 <= n_theta <= _MAX_THETA_SAMPLES:
         raise DomainError(f"n_theta must lie in [64, {_MAX_THETA_SAMPLES}], "
                           f"got {n_theta}")
@@ -248,5 +254,5 @@ def spectral_radius_scan(omega0: float, s1: float, s2: float,
         worst_theta=float(thetas[worst]),
         rh_min_margin=float(margin),
         stable=bool(max_radius <= 1.0 + _RADIUS_SLACK),
-        theta_samples=int(n_theta + 1),
+        theta_samples=n_theta + 1,
     )

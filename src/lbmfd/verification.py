@@ -19,7 +19,7 @@ import numpy as np
 
 from . import calibration
 from .calibration import CalibrationResult, ModelParams
-from .errors import DomainError, LengthMismatch
+from .errors import DomainError
 from .scheme import BoundarySpec, Grid1D, run
 
 _FMT = "{:.17g}"
@@ -43,14 +43,16 @@ def rmse(numerical: np.ndarray, analytic: np.ndarray) -> float:
     a = np.asarray(numerical, dtype=float)
     b = np.asarray(analytic, dtype=float)
     if a.shape != b.shape:
-        raise LengthMismatch("fields must share a length")
+        raise DomainError("fields must share a length")
     return float(np.sqrt(np.mean((a - b) ** 2)))
 
 
 def convergence_rate(err_coarse: float, err_fine: float) -> float:
     """Observed order from one 2x refinement: log2(coarse/fine)."""
-    if err_coarse <= 0.0 or err_fine <= 0.0:
-        raise DomainError("errors must be positive to take a rate")
+    for err in (err_coarse, err_fine):
+        if not (math.isfinite(err) and err > 0.0):
+            raise DomainError("errors must be positive and finite to take a "
+                              f"rate, got {err}")
     return math.log(err_coarse / err_fine) / math.log(2.0)
 
 

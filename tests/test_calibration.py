@@ -304,14 +304,20 @@ def test_second_order_reference_values():
 
 def test_calibration_result_validates_residuals_and_order():
     res = cal.calibrate_sixth(0.1)
+    # The residuals are derived from the triple, never taken on trust: this
+    # second-order triple's are about 0.183 and 0.0061, so it is refused at
+    # fourth and sixth order.
+    for order in ("fourth", "sixth"):
+        with pytest.raises(DomainError):
+            cal.CalibrationResult(0.1, 0.5, 1.0, 1.0, order=order)
     with pytest.raises(DomainError):
-        cal.CalibrationResult(0.1, res.omega0, res.s1, res.s2,
-                              residual_second=1e-3, residual_fourth=0.0,
-                              order="sixth")
-    with pytest.raises(DomainError):
-        cal.CalibrationResult(0.1, res.omega0, res.s1, res.s2,
-                              residual_second=0.0, residual_fourth=0.0,
-                              order="fifth")
+        cal.CalibrationResult(0.1, res.omega0, res.s1, res.s2, order="fifth")
+    again = cal.CalibrationResult(0.1, res.omega0, res.s1, res.s2, "sixth")
+    assert again == res
+    assert again.residual_second == cal.residual_second(
+        res.omega0, res.s1, res.s2, 0.1)
+    assert again.residual_fourth == cal.residual_fourth(
+        res.omega0, res.s1, res.s2, 0.1)
 
 
 def test_calibration_result_json_keys():

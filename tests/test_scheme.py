@@ -7,7 +7,7 @@ import pytest
 
 from lbmfd import calibration as cal
 from lbmfd import scheme, stability
-from lbmfd.errors import DomainError, LengthMismatch, StateError
+from lbmfd.errors import DomainError
 from lbmfd.scheme import (
     BoundarySpec,
     Grid1D,
@@ -187,16 +187,16 @@ def test_step_matches_the_reference_expression_bit_for_bit(chunk,
 def test_step_requires_three_seeded_levels():
     phi = np.zeros(8)
     history = PhiHistory([phi.copy(), phi.copy(), phi.copy()], 0.1, 1)
-    with pytest.raises(StateError):
+    with pytest.raises(DomainError, match="three seeded levels"):
         step(history, coefficients(0.8, 1.0, 1.0), 0.1, 0.0,
              BoundarySpec.periodic())
 
 
 def test_history_validation_and_rotation():
     phi = np.zeros(8)
-    with pytest.raises(StateError):
+    with pytest.raises(DomainError, match="exactly three levels"):
         PhiHistory([phi, phi], 0.1, 2)
-    with pytest.raises(LengthMismatch):
+    with pytest.raises(DomainError, match="history levels must share"):
         PhiHistory([phi, phi, np.zeros(9)], 0.1, 2)
     for dt in (0.0, float("nan"), float("inf")):
         with pytest.raises(DomainError):
@@ -289,7 +289,7 @@ def test_snapshot_csv_lines_round_trip():
     assert len(lines) == 4
     parsed = [float(line.split(",")[1]) for line in lines[1:]]
     np.testing.assert_array_equal(parsed, phi)
-    with pytest.raises(LengthMismatch):
+    with pytest.raises(DomainError, match="x and phi must share a length"):
         snapshot_csv_lines(xs, phi[:2])
 
 

@@ -175,7 +175,7 @@ def test_root_moduli_vary_continuously_in_theta():
 
 def test_scan_validation_and_report_payload():
     # Each bound is refused before anything is allocated.
-    for n_theta in (63, stab._MAX_THETA_SAMPLES + 1):
+    for n_theta in (63, stab._MAX_THETA_SAMPLES + 1, 100.5, 100.0, "100"):
         with pytest.raises(DomainError):
             stab.spectral_radius_scan(0.8, 1.0, 1.0, n_theta=n_theta)
     with pytest.raises(DomainError):

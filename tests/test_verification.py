@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from lbmfd import verification as ver
-from lbmfd.errors import DomainError, LengthMismatch
+from lbmfd.errors import DomainError
 
 SPACINGS = (0.1, 0.05, 0.025)
 
@@ -47,7 +47,7 @@ def test_rmse_examples():
     a = np.array([1.0, 2.0, 3.0])
     assert ver.rmse(a, a) == 0.0
     np.testing.assert_allclose(ver.rmse(a + 0.5, a), 0.5, rtol=1e-15)
-    with pytest.raises(LengthMismatch):
+    with pytest.raises(DomainError, match="fields must share a length"):
         ver.rmse(a, a[:2])
 
 
@@ -58,8 +58,11 @@ def test_convergence_rate_examples():
                                5.918695296521143, rtol=1e-12)
     np.testing.assert_allclose(ver.convergence_rate(5.65e-4, 1.49e-4),
                                1.9229385368403886, rtol=1e-12)
-    with pytest.raises(DomainError):
-        ver.convergence_rate(0.0, 1e-6)
+    for bad in (0.0, -1e-6, float("nan"), float("inf")):
+        with pytest.raises(DomainError):
+            ver.convergence_rate(bad, 1e-6)
+        with pytest.raises(DomainError):
+            ver.convergence_rate(1e-6, bad)
 
 
 def test_benchmark_case_derived_fields():
