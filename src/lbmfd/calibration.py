@@ -257,6 +257,18 @@ def _triple_from_root(eps: float, s1: float):
     return omega0, s1, s2
 
 
+def _companion(t0, t1, t2) -> np.ndarray:
+    """Companion matrices with top row (t0, t1, t2), stacked over the shape
+    of the arrays t0, t1 and t2; their eigenvalues are the roots of
+    lambda**3 - t0*lambda**2 - t1*lambda - t2."""
+    comp = np.zeros((*np.shape(t0), 3, 3))
+    comp[..., 0, 0] = t0
+    comp[..., 0, 1] = t1
+    comp[..., 0, 2] = t2
+    comp[..., 1, 0] = comp[..., 2, 1] = 1.0
+    return comp
+
+
 def _solve_sixth(eps_values) -> list:
     """Solve both accuracy conditions from the reduced cubic at each epsilon.
 
@@ -278,11 +290,8 @@ def _solve_sixth(eps_values) -> list:
             cubics.append(_reduced_cubic(eps))
     if not rows:
         return out
-    coef = np.array(cubics)
-    comp = np.zeros((len(rows), 3, 3))
-    comp[:, 0, :] = -coef[:, 1:] / coef[:, :1]
-    comp[:, 1, 0] = comp[:, 2, 1] = 1.0
-    roots = np.linalg.eigvals(comp)
+    a3, a2, a1, a0 = np.array(cubics).T
+    roots = np.linalg.eigvals(_companion(-a2 / a3, -a1 / a3, -a0 / a3))
     picked = roots[np.arange(len(rows)), np.argmin(roots.real, axis=1)]
     for i, root in zip(rows, picked):
         if root.imag == 0.0:
@@ -326,7 +335,7 @@ def calibrate_fourth(epsilon: float, s1: float = 1.0) -> CalibrationResult:
     """
     _check_epsilon(epsilon)
     check_box(s1=s1)
-    omega0 = 1.0 - epsilon / (1.0 / s1 - 0.5)
+    omega0 = _omega0_of_s1(s1, epsilon)
     if not 0.0 < omega0 < 1.0:
         raise NoRealRoot(
             f"epsilon = {epsilon} with s1 = {s1} forces omega0 = {omega0} "
@@ -347,7 +356,7 @@ def second_order_reference(epsilon: float) -> CalibrationResult:
     rounds to one.
     """
     _check_epsilon(epsilon)
-    omega0 = 1.0 - 2.0 * epsilon
+    omega0 = _omega0_of_s1(1.0, epsilon)
     if not 0.0 < omega0 < 1.0:
         raise NoRealRoot(f"epsilon = {epsilon} forces omega0 = {omega0} "
                          "outside (0, 1)")

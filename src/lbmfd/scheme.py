@@ -11,15 +11,11 @@ single explicit recurrence for the macroscopic field on four time levels:
                 + source * dt * R
 
 with stencil weights that are polynomials in (omega0, s1, s2).  The weights
-sum to one, so constants are preserved.  Rounding each polynomial on its own
-would leave the exact sum up to a few ulps away from one, and every step
-would then rescale the field's mean by that same factor: a constant field
-would drift by 3.2e-13 in 1,000 steps, and the sixth-order decaying-sine
-error at dx = 0.025 would grow by 1.05e-13.  So `coefficients` takes
-center_n as one minus the correctly rounded sum of the other weights, which
-puts their exact sum within one rounding of one.  With s1 = s2 = 1 the three
-history levels drop out and the classical two-level central scheme with mesh
-Fourier number epsilon = (1 - omega0)/2 remains.
+sum to one, so constants are preserved; `coefficients` takes center_n as one
+minus the correctly rounded sum of the others, since weights rounded one by
+one would rescale the field's mean by a few ulps every step.  With
+s1 = s2 = 1 the three history levels drop out and the classical two-level
+central scheme with mesh Fourier number epsilon = (1 - omega0)/2 remains.
 
 `step`, `run` and the mesoscopic equivalence check share one kernel.  A
 batch of levels is one contiguous 1-D row of cases x nodes, and the kernel
@@ -34,20 +30,10 @@ between rows; Dirichlet pinning or the periodic wrap, computed from the
 same expression on strided (cases, 2) views with a pair of their own,
 overwrites them.  Long rows are swept in cache-sized passes.  The levels
 of a march rotate through four buffers, so the calls of all four phases
-are built once per march and a step only makes the calls of its phase; a
-weight or source term that is equal on every row stays a scalar, and any
-other is read per node.  `run` accepts a sequence of parameter sets that
-share dx and dt and marches them as one batch.
-
-The recorded convergence tables that the tests compare against match, to
-their three printed digits, the RMSE over all N+1 nodes in 44 of their 45
-cells when the scheme is evaluated exactly; that RMSE is the interior RMSE
-of `verification.run_benchmark` divided by sqrt((N+1)/(N-1)), since both end
-errors are zero.  The one exception is sixth order, epsilon = 0.1,
-dx = 0.025: recorded 2.57e-13, exact 2.26e-13.  The float march agrees with
-the exact values to rounding, except that sixth order, epsilon = 0.2,
-dx = 0.025 lands at 7.967e-11 over all nodes, one unit in the last printed
-digit above the recorded 7.96e-11.
+are built once per march and a step only makes the calls of its phase.  A
+single case keeps its weights and source term as scalars, and a batch reads
+them per node.  `run` accepts a sequence of parameter sets that share dx
+and dt and marches them as one batch.
 """
 
 from __future__ import annotations
@@ -90,9 +76,7 @@ def coefficients(omega0: float, s1: float, s2: float) -> FdCoefficients:
     Four weights are the rounded polynomials; center_n, whose polynomial is
     (omega0 - 1)*s2 + 1, is computed as one minus the math.fsum of the other
     weights (side weights counted twice), so the exact sum of the returned
-    field weights is one to within one rounding.  The recorded tables match
-    the all-node RMSE, not the interior one, in 44 of 45 cells (see the
-    module docstring).
+    field weights is one to within one rounding.
     """
     check_box(omega0, s1, s2)
     side_n = 1.0 - s1 / 2.0 - omega0 * s2 / 2.0
@@ -248,20 +232,15 @@ def _weight_passes(table, shape: tuple, periodic: bool,
                    n_passes: int) -> list:
     """Per-pass tuples of the five field weights and the source term.
 
-    `table` has one `_weight_row` per row of `shape`.  A column whose
-    entries are equal in every bit stays a Python float; any other is
-    repeated over the nodes of each row, once, and each pass takes its
-    slice of it.
+    `table` has one `_weight_row` per row of `shape`.  A single row keeps
+    its Python floats; a batch repeats each column over the nodes of each
+    row, once, and each pass takes its slice of it.
     """
     if len(table) == 1:
         return [table[0]] * n_passes
-    columns = []
-    for col in zip(*table):
-        if len({w.hex() for w in col}) == 1:
-            columns.append((col[0],) * n_passes)
-        else:
-            per_node = _passes(np.repeat(col, shape[-1]), shape, periodic)
-            columns.append([mid for _, mid, _ in per_node])
+    columns = [[mid for _, mid, _ in _passes(np.repeat(col, shape[-1]),
+                                             shape, periodic)]
+               for col in zip(*table)]
     return list(zip(*columns))
 
 

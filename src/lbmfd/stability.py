@@ -1,12 +1,17 @@
 """Von Neumann and Routh-Hurwitz stability machinery.
 
-A Fourier mode exp(i*theta*j) turns the mesoscopic update into a 3x3
-population amplification matrix and the four-level scheme into a 3x3
-companion matrix.  Both share one characteristic cubic,
+A Fourier mode exp(i*theta*j) turns the four-level scheme into a 3x3
+companion matrix with the characteristic cubic
 
     lambda**3 + p2*lambda**2 + p1*lambda + p0,
 
-whose coefficients are polynomials in (omega0, s1, s2, cos(theta)).  The
+    p2 = -(2*side_n*cos(theta) + center_n),
+    p1 = -(2*side_nm1*cos(theta) + center_nm1),    p0 = -center_nm2,
+
+read off the stencil weights of `scheme.coefficients`: the cubic of the
+float weights the march uses.  The same mode turns the mesoscopic update
+into the 3x3 `population_amplification` matrix, built from the moment-space
+collision alone; it has the same cubic and is kept as its oracle.  The
 scheme is von Neumann stable iff all roots stay inside the closed unit disk
 for every theta.  The transformation lambda = (1 + z)/(1 - z) maps that
 condition onto five sign conditions on the coefficients (Routh-Hurwitz);
@@ -25,14 +30,15 @@ so LAPACK never sees it.  Every reported radius still comes from LAPACK.
 
 from __future__ import annotations
 
+import dataclasses
 import operator
 from dataclasses import dataclass
 
 import numpy as np
 
-from .calibration import check_box
+from .calibration import _companion, check_box
 from .errors import DomainError
-from .scheme import FdCoefficients
+from .scheme import FdCoefficients, coefficients
 
 _RADIUS_SLACK = 1e-10
 _COS_ONE = 1.0 - 1e-12
@@ -75,13 +81,7 @@ class StabilityReport:
     theta_samples: int
 
     def to_json_dict(self) -> dict:
-        return {
-            "max_spectral_radius": float(self.max_spectral_radius),
-            "worst_theta": float(self.worst_theta),
-            "rh_min_margin": float(self.rh_min_margin),
-            "stable": bool(self.stable),
-            "theta_samples": int(self.theta_samples),
-        }
+        return dataclasses.asdict(self)
 
 
 def _check_theta(theta: float) -> None:
@@ -91,9 +91,9 @@ def _check_theta(theta: float) -> None:
 
 def char_poly(omega0: float, s1: float, s2: float, theta: float) -> CharPoly:
     """Characteristic cubic of the amplification problem at wavenumber theta."""
-    check_box(omega0, s1, s2)
+    co = coefficients(omega0, s1, s2)
     _check_theta(theta)
-    p0, p1, p2 = _char_coeff_grid(omega0, s1, s2, np.cos(theta))
+    p0, p1, p2 = _char_coeff_grid(co, np.cos(theta))
     return CharPoly(p0=float(p0), p1=float(p1), p2=float(p2),
                     theta=float(theta))
 
@@ -122,40 +122,22 @@ def population_amplification(omega0: float, s1: float, s2: float,
 
 def companion_amplification(coeffs: FdCoefficients,
                             theta: float) -> np.ndarray:
-    """Companion amplification matrix of the four-level scheme."""
+    """Companion amplification matrix of the four-level scheme: the
+    companion of the characteristic cubic, whose top row is the stencil
+    applied to one Fourier mode."""
     _check_theta(theta)
-    c = np.cos(theta)
-    return np.array([
-        [2.0 * coeffs.side_n * c + coeffs.center_n,
-         2.0 * coeffs.side_nm1 * c + coeffs.center_nm1,
-         coeffs.center_nm2],
-        [1.0, 0.0, 0.0],
-        [0.0, 1.0, 0.0],
-    ])
-
-
-def _companion_stack(p0, p1, p2) -> np.ndarray:
-    # Stacked top-row companion matrices for a batch of monic cubics.
-    n = p1.shape[0]
-    comp = np.zeros((n, 3, 3))
-    comp[:, 0, 0] = -p2
-    comp[:, 0, 1] = -p1
-    comp[:, 0, 2] = -p0
-    comp[:, 1, 0] = 1.0
-    comp[:, 2, 1] = 1.0
-    return comp
+    p0, p1, p2 = _char_coeff_grid(coeffs, np.cos(theta))
+    return _companion(-p2, -p1, -p0)
 
 
 def _max_moduli(p0, p1, p2) -> np.ndarray:
     # Largest root modulus of each monic cubic in a batch (LAPACK geev).
-    return np.abs(np.linalg.eigvals(_companion_stack(p0, p1, p2))).max(axis=1)
+    return np.abs(np.linalg.eigvals(_companion(-p2, -p1, -p0))).max(axis=1)
 
 
 def cubic_roots(p: CharPoly) -> np.ndarray:
     """Roots of the characteristic cubic via companion-matrix eigenvalues."""
-    comp = _companion_stack(np.array([p.p0]), np.array([p.p1]),
-                            np.array([p.p2]))
-    return np.linalg.eigvals(comp[0])
+    return np.linalg.eigvals(_companion(-p.p2, -p.p1, -p.p0))
 
 
 def routh_hurwitz_values(p: CharPoly) -> tuple[float, float, float, float, float]:
@@ -169,26 +151,12 @@ def routh_hurwitz_values(p: CharPoly) -> tuple[float, float, float, float, float
     return _rh_value_grid(p.p0, p.p1, p.p2)
 
 
-def margin_decomposition(omega0: float, s1: float,
-                         s2: float) -> tuple[float, float]:
-    """Affine split of the fifth Routh-Hurwitz value in (1 - cos(theta)).
-
-    Returns (slope, constant) with
-    1 - p1 + p0*p2 - p0**2 = slope*(1 - cos(theta)) + constant;
-    the constant s1*s2*(s1 + s2 - s1*s2) is positive for admissible rates.
-    """
-    check_box(omega0, s1, s2)
-    slope = (s1 * (1.0 - s2) * (2.0 - s1)
-             + omega0 * s2 * (1.0 - s1) * (2.0 - s2))
-    constant = s1 * s2 * (s1 + s2 - s1 * s2)
-    return slope, constant
-
-
-def _char_coeff_grid(omega0: float, s1: float, s2: float, cos_t: np.ndarray):
-    p0 = np.full_like(cos_t, (s1 - 1.0) * (1.0 - s2))
-    p1 = ((s1 - 1.0) * (s2 * omega0 - 1.0)
-          + ((s1 - 2.0) * (s2 - 1.0) + s2 * omega0 * (1.0 - s1)) * cos_t)
-    p2 = s2 - s2 * omega0 - 1.0 + (s2 * omega0 + s1 - 2.0) * cos_t
+def _char_coeff_grid(co: FdCoefficients, cos_t):
+    # The cubic of the stencil: the mode exp(i*theta*j) turns each side pair
+    # into 2*cos(theta) times its weight.
+    p0 = np.full_like(cos_t, -co.center_nm2)
+    p1 = -(2.0 * co.side_nm1 * cos_t + co.center_nm1)
+    p2 = -(2.0 * co.side_n * cos_t + co.center_n)
     return p0, p1, p2
 
 
@@ -220,17 +188,13 @@ def spectral_radius_scan(omega0: float, s1: float, s2: float,
     """Scan the characteristic root moduli over theta in [-pi, pi].
 
     Uses n_theta + 1 equispaced samples including both endpoints.  LAPACK
-    computes every reported radius, but only on the rows the screen keeps:
-    a row left out has every root inside r0*(1 - _SCREEN_TAU), where r0 is
-    the radius at the largest cos(theta), all five scaled Routh-Hurwitz
-    values being above _SCREEN_DELTA.  So the report equals a full-grid
-    scan's; a typical scan sends one to a few rows to LAPACK, and one where
-    the screen keeps every row does the full-grid work.  The reported
-    Routh-Hurwitz margin is the minimum of the five condition values over
-    the grid, excluding the fourth condition where cos(theta) = 1 (it
-    vanishes there identically).
+    computes every reported radius on the rows that the screen of the
+    module docstring keeps, so the report equals a full-grid scan's.  The
+    reported Routh-Hurwitz margin is the minimum of the five condition
+    values over the grid, excluding the fourth condition where
+    cos(theta) = 1 (it vanishes there identically).
     """
-    check_box(omega0, s1, s2)
+    co = coefficients(omega0, s1, s2)
     try:
         n_theta = operator.index(n_theta)
     except TypeError:
@@ -241,7 +205,7 @@ def spectral_radius_scan(omega0: float, s1: float, s2: float,
                           f"got {n_theta}")
     thetas = -np.pi + 2.0 * np.pi * np.arange(n_theta + 1) / n_theta
     cos_t = np.cos(thetas)
-    p0, p1, p2 = _char_coeff_grid(omega0, s1, s2, cos_t)
+    p0, p1, p2 = _char_coeff_grid(co, cos_t)
     rows = _candidate_rows(p0, p1, p2, cos_t)
     radii = _max_moduli(p0[rows], p1[rows], p2[rows])
     worst = int(rows[np.argmax(radii)])

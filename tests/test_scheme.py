@@ -364,9 +364,10 @@ def _reference_run(triple, source_R, scale, grid, boundary, t_end):
 def test_batched_run_matches_the_reference_march_bit_for_bit(chunk,
                                                              monkeypatch):
     # Passes of 4 and 7 nodes straddle the seams between the rows of the
-    # flat batch.  A weight or source that differs between rows is read per
-    # node and one that is shared is a scalar; both must give the bits of
-    # the reference march of each row on its own.  Ends at 2*dt .. 7*dt
+    # flat batch.  A batch reads every weight and source per node, and a
+    # single case keeps them as scalars; both must give the bits of the
+    # reference march of each row on its own, whether the rows share a
+    # weight or not.  Ends at 2*dt .. 7*dt
     # finish a march with zero updates and after each of the four phases
     # of its call plan, the last one after the carried pair has gone once
     # round the four level buffers.
@@ -399,8 +400,7 @@ def test_batched_run_matches_the_reference_march_bit_for_bit(chunk,
 
 def test_batched_run_keeps_the_sign_of_zero_per_row():
     # source_R = 0.0 and -0.0 compare equal, but on a field of -0.0 they
-    # give different bits, so rows may share a scalar weight only when its
-    # bits are equal.
+    # give different bits, so each row must keep its own source term.
     grid = Grid1D(6)
     params = [cal.ModelParams.from_rates(0.8, 1.0, 1.0, dx=grid.dx, dt=0.01,
                                          source_R=r) for r in (0.0, -0.0)]
