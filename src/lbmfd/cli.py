@@ -174,8 +174,7 @@ def _cmd_calibrate(ns) -> int:
 def _cmd_run(ns) -> int:
     case = verification.BenchmarkCase(epsilon=ns.epsilon, dx=ns.dx,
                                       order=_ORDER_WORDS[ns.order])
-    xs, finals = verification._march_decaying_sine([case], ns.t_end)
-    final = finals[0]
+    ((xs, final),) = verification._march_decaying_sine([case], ns.t_end)
     if ns.format == "json":
         _write_json({"x": [float(v) for v in xs],
                      "phi": [float(v) for v in final]}, ns.output)

@@ -36,8 +36,8 @@ import numpy as np
 
 from .calibration import ModelParams, Weights
 from .errors import DomainError
-from .scheme import (BoundarySpec, _advance, _check_node_steps, _plan,
-                     _weight_row, coefficients)
+from .scheme import (BoundarySpec, _check_node_steps, _plan, _weight_row,
+                     coefficients)
 
 # The equivalence check holds about 110 B per node (populations, six level
 # buffers, work arrays and the start field): 2**21 nodes keep that near
@@ -54,9 +54,10 @@ class DistributionField:
     f_plus: np.ndarray
 
     def __post_init__(self):
-        n = self.f_minus.shape[0]
-        if self.f_zero.shape != (n,) or self.f_plus.shape != (n,):
-            raise DomainError("population arrays must share one length")
+        shape = np.shape(self.f_minus)
+        if len(shape) != 1 or any(np.shape(f) != shape
+                                  for f in (self.f_zero, self.f_plus)):
+            raise DomainError("population arrays must share one 1-D shape")
 
     @property
     def node_count(self) -> int:
@@ -255,9 +256,10 @@ def fd_equivalence_deviation(n_nodes: int, steps: int, omega0: float,
         max_phi = np.maximum(max_phi, np.abs(new, out=predicted).max())
         if n == 2:
             phases = _plan(ring, [predicted] * 4, table,
-                           BoundarySpec.periodic(), (n_nodes,), work[:2])
+                           BoundarySpec.periodic(), [(1, n_nodes)], work[:2])
         elif n > 2:
-            _advance(phases[(n - 3) % 4])
+            for fn, args in phases[(n - 3) % 4]:
+                fn(*args)
             np.subtract(predicted, new, out=predicted)
             np.abs(predicted, out=predicted)
             max_dev = np.maximum(max_dev, predicted.max())

@@ -30,10 +30,17 @@ between rows; Dirichlet pinning or the periodic wrap, computed from the
 same expression on strided (cases, 2) views with a pair of their own,
 overwrites them.  Long rows are swept in cache-sized passes.  The levels
 of a march rotate through four buffers, so the calls of all four phases
-are built once per march and a step only makes the calls of its phase.  A
-single case keeps its weights and source term as scalars, and a batch reads
-them per node.  `run` accepts a sequence of parameter sets that share dx
-and dt and marches them as one batch.
+are built once per march, each phase as one flat list of ufunc calls, and
+a step only makes the calls of its phase.  A single case keeps its weights
+and source term as scalars, and a batch reads them per node.
+
+`run` accepts a sequence of parameter sets that share dx and dt and marches
+them as one batch.  It is the one-group case of a staged march: groups of
+rows on different grids, with different dt and step counts, lie one after
+the other in one flat row, in descending step-count order.  Each stage
+marches the prefix of the groups still running to the step count of the
+next group to end, so a group that has ended costs nothing more, and the
+convergence tables march all of their spacings at once.
 """
 
 from __future__ import annotations
@@ -155,9 +162,9 @@ class PhiHistory:
     def __init__(self, levels: list[np.ndarray], dt: float, step_index: int):
         if len(levels) != 3:
             raise DomainError("a history holds exactly three levels")
-        n = levels[0].shape[0]
-        if any(lv.shape != (n,) for lv in levels):
-            raise DomainError("history levels must share one length")
+        shape = np.shape(levels[0])
+        if len(shape) != 1 or any(np.shape(lv) != shape for lv in levels):
+            raise DomainError("history levels must share one 1-D shape")
         if not (math.isfinite(dt) and dt > 0.0):
             raise DomainError(f"dt must be positive and finite, got {dt}")
         self._levels = list(levels)
@@ -193,10 +200,10 @@ class PhiHistory:
 # a longer row would otherwise be streamed from memory eleven times per step.
 _CHUNK = 2 ** 15
 
-# Upper bound on the node-steps (nodes x time levels) of one march.  The
-# kernel takes about 6.5 ns per node-step on a 2 MiB-L2 Xeon core, so 2**36
-# is about 7 minutes; a larger count comes from a t_end, dx or step count
-# that nobody means to wait for, and would otherwise just hang.
+# Upper bound on the node-steps (nodes x time levels) of one group of a
+# march.  The kernel takes about 6.5 ns per node-step on a 2 MiB-L2 Xeon
+# core, so 2**36 is about 7 minutes; a larger count comes from a t_end, dx
+# or step count that nobody means to wait for, and would otherwise just hang.
 _MAX_NODE_STEPS = 2 ** 36
 
 
@@ -206,12 +213,23 @@ def _weight_row(coeffs: FdCoefficients, dt: float, R: float) -> tuple:
             coeffs.center_nm1, coeffs.center_nm2, coeffs.source * dt * R)
 
 
-def _passes(buf: np.ndarray, shape: tuple, periodic: bool) -> list:
+def _blocks(buf: np.ndarray, layout: list) -> list:
+    """The (rows, nodes) views of the blocks that `layout` lists, which lie
+    one after the other at the start of the flat `buf`."""
+    blocks, start = [], 0
+    for rows, nodes in layout:
+        blocks.append(buf[start:start + rows * nodes].reshape(rows, nodes))
+        start += rows * nodes
+    return blocks
+
+
+def _passes(buf: np.ndarray, layout: list, periodic: bool) -> list:
     """One (left, mid, right) view triple of the flat level `buf` per pass.
 
     The flat passes take the 1-D slices [lo:hi], [lo+1:hi+1] and
-    [lo+2:hi+2].  A periodic level adds the wrap nodes 0 and n-1 of every
-    row as one strided view with their neighbours, in the rank of `shape`.
+    [lo+2:hi+2].  A periodic level adds one pass per block of `layout`: the
+    wrap nodes 0 and n-1 of the block's rows as one strided view, with
+    their neighbours.
     """
     interior = buf.shape[0] - 2
     passes = []
@@ -220,97 +238,112 @@ def _passes(buf: np.ndarray, shape: tuple, periodic: bool) -> list:
         passes.append((buf[lo:hi], buf[lo + 1:hi + 1], buf[lo + 2:hi + 2]))
     if periodic:
         # The wrap nodes 0 and n-1; their left neighbours are n-1, n-2 and
-        # their right ones 1, 0.  A 1-D level keeps 1-D views, which numpy
-        # sweeps without its multi-dimensional iterator.
-        rows = buf.reshape(shape)
-        passes.append((rows[..., :-3:-1], rows[..., ::max(shape[-1] - 1, 1)],
-                       rows[..., 1::-1]))
+        # their right ones 1, 0.  A block of one row keeps 1-D views, which
+        # numpy sweeps without its multi-dimensional iterator.
+        start = 0
+        for rows, nodes in layout:
+            block = buf[start:start + rows * nodes]
+            start += rows * nodes
+            if rows > 1:
+                block = block.reshape(rows, nodes)
+            passes.append((block[..., :-3:-1],
+                           block[..., ::max(nodes - 1, 1)],
+                           block[..., 1::-1]))
     return passes
 
 
-def _weight_passes(table, shape: tuple, periodic: bool,
+def _weight_passes(table, layout: list, periodic: bool,
                    n_passes: int) -> list:
     """Per-pass tuples of the five field weights and the source term.
 
-    `table` has one `_weight_row` per row of `shape`.  A single row keeps
+    `table` has one `_weight_row` per row of `layout`.  A single row keeps
     its Python floats; a batch repeats each column over the nodes of each
     row, once, and each pass takes its slice of it.
     """
     if len(table) == 1:
         return [table[0]] * n_passes
-    columns = [[mid for _, mid, _ in _passes(np.repeat(col, shape[-1]),
-                                             shape, periodic)]
+    nodes = [n for rows, n in layout for _ in range(rows)]
+    columns = [[mid for _, mid, _ in _passes(np.repeat(col, nodes), layout,
+                                             periodic)]
                for col in zip(*table)]
     return list(zip(*columns))
 
 
-def _combine(cur_l, cur_m, cur_r, prev_m, old_m, pair, acc, term, part,
-             side_n, center_n, side_nm1, center_nm1, center_nm2, src):
-    # The recurrence at the mid views of one pass, summed in the order of
-    # the module docstring.  `pair` holds prev_l + prev_r from the pass that
-    # wrote the previous level, and leaves with cur_l + cur_r for the next.
-    np.multiply(pair, side_nm1, term)
-    np.add(cur_l, cur_r, pair)
-    np.multiply(pair, side_n, acc)
-    np.multiply(cur_m, center_n, part)
-    np.add(acc, part, acc)
-    np.add(acc, term, acc)
-    np.multiply(prev_m, center_nm1, part)
-    np.add(acc, part, acc)
-    np.multiply(old_m, center_nm2, part)
-    np.add(acc, part, acc)
-    np.add(acc, src, acc)
+def _pass_calls(cur, prev_m, old_m, acc, pair, term, part,
+                weights) -> list:
+    # The recurrence at the mid views of one pass as eleven in-place ufunc
+    # calls, summed in the order of the module docstring.  `pair` holds
+    # prev_l + prev_r from the pass that wrote the previous level, and
+    # leaves with cur_l + cur_r for the next.
+    cur_l, cur_m, cur_r = cur
+    side_n, center_n, side_nm1, center_nm1, center_nm2, src = weights
+    mul, add = np.multiply, np.add
+    return [(mul, (pair, side_nm1, term)),
+            (add, (cur_l, cur_r, pair)),
+            (mul, (pair, side_n, acc)),
+            (mul, (cur_m, center_n, part)),
+            (add, (acc, part, acc)),
+            (add, (acc, term, acc)),
+            (mul, (prev_m, center_nm1, part)),
+            (add, (acc, part, acc)),
+            (mul, (old_m, center_nm2, part)),
+            (add, (acc, part, acc)),
+            (add, (acc, src, acc))]
 
 
 def _plan(ring: list, outs: list, table, boundary: BoundarySpec,
-          shape: tuple, scratch=None) -> tuple:
+          layout: list, scratch=None) -> tuple:
     """The calls of each phase of a march, with the carried pair seeded.
 
-    `ring` holds flat level buffers of `shape`; phase k reads old, prev
-    and cur from ring[k], ring[k+1] and ring[k+2] (indices mod len(ring)),
-    writes the next level into outs[k] and pins its Dirichlet ends.  Each
-    phase is a tuple of (function, args) calls.  The pair sum prev_l +
-    prev_r is carried in one array from phase to phase, so the phases must
-    run in order, from phase 0; it starts as the pair of ring[1].  The
-    periodic wrap pass carries its own pair, as the flat passes overwrite
-    the seam nodes it recomputes.  `table` is as for `_weight_passes`, and
-    the outputs must not overlap the levels a phase reads.  The two
-    pass-sized work arrays are allocated here unless `scratch` gives two
-    arrays of the levels' dtype, as long as a pass and free while a phase
-    runs.
+    `ring` holds flat level buffers of the blocks that `layout` lists;
+    phase k reads old, prev and cur from ring[k], ring[k+1] and ring[k+2]
+    (indices mod len(ring)), writes the next level into outs[k] and pins
+    its Dirichlet ends.  Each phase is a flat tuple of (function, args)
+    calls.  The pair sum prev_l + prev_r is carried in one array from phase
+    to phase, so the phases must run in order, from phase 0; it starts as
+    the pair of ring[1], the same addition that the step which wrote
+    ring[2] made.  Each periodic wrap pass carries its own pair, as the flat
+    passes overwrite the seam nodes it recomputes.  `table` is as for
+    `_weight_passes`, and the outputs must not overlap the levels a phase
+    reads.  The two pass-sized work arrays are allocated here unless
+    `scratch` gives two arrays of the levels' dtype, as long as a pass and
+    free while a phase runs.
     """
     periodic = boundary.kind == "periodic"
     dtype = outs[0].dtype
-    levels = [_passes(buf, shape, periodic) for buf in ring]
-    flat = [mid for _, mid, _ in _passes(np.empty(ring[0].shape, dtype),
-                                         shape, False)]
-    width = max((m.size for m in flat), default=0)
+    levels = [_passes(buf, layout, periodic) for buf in ring]
+    mids = [mid for _, mid, _ in levels[0]]
+    n_flat = len(mids) - periodic * len(layout)
+    width = max((m.size for m in mids[:n_flat]), default=0)
     term, part = np.empty((2, width), dtype) if scratch is None else scratch
-    carried = [(m, term[:m.size], part[:m.size]) for m in flat]
-    if periodic:
-        carried.append(tuple(np.empty((3, *levels[0][-1][1].shape), dtype)))
+    carried = [(np.empty(m.size, dtype), term[:m.size], part[:m.size])
+               for m in mids[:n_flat]]
+    carried += [tuple(np.empty((3, *m.shape), dtype)) for m in mids[n_flat:]]
     for (left, _, right), (pair, _, _) in zip(levels[1], carried):
         np.add(left, right, pair)
-    weights = _weight_passes(table, shape, periodic, len(carried))
+    weights = _weight_passes(table, layout, periodic, len(carried))
+    if not periodic:
+        # Both end nodes of every row, pinned by one `put` whose two values
+        # repeat along the index list.
+        ends, start = [], 0
+        for rows, nodes in layout:
+            for _ in range(rows):
+                ends += (start, start + nodes - 1)
+                start += nodes
+        ends = np.array(ends)
+        values = np.array((boundary.left_value, boundary.right_value), dtype)
     phases = []
     for k, out in enumerate(outs):
-        cur, prev, old = (levels[(k + i) % len(ring)] for i in (2, 1, 0))
-        calls = [(_combine, (*c, p[1], o[1], pair, acc, t, s, *w))
-                 for c, p, o, (_, acc, _), (pair, t, s), w in zip(
-                     cur, prev, old, _passes(out, shape, periodic), carried,
-                     weights)]
+        old, prev, cur = (levels[(k + i) % len(ring)] for i in range(3))
+        calls = []
+        for c, p, o, (_, acc, _), carry, w in zip(
+                cur, prev, old, _passes(out, layout, periodic), carried,
+                weights):
+            calls += _pass_calls(c, p[1], o[1], acc, *carry, w)
         if not periodic:
-            rows = out.reshape(shape)
-            calls += [(rows[..., 0].fill, (boundary.left_value,)),
-                      (rows[..., -1].fill, (boundary.right_value,))]
+            calls.append((out.put, (ends, values)))
         phases.append(tuple(calls))
     return tuple(phases)
-
-
-def _advance(phase: tuple) -> None:
-    """Make the calls of one `_plan` phase: write one new level."""
-    for fn, args in phase:
-        fn(*args)
 
 
 def step(history: PhiHistory, coeffs: FdCoefficients, dt: float, R: float,
@@ -326,8 +359,9 @@ def step(history: PhiHistory, coeffs: FdCoefficients, dt: float, R: float,
     levels = [history.oldest, history.previous, history.current]
     out = np.empty(levels[0].shape, np.result_type(*levels, 1.0))
     (phase,) = _plan(levels, [out], [_weight_row(coeffs, dt, R)], boundary,
-                     out.shape)
-    _advance(phase)
+                     [(1, out.size)])
+    for fn, args in phase:
+        fn(*args)
     return history.push(out)
 
 
@@ -338,28 +372,8 @@ def _check_node_steps(nodes: int, steps: float) -> None:
                           f"{_MAX_NODE_STEPS} node-steps a march may take")
 
 
-def run(params, grid: Grid1D, initializer, boundary: BoundarySpec,
-        t_end: float) -> np.ndarray:
-    """March the four-level scheme from seeded start data to t_end.
-
-    `params` is one `ModelParams`, or a non-empty sequence of them that
-    share dx and dt (else `DomainError`).  A sequence is marched as one
-    (cases, nodes) array whose row i uses the weights and source of
-    params[i], and the result has that shape; one `ModelParams` gives a
-    (nodes,) result.  The first three levels come from `initializer(x, t)`
-    at t = 0, dt, 2*dt, called once per level with the array x of node
-    positions; its result is broadcast to the level's shape and copied, so
-    it may return a scalar, a field on the nodes or one row per case, and
-    it is never modified.  t_end must be finite, an integer multiple of dt
-    (relative slack 1e-9) and at least 2*dt, and the march may take at most
-    2**36 node-steps (nodes x time levels).  For t_end = 2*dt the third
-    seeded level is returned with zero four-level updates applied, so the
-    result is always the field at exactly t_end.  The result is a fresh
-    array.  Periodic runs use the n_intervals distinct nodes x0 + j*dx,
-    j = 0..n_intervals-1.
-    """
-    batch = not isinstance(params, ModelParams)
-    cases = list(params) if batch else [params]
+def _check_group(cases: list, grid: Grid1D, t_end: float) -> tuple:
+    """The (dt, step count) of one group of a march, after `run`'s checks."""
     if not cases:
         raise DomainError("params must hold at least one ModelParams")
     dx, dt = cases[0].dx, cases[0].dt
@@ -376,22 +390,102 @@ def run(params, grid: Grid1D, initializer, boundary: BoundarySpec,
             f"t_end = {t_end} is not an integer multiple of dt = {dt}")
     if abs(grid.dx - dx) > 1e-12 * dx:
         raise DomainError("grid spacing does not match params.dx")
-    xs = grid.nodes()
-    if boundary.kind == "periodic":
-        xs = xs[:-1]
-    shape = (len(cases), xs.size)
-    # Four flat rows x nodes levels rotate through the ring; phase k of the
-    # plan writes ring[k+3], so level m ends up in ring[m % 4].
-    ring = [np.empty(math.prod(shape)) for _ in range(4)]
+    return dt, n_steps
+
+
+def _seed(block: np.ndarray, value) -> None:
+    # Copy an initializer's result into a block of a start level; the
+    # result is dropped on return, before the next one is made.
+    try:
+        block[...] = value
+    except ValueError:
+        raise DomainError(f"the initializer's result, of shape "
+                          f"{np.shape(value)}, does not broadcast to the "
+                          f"level shape {block.shape}") from None
+
+
+def _march(groups, boundary: BoundarySpec) -> list:
+    """March groups of rows to their ends as one flat batch, in stages.
+
+    A group is a tuple (cases, grid, initializer, t_end) of rows that share
+    the grid, dt and step count, with the meaning and the checks of `run`'s
+    arguments; every group is checked before anything is allocated.  The
+    rows lie in one flat level row, groups in descending step-count order,
+    so the groups still marching are always a prefix of it.  Each stage
+    plans that prefix of the rotated level ring and marches to the step
+    count of the next group to end; that group is then read out and costs
+    nothing more, as later stages write only a shorter prefix.  Returns one
+    (rows, nodes) array per group, in the order given: views of the
+    march's own buffers, whose blocks do not overlap.
+    """
+    periodic = boundary.kind == "periodic"
+    checked = []
+    for cases, grid, initializer, t_end in groups:
+        cases = list(cases)
+        checked.append((_check_group(cases, grid, t_end), cases, grid,
+                        initializer))
+    order = sorted(range(len(checked)), key=lambda g: -checked[g][0][1])
+    steps, tables, layout, seeds = [], [], [], []
+    for g in order:
+        (dt, n_steps), cases, grid, initializer = checked[g]
+        xs = grid.nodes()[:-1] if periodic else grid.nodes()
+        steps.append(n_steps)
+        tables.append([_weight_row(coefficients(p.weights.omega0,
+                                                p.relax.s1, p.relax.s2),
+                                   dt, p.source_R) for p in cases])
+        layout.append((len(tables[-1]), xs.size))
+        seeds.append((initializer, xs, dt))
+    # Level m of the march lives in ring[m % 4].
+    ring = [np.empty(sum(r * n for r, n in layout)) for _ in range(4)]
     for k in range(3):
-        ring[k].reshape(shape)[...] = initializer(xs, k * dt)
-    table = [_weight_row(coefficients(p.weights.omega0, p.relax.s1,
-                                      p.relax.s2), dt, p.source_R)
-             for p in cases]
-    phases = _plan(ring, ring[3:] + ring[:3], table, boundary, shape)
-    for k in range(n_steps - 2):
-        _advance(phases[k % 4])
-    final = ring[n_steps % 4].reshape(shape)
+        for block, (initializer, xs, dt) in zip(_blocks(ring[k], layout),
+                                                seeds):
+            _seed(block, initializer(xs, k * dt))
+    finals = [None] * len(order)
+    level, active = 2, len(order)
+    while active:
+        if steps[active - 1] > level:
+            size = sum(r * n for r, n in layout[:active])
+            rot = [ring[(level - 2 + i) % 4][:size] for i in range(4)]
+            phases = _plan(rot, rot[3:] + rot[:3],
+                           [row for t in tables[:active] for row in t],
+                           boundary, layout[:active])
+            for k in range(steps[active - 1] - level):
+                for fn, args in phases[k % 4]:
+                    fn(*args)
+            level = steps[active - 1]
+        while active and steps[active - 1] == level:
+            active -= 1
+            finals[order[active]] = _blocks(ring[level % 4],
+                                            layout)[active]
+    return finals
+
+
+def run(params, grid: Grid1D, initializer, boundary: BoundarySpec,
+        t_end: float) -> np.ndarray:
+    """March the four-level scheme from seeded start data to t_end.
+
+    `params` is one `ModelParams`, or a non-empty sequence of them that
+    share dx and dt (else `DomainError`).  A sequence is marched as one
+    (cases, nodes) array whose row i uses the weights and source of
+    params[i], and the result has that shape; one `ModelParams` gives a
+    (nodes,) result.  The first three levels come from `initializer(x, t)`
+    at t = 0, dt, 2*dt, called once per level with the array x of node
+    positions; its result must broadcast to the level's shape (else
+    `DomainError`) and is copied, so it may return a scalar, a field on the
+    nodes or one row per case, and it is never modified.  t_end must be
+    finite, an integer multiple of dt (relative slack 1e-9) and at least
+    2*dt, and the march may take at most 2**36 node-steps (nodes x time
+    levels).  For t_end = 2*dt the third seeded level is returned with zero
+    four-level updates applied, so the result is always the field at
+    exactly t_end.  The result is a fresh array.  Periodic runs use the
+    n_intervals distinct nodes x0 + j*dx, j = 0..n_intervals-1.  A run is
+    the one-group case of the staged march that the convergence tables
+    share.
+    """
+    batch = not isinstance(params, ModelParams)
+    (final,) = _march([(params if batch else [params], grid, initializer,
+                        t_end)], boundary)
     return final if batch else final[0]
 
 

@@ -61,6 +61,11 @@ def test_distribution_field_length_check():
     assert f.node_count == 5
 
 
+def test_initialize_rejects_a_scalar_field():
+    with pytest.raises(DomainError, match="population arrays must share"):
+        lbm.initialize(1.0, Weights(0.5), 1.0, 0.0)
+
+
 def test_lattice_matrices_inverse_and_rows():
     mats = lbm.lattice_matrices(2.0, Relaxations(0.9, 1.1, 0.7))
     np.testing.assert_allclose(mats.M @ mats.M_inv, np.eye(3), atol=1e-14)

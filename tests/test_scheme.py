@@ -211,6 +211,11 @@ def test_history_validation_and_rotation():
     np.testing.assert_array_equal(history.current, d)
 
 
+def test_history_rejects_scalar_levels():
+    with pytest.raises(DomainError, match="history levels must share"):
+        PhiHistory.from_levels(1.0, 2.0, 3.0, dt=0.1)
+
+
 def test_run_validates_its_time_and_grid_arguments():
     params = cal.ModelParams.from_rates(0.8, 1.0, 1.0, dx=0.1, dt=0.3)
     grid = Grid1D(10)
@@ -233,6 +238,16 @@ def test_run_validates_its_time_and_grid_arguments():
     tiny = cal.ModelParams.from_rates(0.8, 1.0, 1.0, dx=0.1, dt=1e-300)
     with pytest.raises(DomainError):
         run(tiny, grid, init, boundary, 1e300)
+
+
+def test_run_rejects_an_initializer_that_does_not_broadcast():
+    # Three values per node, one row per case of a batch of two, and one
+    # node too few: none fits the level of a single case on 11 nodes.
+    params = cal.ModelParams.from_rates(0.8, 1.0, 1.0, dx=0.1, dt=0.3)
+    for value in (np.zeros((11, 3)), np.zeros((2, 11)), np.zeros(10)):
+        with pytest.raises(DomainError, match="does not broadcast"):
+            run(params, Grid1D(10), lambda x, t: value,
+                BoundarySpec.dirichlet(0.0, 0.0), 1.2)
 
 
 def test_run_with_zero_updates_returns_the_third_seed():
@@ -412,3 +427,45 @@ def test_batched_run_keeps_the_sign_of_zero_per_row():
         assert singles[0].tobytes() != singles[1].tobytes()
         for row, single in zip(batch, singles):
             assert row.tobytes() == single.tobytes()
+
+
+# Groups of the staged march as (intervals, dt, t_end, rows of (triple,
+# source_R)), with the step counts 7, 7, 2, 12 and 3: two groups end
+# together, one ends at 2*dt with zero updates, and neither the first nor
+# the last group given is the first or the last to end.
+_STAGED_GROUPS = (
+    (12, 0.01, 0.07, [((0.83, 0.92, 1.15), 0.0), ((0.6, 1.4, 0.7), 0.5)]),
+    (5, 0.02, 0.14, [((0.8, 1.0, 1.0), -1.25)]),
+    (9, 0.01, 0.02, [((0.6, 1.4, 0.7), 0.0), ((0.83, 0.92, 1.15), -1.25)]),
+    (7, 0.005, 0.06, [((0.83, 0.92, 1.15), 0.5)]),
+    (16, 0.01, 0.03, [((0.8, 1.0, 1.0), 0.5), ((0.6, 1.4, 0.7), -1.25),
+                      ((0.83, 0.92, 1.15), 0.0)]),
+)
+
+
+@pytest.mark.parametrize("chunk", [None, 4, 7])
+@pytest.mark.parametrize("boundary", [BoundarySpec.dirichlet(0.25, -1.5),
+                                      BoundarySpec.periodic()],
+                         ids=["dirichlet", "periodic"])
+def test_staged_march_matches_one_run_per_group_bit_for_bit(chunk, boundary,
+                                                            monkeypatch):
+    # Passes of 4 and 7 nodes straddle the seams between groups as well as
+    # those between rows.  A group must get the bits of its own run, which
+    # the batched reference test ties to the whole-array expression.
+    if chunk is not None:
+        monkeypatch.setattr(scheme, "_CHUNK", chunk)
+    groups = []
+    for g, (n, dt, t_end, rows) in enumerate(_STAGED_GROUPS):
+        grid = Grid1D(n)
+        params = [cal.ModelParams.from_rates(*t, dx=grid.dx, dt=dt,
+                                             source_R=r) for t, r in rows]
+        scale = (-0.5) ** g * np.arange(1.0, len(rows) + 1.0)[:, None]
+        groups.append((params, grid,
+                       lambda x, t, scale=scale: scale * _sine_bump(x, t),
+                       t_end))
+    finals = scheme._march(groups, boundary)
+    assert len(finals) == len(groups)
+    for (params, grid, init, t_end), final in zip(groups, finals):
+        alone = run(params, grid, init, boundary, t_end)
+        assert final.shape == alone.shape
+        assert final.tobytes() == alone.tobytes()

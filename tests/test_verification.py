@@ -1,10 +1,14 @@
 """Tests for the decaying-sine convergence benchmarks."""
 
+import mpmath as mp
 import numpy as np
 import pytest
 
+from lbmfd import calibration as cal
+from lbmfd import scheme
 from lbmfd import verification as ver
 from lbmfd.errors import DomainError
+from test_symbolic import _derivation, _exact
 
 SPACINGS = (0.1, 0.05, 0.025)
 
@@ -49,6 +53,11 @@ def test_rmse_examples():
     np.testing.assert_allclose(ver.rmse(a + 0.5, a), 0.5, rtol=1e-15)
     with pytest.raises(DomainError, match="fields must share a length"):
         ver.rmse(a, a[:2])
+
+
+def test_rmse_rejects_empty_fields():
+    with pytest.raises(DomainError, match="must not be empty"):
+        ver.rmse(np.array([]), np.array([]))
 
 
 def test_convergence_rate_examples():
@@ -238,3 +247,129 @@ def test_csv_serializations():
     plines = ver.profile_csv_lines(profiles)
     assert plines[0] == "epsilon,x,phi_numeric,phi_analytic"
     assert len(plines) == 12
+
+
+@pytest.mark.parametrize("order", ["second", "fourth", "sixth"])
+@pytest.mark.parametrize("eps_list", [(0.175,), (0.24, 0.1, 0.15)])
+def test_staged_table_equals_one_run_per_spacing_bit_for_bit(order,
+                                                             eps_list):
+    # The table marches its four spacings as one staged batch; each field
+    # and each error must have the bits of one batched run per spacing.
+    dx_list = (0.2, 0.1, 0.05, 0.025)
+    reports = ver.reproduce_table(order, eps_list, dx_list)
+    cases = [ver.BenchmarkCase(eps, dx, order)
+             for dx in dx_list for eps in eps_list]
+    staged = ver._march_decaying_sine(cases, 12.0)
+    for j, dx in enumerate(dx_list):
+        at_dx = cases[j * len(eps_list):(j + 1) * len(eps_list)]
+        params = [cal.ModelParams.from_rates(c.params.omega0, c.params.s1,
+                                             c.params.s2, dx=dx, dt=c.dt)
+                  for c in at_dx]
+        kappa = np.array([[c.kappa] for c in at_dx])
+        grid = scheme.Grid1D(round(1.0 / dx))
+        finals = scheme.run(params, grid,
+                            lambda x, t: ver.analytic_phi(x, t, kappa),
+                            scheme.BoundarySpec.dirichlet(0.0, 0.0), 12.0)
+        xs = grid.nodes()
+        for i, (case, final) in enumerate(zip(at_dx, finals)):
+            staged_xs, staged_final = staged[j * len(eps_list) + i]
+            assert staged_xs.tobytes() == xs.tobytes()
+            assert staged_final.tobytes() == final.tobytes()
+            exact = ver.analytic_phi(xs, 12.0, case.kappa)
+            err = np.float64(ver.rmse(final[1:-1], exact[1:-1]))
+            assert np.float64(reports[i].rows[j][1]).tobytes() \
+                == err.tobytes()
+
+
+def test_reproduce_table_bounds_node_steps_per_spacing(monkeypatch):
+    seeded = []
+    phi = ver.analytic_phi
+
+    def counted(x, t, kappa):
+        seeded.append(t)
+        return phi(x, t, kappa)
+
+    monkeypatch.setattr(ver, "analytic_phi", counted)
+    # dx = 2**-22 is within the interval bound, but its march would take
+    # about 3e19 node-steps: the table is refused before anything is seeded.
+    with pytest.raises(DomainError, match="node-steps"):
+        ver.reproduce_table("second", eps_list=(0.1,),
+                            dx_list=(0.1, 2.0 ** -22))
+    assert seeded == []
+    # The bound holds per spacing, not for the table's sum: the default
+    # table passes a bound equal to its largest spacing's node-steps.
+    largest = max(5 * (round(1.0 / dx) + 1) * (12.0 / case.dt)
+                  for dx in ver.DEFAULT_SPACINGS
+                  for case in [ver.BenchmarkCase(0.1, dx, "second")])
+    monkeypatch.setattr(scheme, "_MAX_NODE_STEPS", largest)
+    assert len(ver.reproduce_table("second")) == 5
+    monkeypatch.setattr(scheme, "_MAX_NODE_STEPS", largest * (1 - 1e-9))
+    with pytest.raises(DomainError, match="node-steps"):
+        ver.reproduce_table("second")
+
+
+_WEIGHT_NAMES = ("side_n", "center_n", "side_nm1", "center_nm1",
+                 "center_nm2")
+
+
+def _modal_rmse(weights, n: int, epsilon: float):
+    """Interior RMSE of a decaying-sine march on n intervals, in mpmath.
+
+    With zero ends, sin(pi*x_j) is an eigenvector of the stencil: a
+    neighbour pair sums to 2*cos(pi/n) times the centre, so the field stays
+    A_k*sin(pi*x_j) and A_k obeys the scalar three-term recurrence of the
+    characteristic cubic at theta = pi/n.  It starts from the exact
+    amplitudes at t = 0, dt, 2*dt, with dt = 30/n**2 and kappa = epsilon/30
+    (the float epsilon, exactly), and the interior mean of sin**2 is
+    n/(2*(n - 1)).  `weights` are the five field weights in stencil order.
+    Returns (RMSE, step count).
+    """
+    with mp.workdps(60):
+        dt = mp.mpf(30) / n ** 2
+        n_steps = int(mp.nint(12 / dt))
+        decay = -mp.mpf(epsilon) / 30 * mp.pi ** 2
+        side_n, center_n, side_nm1, center_nm1, center_nm2 = (
+            mp.mpf(w) for w in weights)
+        cos = mp.cos(mp.pi / n)
+        a = 2 * side_n * cos + center_n
+        b = 2 * side_nm1 * cos + center_nm1
+        old, prev, cur = (mp.exp(decay * k * dt) for k in range(3))
+        for _ in range(n_steps - 2):
+            old, prev, cur = prev, cur, a * cur + b * prev + center_nm2 * old
+        gap = abs(cur - mp.exp(decay * 12))
+        return gap * mp.sqrt(mp.mpf(n) / (2 * (n - 1))), n_steps
+
+
+def test_every_default_table_cell_matches_the_modal_oracle():
+    # The oracle runs on the float weights the march uses, so the gap is
+    # the march's own rounding: under 2**-53 per step, as the field is
+    # O(1).  (Exact weights would leave a gap of 2e-14 at sixth order,
+    # epsilon 0.2, dx 0.025: the rounding of the weights, not the march.)
+    for order in ("second", "fourth", "sixth"):
+        for rep in ver.reproduce_table(order):
+            res = ver._params_for(order, rep.epsilon)
+            co = scheme.coefficients(res.omega0, res.s1, res.s2)
+            weights = [getattr(co, name) for name in _WEIGHT_NAMES]
+            for dx, err in rep.rows:
+                exact, n_steps = _modal_rmse(weights, round(1.0 / dx),
+                                             rep.epsilon)
+                assert abs(err - exact) <= n_steps * 2.0 ** -53, \
+                    (order, rep.epsilon, dx)
+
+
+def test_modal_oracle_derives_the_sixth_order_pins():
+    # The pins use the weights of the calibrated float triple without
+    # rounding: the derived polynomials evaluated in rationals.
+    _, polys = _derivation()
+    res = cal.calibrate_sixth(0.1)
+    triple = (res.omega0, res.s1, res.s2)
+    weights = []
+    for name in _WEIGHT_NAMES:
+        value = _exact(polys[name], triple)
+        with mp.workdps(60):
+            weights.append(mp.mpf(value.numerator) / value.denominator)
+    for dx, pin, steps in zip(SPACINGS, SIXTH_EPS01_EXACT,
+                              SIXTH_EPS01_STEPS):
+        exact, n_steps = _modal_rmse(weights, round(1.0 / dx), 0.1)
+        assert n_steps == steps
+        assert float(mp.nstr(exact, 9)) == pin
