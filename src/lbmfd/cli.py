@@ -26,7 +26,6 @@ import sys
 
 from . import calibration, lbm, stability, verification
 from .errors import DomainError, NoRealRoot
-from .scheme import snapshot_csv_lines
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -156,10 +155,6 @@ def _parse_args(parser: _Parser, argv: list[str]) -> argparse.Namespace:
     return parser.parse_args(argv)
 
 
-def _fmt(value: float) -> str:
-    return "{:.17g}".format(value)
-
-
 def _cmd_calibrate(ns) -> int:
     # --s1 is checked at order 6 too, where the calibration does not use it.
     calibration.check_box(s1=ns.s1)
@@ -179,7 +174,7 @@ def _cmd_run(ns) -> int:
         _write_json({"x": [float(v) for v in xs],
                      "phi": [float(v) for v in final]}, ns.output)
     else:
-        _write_lines(snapshot_csv_lines(xs, final), ns.output)
+        _write_lines(verification.snapshot_csv_lines(xs, final), ns.output)
     return EXIT_OK
 
 
@@ -241,15 +236,10 @@ def _cmd_sweep(ns) -> int:
              "s2": r.s2, "status": r.status} for r in rows]}
         _write_json(payload, ns.output)
     else:
-        lines = ["epsilon,omega0,s1,s2,status"]
-        for r in rows:
-            if r.status == "ok":
-                lines.append(",".join([
-                    _fmt(r.epsilon), _fmt(r.omega0), _fmt(r.s1),
-                    _fmt(r.s2), r.status]))
-            else:
-                lines.append(f"{_fmt(r.epsilon)},,,,{r.status}")
-        _write_lines(lines, ns.output)
+        _write_lines(verification.csv_lines(
+            "epsilon,omega0,s1,s2,status",
+            ((r.epsilon, r.omega0, r.s1, r.s2, r.status) for r in rows)),
+            ns.output)
     return EXIT_OK
 
 

@@ -26,21 +26,21 @@ alone or as one row of a batch.  The pair sum phi[j-1, n] + phi[j+1, n]
 that level n+1 needs is, rounded alike, the level n-1 pair of level n+2, so
 the kernel keeps it in an array from one step to the next and a pass makes
 eleven numpy calls, not twelve.  The passes also cover the seam nodes
-between rows; Dirichlet pinning or the periodic wrap, computed from the
-same expression on strided (cases, 2) views with a pair of their own,
-overwrites them.  Long rows are swept in cache-sized passes.  The levels
-of a march rotate through four buffers, so the calls of all four phases
-are built once per march, each phase as one flat list of ufunc calls, and
-a step only makes the calls of its phase.  A single case keeps its weights
-and source term as scalars, and a batch reads them per node.
+between rows, which Dirichlet pinning overwrites; a periodic march holds
+one row, whose wrap nodes 0 and n-1 are computed from the same expression
+on one strided view with a pair of its own.  Long rows are swept in
+cache-sized passes.  The levels of a march rotate through four buffers, so
+the calls of all four phases are built once per march, each phase as one
+flat list of ufunc calls, and a step only makes the calls of its phase.  A
+single case keeps its weights and source term as scalars, and a batch
+reads them per node.
 
-`run` accepts a sequence of parameter sets that share dx and dt and marches
-them as one batch.  It is the one-group case of a staged march: groups of
-rows on different grids, with different dt and step counts, lie one after
-the other in one flat row, in descending step-count order.  Each stage
-marches the prefix of the groups still running to the step count of the
-next group to end, so a group that has ended costs nothing more, and the
-convergence tables march all of their spacings at once.
+`run` is the one-row case of a staged march: groups of rows on different
+grids, with different dt and step counts, lie one after the other in one
+flat row, in descending step-count order.  Each stage marches the prefix
+of the groups still running to the step count of the next group to end,
+so a group that has ended costs nothing more, and the convergence tables
+march all of their spacings at once.
 """
 
 from __future__ import annotations
@@ -48,12 +48,11 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass, field
+
 import numpy as np
 
 from .calibration import ModelParams, check_box
 from .errors import DomainError
-
-_FMT = "{:.17g}"
 
 
 @dataclass(frozen=True)
@@ -68,13 +67,6 @@ class FdCoefficients:
     center_nm1: float
     center_nm2: float
     source: float
-
-    def weight_sum(self) -> float:
-        """Correctly rounded sum of all field weights; within 2**-53 of 1
-        for weights from `coefficients`."""
-        return math.fsum((2.0 * self.side_n, self.center_n,
-                          2.0 * self.side_nm1, self.center_nm1,
-                          self.center_nm2))
 
 
 def coefficients(omega0: float, s1: float, s2: float) -> FdCoefficients:
@@ -100,11 +92,9 @@ def coefficients(omega0: float, s1: float, s2: float) -> FdCoefficients:
 
 @dataclass(frozen=True)
 class Grid1D:
-    """Uniform grid with nodes x0 + j*dx for j = 0..n_intervals."""
+    """Nodes j*dx of [0, 1], dx = 1/n_intervals, j = 0..n_intervals."""
 
     n_intervals: int
-    length: float = 1.0
-    x0: float = 0.0
     dx: float = field(init=False)
 
     def __post_init__(self):
@@ -116,15 +106,10 @@ class Grid1D:
                               f"{self.n_intervals!r}") from None
         if self.n_intervals < 2:
             raise DomainError("need at least 2 intervals")
-        if not (math.isfinite(self.length) and self.length > 0.0):
-            raise DomainError(f"length must be positive and finite, got "
-                              f"{self.length}")
-        if not math.isfinite(self.x0):
-            raise DomainError(f"x0 must be finite, got {self.x0}")
-        object.__setattr__(self, "dx", self.length / self.n_intervals)
+        object.__setattr__(self, "dx", 1.0 / self.n_intervals)
 
     def nodes(self) -> np.ndarray:
-        return self.x0 + self.dx * np.arange(self.n_intervals + 1)
+        return self.dx * np.arange(self.n_intervals + 1)
 
 
 @dataclass(frozen=True)
@@ -223,13 +208,12 @@ def _blocks(buf: np.ndarray, layout: list) -> list:
     return blocks
 
 
-def _passes(buf: np.ndarray, layout: list, periodic: bool) -> list:
+def _passes(buf: np.ndarray, periodic: bool) -> list:
     """One (left, mid, right) view triple of the flat level `buf` per pass.
 
     The flat passes take the 1-D slices [lo:hi], [lo+1:hi+1] and
-    [lo+2:hi+2].  A periodic level adds one pass per block of `layout`: the
-    wrap nodes 0 and n-1 of the block's rows as one strided view, with
-    their neighbours.
+    [lo+2:hi+2].  A periodic level, which holds one row, adds one pass: its
+    wrap nodes 0 and n-1 as one strided view, with their neighbours.
     """
     interior = buf.shape[0] - 2
     passes = []
@@ -238,33 +222,23 @@ def _passes(buf: np.ndarray, layout: list, periodic: bool) -> list:
         passes.append((buf[lo:hi], buf[lo + 1:hi + 1], buf[lo + 2:hi + 2]))
     if periodic:
         # The wrap nodes 0 and n-1; their left neighbours are n-1, n-2 and
-        # their right ones 1, 0.  A block of one row keeps 1-D views, which
-        # numpy sweeps without its multi-dimensional iterator.
-        start = 0
-        for rows, nodes in layout:
-            block = buf[start:start + rows * nodes]
-            start += rows * nodes
-            if rows > 1:
-                block = block.reshape(rows, nodes)
-            passes.append((block[..., :-3:-1],
-                           block[..., ::max(nodes - 1, 1)],
-                           block[..., 1::-1]))
+        # their right ones 1, 0.
+        passes.append((buf[:-3:-1], buf[::max(buf.shape[0] - 1, 1)],
+                       buf[1::-1]))
     return passes
 
 
-def _weight_passes(table, layout: list, periodic: bool,
-                   n_passes: int) -> list:
+def _weight_passes(table, layout: list, n_passes: int) -> list:
     """Per-pass tuples of the five field weights and the source term.
 
     `table` has one `_weight_row` per row of `layout`.  A single row keeps
-    its Python floats; a batch repeats each column over the nodes of each
-    row, once, and each pass takes its slice of it.
+    its Python floats; a batch, which is never periodic, repeats each column
+    over the nodes of each row, once, and each pass takes its slice of it.
     """
     if len(table) == 1:
         return [table[0]] * n_passes
     nodes = [n for rows, n in layout for _ in range(rows)]
-    columns = [[mid for _, mid, _ in _passes(np.repeat(col, nodes), layout,
-                                             periodic)]
+    columns = [[mid for _, mid, _ in _passes(np.repeat(col, nodes), False)]
                for col in zip(*table)]
     return list(zip(*columns))
 
@@ -302,7 +276,7 @@ def _plan(ring: list, outs: list, table, boundary: BoundarySpec,
     calls.  The pair sum prev_l + prev_r is carried in one array from phase
     to phase, so the phases must run in order, from phase 0; it starts as
     the pair of ring[1], the same addition that the step which wrote
-    ring[2] made.  Each periodic wrap pass carries its own pair, as the flat
+    ring[2] made.  The periodic wrap pass carries its own pair, as the flat
     passes overwrite the seam nodes it recomputes.  `table` is as for
     `_weight_passes`, and the outputs must not overlap the levels a phase
     reads.  The two pass-sized work arrays are allocated here unless
@@ -311,9 +285,9 @@ def _plan(ring: list, outs: list, table, boundary: BoundarySpec,
     """
     periodic = boundary.kind == "periodic"
     dtype = outs[0].dtype
-    levels = [_passes(buf, layout, periodic) for buf in ring]
+    levels = [_passes(buf, periodic) for buf in ring]
     mids = [mid for _, mid, _ in levels[0]]
-    n_flat = len(mids) - periodic * len(layout)
+    n_flat = len(mids) - periodic
     width = max((m.size for m in mids[:n_flat]), default=0)
     term, part = np.empty((2, width), dtype) if scratch is None else scratch
     carried = [(np.empty(m.size, dtype), term[:m.size], part[:m.size])
@@ -321,7 +295,7 @@ def _plan(ring: list, outs: list, table, boundary: BoundarySpec,
     carried += [tuple(np.empty((3, *m.shape), dtype)) for m in mids[n_flat:]]
     for (left, _, right), (pair, _, _) in zip(levels[1], carried):
         np.add(left, right, pair)
-    weights = _weight_passes(table, layout, periodic, len(carried))
+    weights = _weight_passes(table, layout, len(carried))
     if not periodic:
         # Both end nodes of every row, pinned by one `put` whose two values
         # repeat along the index list.
@@ -337,8 +311,7 @@ def _plan(ring: list, outs: list, table, boundary: BoundarySpec,
         old, prev, cur = (levels[(k + i) % len(ring)] for i in range(3))
         calls = []
         for c, p, o, (_, acc, _), carry, w in zip(
-                cur, prev, old, _passes(out, layout, periodic), carried,
-                weights):
+                cur, prev, old, _passes(out, periodic), carried, weights):
             calls += _pass_calls(c, p[1], o[1], acc, *carry, w)
         if not periodic:
             calls.append((out.put, (ends, values)))
@@ -373,7 +346,7 @@ def _check_node_steps(nodes: int, steps: float) -> None:
 
 
 def _check_group(cases: list, grid: Grid1D, t_end: float) -> tuple:
-    """The (dt, step count) of one group of a march, after `run`'s checks."""
+    """The (dt, step count) of one group of a march, after its checks."""
     if not cases:
         raise DomainError("params must hold at least one ModelParams")
     dx, dt = cases[0].dx, cases[0].dt
@@ -407,16 +380,18 @@ def _seed(block: np.ndarray, value) -> None:
 def _march(groups, boundary: BoundarySpec) -> list:
     """March groups of rows to their ends as one flat batch, in stages.
 
-    A group is a tuple (cases, grid, initializer, t_end) of rows that share
-    the grid, dt and step count, with the meaning and the checks of `run`'s
-    arguments; every group is checked before anything is allocated.  The
-    rows lie in one flat level row, groups in descending step-count order,
-    so the groups still marching are always a prefix of it.  Each stage
-    plans that prefix of the rotated level ring and marches to the step
-    count of the next group to end; that group is then read out and costs
-    nothing more, as later stages write only a shorter prefix.  Returns one
-    (rows, nodes) array per group, in the order given: views of the
-    march's own buffers, whose blocks do not overlap.
+    A group is a tuple (cases, grid, initializer, t_end): a non-empty
+    sequence of `ModelParams` that share dx and dt, and `run`'s other
+    arguments, the initializer's result broadcast to the group's (rows,
+    nodes) block.  Every group is checked before anything is allocated,
+    and a periodic march holds one row (else `DomainError`).  The rows lie
+    in one flat level row, groups in descending step-count order, so the
+    groups still marching are always a prefix of it.  Each stage plans that
+    prefix of the rotated level ring and marches to the step count of the
+    next group to end; that group is then read out and costs nothing more,
+    as later stages write only a shorter prefix.  Returns one (rows, nodes)
+    array per group, in the order given: views of the march's own buffers,
+    whose blocks do not overlap.
     """
     periodic = boundary.kind == "periodic"
     checked = []
@@ -424,6 +399,8 @@ def _march(groups, boundary: BoundarySpec) -> list:
         cases = list(cases)
         checked.append((_check_group(cases, grid, t_end), cases, grid,
                         initializer))
+    if periodic and sum(len(cases) for _, cases, _, _ in checked) > 1:
+        raise DomainError("a periodic march holds one row")
     order = sorted(range(len(checked)), key=lambda g: -checked[g][0][1])
     steps, tables, layout, seeds = [], [], [], []
     for g in order:
@@ -461,39 +438,24 @@ def _march(groups, boundary: BoundarySpec) -> list:
     return finals
 
 
-def run(params, grid: Grid1D, initializer, boundary: BoundarySpec,
-        t_end: float) -> np.ndarray:
+def run(params: ModelParams, grid: Grid1D, initializer,
+        boundary: BoundarySpec, t_end: float) -> np.ndarray:
     """March the four-level scheme from seeded start data to t_end.
 
-    `params` is one `ModelParams`, or a non-empty sequence of them that
-    share dx and dt (else `DomainError`).  A sequence is marched as one
-    (cases, nodes) array whose row i uses the weights and source of
-    params[i], and the result has that shape; one `ModelParams` gives a
-    (nodes,) result.  The first three levels come from `initializer(x, t)`
-    at t = 0, dt, 2*dt, called once per level with the array x of node
-    positions; its result must broadcast to the level's shape (else
-    `DomainError`) and is copied, so it may return a scalar, a field on the
-    nodes or one row per case, and it is never modified.  t_end must be
+    The first three levels come from `initializer(x, t)` at t = 0, dt,
+    2*dt, called once per level with the array x of node positions; its
+    result must broadcast to the level's shape (else `DomainError`) and is
+    copied, so it may return a scalar or a field on the nodes, and it is
+    never modified.  t_end must be
     finite, an integer multiple of dt (relative slack 1e-9) and at least
     2*dt, and the march may take at most 2**36 node-steps (nodes x time
     levels).  For t_end = 2*dt the third seeded level is returned with zero
     four-level updates applied, so the result is always the field at
     exactly t_end.  The result is a fresh array.  Periodic runs use the
-    n_intervals distinct nodes x0 + j*dx, j = 0..n_intervals-1.  A run is
-    the one-group case of the staged march that the convergence tables
-    share.
+    n_intervals distinct nodes j*dx, j = 0..n_intervals-1.  A run is the
+    one-row case of the staged march that the convergence tables share.
     """
-    batch = not isinstance(params, ModelParams)
-    (final,) = _march([(params if batch else [params], grid, initializer,
-                        t_end)], boundary)
-    return final if batch else final[0]
-
-
-def snapshot_csv_lines(xs: np.ndarray, phi: np.ndarray) -> list[str]:
-    """Serialize one field snapshot as CSV lines with header x,phi."""
-    if xs.shape != phi.shape:
-        raise DomainError("x and phi must share a length")
-    lines = ["x,phi"]
-    for x, v in zip(xs, phi):
-        lines.append(f"{_FMT.format(float(x))},{_FMT.format(float(v))}")
-    return lines
+    if not isinstance(params, ModelParams):
+        raise DomainError("params must be one ModelParams")
+    (final,) = _march([([params], grid, initializer, t_end)], boundary)
+    return final[0]

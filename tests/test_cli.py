@@ -112,6 +112,17 @@ def test_run_rejects_infeasible_and_invalid(capsys, tmp_path):
         _assert_one_error_line(capsys)
 
 
+def test_run_marches_to_its_own_t_end(capsys):
+    # At dx = 0.25, dt = 1.875: 7.5 is four steps, while the tables' 12 is
+    # 6.4 steps and is refused.
+    rc = main(["run", "--epsilon", "0.1", "--dx", "0.25", "--t-end", "7.5"])
+    assert rc == 0
+    lines = capsys.readouterr().out.strip().splitlines()
+    assert lines[0] == "x,phi" and len(lines) == 6
+    assert main(["run", "--epsilon", "0.1", "--dx", "0.25"]) == 1
+    _assert_one_error_line(capsys)
+
+
 def test_run_output_is_byte_identical(tmp_path):
     a = tmp_path / "a.csv"
     b = tmp_path / "b.csv"
@@ -370,3 +381,50 @@ def test_entry_point_exits_with_one_line():
     assert proc.returncode == 1
     assert proc.stderr.count("\n") == 1 and "Traceback" not in proc.stderr
     assert proc.stderr.startswith("lbmfd: error: ")
+
+
+def _csv_field(value):
+    return "" if value is None else (
+        value if isinstance(value, str) else format(value, ".17g"))
+
+
+def _csv_and_json_rows(argv, capsys):
+    # (CSV lines, the rows those lines should hold, read off the JSON).
+    assert main(argv) == 0
+    lines = capsys.readouterr().out.strip().splitlines()
+    assert main([*argv, "--format", "json"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    command = argv[0]
+    if command == "run":
+        rows = list(zip(payload["x"], payload["phi"]))
+    elif command == "convergence":
+        rows = [(rep["epsilon"], rep["order"], row["dx"], row["dt"],
+                 row["rmse"], rate)
+                for rep in payload["reports"]
+                for row, rate in zip(rep["rows"], [None, *rep["rates"]])]
+    elif command == "sweep":
+        rows = [tuple(row[k] for k in ("epsilon", "omega0", "s1", "s2",
+                                       "status")) for row in payload["rows"]]
+    else:
+        rows = [(prof["epsilon"], *values) for prof in payload["profiles"]
+                for values in zip(prof["x"], prof["phi_numeric"],
+                                  prof["phi_analytic"])]
+    return lines, rows
+
+
+@pytest.mark.parametrize("argv", [
+    ["run", "--epsilon", "0.1", "--dx", "0.1"],
+    ["convergence", "--order", "6", "--eps-list", "0.1,0.2",
+     "--dx-list", "0.1,0.05"],
+    ["sweep", "--eps-min", "0.25", "--eps-max", "0.30", "--n-points", "6"],
+    ["profile", "--eps-list", "0.1,0.24"],
+], ids=["run", "convergence", "sweep", "profile"])
+def test_csv_numbers_are_the_json_values_to_17_digits(argv, capsys):
+    # Every CSV number is format(v, ".17g") of its JSON value, and a rate
+    # or a rate-less sweep field that JSON leaves out or null is empty.
+    lines, rows = _csv_and_json_rows(argv, capsys)
+    assert len(lines) == len(rows) + 1
+    assert any(None in row for row in rows) == (argv[0] in ("convergence",
+                                                            "sweep"))
+    for line, row in zip(lines[1:], rows):
+        assert line.split(",") == [_csv_field(v) for v in row]

@@ -16,7 +16,10 @@ coefficients, and the source weight follows from Cayley-Hamilton at
 theta = 0.  Nothing from `stability` or `scheme` enters the derivation:
 the exact values, evaluated in rationals at float triples, are compared
 with `char_poly` and `coefficients`.  No `simplify` is called; the
-derivation takes well under a second.
+derivation takes well under a second.  The five Routh-Hurwitz values of
+the derived cubic are factored at cos(theta) = -1 and 1 and proved
+positive on the open box of the rates, so every admissible triple is
+strictly stable at every nonzero wavenumber.
 """
 
 import functools
@@ -167,3 +170,95 @@ def test_stencil_weights_match_the_derived_cubic():
             gap = abs(Fraction(getattr(co, name)) - _exact(poly, triple))
             worst = max(worst, gap)
     assert worst <= TOL, float(worst)
+
+
+# The open box of the rates, and the Routh-Hurwitz values of the derived
+# cubic at cos(theta) = -1 and 1, in the order of
+# `stability.routh_hurwitz_values`, as factored by hand.
+_BOX = {OMEGA0: (0, 1), S1: (0, 2), S2: (0, 2)}
+_AB = (1 - S1) * (1 - S2)
+_G = ((1 - OMEGA0) * S1 * (1 + _AB)
+      + OMEGA0 * (2 - S1) * (S1 + S2 - S1 * S2))
+_RH_AT_COS = {
+    -1: (2 * OMEGA0 * S1 * S2, 1 + _AB, 1 - _AB,
+         2 * S2 * (1 - OMEGA0) * (2 - S1), (2 - S2) * _G),
+    1: (2 * (2 - S1) * (2 - S2), 1 + _AB, 1 - _AB, sp.Integer(0),
+        S1 * S2 * (S1 + S2 - S1 * S2)),
+}
+
+
+def _rh_values(cos_t):
+    cubic, _ = _derivation()
+    p0, p1, p2 = (cubic[k][0].as_expr() + cos_t * cubic[k][1].as_expr()
+                  for k in range(3))
+    return [sp.expand(v) for v in (1 - p0 + p1 - p2, 1 - p0, 1 + p0,
+                                   1 + p0 + p1 + p2,
+                                   1 - p1 + p0 * p2 - p0 ** 2)]
+
+
+def _positive_on_open_box(f) -> bool:
+    """True when the polynomial f in the rates is proved positive on the
+    open box.
+
+    Each irreducible factor (or its negative) must be affine in some rate
+    r.  On the open interval of r it is then a strict convex combination of
+    its values at the two ends of r's interval, so it is positive when each
+    of those is identically zero or, recursively, positive on the open box
+    of the other rates, and not both vanish.  A factor that is affine in no
+    rate is not proved.
+    """
+    coeff, factors = sp.factor_list(sp.expand(f), *RATES)
+    sign = sp.sign(coeff)
+    for g, mult in factors:
+        for flip in (1, -1):
+            if _positive_factor(flip * g):
+                sign *= flip ** mult
+                break
+        else:
+            return False
+    return sign > 0
+
+
+def _positive_factor(g) -> bool:
+    rate = next((r for r in RATES if sp.degree(g, r) == 1), None)
+    if rate is None:
+        return g.is_number and g > 0
+    ends = [sp.expand(g.subs(rate, end)) for end in _BOX[rate]]
+    return any(end != 0 for end in ends) and all(
+        end == 0 or _positive_on_open_box(end) for end in ends)
+
+
+def test_routh_hurwitz_values_are_positive_on_the_open_box():
+    # Every Routh-Hurwitz value is affine in cos(theta), so its signs at
+    # cos(theta) = -1 and 1 settle every theta.  At -1 all five are
+    # positive on the open box; at 1 the fourth is identically zero (the
+    # conserved mode) and the other four are positive.  So all five are
+    # positive for cos(theta) != 1: the scheme is strictly stable at every
+    # nonzero wavenumber for every admissible triple.
+    for cos_t, factored in _RH_AT_COS.items():
+        values = _rh_values(cos_t)
+        for value, want in zip(values, factored):
+            assert sp.expand(value - want) == 0
+        for k, value in enumerate(values):
+            assert (value == 0) if (cos_t, k) == (1, 3) \
+                else _positive_on_open_box(value), (cos_t, k)
+    # The float values of `stability` are those of the derived cubic.
+    worst = 0.0
+    for triple in _rand_triples(4, 50):
+        point = dict(zip(RATES, map(Fraction, triple)))
+        for cos_t, theta in ((-1, np.pi), (1, 0.0)):
+            got = stab.routh_hurwitz_values(stab.char_poly(*triple, theta))
+            for g, value in zip(got, _rh_values(cos_t)):
+                want = Fraction(str(value.subs(point)))
+                worst = max(worst, abs(Fraction(float(g)) - want))
+    assert worst <= TOL, float(worst)
+
+
+def test_the_positivity_proof_rejects_what_is_not_positive():
+    # A sign change inside the box and a square that vanishes inside it
+    # fail; factors that vanish on faces of the closed box only pass; a
+    # positive factor that is affine in no rate is beyond the proof.
+    assert not _positive_on_open_box(S1 - 1)
+    assert not _positive_on_open_box(OMEGA0 * (S2 - 1) ** 2)
+    assert _positive_on_open_box((2 - S1) * (S1 + S2 - S1 * S2))
+    assert not _positive_on_open_box((S1 - S2) ** 2 + 1)

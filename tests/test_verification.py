@@ -90,9 +90,9 @@ def test_benchmark_case_derived_fields():
         with pytest.raises(DomainError):
             ver.BenchmarkCase(epsilon=0.1, dx=bad, order="sixth")
     # 1/dx overflows at 1e-320, dt = 30*dx**2 vanishes at 1e-200 and the
-    # step count t_end/dt overflows at 1e-160.
+    # step count t_end/dt would overflow at 1e-160.
     # dx = 1e-100 stays in the float range but asks for 1e100 nodes; 2**-23
-    # is the first power of two past the node bound.  Neither allocates.
+    # is the first power of two past the node bound.  None allocates.
     for tiny in (1e-320, 1e-200, 1e-160, 1e-100, 2.0 ** -23):
         with pytest.raises(DomainError):
             ver.BenchmarkCase(epsilon=0.1, dx=tiny, order="sixth")
@@ -243,10 +243,25 @@ def test_csv_serializations():
     first = lines[1].split(",")
     assert first[1] == "sixth" and first[5] == ""
     assert float(lines[2].split(",")[5]) == pytest.approx(reports[0].rates[0])
-    profiles = ver.profile_solution((0.1,), dx=0.1)
+    profiles = ver.profile_solution((0.1,))
     plines = ver.profile_csv_lines(profiles)
     assert plines[0] == "epsilon,x,phi_numeric,phi_analytic"
-    assert len(plines) == 12
+    assert len(plines) == 42
+    assert ver.csv_lines("a,b,c", [(0.1, "ok", None), (np.float64(-0.0), 2,
+                                                        "")]) \
+        == ["a,b,c", "0.10000000000000001,ok,", "-0,2,"]
+
+
+def test_snapshot_csv_lines_round_trip():
+    xs = np.array([0.0, 0.1, 0.2])
+    phi = np.array([0.0, 0.123456789012345678, -1.0])
+    lines = ver.snapshot_csv_lines(xs, phi)
+    assert lines[0] == "x,phi"
+    assert len(lines) == 4
+    parsed = [float(line.split(",")[1]) for line in lines[1:]]
+    np.testing.assert_array_equal(parsed, phi)
+    with pytest.raises(DomainError, match="x and phi must share a length"):
+        ver.snapshot_csv_lines(xs, phi[:2])
 
 
 @pytest.mark.parametrize("order", ["second", "fourth", "sixth"])
@@ -254,7 +269,7 @@ def test_csv_serializations():
 def test_staged_table_equals_one_run_per_spacing_bit_for_bit(order,
                                                              eps_list):
     # The table marches its four spacings as one staged batch; each field
-    # and each error must have the bits of one batched run per spacing.
+    # and each error must have the bits of one march per spacing.
     dx_list = (0.2, 0.1, 0.05, 0.025)
     reports = ver.reproduce_table(order, eps_list, dx_list)
     cases = [ver.BenchmarkCase(eps, dx, order)
@@ -267,9 +282,9 @@ def test_staged_table_equals_one_run_per_spacing_bit_for_bit(order,
                   for c in at_dx]
         kappa = np.array([[c.kappa] for c in at_dx])
         grid = scheme.Grid1D(round(1.0 / dx))
-        finals = scheme.run(params, grid,
-                            lambda x, t: ver.analytic_phi(x, t, kappa),
-                            scheme.BoundarySpec.dirichlet(0.0, 0.0), 12.0)
+        (finals,) = scheme._march(
+            [(params, grid, lambda x, t: ver.analytic_phi(x, t, kappa),
+              12.0)], scheme.BoundarySpec.dirichlet(0.0, 0.0))
         xs = grid.nodes()
         for i, (case, final) in enumerate(zip(at_dx, finals)):
             staged_xs, staged_final = staged[j * len(eps_list) + i]
@@ -308,20 +323,36 @@ def test_reproduce_table_bounds_node_steps_per_spacing(monkeypatch):
         ver.reproduce_table("second")
 
 
+def test_reproduce_table_refuses_a_spacing_off_the_step_grid(monkeypatch):
+    # At dx = 0.25, dt = 1.875 and t_end = 12 is 6.4 steps: the table is
+    # refused before anything is seeded, while a case at that spacing may
+    # be built, as `lbmfd run --t-end` marches it to another end.
+    seeded = []
+    phi = ver.analytic_phi
+    monkeypatch.setattr(ver, "analytic_phi", lambda x, t, kappa:
+                        seeded.append(t) or phi(x, t, kappa))
+    assert ver.BenchmarkCase(0.1, 0.25, "sixth").dt == 1.875
+    with pytest.raises(DomainError, match="not an integer multiple of dt"):
+        ver.reproduce_table("sixth", eps_list=(0.1,), dx_list=(0.25, 0.1))
+    assert seeded == []
+
+
 _WEIGHT_NAMES = ("side_n", "center_n", "side_nm1", "center_nm1",
                  "center_nm2")
 
 
-def _modal_rmse(weights, n: int, epsilon: float):
-    """Interior RMSE of a decaying-sine march on n intervals, in mpmath.
+def _modal_rmse(weights, n: int, epsilon: float, nodes: int | None = None):
+    """RMSE of a decaying-sine march on n intervals, in mpmath.
 
     With zero ends, sin(pi*x_j) is an eigenvector of the stencil: a
     neighbour pair sums to 2*cos(pi/n) times the centre, so the field stays
     A_k*sin(pi*x_j) and A_k obeys the scalar three-term recurrence of the
     characteristic cubic at theta = pi/n.  It starts from the exact
     amplitudes at t = 0, dt, 2*dt, with dt = 30/n**2 and kappa = epsilon/30
-    (the float epsilon, exactly), and the interior mean of sin**2 is
-    n/(2*(n - 1)).  `weights` are the five field weights in stencil order.
+    (the float epsilon, exactly).  The mean of sin**2 over `nodes` nodes
+    that hold the n - 1 interior ones is n/(2*nodes): the RMSE is taken
+    over the interior ones by default, and over all of them with
+    nodes = n + 1.  `weights` are the five field weights in stencil order.
     Returns (RMSE, step count).
     """
     with mp.workdps(60):
@@ -337,7 +368,7 @@ def _modal_rmse(weights, n: int, epsilon: float):
         for _ in range(n_steps - 2):
             old, prev, cur = prev, cur, a * cur + b * prev + center_nm2 * old
         gap = abs(cur - mp.exp(decay * 12))
-        return gap * mp.sqrt(mp.mpf(n) / (2 * (n - 1))), n_steps
+        return gap * mp.sqrt(mp.mpf(n) / (2 * (nodes or n - 1))), n_steps
 
 
 def test_every_default_table_cell_matches_the_modal_oracle():
@@ -357,19 +388,41 @@ def test_every_default_table_cell_matches_the_modal_oracle():
                     (order, rep.epsilon, dx)
 
 
-def test_modal_oracle_derives_the_sixth_order_pins():
-    # The pins use the weights of the calibrated float triple without
-    # rounding: the derived polynomials evaluated in rationals.
+def _exact_weights(res):
+    # The stencil weights of a calibrated float triple without rounding:
+    # the derived polynomials evaluated in rationals, as 60-digit mpfs.
     _, polys = _derivation()
-    res = cal.calibrate_sixth(0.1)
     triple = (res.omega0, res.s1, res.s2)
     weights = []
     for name in _WEIGHT_NAMES:
         value = _exact(polys[name], triple)
         with mp.workdps(60):
             weights.append(mp.mpf(value.numerator) / value.denominator)
+    return weights
+
+
+def test_modal_oracle_derives_the_sixth_order_pins():
+    weights = _exact_weights(cal.calibrate_sixth(0.1))
     for dx, pin, steps in zip(SPACINGS, SIXTH_EPS01_EXACT,
                               SIXTH_EPS01_STEPS):
         exact, n_steps = _modal_rmse(weights, round(1.0 / dx), 0.1)
         assert n_steps == steps
         assert float(mp.nstr(exact, 9)) == pin
+
+
+def test_recorded_tables_hold_all_node_rmses_in_44_of_45_cells():
+    # The recorded tables agree, to their three significant digits, with
+    # the RMSE over all n + 1 nodes in every cell but one, on the exact
+    # weights.  (The float march gives 7.967e-11 at sixth order, epsilon
+    # 0.2, dx 0.025, so its all-node RMSEs match in 43 cells.)
+    off = []
+    for order, table in (("sixth", SIXTH_RMSE), ("fourth", FOURTH_RMSE),
+                         ("second", SECOND_RMSE)):
+        for eps, recorded in table.items():
+            weights = _exact_weights(ver._params_for(order, eps))
+            for dx, cell in zip(SPACINGS, recorded):
+                n = round(1.0 / dx)
+                err, _ = _modal_rmse(weights, n, eps, nodes=n + 1)
+                if float(mp.nstr(err, 3)) != cell:
+                    off.append((order, eps, dx, mp.nstr(err, 3)))
+    assert off == [("sixth", 0.1, 0.025, "2.26e-13")]
