@@ -3,8 +3,11 @@
 The mesoscopic model solves d(phi)/dt = kappa * d2(phi)/dx2 + R with three
 velocities (-c, 0, c), rest-population weight omega0 (moving weights
 omega1 = (1 - omega0) / 2 each) and relaxation rates (s0, s1, s2) for the
-conserved, first and second moments.  Two dimensionless groups control the
-truncation error of the equivalent four-level finite-difference update:
+conserved, first and second moments.  `ModelParams` holds that set with the
+mesh (dx, dt) and the source R as one record, which the finite-difference
+march and the mesoscopic helpers take whole.  Two dimensionless groups
+control the truncation error of the equivalent four-level finite-difference
+update:
 
     epsilon = kappa * dt / dx**2 = (1 - omega0) * (1/s1 - 1/2)
 
@@ -63,66 +66,40 @@ def check_box(omega0: float | None = None, s1: float | None = None,
 
 
 @dataclass(frozen=True)
-class Weights:
-    """Equilibrium weights of the three-velocity lattice.
+class ModelParams:
+    """The parameter set of one model run: rest weight omega0, relaxation
+    rates s1, s2 (and s0, which drops out of the update), mesh (dx, dt)
+    and source R.
 
-    The moving weights are equal and fixed by the rest weight:
-    omega1 = (1 - omega0) / 2.  Only 0 < omega0 < 1 is admissible.
+    Derived: the moving weight omega1 = (1 - omega0)/2,
+    kappa = 2*omega1*(1/s1 - 1/2)*dx**2/dt and epsilon = kappa*dt/dx**2.
+    Construction rejects a triple outside the open box (see check_box),
+    non-finite s0, dx, dt and source_R, non-positive dx and dt, and a kappa
+    or epsilon that leaves the float range.
     """
 
     omega0: float
-    omega1: float = field(init=False)
-
-    def __post_init__(self):
-        check_box(self.omega0)
-        object.__setattr__(self, "omega1", (1.0 - self.omega0) / 2.0)
-
-
-@dataclass(frozen=True)
-class Relaxations:
-    """Relaxation rates for the conserved, first and second moments.
-
-    s0 acts on the conserved moment and drops out of the update entirely;
-    s1 and s2 must lie in (0, 2) for the collision to be admissible.
-    """
-
-    s0: float
     s1: float
     s2: float
-
-    def __post_init__(self):
-        if not math.isfinite(self.s0):
-            raise DomainError(f"s0 must be finite, got {self.s0}")
-        check_box(s1=self.s1, s2=self.s2)
-
-
-@dataclass(frozen=True)
-class ModelParams:
-    """Complete parameter set for one model run.
-
-    kappa and epsilon are derived from the weights, the rates and the mesh:
-    kappa = 2*omega1*(1/s1 - 1/2)*dx**2/dt and epsilon = kappa*dt/dx**2.
-    Construction rejects non-finite dx, dt and source_R, and a kappa or
-    epsilon that leaves the float range.
-    """
-
     dx: float
     dt: float
+    source_R: float = 0.0
+    s0: float = 1.0
+    omega1: float = field(init=False)
     kappa: float = field(init=False)
-    source_R: float
-    weights: Weights
-    relax: Relaxations
     epsilon: float = field(init=False)
 
     def __post_init__(self):
-        for name in ("dx", "dt", "source_R"):
+        check_box(self.omega0, self.s1, self.s2)
+        for name in ("s0", "dx", "dt", "source_R"):
             if not math.isfinite(getattr(self, name)):
                 raise DomainError(f"{name} must be finite, got "
                                   f"{getattr(self, name)}")
         if self.dx <= 0.0 or self.dt <= 0.0:
             raise DomainError("dx and dt must be positive")
+        omega1 = (1.0 - self.omega0) / 2.0
         try:
-            kappa = (2.0 * self.weights.omega1 * (1.0 / self.relax.s1 - 0.5)
+            kappa = (2.0 * omega1 * (1.0 / self.s1 - 0.5)
                      * self.dx ** 2 / self.dt)
             epsilon = kappa * self.dt / self.dx ** 2
         except (OverflowError, ZeroDivisionError):
@@ -132,6 +109,7 @@ class ModelParams:
                               "or epsilon outside the float range")
         if kappa <= 0.0:
             raise DomainError(f"kappa must be positive, got {kappa}")
+        object.__setattr__(self, "omega1", omega1)
         object.__setattr__(self, "kappa", kappa)
         object.__setattr__(self, "epsilon", epsilon)
 
@@ -139,9 +117,8 @@ class ModelParams:
     def from_rates(cls, omega0: float, s1: float, s2: float, dx: float,
                    dt: float, source_R: float = 0.0,
                    s0: float = 1.0) -> "ModelParams":
-        """Parameter set of the triple (omega0, s1, s2) on a given mesh."""
-        return cls(dx, dt, source_R, Weights(omega0),
-                   Relaxations(s0, s1, s2))
+        """The constructor under its earlier name."""
+        return cls(omega0, s1, s2, dx, dt, source_R, s0)
 
 
 def residual_second(omega0: float, s1: float, s2: float,
@@ -228,19 +205,6 @@ def _reduced_cubic(eps: float) -> tuple[float, float, float, float]:
     return a3, a2, a1, a0
 
 
-def _sixth_discriminant_sign(eps: float) -> float:
-    """A value with the sign of the discriminant of _reduced_cubic(eps).
-
-    The discriminant factors as 768*e**2*q(e**2); this is q.  It is negative
-    exactly when the cubic has one real root and a complex pair.  The generic
-    formula in the four coefficients cancels to rounding noise below epsilon
-    of about 1e-8, where q stays near q(0) = -33.
-    """
-    x = eps * eps
-    return (((((25920000000 * x - 2777760000) * x + 84960000) * x - 1277280)
-             * x + 9760) * x - 33)
-
-
 def _triple_from_root(eps: float, s1: float):
     """(omega0, s1, s2) built from one real root s1 of the reduced cubic, or
     None when the triple leaves the open box or either residual exceeds
@@ -274,9 +238,9 @@ def _solve_sixth(eps_values) -> list:
 
     Returns one (omega0, s1, s2) per epsilon, or None where the cubic does
     not have a single real root (epsilon past epsilon_max), or where its
-    root gives no admissible triple.  The cubics with a negative
-    discriminant share one eigenvalue call on the companion matrices that
-    np.roots builds, and each takes the root with the smallest real part.
+    root gives no admissible triple.  The cubics up to epsilon_max share
+    one eigenvalue call on the companion matrices that np.roots builds,
+    and each takes the root with the smallest real part.
     That is the real root (below 0.92), since the complex pair keeps its
     real part above 1.3 over the solvable range.  Below epsilon of about
     1e-8 the pair is a near-double close to s1 = 2, which LAPACK may return
@@ -284,8 +248,9 @@ def _solve_sixth(eps_values) -> list:
     """
     out = [None] * len(eps_values)
     rows, cubics = [], []
+    eps_max = epsilon_max()
     for i, eps in enumerate(eps_values):
-        if _sixth_discriminant_sign(eps) < 0.0:
+        if eps <= eps_max:
             rows.append(i)
             cubics.append(_reduced_cubic(eps))
     if not rows:
@@ -366,9 +331,10 @@ def second_order_reference(epsilon: float) -> CalibrationResult:
 def epsilon_max() -> float:
     """Largest epsilon with a sixth-order calibration.
 
-    The square root of the only positive root of q, the polynomial that
-    _sixth_discriminant_sign evaluates, correctly rounded.  Up to this float
-    q is negative and the reduced cubic has its single real root; one ulp
+    The discriminant of the reduced cubic is 768*e**2*q(e**2), with q a
+    quintic that has one positive root; this is the square root of that
+    root, correctly rounded.  Up to this float q is negative and the
+    reduced cubic has its single real root and a complex pair; one ulp
     above it q is non-negative.
     """
     return 0.2624182802648436

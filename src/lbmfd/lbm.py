@@ -10,11 +10,14 @@ moment space.  The moment transform and its exact inverse are
 with the population order (f_minus, f_zero, f_plus).  The macroscopic field
 carries the trapezoidal half-step source correction,
 phi = f_minus + f_zero + f_plus + dt*R/2, and equilibria are weight shares
-of phi.  `evolve` applies the collision in its fully substituted population
-form (cheap, no matrix products); `evolve_matrix_form` applies the raw
-moment-space definition with explicit M, S, M_inv products.  Both walk the
-same trajectory to rounding error, and the conserved-moment rate s0 drops
-out exactly because the conserved moment already equals its equilibrium.
+of phi.  Each helper (`initialize`, `macro_phi`, `equilibrium`,
+`lattice_matrices`, `evolve`) reads what it needs from the one
+`calibration.ModelParams` record of the run.  `evolve` applies the
+collision in its fully substituted population form (cheap, no matrix
+products); `evolve_matrix_form` applies the raw moment-space definition
+with explicit M, S, M_inv products.  Both walk the same trajectory to
+rounding error, and the conserved-moment rate s0 drops out exactly because
+the conserved moment already equals its equilibrium.
 
 `evolve` and `fd_equivalence_deviation` share one in-place kernel that
 collides and streams three preallocated population arrays with slice
@@ -34,7 +37,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .calibration import ModelParams, Weights
+from .calibration import ModelParams
 from .errors import DomainError
 from .scheme import (BoundarySpec, _check_node_steps, _plan, _weight_row,
                      coefficients)
@@ -73,8 +76,9 @@ class LatticeMatrices:
     M_inv: np.ndarray
 
 
-def lattice_matrices(c: float, relax) -> LatticeMatrices:
+def lattice_matrices(params: ModelParams) -> LatticeMatrices:
     """Build the moment-space matrices for lattice speed c = dx/dt."""
+    c = params.dx / params.dt
     if not (math.isfinite(c) and c > 0.0):
         raise DomainError(f"lattice speed must be positive and finite, "
                           f"got {c}")
@@ -88,25 +92,24 @@ def lattice_matrices(c: float, relax) -> LatticeMatrices:
         [1.0 / 3.0, 0.0, -1.0 / (3.0 * c * c)],
         [1.0 / 3.0, 1.0 / (2.0 * c), 1.0 / (6.0 * c * c)],
     ])
-    S = np.diag([relax.s0, relax.s1, relax.s2])
+    S = np.diag([params.s0, params.s1, params.s2])
     return LatticeMatrices(M=M, S=S, M_inv=M_inv)
 
 
-def equilibrium(phi, weights: Weights):
+def equilibrium(phi, params: ModelParams):
     """Equilibrium populations (weight shares of phi); broadcasts over phi."""
-    return (weights.omega1 * phi, weights.omega0 * phi, weights.omega1 * phi)
+    return (params.omega1 * phi, params.omega0 * phi, params.omega1 * phi)
 
 
-def macro_phi(f: DistributionField, dt: float, R: float) -> np.ndarray:
+def macro_phi(f: DistributionField, params: ModelParams) -> np.ndarray:
     """Macroscopic field with the half-step source correction."""
-    return f.f_minus + f.f_zero + f.f_plus + 0.5 * dt * R
+    return f.f_minus + f.f_zero + f.f_plus + 0.5 * params.dt * params.source_R
 
 
-def initialize(phi0: np.ndarray, weights: Weights, dt: float,
-               R: float) -> DistributionField:
+def initialize(phi0: np.ndarray, params: ModelParams) -> DistributionField:
     """Equilibrium populations whose macroscopic field equals phi0."""
-    base = np.asarray(phi0, dtype=float) - 0.5 * dt * R
-    fm, f0, fp = equilibrium(base, weights)
+    base = np.asarray(phi0, dtype=float) - 0.5 * params.dt * params.source_R
+    fm, f0, fp = equilibrium(base, params)
     return DistributionField(fm, f0, fp)
 
 
@@ -118,10 +121,7 @@ def _collide_stream(f_minus, f_zero, f_plus, params: ModelParams, phi,
     # the order of the substituted population form, written out in
     # `evolve`'s docstring, and the last addition of each moving population
     # lands one node downstream, so streaming costs no extra pass.
-    omega0 = params.weights.omega0
-    omega1 = params.weights.omega1
-    s1 = params.relax.s1
-    s2 = params.relax.s2
+    omega0, omega1, s1, s2 = params.omega0, params.omega1, params.s1, params.s2
     dt_R = params.dt * params.source_R
     np.add(f_minus, f_zero, out=phi)
     np.add(phi, f_plus, out=phi)
@@ -183,15 +183,13 @@ def evolve_matrix_form(f: DistributionField,
     Collision: f* = f - M_inv S M (f - f_eq) + dt * M_inv (I - S/2) M r,
     with r the weight-shared source vector; then streaming.
     """
-    mats = lattice_matrices(params.dx / params.dt, params.relax)
+    mats = lattice_matrices(params)
     collide = mats.M_inv @ mats.S @ mats.M
     source_op = mats.M_inv @ (np.eye(3) - 0.5 * mats.S) @ mats.M
-    phi = macro_phi(f, params.dt, params.source_R)
+    phi = macro_phi(f, params)
     stack = np.vstack([f.f_minus, f.f_zero, f.f_plus])
-    eq_stack = np.vstack(equilibrium(phi, params.weights))
-    r_vec = params.source_R * np.array([
-        params.weights.omega1, params.weights.omega0,
-        params.weights.omega1])
+    eq_stack = np.vstack(equilibrium(phi, params))
+    r_vec = params.source_R * np.array(equilibrium(1.0, params))
     src = params.dt * (source_op @ r_vec)
     post = stack - collide @ (stack - eq_stack) + src[:, None]
     return DistributionField(
@@ -231,9 +229,8 @@ def fd_equivalence_deviation(n_nodes: int, steps: int, omega0: float,
     _check_node_steps(n_nodes, steps)
     rng = np.random.default_rng(seed)
     phi0 = rng.random(n_nodes)
-    params = ModelParams.from_rates(omega0, s1, s2, dx=1.0, dt=1.0,
-                                    source_R=source_R)
-    field = initialize(phi0, params.weights, params.dt, params.source_R)
+    params = ModelParams(omega0, s1, s2, dx=1.0, dt=1.0, source_R=source_R)
+    field = initialize(phi0, params)
     pops = (field.f_minus, field.f_zero, field.f_plus)
     table = [_weight_row(coefficients(omega0, s1, s2), params.dt,
                          params.source_R)]
@@ -251,7 +248,7 @@ def fd_equivalence_deviation(n_nodes: int, steps: int, omega0: float,
         if n < steps:
             _collide_stream(*pops, params, new, *work)
         else:
-            new[...] = macro_phi(field, params.dt, params.source_R)
+            new[...] = macro_phi(field, params)
         # `predicted` is free until the prediction below overwrites it.
         max_phi = np.maximum(max_phi, np.abs(new, out=predicted).max())
         if n == 2:

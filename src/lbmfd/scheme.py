@@ -137,29 +137,23 @@ class BoundarySpec:
 
 
 class PhiHistory:
-    """Ring buffer of the three most recent field levels.
+    """Ring buffer of the three most recent field levels, oldest first.
 
-    Levels rotate by index on push; arrays are never copied.  step_index is
-    the time index of the newest level, so a freshly seeded history (levels
-    at t = 0, dt, 2*dt) has step_index = 2.
+    Levels rotate by index on push; arrays are never copied.
     """
 
-    def __init__(self, levels: list[np.ndarray], dt: float, step_index: int):
+    def __init__(self, levels: list[np.ndarray]):
         if len(levels) != 3:
             raise DomainError("a history holds exactly three levels")
         shape = np.shape(levels[0])
         if len(shape) != 1 or any(np.shape(lv) != shape for lv in levels):
             raise DomainError("history levels must share one 1-D shape")
-        if not (math.isfinite(dt) and dt > 0.0):
-            raise DomainError(f"dt must be positive and finite, got {dt}")
         self._levels = list(levels)
-        self.dt = dt
-        self.step_index = step_index
 
     @classmethod
-    def from_levels(cls, phi_nm2, phi_nm1, phi_n, dt: float) -> "PhiHistory":
-        levels = [np.asarray(phi_nm2), np.asarray(phi_nm1), np.asarray(phi_n)]
-        return cls(levels, dt, 2)
+    def from_levels(cls, phi_nm2, phi_nm1, phi_n) -> "PhiHistory":
+        return cls([np.asarray(phi_nm2), np.asarray(phi_nm1),
+                    np.asarray(phi_n)])
 
     @property
     def oldest(self) -> np.ndarray:
@@ -176,7 +170,6 @@ class PhiHistory:
     def push(self, new_level: np.ndarray) -> np.ndarray:
         self._levels[0], self._levels[1], self._levels[2] = (
             self._levels[1], self._levels[2], new_level)
-        self.step_index += 1
         return new_level
 
 
@@ -325,10 +318,13 @@ def step(history: PhiHistory, coeffs: FdCoefficients, dt: float, R: float,
 
     The new level is a freshly allocated array; it is pushed into the
     history and returned.  Dirichlet end nodes are pinned to their boundary
-    values; periodic indexing wraps.
+    values; periodic indexing wraps.  A non-finite or non-positive dt, or a
+    non-finite R, raises DomainError.
     """
-    if history.step_index < 2:
-        raise DomainError("the four-level update needs three seeded levels")
+    if not (math.isfinite(dt) and dt > 0.0):
+        raise DomainError(f"dt must be positive and finite, got {dt}")
+    if not math.isfinite(R):
+        raise DomainError(f"R must be finite, got {R}")
     levels = [history.oldest, history.previous, history.current]
     out = np.empty(levels[0].shape, np.result_type(*levels, 1.0))
     (phase,) = _plan(levels, [out], [_weight_row(coeffs, dt, R)], boundary,
@@ -407,9 +403,8 @@ def _march(groups, boundary: BoundarySpec) -> list:
         (dt, n_steps), cases, grid, initializer = checked[g]
         xs = grid.nodes()[:-1] if periodic else grid.nodes()
         steps.append(n_steps)
-        tables.append([_weight_row(coefficients(p.weights.omega0,
-                                                p.relax.s1, p.relax.s2),
-                                   dt, p.source_R) for p in cases])
+        tables.append([_weight_row(coefficients(p.omega0, p.s1, p.s2), dt,
+                                   p.source_R) for p in cases])
         layout.append((len(tables[-1]), xs.size))
         seeds.append((initializer, xs, dt))
     # Level m of the march lives in ring[m % 4].

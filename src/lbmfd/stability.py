@@ -67,7 +67,6 @@ class CharPoly:
     p0: float
     p1: float
     p2: float
-    theta: float
 
 
 @dataclass(frozen=True)
@@ -94,8 +93,7 @@ def char_poly(omega0: float, s1: float, s2: float, theta: float) -> CharPoly:
     co = coefficients(omega0, s1, s2)
     _check_theta(theta)
     p0, p1, p2 = _char_coeff_grid(co, np.cos(theta))
-    return CharPoly(p0=float(p0), p1=float(p1), p2=float(p2),
-                    theta=float(theta))
+    return CharPoly(p0=float(p0), p1=float(p1), p2=float(p2))
 
 
 def population_amplification(omega0: float, s1: float, s2: float,

@@ -129,8 +129,8 @@ def _march_decaying_sine(cases, t_end: float) -> list:
     groups = []
     for dx, rows in by_dx.items():
         group = [cases[i] for i in rows]
-        params = [ModelParams.from_rates(c.params.omega0, c.params.s1,
-                                         c.params.s2, dx=c.dx, dt=c.dt)
+        params = [ModelParams(c.params.omega0, c.params.s1, c.params.s2,
+                              dx=c.dx, dt=c.dt)
                   for c in group]
         kappa = np.array([[c.kappa] for c in group])
         groups.append((params, Grid1D(round(1.0 / dx)),

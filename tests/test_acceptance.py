@@ -223,12 +223,12 @@ def test_acceptance_8_steady_source_balance():
         s2 = rng.uniform(0.2, 1.8)
         R = rng.uniform(0.5, 2.0)
         grid = Grid1D(16)
-        params = cal.ModelParams.from_rates(omega0, s1, s2, dx=grid.dx,
-                                            dt=1.0, source_R=R)
+        params = cal.ModelParams(omega0, s1, s2, dx=grid.dx,
+                                 dt=1.0, source_R=R)
         xs = grid.nodes()
         exact = R * xs * (1.0 - xs) / (2.0 * params.kappa)
         history = PhiHistory.from_levels(exact.copy(), exact.copy(),
-                                         exact.copy(), params.dt)
+                                         exact.copy())
         co = coefficients(omega0, s1, s2)
         for _ in range(10):
             new = step(history, co, params.dt, R,
@@ -243,12 +243,12 @@ def test_acceptance_9_matrix_form_and_conserved_rate():
     rng = np.random.default_rng(31)
     worst_forms = 0.0
     for _ in range(20):
-        params = cal.ModelParams.from_rates(
+        params = cal.ModelParams(
             rng.uniform(0.05, 0.95), rng.uniform(0.1, 1.9),
             rng.uniform(0.1, 1.9), dx=1.0, dt=1.0,
             source_R=rng.uniform(-1.0, 1.0))
         phi0 = rng.random(16)
-        fa = lbm.initialize(phi0, params.weights, params.dt, params.source_R)
+        fa = lbm.initialize(phi0, params)
         fb = fa
         for _ in range(10):
             fa = lbm.evolve(fa, params, BoundarySpec.periodic())
@@ -266,13 +266,13 @@ def test_acceptance_9_matrix_form_and_conserved_rate():
         phi0 = rng.random(16)
         trajectories = []
         for s0 in (0.1, 1.0, 1.9):
-            params = cal.ModelParams.from_rates(omega0, s1, s2, dx=1.0,
-                                                dt=1.0, source_R=R, s0=s0)
-            f = lbm.initialize(phi0, params.weights, params.dt, R)
+            params = cal.ModelParams(omega0, s1, s2, dx=1.0,
+                                     dt=1.0, source_R=R, s0=s0)
+            f = lbm.initialize(phi0, params)
             levels = []
             for _ in range(10):
                 f = lbm.evolve_matrix_form(f, params)
-                levels.append(lbm.macro_phi(f, params.dt, R))
+                levels.append(lbm.macro_phi(f, params))
             trajectories.append(np.array(levels))
         for traj in trajectories[1:]:
             worst_s0 = max(worst_s0, float(np.max(np.abs(

@@ -1,9 +1,12 @@
 """Tests for parameter handling and accuracy calibration."""
 
+import functools
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
+import sympy as sp
 
 from lbmfd import calibration as cal
 from lbmfd.errors import DomainError, NoRealRoot
@@ -40,30 +43,37 @@ FOURTH_REFERENCE = {
 }
 
 
+def _unit_mesh(omega0=0.8, s1=1.0, s2=1.0, s0=1.0):
+    return cal.ModelParams(omega0, s1, s2, dx=1.0, dt=1.0, s0=s0)
+
+
 def test_weights_from_omega0_splits_the_rest_weight():
-    w = cal.Weights(0.8)
-    np.testing.assert_allclose(w.omega0, 0.8, rtol=1e-15)
-    np.testing.assert_allclose(w.omega1, 0.1, rtol=1e-15)
-    w = cal.Weights(1.0 / 3.0)
-    np.testing.assert_allclose(w.omega1, 1.0 / 3.0, rtol=1e-15)
+    p = _unit_mesh(0.8)
+    np.testing.assert_allclose(p.omega0, 0.8, rtol=1e-15)
+    np.testing.assert_allclose(p.omega1, 0.1, rtol=1e-15)
+    p = _unit_mesh(1.0 / 3.0)
+    np.testing.assert_allclose(p.omega1, 1.0 / 3.0, rtol=1e-15)
 
 
 def test_weights_from_omega0_rejects_closed_ends():
     for omega0 in (0.0, 1.0, -0.2, 1.3):
-        with pytest.raises(DomainError):
-            cal.Weights(omega0)
+        with pytest.raises(DomainError, match="omega0 must lie"):
+            _unit_mesh(omega0=omega0)
 
 
 def test_relaxations_validation():
-    r = cal.Relaxations(1.0, 0.5, 1.5)
-    assert (r.s0, r.s1, r.s2) == (1.0, 0.5, 1.5)
-    cal.Relaxations(-5.0, 0.5, 1.5)
-    with pytest.raises(DomainError):
-        cal.Relaxations(float("inf"), 0.5, 1.5)
-    with pytest.raises(DomainError):
-        cal.Relaxations(1.0, 2.0, 1.5)
-    with pytest.raises(DomainError):
-        cal.Relaxations(1.0, 0.5, 0.0)
+    p = _unit_mesh(s1=0.5, s2=1.5)
+    assert (p.s0, p.s1, p.s2) == (1.0, 0.5, 1.5)
+    # s0 drops out of the update, so any finite value is admissible.
+    assert _unit_mesh(s1=0.5, s2=1.5, s0=-5.0).s0 == -5.0
+    for s0 in (float("inf"), -float("inf"), float("nan")):
+        with pytest.raises(DomainError, match="s0 must be finite"):
+            _unit_mesh(s1=0.5, s2=1.5, s0=s0)
+    for end in (0.0, 2.0):
+        with pytest.raises(DomainError, match="s1 must lie"):
+            _unit_mesh(s1=end, s2=1.5)
+        with pytest.raises(DomainError, match="s2 must lie"):
+            _unit_mesh(s1=0.5, s2=end)
 
 
 def _mesh_fourier(omega0, s1):
@@ -77,7 +87,7 @@ def test_mesh_fourier_values():
     for eps, (omega0, s1, _) in SIXTH_REFERENCE.items():
         np.testing.assert_allclose(_mesh_fourier(omega0, s1), eps,
                                    rtol=1e-12)
-        params = cal.ModelParams.from_rates(omega0, s1, 1.0, dx=1.0, dt=1.0)
+        params = cal.ModelParams(omega0, s1, 1.0, dx=1.0, dt=1.0)
         np.testing.assert_allclose(params.epsilon, eps, rtol=1e-12)
     with pytest.raises(DomainError):
         cal.check_box(1.0, 1.0, 1.0)
@@ -87,6 +97,7 @@ def test_mesh_fourier_values():
 
 def test_model_params_from_rates_and_diffusivity():
     params = cal.ModelParams.from_rates(0.8, 1.0, 1.0, dx=0.025, dt=0.01875)
+    assert params == cal.ModelParams(0.8, 1.0, 1.0, dx=0.025, dt=0.01875)
     np.testing.assert_allclose(params.kappa, 1.0 / 300.0, rtol=1e-14)
     np.testing.assert_allclose(params.epsilon, 0.1, rtol=1e-14)
     rng = np.random.default_rng(7)
@@ -96,34 +107,29 @@ def test_model_params_from_rates_and_diffusivity():
         s2 = rng.uniform(0.1, 1.9)
         dx = rng.uniform(0.01, 0.5)
         dt = rng.uniform(0.01, 0.5)
-        params = cal.ModelParams.from_rates(omega0, s1, s2, dx=dx, dt=dt)
+        params = cal.ModelParams(omega0, s1, s2, dx=dx, dt=dt)
         np.testing.assert_allclose(
             params.kappa * params.dt / params.dx ** 2,
             _mesh_fourier(omega0, s1), rtol=1e-13)
 
 
 def test_model_params_rejects_inconsistent_fields():
-    good = cal.ModelParams.from_rates(0.8, 1.0, 1.0, dx=0.1, dt=0.3)
-    with pytest.raises(DomainError):
-        cal.ModelParams(-0.1, good.dt, 0.0, good.weights, good.relax)
-    fields = (good.dx, good.dt, 0.0, good.weights, good.relax)
+    # (omega0, s1, s2, dx, dt, source_R, s0)
+    fields = (0.8, 1.0, 1.0, 0.1, 0.3, 0.0, 1.0)
+    cal.ModelParams(*fields)
+    for dx, dt in ((-0.1, 0.3), (0.1, 0.0)):
+        with pytest.raises(DomainError, match="must be positive"):
+            cal.ModelParams(0.8, 1.0, 1.0, dx=dx, dt=dt)
     for bad in (float("nan"), float("inf"), -float("inf")):
-        for i in (0, 1, 2):
-            with pytest.raises(DomainError):
+        for i in (3, 4, 5, 6):
+            with pytest.raises(DomainError, match="must be finite"):
                 cal.ModelParams(*fields[:i], bad, *fields[i + 1:])
-        with pytest.raises(DomainError):
-            cal.ModelParams.from_rates(0.5, 1.5, 0.5, dx=bad, dt=1.0)
-        with pytest.raises(DomainError):
-            cal.ModelParams.from_rates(0.5, 1.5, 0.5, dx=1.0, dt=bad)
-        with pytest.raises(DomainError):
-            cal.ModelParams.from_rates(0.5, 1.5, 0.5, dx=1.0, dt=1.0,
-                                       source_R=bad)
     # dx**2 overflows at dx = 1e200 and vanishes at dx = 1e-200.
     for dx in (1e200, 1e-200):
         with pytest.raises(DomainError):
-            cal.ModelParams.from_rates(0.5, 1.5, 0.5, dx=dx, dt=1.0)
+            cal.ModelParams(0.5, 1.5, 0.5, dx=dx, dt=1.0)
         with pytest.raises(DomainError):
-            cal.ModelParams(dx, *fields[1:])
+            cal.ModelParams(*fields[:3], dx, *fields[4:])
 
 
 def test_residual_second_vanishes_on_calibrated_parameters():
@@ -191,39 +197,52 @@ def test_calibrate_sixth_at_tiny_epsilon():
     # says that the triple rounds, not that there is no root (s1 rounds to
     # 0 at 1e-40).
     for eps in (1.5e-9, 1e-10, 1e-40):
-        assert cal._sixth_discriminant_sign(eps) < 0.0
+        assert _q(Fraction(eps) ** 2) < 0
         with pytest.raises(NoRealRoot) as info:
             cal.calibrate_sixth(eps)
         assert "too small" in str(info.value)
         assert "no real" not in str(info.value)
 
 
-def test_sixth_discriminant_factor_is_exact():
-    # The discriminant of the reduced cubic equals 768*e**2*q(e**2) with q
-    # the polynomial that _sixth_discriminant_sign evaluates.  Each
-    # coefficient of the cubic is a cubic in e, recovered exactly from its
-    # values at e = 0..3 (small integers, exact in floats); both sides have
-    # degree 12 in e, so equality at 14 rational points is an identity.
-    from fractions import Fraction
-
+@functools.lru_cache(maxsize=None)
+def _discriminant_over_768_e2():
+    """(quotient, remainder) of the textbook discriminant of the reduced
+    cubic divided by 768*e**2, as exact polynomials in e.  Each coefficient
+    of the cubic is a cubic in e, recovered exactly by interpolating its
+    values at e = 0..3 (small integers, exact in floats)."""
+    e = sp.Symbol("e")
     samples = [cal._reduced_cubic(float(k)) for k in range(4)]
+    a3, a2, a1, a0 = (
+        sp.Poly(sp.interpolate([(k, sp.Rational(row[j]))
+                                for k, row in enumerate(samples)], e), e)
+        for j in range(4))
+    textbook = (18 * a3 * a2 * a1 * a0 - 4 * a2 ** 3 * a0
+                + a2 ** 2 * a1 ** 2 - 4 * a3 * a1 ** 3
+                - 27 * a3 ** 2 * a0 ** 2)
+    return sp.div(textbook, sp.Poly(768 * e ** 2, e))
 
-    def coeff(j, e):
-        total = Fraction(0)
-        for k in range(4):
-            basis = Fraction(1)
-            for m in range(4):
-                if m != k:
-                    basis *= Fraction(e - m, k - m)
-            total += Fraction(samples[k][j]) * basis
-        return total
 
-    for e in (Fraction(n, 7) for n in range(-6, 8)):
-        a3, a2, a1, a0 = (coeff(j, e) for j in range(4))
-        textbook = (18 * a3 * a2 * a1 * a0 - 4 * a2 ** 3 * a0
-                    + a2 ** 2 * a1 ** 2 - 4 * a3 * a1 ** 3
-                    - 27 * a3 ** 2 * a0 ** 2)
-        assert textbook == 768 * e ** 2 * cal._sixth_discriminant_sign(e)
+def _q_coefficients() -> list:
+    """q, the quotient as a polynomial in x = e**2: its coefficients,
+    lowest power first, as Fractions."""
+    quotient, _ = _discriminant_over_768_e2()
+    return [Fraction(int(c.p), int(c.q))
+            for c in quotient.all_coeffs()[::-1][::2]]
+
+
+def _q(x):
+    return sum(c * x ** k for k, c in enumerate(_q_coefficients()))
+
+
+def test_sixth_discriminant_factor_is_exact():
+    # 768*e**2 divides the discriminant of the reduced cubic, and the
+    # quotient has only even powers of e: it is q(e**2), a quintic in e**2
+    # with q(0) = -33.  Its sign is the sign of the discriminant.
+    quotient, remainder = _discriminant_over_768_e2()
+    assert remainder.is_zero
+    assert quotient.degree() == 10
+    assert all(c == 0 for c in quotient.all_coeffs()[::-1][1::2])
+    assert _q_coefficients()[0] == -33
 
 
 def test_calibrate_sixth_rejects_the_split_pair_roots():
@@ -246,22 +265,21 @@ def test_calibrate_sixth_rejects_the_split_pair_roots():
 
 
 def test_epsilon_max_brackets_the_boundary():
-    # q (see _sixth_discriminant_sign) is a quintic in x = e**2.  Its
-    # coefficients come from q at x = 0..5 by a 50-digit Vandermonde solve;
-    # it has one positive root, and epsilon_max is its square root, rounded.
+    # q, derived above, has one positive root, and epsilon_max is its
+    # square root, rounded.  q is negative at epsilon_max and not one ulp
+    # above it, evaluated in exact rationals.
     import mpmath
 
     with mpmath.workdps(50):
-        xs = [mpmath.mpf(k) for k in range(6)]
-        vander = mpmath.matrix([[x ** (5 - j) for j in range(6)] for x in xs])
-        values = mpmath.matrix([cal._sixth_discriminant_sign(mpmath.sqrt(x))
-                                for x in xs])
-        coeffs = mpmath.lu_solve(vander, values)
-        roots = mpmath.polyroots(list(coeffs), maxsteps=200, extraprec=100)
+        coeffs = [mpmath.mpf(c.numerator) / c.denominator
+                  for c in reversed(_q_coefficients())]
+        roots = mpmath.polyroots(coeffs, maxsteps=200, extraprec=100)
         positive = [r for r in roots if mpmath.im(r) == 0 and r > 0]
         assert len(positive) == 1
         em = cal.epsilon_max()
         assert em == float(mpmath.sqrt(positive[0]))
+    above = math.nextafter(em, 1.0)
+    assert _q(Fraction(em) ** 2) < 0 <= _q(Fraction(above) ** 2)
     cal.calibrate_sixth(em)
     with pytest.raises(NoRealRoot):
         cal.calibrate_sixth(math.nextafter(em, 1.0))

@@ -27,13 +27,13 @@ def test_constructors_raise_domain_error_or_give_finite_values(
 
     in_box = 0.0 < omega0 < 1.0 and 0.0 < s1 < 2.0 and 0.0 < s2 < 2.0
     assert attempt(lambda: cal.check_box(omega0, s1, s2))[0] is not in_box
-    rejected, weights = attempt(lambda: cal.Weights(omega0))
-    if not rejected:
-        assert math.isfinite(weights.omega1)
-    attempt(lambda: cal.Relaxations(s0, s1, s2))
     rejected, params = attempt(lambda: cal.ModelParams.from_rates(
         omega0, s1, s2, dx=dx, dt=dt, source_R=R, s0=s0))
+    if not (in_box and math.isfinite(s0)):
+        assert rejected
     if not rejected:
+        assert params == cal.ModelParams(omega0, s1, s2, dx, dt, R, s0)
+        assert math.isfinite(params.omega1)
         assert math.isfinite(params.kappa) and params.kappa > 0.0
         assert math.isfinite(params.epsilon)
     rejected, coeffs = attempt(lambda: coefficients(omega0, s1, s2))

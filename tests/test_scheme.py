@@ -70,8 +70,7 @@ def test_unit_rates_reduce_to_a_two_level_stencil():
         phi = rng.random(24)
         R = rng.uniform(-1.0, 1.0)
         dt = 0.37
-        history = PhiHistory.from_levels(phi.copy(), phi.copy(), phi.copy(),
-                                         dt)
+        history = PhiHistory.from_levels(phi.copy(), phi.copy(), phi.copy())
         new = step(history, co, dt, R, BoundarySpec.periodic())
         lap = np.roll(phi, 1) - 2.0 * phi + np.roll(phi, -1)
         np.testing.assert_allclose(new, phi + eps * lap + dt * R,
@@ -84,8 +83,7 @@ def test_constant_field_is_a_fixed_point():
     for boundary in (BoundarySpec.periodic(),
                      BoundarySpec.dirichlet(value, value)):
         phi = np.full(16, value)
-        history = PhiHistory.from_levels(phi.copy(), phi.copy(), phi.copy(),
-                                         0.1)
+        history = PhiHistory.from_levels(phi.copy(), phi.copy(), phi.copy())
         new = step(history, co, 0.1, 0.0, boundary)
         np.testing.assert_allclose(new, value, rtol=1e-13)
 
@@ -104,7 +102,7 @@ def test_step_matches_the_companion_matrix_on_a_fourier_mode():
         H = stability.companion_amplification(co, theta)
         amps = rng.random(3) + 1j * rng.random(3)
         history = PhiHistory.from_levels(amps[2] * mode, amps[1] * mode,
-                                         amps[0] * mode, 1.0)
+                                         amps[0] * mode)
         new = step(history, co, 1.0, 0.0, BoundarySpec.periodic())
         expected = (H[0, 0] * amps[0] + H[0, 1] * amps[1]
                     + H[0, 2] * amps[2]) * mode
@@ -116,8 +114,8 @@ def test_step_commutes_with_spatial_reflection():
     co = coefficients(0.6, 1.4, 0.7)
     levels = [rng.random(20) for _ in range(3)]
     R = 0.3
-    plain = PhiHistory.from_levels(*[lv.copy() for lv in levels], dt=1.0)
-    flipped = PhiHistory.from_levels(*[_mirror(lv) for lv in levels], dt=1.0)
+    plain = PhiHistory.from_levels(*[lv.copy() for lv in levels])
+    flipped = PhiHistory.from_levels(*[_mirror(lv) for lv in levels])
     new_plain = step(plain, co, 1.0, R, BoundarySpec.periodic())
     new_flipped = step(flipped, co, 1.0, R, BoundarySpec.periodic())
     np.testing.assert_allclose(new_flipped, _mirror(new_plain), atol=1e-14)
@@ -127,12 +125,11 @@ def test_steady_parabola_with_source_stays_stationary():
     # kappa * phi'' + R = 0 with zero ends has the exact solution
     # R*x*(1 - x)/(2*kappa), which the discrete update must preserve.
     grid = Grid1D(16)
-    params = cal.ModelParams.from_rates(0.7, 1.3, 0.9, dx=grid.dx, dt=1.0,
-                                        source_R=0.8)
+    params = cal.ModelParams(0.7, 1.3, 0.9, dx=grid.dx, dt=1.0, source_R=0.8)
     xs = grid.nodes()
     exact = params.source_R * xs * (1.0 - xs) / (2.0 * params.kappa)
     history = PhiHistory.from_levels(exact.copy(), exact.copy(),
-                                     exact.copy(), params.dt)
+                                     exact.copy())
     co = coefficients(0.7, 1.3, 0.9)
     for _ in range(10):
         new = step(history, co, params.dt, params.source_R,
@@ -178,7 +175,7 @@ def test_step_matches_the_reference_expression_bit_for_bit(chunk,
             levels = [rng.standard_normal(n) for _ in range(3)]
             if complex_levels:
                 levels = [lv + 1j * rng.standard_normal(n) for lv in levels]
-            history = PhiHistory.from_levels(*levels, dt=dt)
+            history = PhiHistory.from_levels(*levels)
             new = step(history, co, dt, R, boundary)
             expected = _reference_step(levels[2], levels[1], levels[0], co,
                                        co.source * dt * R, boundary)
@@ -186,28 +183,30 @@ def test_step_matches_the_reference_expression_bit_for_bit(chunk,
             np.testing.assert_array_equal(new, expected)
 
 
-def test_step_requires_three_seeded_levels():
-    phi = np.zeros(8)
-    history = PhiHistory([phi.copy(), phi.copy(), phi.copy()], 0.1, 1)
-    with pytest.raises(DomainError, match="three seeded levels"):
-        step(history, coefficients(0.8, 1.0, 1.0), 0.1, 0.0,
-             BoundarySpec.periodic())
+def test_step_rejects_a_bad_dt_or_source():
+    # dt and R enter the source term dt*R: a NaN there fills the interior
+    # with NaN, and an infinite or non-positive dt marches a field that
+    # means nothing.  The history is left as it was.
+    z = np.zeros(6)
+    co = coefficients(0.8, 1.0, 1.0)
+    nan, inf = float("nan"), float("inf")
+    for dt, R in ((nan, 1.0), (inf, 1.0), (0.0, 1.0), (-1.0, 1.0),
+                  (0.1, nan), (0.1, inf), (0.1, -inf)):
+        history = PhiHistory.from_levels(z, z, z)
+        with pytest.raises(DomainError):
+            step(history, co, dt, R, BoundarySpec.dirichlet(0.0, 0.0))
+        assert history.current is z
 
 
 def test_history_validation_and_rotation():
     phi = np.zeros(8)
     with pytest.raises(DomainError, match="exactly three levels"):
-        PhiHistory([phi, phi], 0.1, 2)
+        PhiHistory([phi, phi])
     with pytest.raises(DomainError, match="history levels must share"):
-        PhiHistory([phi, phi, np.zeros(9)], 0.1, 2)
-    for dt in (0.0, float("nan"), float("inf")):
-        with pytest.raises(DomainError):
-            PhiHistory([phi, phi, phi], dt, 2)
+        PhiHistory([phi, phi, np.zeros(9)])
     a, b, c, d = (np.full(4, v) for v in (1.0, 2.0, 3.0, 4.0))
-    history = PhiHistory.from_levels(a, b, c, 0.1)
-    assert history.step_index == 2
-    history.push(d)
-    assert history.step_index == 3
+    history = PhiHistory.from_levels(a, b, c)
+    assert history.push(d) is d
     np.testing.assert_array_equal(history.oldest, b)
     np.testing.assert_array_equal(history.previous, c)
     np.testing.assert_array_equal(history.current, d)
@@ -215,11 +214,11 @@ def test_history_validation_and_rotation():
 
 def test_history_rejects_scalar_levels():
     with pytest.raises(DomainError, match="history levels must share"):
-        PhiHistory.from_levels(1.0, 2.0, 3.0, dt=0.1)
+        PhiHistory.from_levels(1.0, 2.0, 3.0)
 
 
 def test_run_validates_its_time_and_grid_arguments():
-    params = cal.ModelParams.from_rates(0.8, 1.0, 1.0, dx=0.1, dt=0.3)
+    params = cal.ModelParams(0.8, 1.0, 1.0, dx=0.1, dt=0.3)
     grid = Grid1D(10)
     init = lambda x, t: 0.0
     boundary = BoundarySpec.dirichlet(0.0, 0.0)
@@ -237,7 +236,7 @@ def test_run_validates_its_time_and_grid_arguments():
     for grid_n, t_end in ((10, 1e300), (2 ** 40, 0.9)):
         with pytest.raises(DomainError):
             run(params, Grid1D(grid_n), init, boundary, t_end)
-    tiny = cal.ModelParams.from_rates(0.8, 1.0, 1.0, dx=0.1, dt=1e-300)
+    tiny = cal.ModelParams(0.8, 1.0, 1.0, dx=0.1, dt=1e-300)
     with pytest.raises(DomainError):
         run(tiny, grid, init, boundary, 1e300)
 
@@ -245,7 +244,7 @@ def test_run_validates_its_time_and_grid_arguments():
 def test_run_rejects_an_initializer_that_does_not_broadcast():
     # Three values per node, one row per case of a batch of two, and one
     # node too few: none fits the level of a single case on 11 nodes.
-    params = cal.ModelParams.from_rates(0.8, 1.0, 1.0, dx=0.1, dt=0.3)
+    params = cal.ModelParams(0.8, 1.0, 1.0, dx=0.1, dt=0.3)
     for value in (np.zeros((11, 3)), np.zeros((2, 11)), np.zeros(10)):
         with pytest.raises(DomainError, match="does not broadcast"):
             run(params, Grid1D(10), lambda x, t: value,
@@ -253,7 +252,7 @@ def test_run_rejects_an_initializer_that_does_not_broadcast():
 
 
 def test_run_with_zero_updates_returns_the_third_seed():
-    params = cal.ModelParams.from_rates(0.8, 1.0, 1.0, dx=0.1, dt=0.3)
+    params = cal.ModelParams(0.8, 1.0, 1.0, dx=0.1, dt=0.3)
     grid = Grid1D(10)
     init = lambda x, t: np.sin(np.pi * x) * (1.0 + t)
     final = run(params, grid, init, BoundarySpec.dirichlet(0.0, 0.0), 0.6)
@@ -263,7 +262,7 @@ def test_run_with_zero_updates_returns_the_third_seed():
 
 
 def test_run_periodic_uses_the_distinct_nodes():
-    params = cal.ModelParams.from_rates(0.8, 1.0, 1.0, dx=0.1, dt=0.3)
+    params = cal.ModelParams(0.8, 1.0, 1.0, dx=0.1, dt=0.3)
     final = run(params, Grid1D(10), lambda x, t: np.cos(2.0 * np.pi * x),
                 BoundarySpec.periodic(), 1.2)
     assert final.shape == (10,)
@@ -306,8 +305,7 @@ def test_batched_run_rows_equal_single_runs():
     grid = Grid1D(20)
     triples = ((0.83, 0.92, 1.15), (0.6, 1.4, 0.7), (0.8, 1.0, 1.0))
     sources = (0.0, 0.5, -1.25)
-    params = [cal.ModelParams.from_rates(*t, dx=grid.dx, dt=0.01,
-                                         source_R=r)
+    params = [cal.ModelParams(*t, dx=grid.dx, dt=0.01, source_R=r)
               for t, r in zip(triples, sources)]
     boundary = BoundarySpec.dirichlet(0.0, 0.0)
     batch = _batch(params, grid, _sine_bump, boundary, 0.5)
@@ -321,7 +319,7 @@ def test_periodic_march_holds_one_row():
     # One group of two rows and two groups of one row are both refused,
     # before the initializer is called.
     grid = Grid1D(10)
-    p = cal.ModelParams.from_rates(0.8, 1.0, 1.0, dx=0.1, dt=0.3)
+    p = cal.ModelParams(0.8, 1.0, 1.0, dx=0.1, dt=0.3)
     seeded = []
     init = lambda x, t: seeded.append(t) or 0.0
     for groups in ([([p, p], grid, init, 1.2)],
@@ -333,7 +331,7 @@ def test_periodic_march_holds_one_row():
 
 def test_batched_run_accepts_one_row_per_case():
     grid = Grid1D(10)
-    params = [cal.ModelParams.from_rates(0.8, 1.0, 1.0, dx=0.1, dt=0.3)] * 2
+    params = [cal.ModelParams(0.8, 1.0, 1.0, dx=0.1, dt=0.3)] * 2
     scale = np.array([[1.0], [2.0]])
     final = _batch(params, grid, lambda x, t: scale * np.sin(np.pi * x),
                    BoundarySpec.dirichlet(0.0, 0.0), 0.6)
@@ -346,9 +344,9 @@ def test_run_rejects_empty_and_mismatched_batches():
     grid = Grid1D(10)
     init = lambda x, t: 0.0
     boundary = BoundarySpec.dirichlet(0.0, 0.0)
-    base = cal.ModelParams.from_rates(0.8, 1.0, 1.0, dx=0.1, dt=0.3)
-    other_dt = cal.ModelParams.from_rates(0.8, 1.0, 1.0, dx=0.1, dt=0.2)
-    other_dx = cal.ModelParams.from_rates(0.8, 1.0, 1.0, dx=0.05, dt=0.3)
+    base = cal.ModelParams(0.8, 1.0, 1.0, dx=0.1, dt=0.3)
+    other_dt = cal.ModelParams(0.8, 1.0, 1.0, dx=0.1, dt=0.2)
+    other_dx = cal.ModelParams(0.8, 1.0, 1.0, dx=0.05, dt=0.3)
     with pytest.raises(DomainError, match="one ModelParams"):
         run([base], grid, init, boundary, 1.2)
     for params in ([], (), [base, other_dt], [base, other_dx]):
@@ -358,7 +356,7 @@ def test_run_rejects_empty_and_mismatched_batches():
 
 def test_run_leaves_the_initializer_result_untouched():
     grid = Grid1D(10)
-    params = cal.ModelParams.from_rates(0.7, 1.3, 0.9, dx=0.1, dt=0.3)
+    params = cal.ModelParams(0.7, 1.3, 0.9, dx=0.1, dt=0.3)
     start = np.sin(np.pi * grid.nodes())
     kept = start.copy()
     final = run(params, grid, lambda x, t: start,
@@ -370,8 +368,7 @@ def test_run_leaves_the_initializer_result_untouched():
 def _reference_run(triple, source_R, scale, grid, boundary, t_end):
     # run's march for one case, spelled out with the whole-array reference
     # expression, from the start levels scale * _sine_bump.
-    p = cal.ModelParams.from_rates(*triple, dx=grid.dx, dt=0.01,
-                                   source_R=source_R)
+    p = cal.ModelParams(*triple, dx=grid.dx, dt=0.01, source_R=source_R)
     xs = grid.nodes()[:-1] if boundary.kind == "periodic" else grid.nodes()
     levels = [scale * _sine_bump(xs, k * p.dt) for k in range(3)]
     co = coefficients(*triple)
@@ -407,8 +404,7 @@ def test_batched_run_matches_the_reference_march_bit_for_bit(chunk,
     for boundary, rows, t_end in itertools.product(
             (BoundarySpec.dirichlet(0.25, -1.5), BoundarySpec.periodic()),
             batches, ends):
-        params = [cal.ModelParams.from_rates(*t, dx=grid.dx, dt=0.01,
-                                             source_R=r)
+        params = [cal.ModelParams(*t, dx=grid.dx, dt=0.01, source_R=r)
                   for t, r in rows]
         if boundary.kind == "dirichlet":
             batch = _batch(params, grid,
@@ -428,8 +424,8 @@ def test_batched_run_keeps_the_sign_of_zero_per_row():
     # source_R = 0.0 and -0.0 compare equal, but on a field of -0.0 they
     # give different bits, so each row must keep its own source term.
     grid = Grid1D(6)
-    params = [cal.ModelParams.from_rates(0.8, 1.0, 1.0, dx=grid.dx, dt=0.01,
-                                         source_R=r) for r in (0.0, -0.0)]
+    params = [cal.ModelParams(0.8, 1.0, 1.0, dx=grid.dx, dt=0.01,
+                              source_R=r) for r in (0.0, -0.0)]
     init = lambda x, t: np.full_like(x, -0.0)
     boundary = BoundarySpec.dirichlet(-0.0, -0.0)
     singles = [run(p, grid, init, boundary, 0.05) for p in params]
@@ -466,8 +462,8 @@ def test_staged_march_matches_one_run_per_group_bit_for_bit(chunk, boundary,
     groups = []
     for g, (n, dt, t_end, rows) in enumerate(_STAGED_GROUPS):
         grid = Grid1D(n)
-        params = [cal.ModelParams.from_rates(*t, dx=grid.dx, dt=dt,
-                                             source_R=r) for t, r in rows]
+        params = [cal.ModelParams(*t, dx=grid.dx, dt=dt,
+                                  source_R=r) for t, r in rows]
         scale = (-0.5) ** g * np.arange(1.0, len(rows) + 1.0)[:, None]
         groups.append((params, grid,
                        lambda x, t, scale=scale: scale * _sine_bump(x, t),

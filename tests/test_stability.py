@@ -111,7 +111,7 @@ def test_companion_top_row_is_the_negated_char_poly_bit_for_bit():
 
 
 def test_cubic_roots_examples_and_round_trip():
-    p = stab.CharPoly(p0=0.0, p1=0.0, p2=-0.6, theta=0.0)
+    p = stab.CharPoly(p0=0.0, p1=0.0, p2=-0.6)
     roots = np.sort_complex(stab.cubic_roots(p))
     np.testing.assert_allclose(roots, [0.0, 0.0, 0.6], atol=1e-14)
     rng = np.random.default_rng(55)
@@ -120,12 +120,12 @@ def test_cubic_roots_examples_and_round_trip():
         p = stab.CharPoly(p0=float(-want[0] * want[1] * want[2]),
                           p1=float(want[0] * want[1] + want[0] * want[2]
                                    + want[1] * want[2]),
-                          p2=float(-want.sum()), theta=0.0)
+                          p2=float(-want.sum()))
         assert _multiset_gap(stab.cubic_roots(p), want) < 1e-10
 
 
 def test_routh_hurwitz_values_example():
-    p = stab.CharPoly(p0=0.0, p1=0.0, p2=-0.6, theta=np.pi)
+    p = stab.CharPoly(p0=0.0, p1=0.0, p2=-0.6)
     np.testing.assert_allclose(stab.routh_hurwitz_values(p),
                                (1.6, 1.0, 1.0, 0.4, 1.0), atol=1e-15)
 

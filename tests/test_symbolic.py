@@ -29,7 +29,7 @@ import numpy as np
 import sympy as sp
 
 from lbmfd import lbm, stability as stab
-from lbmfd.calibration import Relaxations
+from lbmfd.calibration import ModelParams
 from lbmfd.scheme import coefficients
 
 OMEGA0, S0, S1, S2, C, U, LAM, DT_R = sp.symbols(
@@ -129,20 +129,20 @@ def test_symbolic_matrices_match_the_numeric_oracles():
     rng = np.random.default_rng(5)
     for _ in range(20):
         c = float(rng.uniform(0.1, 10.0))
-        relax = Relaxations(float(rng.uniform(0.0, 2.0)),
-                            float(rng.uniform(0.01, 1.99)),
-                            float(rng.uniform(0.01, 1.99)))
+        s0 = float(rng.uniform(0.0, 2.0))
+        s1 = float(rng.uniform(0.01, 1.99))
+        s2 = float(rng.uniform(0.01, 1.99))
         omega0 = float(rng.uniform(0.01, 0.99))
         theta = float(rng.uniform(-np.pi, np.pi))
-        mats = lbm.lattice_matrices(c, relax)
-        at = {C: c, S0: relax.s0, S1: relax.s1, S2: relax.s2,
-              OMEGA0: omega0, U: sp.exp(sp.I * theta)}
+        mats = lbm.lattice_matrices(ModelParams(omega0, s1, s2, dx=c, dt=1.0,
+                                                s0=s0))
+        at = {C: c, S0: s0, S1: s1, S2: s2, OMEGA0: omega0,
+              U: sp.exp(sp.I * theta)}
         for sym, num in ((M, mats.M), (M_inv, mats.M_inv), (S, mats.S)):
             want = np.array(sym.subs(at).evalf(), dtype=float)
             np.testing.assert_allclose(num, want, rtol=1e-15, atol=1e-15)
         want = np.array(G.subs(at).evalf(), dtype=complex)
-        got = stab.population_amplification(omega0, relax.s1, relax.s2,
-                                            theta)
+        got = stab.population_amplification(omega0, s1, s2, theta)
         np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-14)
 
 

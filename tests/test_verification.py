@@ -277,8 +277,8 @@ def test_staged_table_equals_one_run_per_spacing_bit_for_bit(order,
     staged = ver._march_decaying_sine(cases, 12.0)
     for j, dx in enumerate(dx_list):
         at_dx = cases[j * len(eps_list):(j + 1) * len(eps_list)]
-        params = [cal.ModelParams.from_rates(c.params.omega0, c.params.s1,
-                                             c.params.s2, dx=dx, dt=c.dt)
+        params = [cal.ModelParams(c.params.omega0, c.params.s1,
+                                  c.params.s2, dx=dx, dt=c.dt)
                   for c in at_dx]
         kappa = np.array([[c.kappa] for c in at_dx])
         grid = scheme.Grid1D(round(1.0 / dx))
