@@ -39,8 +39,8 @@ import numpy as np
 
 from .calibration import ModelParams
 from .errors import DomainError
-from .scheme import (BoundarySpec, _check_node_steps, _plan, _weight_row,
-                     coefficients)
+from .scheme import (BoundarySpec, _calls, _check_node_steps, _plan,
+                     _weight_row, coefficients)
 
 # The equivalence check holds about 110 B per node (populations, six level
 # buffers, work arrays and the start field): 2**21 nodes keep that near
@@ -252,8 +252,9 @@ def fd_equivalence_deviation(n_nodes: int, steps: int, omega0: float,
         # `predicted` is free until the prediction below overwrites it.
         max_phi = np.maximum(max_phi, np.abs(new, out=predicted).max())
         if n == 2:
-            phases = _plan(ring, [predicted] * 4, table,
-                           BoundarySpec.periodic(), [(1, n_nodes)], work[:2])
+            phases = [_calls(phase) for phase in _plan(
+                ring, [predicted] * 4, table, BoundarySpec.periodic(),
+                [(1, n_nodes)], work[:2])]
         elif n > 2:
             for fn, args in phases[(n - 3) % 4]:
                 fn(*args)

@@ -28,12 +28,21 @@ the kernel keeps it in an array from one step to the next and a pass makes
 eleven numpy calls, not twelve.  The passes also cover the seam nodes
 between rows, which Dirichlet pinning overwrites; a periodic march holds
 one row, whose wrap nodes 0 and n-1 are computed from the same expression
-on one strided view with a pair of its own.  Long rows are swept in
-cache-sized passes.  The levels of a march rotate through four buffers, so
-the calls of all four phases are built once per march, each phase as one
-flat list of ufunc calls, and a step only makes the calls of its phase.  A
-single case keeps its weights and source term as scalars, and a batch
-reads them per node.
+on one strided view with a pair of its own.  A single case keeps its
+weights and source term as scalars, and a batch reads them per node.
+
+Long rows are cut into cache-sized passes, and a march advances two levels
+per sweep: level n+1 makes its pass over a chunk, then level n+2 makes its
+pass one node behind, while the chunk's levels are still in cache.  Every
+node gets the same eleven calls in the same order, so the bits do not
+depend on how the levels are swept.  The levels rotate through four
+buffers: level n+2 overwrites level n-2, whose nodes level n+1 has already
+read.  Each pass pins the end nodes that it writes, so level n+2 reads
+level n+1's ends pinned; a periodic row computes level n+1's wrap nodes
+first and level n+2's last.  The calls of all four phases are built once
+per stage, grouped by pass, and a sweep makes the groups of two phases in
+turn.  A stage of odd length ends with one phase alone, the leading half
+of a sweep, and `step` and the equivalence check make their phases so too.
 
 `run` is the one-row case of a staged march: groups of rows on different
 grids, with different dt and step counts, lie one after the other in one
@@ -45,9 +54,11 @@ march all of their spacings at once.
 
 from __future__ import annotations
 
+import bisect
 import math
 import operator
 from dataclasses import dataclass, field
+from itertools import chain
 
 import numpy as np
 
@@ -156,14 +167,6 @@ class PhiHistory:
                     np.asarray(phi_n)])
 
     @property
-    def oldest(self) -> np.ndarray:
-        return self._levels[0]
-
-    @property
-    def previous(self) -> np.ndarray:
-        return self._levels[1]
-
-    @property
     def current(self) -> np.ndarray:
         return self._levels[2]
 
@@ -173,14 +176,22 @@ class PhiHistory:
         return new_level
 
 
-# Nodes per pass of the kernel.  A pass runs its eleven operations on slices
-# of 256 KiB per array, which stay in a 2 MiB L2 cache between operations;
-# a longer row would otherwise be streamed from memory eleven times per step.
+# Nodes per pass of the kernel.  A sweep makes the passes of two levels
+# over one chunk in turn, eleven operations each on slices of 256 KiB per
+# array, so the chunk's five levels and its pair stay in a 2 MiB L2 cache
+# from the first pass to the second; a longer row would otherwise be
+# streamed from L3 eleven times per step.
 _CHUNK = 2 ** 15
 
+# Time levels per sweep of a march.  At 2**18 nodes two took about 5% less
+# time per node-step than one (BENCH_10.json).  A periodic row allows no
+# more than two: the first pass of a third level would read the second
+# level's wrap node n-1, which needs the first level's last pass.
+_DEPTH = 2
+
 # Upper bound on the node-steps (nodes x time levels) of one group of a
-# march.  The kernel takes about 6.5 ns per node-step on a 2 MiB-L2 Xeon
-# core, so 2**36 is about 7 minutes; a larger count comes from a t_end, dx
+# march.  The kernel takes about 5 ns per node-step on a 2 MiB-L2 Xeon
+# core, so 2**36 is about 6 minutes; a larger count comes from a t_end, dx
 # or step count that nobody means to wait for, and would otherwise just hang.
 _MAX_NODE_STEPS = 2 ** 36
 
@@ -201,39 +212,25 @@ def _blocks(buf: np.ndarray, layout: list) -> list:
     return blocks
 
 
-def _passes(buf: np.ndarray, periodic: bool) -> list:
-    """One (left, mid, right) view triple of the flat level `buf` per pass.
-
-    The flat passes take the 1-D slices [lo:hi], [lo+1:hi+1] and
-    [lo+2:hi+2].  A periodic level, which holds one row, adds one pass: its
-    wrap nodes 0 and n-1 as one strided view, with their neighbours.
-    """
-    interior = buf.shape[0] - 2
-    passes = []
-    for lo in range(0, interior, _CHUNK):
+def _bounds(interior: int, lag: int) -> list:
+    """The (lo, hi) bounds of the flat passes of a level, one per `_CHUNK`
+    of its `interior` nodes and at least one.  A pass writes the mid nodes
+    lo+1 .. hi from the 1-D slices [lo:hi], [lo+1:hi+1] and [lo+2:hi+2].
+    A level that trails another by `lag` nodes in a sweep has its bounds
+    shifted left by `lag`, except that its first pass starts at 0 and its
+    last runs to the end of the row."""
+    bounds = []
+    for lo in range(0, max(interior, 1), _CHUNK):
         hi = min(lo + _CHUNK, interior)
-        passes.append((buf[lo:hi], buf[lo + 1:hi + 1], buf[lo + 2:hi + 2]))
-    if periodic:
-        # The wrap nodes 0 and n-1; their left neighbours are n-1, n-2 and
-        # their right ones 1, 0.
-        passes.append((buf[:-3:-1], buf[::max(buf.shape[0] - 1, 1)],
-                       buf[1::-1]))
-    return passes
+        bounds.append((max(lo - lag, 0),
+                       max(hi - lag, 0) if hi < interior else hi))
+    return bounds
 
 
-def _weight_passes(table, layout: list, n_passes: int) -> list:
-    """Per-pass tuples of the five field weights and the source term.
-
-    `table` has one `_weight_row` per row of `layout`.  A single row keeps
-    its Python floats; a batch, which is never periodic, repeats each column
-    over the nodes of each row, once, and each pass takes its slice of it.
-    """
-    if len(table) == 1:
-        return [table[0]] * n_passes
-    nodes = [n for rows, n in layout for _ in range(rows)]
-    columns = [[mid for _, mid, _ in _passes(np.repeat(col, nodes), False)]
-               for col in zip(*table)]
-    return list(zip(*columns))
+def _wrap(buf: np.ndarray) -> tuple:
+    # The (left, mid, right) views of a periodic row's wrap nodes 0 and n-1,
+    # whose left neighbours are n-1, n-2 and right ones 1, 0.
+    return buf[:-3:-1], buf[::max(buf.shape[0] - 1, 1)], buf[1::-1]
 
 
 def _pass_calls(cur, prev_m, old_m, acc, pair, term, part,
@@ -265,51 +262,88 @@ def _plan(ring: list, outs: list, table, boundary: BoundarySpec,
     `ring` holds flat level buffers of the blocks that `layout` lists;
     phase k reads old, prev and cur from ring[k], ring[k+1] and ring[k+2]
     (indices mod len(ring)), writes the next level into outs[k] and pins
-    its Dirichlet ends.  Each phase is a flat tuple of (function, args)
-    calls.  The pair sum prev_l + prev_r is carried in one array from phase
-    to phase, so the phases must run in order, from phase 0; it starts as
-    the pair of ring[1], the same addition that the step which wrote
-    ring[2] made.  The periodic wrap pass carries its own pair, as the flat
-    passes overwrite the seam nodes it recomputes.  `table` is as for
-    `_weight_passes`, and the outputs must not overlap the levels a phase
-    reads.  The two pass-sized work arrays are allocated here unless
-    `scratch` gives two arrays of the levels' dtype, as long as a pass and
-    free while a phase runs.
+    its Dirichlet ends.  A phase is a list of groups of (function, args)
+    calls, one group per flat pass with the pins of the end nodes that the
+    pass writes, plus a first and a last group, one of which holds a
+    periodic row's wrap pass.  In a sweep phase k trails the leading phase
+    by k % `_DEPTH` nodes, and `_calls` makes the calls of one phase or of
+    a sweep.  The pair sum prev_l + prev_r is carried in one array from
+    phase to phase, so the phases must run in order, from phase 0; it
+    starts as the pair of ring[1], the same addition that the step which
+    wrote ring[2] made.  The periodic wrap pass carries its own pair.
+    `table` has one `_weight_row` per row of `layout`: a single row keeps
+    its Python floats, and a batch, which is never periodic, repeats each
+    column over the nodes of each row, once.  The outputs must not overlap
+    the levels a phase reads.  The two pass-sized work arrays are
+    allocated here unless `scratch` gives two arrays of the levels' dtype,
+    as long as the row and free while a phase runs.
     """
     periodic = boundary.kind == "periodic"
     dtype = outs[0].dtype
-    levels = [_passes(buf, periodic) for buf in ring]
-    mids = [mid for _, mid, _ in levels[0]]
-    n_flat = len(mids) - periodic
-    width = max((m.size for m in mids[:n_flat]), default=0)
-    term, part = np.empty((2, width), dtype) if scratch is None else scratch
-    carried = [(np.empty(m.size, dtype), term[:m.size], part[:m.size])
-               for m in mids[:n_flat]]
-    carried += [tuple(np.empty((3, *m.shape), dtype)) for m in mids[n_flat:]]
-    for (left, _, right), (pair, _, _) in zip(levels[1], carried):
-        np.add(left, right, pair)
-    weights = _weight_passes(table, layout, len(carried))
-    if not periodic:
-        # Both end nodes of every row, pinned by one `put` whose two values
-        # repeat along the index list.
+    interior = outs[0].shape[0] - 2
+    pair = np.empty(interior, dtype)
+    np.add(ring[1][:-2], ring[1][2:], pair)
+    if periodic:
+        wrap_work = tuple(np.empty((3, 2), dtype))
+        left, _, right = _wrap(ring[1])
+        np.add(left, right, wrap_work[0])
+    else:
         ends, start = [], 0
         for rows, nodes in layout:
             for _ in range(rows):
                 ends += (start, start + nodes - 1)
                 start += nodes
-        ends = np.array(ends)
-        values = np.array((boundary.left_value, boundary.right_value), dtype)
+        values = np.array((boundary.left_value, boundary.right_value)
+                          * (len(ends) // 2), dtype)
+    if len(table) > 1:
+        nodes = [n for rows, n in layout for _ in range(rows)]
+        columns = np.repeat(np.array(table).T, nodes, axis=1)
+    # Per lag, the passes as (lo, hi, weights, pins): `pins` are the
+    # arguments of one `put` of the end nodes that the pass writes, or None.
+    forms = []
+    for lag in range(min(len(outs), _DEPTH)):
+        bounds = _bounds(interior, lag)
+        pins = [None] * len(bounds)
+        if not periodic:
+            cuts = [0] + [bisect.bisect_left(ends, lo + 1)
+                          for lo, _ in bounds[1:]] + [len(ends)]
+            for c, (i, j) in enumerate(zip(cuts, cuts[1:])):
+                if j > i:
+                    pins[c] = (np.array(ends[i:j]), values[i:j])
+        forms.append([(lo, hi, table[0] if len(table) == 1 else
+                       tuple(columns[:, lo + 1:hi + 1]), pin)
+                      for (lo, hi), pin in zip(bounds, pins)])
+    width = max(hi - lo for form in forms for lo, hi, _, _ in form)
+    term, part = np.empty((2, width), dtype) if scratch is None else scratch
     phases = []
     for k, out in enumerate(outs):
-        old, prev, cur = (levels[(k + i) % len(ring)] for i in range(3))
-        calls = []
-        for c, p, o, (_, acc, _), carry, w in zip(
-                cur, prev, old, _passes(out, periodic), carried, weights):
-            calls += _pass_calls(c, p[1], o[1], acc, *carry, w)
-        if not periodic:
-            calls.append((out.put, (ends, values)))
-        phases.append(tuple(calls))
+        old, prev, cur = (ring[(k + i) % len(ring)] for i in range(3))
+        lag = k % _DEPTH
+        groups = []
+        for lo, hi, weights, pin in forms[lag]:
+            calls = _pass_calls(
+                (cur[lo:hi], cur[lo + 1:hi + 1], cur[lo + 2:hi + 2]),
+                prev[lo + 1:hi + 1], old[lo + 1:hi + 1], out[lo + 1:hi + 1],
+                pair[lo:hi], term[:hi - lo], part[:hi - lo], weights)
+            if pin is not None:
+                calls.append((out.put, pin))
+            groups.append(calls)
+        # A leading level's wrap pass reads only the levels before it, so
+        # it runs first; a trailing one reads the nodes next to the wrap
+        # nodes of the level it trails, so it runs last.
+        wrap = []
+        if periodic:
+            wrap = _pass_calls(_wrap(cur), _wrap(prev)[1], _wrap(old)[1],
+                               _wrap(out)[1], *wrap_work, table[0])
+        phases.append([wrap, *groups, []] if lag == 0 else
+                      [[], *groups, wrap])
     return tuple(phases)
+
+
+def _calls(*phases) -> tuple:
+    """The calls of `phases` as one sweep: group c of each phase in turn,
+    for each c.  One phase gives its own calls in order."""
+    return tuple(chain.from_iterable(chain.from_iterable(zip(*phases))))
 
 
 def step(history: PhiHistory, coeffs: FdCoefficients, dt: float, R: float,
@@ -325,11 +359,11 @@ def step(history: PhiHistory, coeffs: FdCoefficients, dt: float, R: float,
         raise DomainError(f"dt must be positive and finite, got {dt}")
     if not math.isfinite(R):
         raise DomainError(f"R must be finite, got {R}")
-    levels = [history.oldest, history.previous, history.current]
+    levels = history._levels
     out = np.empty(levels[0].shape, np.result_type(*levels, 1.0))
     (phase,) = _plan(levels, [out], [_weight_row(coeffs, dt, R)], boundary,
                      [(1, out.size)])
-    for fn, args in phase:
+    for fn, args in _calls(phase):
         fn(*args)
     return history.push(out)
 
@@ -350,13 +384,15 @@ def _check_group(cases: list, grid: Grid1D, t_end: float) -> tuple:
         raise DomainError("batched params must share dx and dt")
     if not math.isfinite(t_end):
         raise DomainError(f"t_end must be finite, got {t_end}")
-    if t_end < 2.0 * dt:
-        raise DomainError("t_end must be at least 2*dt")
     _check_node_steps(len(cases) * (grid.n_intervals + 1), t_end / dt)
+    # The step count with the slack first: at dx = 0.1, dt = 30*dx**2 is
+    # 0.30000000000000004, and t_end = 0.6 is two steps, not fewer.
     n_steps = round(t_end / dt)
     if abs(n_steps * dt - t_end) > 1e-9 * abs(t_end):
         raise DomainError(
             f"t_end = {t_end} is not an integer multiple of dt = {dt}")
+    if n_steps < 2:
+        raise DomainError("t_end must be at least 2*dt")
     if abs(grid.dx - dx) > 1e-12 * dx:
         raise DomainError("grid spacing does not match params.dx")
     return dt, n_steps
@@ -383,8 +419,8 @@ def _march(groups, boundary: BoundarySpec) -> list:
     and a periodic march holds one row (else `DomainError`).  The rows lie
     in one flat level row, groups in descending step-count order, so the
     groups still marching are always a prefix of it.  Each stage plans that
-    prefix of the rotated level ring and marches to the step count of the
-    next group to end; that group is then read out and costs nothing more,
+    prefix of the rotated level ring and marches, `_DEPTH` levels per
+    sweep, to the step count of the next group to end; that group is then read out and costs nothing more,
     as later stages write only a shorter prefix.  Returns one (rows, nodes)
     array per group, in the order given: views of the march's own buffers,
     whose blocks do not overlap.
@@ -422,9 +458,16 @@ def _march(groups, boundary: BoundarySpec) -> list:
             phases = _plan(rot, rot[3:] + rot[:3],
                            [row for t in tables[:active] for row in t],
                            boundary, layout[:active])
-            for k in range(steps[active - 1] - level):
-                for fn, args in phases[k % 4]:
+            sweeps = [_calls(*phases[k:k + _DEPTH])
+                      for k in range(0, 4, _DEPTH)]
+            n_sweeps, tail = divmod(steps[active - 1] - level, _DEPTH)
+            for k in range(n_sweeps):
+                for fn, args in sweeps[k % len(sweeps)]:
                     fn(*args)
+            # The leading levels of one more sweep, if the stage has them.
+            k = n_sweeps * _DEPTH % 4
+            for fn, args in _calls(*phases[k:k + tail]):
+                fn(*args)
             level = steps[active - 1]
         while active and steps[active - 1] == level:
             active -= 1
@@ -442,8 +485,8 @@ def run(params: ModelParams, grid: Grid1D, initializer,
     result must broadcast to the level's shape (else `DomainError`) and is
     copied, so it may return a scalar or a field on the nodes, and it is
     never modified.  t_end must be
-    finite, an integer multiple of dt (relative slack 1e-9) and at least
-    2*dt, and the march may take at most 2**36 node-steps (nodes x time
+    finite and an integer multiple of dt (relative slack 1e-9) of at least
+    two steps, and the march may take at most 2**36 node-steps (nodes x time
     levels).  For t_end = 2*dt the third seeded level is returned with zero
     four-level updates applied, so the result is always the field at
     exactly t_end.  The result is a fresh array.  Periodic runs use the

@@ -123,6 +123,20 @@ def test_run_marches_to_its_own_t_end(capsys):
     _assert_one_error_line(capsys)
 
 
+def test_run_takes_a_t_end_of_two_rounded_steps(capsys):
+    # dt = 30*dx**2 rounds up at dx = 0.1 and 0.05, so 0.6 and 0.15 fall
+    # just short of 2*dt; within the 1e-9 slack they are two steps, and
+    # the result is the third seeded level.  One step stays refused.
+    for dx, t_end, n_nodes in (("0.1", "0.6", 11), ("0.05", "0.15", 21)):
+        rc = main(["run", "--epsilon", "0.1", "--dx", dx, "--t-end", t_end])
+        assert rc == 0
+        lines = capsys.readouterr().out.strip().splitlines()
+        assert lines[0] == "x,phi" and len(lines) == n_nodes + 1
+    assert main(["run", "--epsilon", "0.1", "--dx", "0.1",
+                 "--t-end", "0.3"]) == 1
+    _assert_one_error_line(capsys)
+
+
 def test_run_output_is_byte_identical(tmp_path):
     a = tmp_path / "a.csv"
     b = tmp_path / "b.csv"

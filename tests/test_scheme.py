@@ -204,12 +204,25 @@ def test_history_validation_and_rotation():
         PhiHistory([phi, phi])
     with pytest.raises(DomainError, match="history levels must share"):
         PhiHistory([phi, phi, np.zeros(9)])
-    a, b, c, d = (np.full(4, v) for v in (1.0, 2.0, 3.0, 4.0))
+    # After a push the history holds b, c, d oldest first, so the next
+    # step reads d as its current level, c as the previous and b as the
+    # oldest; four distinct random levels make any other order show.
+    rng = np.random.default_rng(31)
+    a, b, c, d = (rng.standard_normal(7) for _ in range(4))
+    co = coefficients(0.83, 0.92, 1.15)
+    boundary = BoundarySpec.dirichlet(0.25, -1.5)
     history = PhiHistory.from_levels(a, b, c)
     assert history.push(d) is d
-    np.testing.assert_array_equal(history.oldest, b)
-    np.testing.assert_array_equal(history.previous, c)
-    np.testing.assert_array_equal(history.current, d)
+    assert history.current is d
+    new = step(history, co, 0.37, -0.6, boundary)
+    assert history.current is new
+    expected = _reference_step(d, c, b, co, co.source * 0.37 * -0.6,
+                               boundary)
+    assert new.tobytes() == expected.tobytes()
+    newer = step(history, co, 0.37, -0.6, boundary)
+    expected = _reference_step(new, d, c, co, co.source * 0.37 * -0.6,
+                               boundary)
+    assert newer.tobytes() == expected.tobytes()
 
 
 def test_history_rejects_scalar_levels():
@@ -226,6 +239,17 @@ def test_run_validates_its_time_and_grid_arguments():
         run(params, grid, init, boundary, 0.3)
     with pytest.raises(DomainError):
         run(params, grid, init, boundary, 1.0)
+    # dt = 30 * 0.1**2 = 0.30000000000000004 > 0.3, so t_end = 0.6 is two
+    # steps within the slack, and returns the third seeded level.  A t_end
+    # of dt, and of zero or less, stays refused.
+    dt = 30.0 * 0.1 ** 2
+    assert 0.6 < 2.0 * dt
+    seeded = cal.ModelParams(0.8, 1.0, 1.0, dx=0.1, dt=dt)
+    final = run(seeded, grid, lambda x, t: x + t, boundary, 0.6)
+    assert final.tobytes() == (grid.nodes() + 2.0 * dt).tobytes()
+    for bad in (dt, 0.0, -0.6):
+        with pytest.raises(DomainError, match="at least 2"):
+            run(seeded, grid, init, boundary, bad)
     for bad in (float("inf"), float("nan")):
         with pytest.raises(DomainError):
             run(params, grid, init, boundary, bad)
@@ -379,18 +403,19 @@ def _reference_run(triple, source_R, scale, grid, boundary, t_end):
     return levels[2]
 
 
-@pytest.mark.parametrize("chunk", [4, 7])
+@pytest.mark.parametrize("chunk", [1, 2, 3, 4, 7])
 def test_batched_run_matches_the_reference_march_bit_for_bit(chunk,
                                                              monkeypatch):
-    # Passes of 4 and 7 nodes straddle the seams between the rows of the
-    # flat Dirichlet batch.  A batch reads every weight and source per node,
-    # and a single case keeps them as scalars; both must give the bits of
-    # the reference march of each row on its own, whether the rows share a
-    # weight or not.  A periodic march holds one row, so there only single
-    # runs are checked.  Ends at 2*dt .. 7*dt finish a march with zero
-    # updates and after each of the four phases of its call plan, the last
-    # one after the carried pair has gone once round the four level
-    # buffers.
+    # Passes of 1 to 7 nodes straddle the seams between the rows of the
+    # flat Dirichlet batch, and at 1 to 3 nodes the level that trails by
+    # one node in a sweep crosses a seam or a wrap node in every pass.  A
+    # batch reads every weight and source per node, and a single case keeps
+    # them as scalars; both must give the bits of the reference march of
+    # each row on its own, whether the rows share a weight or not.  A
+    # periodic march holds one row, so there only single runs are checked.
+    # Ends at 2*dt .. 7*dt finish a march with zero updates and after each
+    # of the four phases of its call plan, the last one after the carried
+    # pair has gone once round the four level buffers.
     monkeypatch.setattr(scheme, "_CHUNK", chunk)
     grid = Grid1D(12)
     t0, t1, t2 = (0.83, 0.92, 1.15), (0.6, 1.4, 0.7), (0.8, 1.0, 1.0)
@@ -449,14 +474,16 @@ _STAGED_GROUPS = (
 )
 
 
-@pytest.mark.parametrize("chunk", [None, 4, 7])
+@pytest.mark.parametrize("chunk", [None, 1, 2, 3, 4, 7])
 @pytest.mark.parametrize("boundary", [BoundarySpec.dirichlet(0.25, -1.5)],
                          ids=["dirichlet"])
 def test_staged_march_matches_one_run_per_group_bit_for_bit(chunk, boundary,
                                                             monkeypatch):
-    # Passes of 4 and 7 nodes straddle the seams between groups as well as
-    # those between rows.  A group must get the bits of a march of its own,
-    # which the batched reference test ties to the whole-array expression.
+    # Passes of 1 to 7 nodes straddle the seams between groups as well as
+    # those between rows, and stages of odd and even length end with and
+    # without a single-level tail.  A group must get the bits of a march of
+    # its own, which the batched reference test ties to the whole-array
+    # expression.
     if chunk is not None:
         monkeypatch.setattr(scheme, "_CHUNK", chunk)
     groups = []
