@@ -33,9 +33,10 @@ weights and source term as scalars, and a batch reads them per node.
 
 Long rows are cut into cache-sized passes, and a march advances two levels
 per sweep: level n+1 makes its pass over a chunk, then level n+2 makes its
-pass one node behind, while the chunk's levels are still in cache.  Every
-node gets the same eleven calls in the same order, so the bits do not
-depend on how the levels are swept.  The levels rotate through four
+pass one cache line (eight nodes) behind, while the chunk's levels are
+still in cache, and every output of a pass starts a 64-byte cache line.
+Every node gets the same eleven calls in the same order, so the bits do
+not depend on how the levels are swept.  The levels rotate through four
 buffers: level n+2 overwrites level n-2, whose nodes level n+1 has already
 read.  Each pass pins the end nodes that it writes, so level n+2 reads
 level n+1's ends pinned; a periodic row computes level n+1's wrap nodes
@@ -55,6 +56,7 @@ march all of their spacings at once.
 from __future__ import annotations
 
 import bisect
+import ctypes
 import math
 import operator
 from dataclasses import dataclass, field
@@ -180,20 +182,36 @@ class PhiHistory:
 # over one chunk in turn, eleven operations each on slices of 256 KiB per
 # array, so the chunk's five levels and its pair stay in a 2 MiB L2 cache
 # from the first pass to the second; a longer row would otherwise be
-# streamed from L3 eleven times per step.
+# streamed from L3 eleven times per step.  At 2**18 nodes 2**13, 2**14 and
+# 2**16 took 5.1, 4.4 and 5.7 ns per node-step against 4.4 (BENCH_11.json).
 _CHUNK = 2 ** 15
 
 # Time levels per sweep of a march.  At 2**18 nodes two took about 5% less
-# time per node-step than one (BENCH_10.json).  A periodic row allows no
-# more than two: the first pass of a third level would read the second
-# level's wrap node n-1, which needs the first level's last pass.
+# time per node-step than one (BENCH_10.json), and four, on a Dirichlet
+# row, no less than two (BENCH_11.json).  A periodic row allows no more
+# than two: the first pass of a third level would read the second level's
+# wrap node n-1, which needs the first level's last pass.
 _DEPTH = 2
 
 # Upper bound on the node-steps (nodes x time levels) of one group of a
-# march.  The kernel takes about 5 ns per node-step on a 2 MiB-L2 Xeon
-# core, so 2**36 is about 6 minutes; a larger count comes from a t_end, dx
+# march.  The kernel takes about 4.4 ns per node-step on a 2 MiB-L2 Xeon
+# core, so 2**36 is about 5 minutes; a larger count comes from a t_end, dx
 # or step count that nobody means to wait for, and would otherwise just hang.
 _MAX_NODE_STEPS = 2 ** 36
+
+# Bytes per cache line.  On an AVX-512 core a 2**14-node np.add whose output
+# straddles lines takes about twice as long as one whose output starts a line.
+_LINE = 64
+
+
+def _aligned(n: int, lead: int = 0, dtype=np.float64) -> np.ndarray:
+    """A new array of `n` elements whose element `lead` starts a cache
+    line: a view into an over-allocated byte buffer."""
+    itemsize = np.dtype(dtype).itemsize
+    buf = np.empty(n * itemsize + _LINE, np.uint8)
+    # A third of the time of buf.ctypes.data, which `step` would feel.
+    address = ctypes.addressof(ctypes.c_char.from_buffer(buf))
+    return np.frombuffer(buf, dtype, n, -(address + lead * itemsize) % _LINE)
 
 
 def _weight_row(coeffs: FdCoefficients, dt: float, R: float) -> tuple:
@@ -218,7 +236,8 @@ def _bounds(interior: int, lag: int) -> list:
     lo+1 .. hi from the 1-D slices [lo:hi], [lo+1:hi+1] and [lo+2:hi+2].
     A level that trails another by `lag` nodes in a sweep has its bounds
     shifted left by `lag`, except that its first pass starts at 0 and its
-    last runs to the end of the row."""
+    last runs to the end of the row.  Any lag >= 1 keeps the bits, and
+    one cache line keeps each lo on a line, as `_CHUNK` does."""
     bounds = []
     for lo in range(0, max(interior, 1), _CHUNK):
         hi = min(lo + _CHUNK, interior)
@@ -266,23 +285,24 @@ def _plan(ring: list, outs: list, table, boundary: BoundarySpec,
     calls, one group per flat pass with the pins of the end nodes that the
     pass writes, plus a first and a last group, one of which holds a
     periodic row's wrap pass.  In a sweep phase k trails the leading phase
-    by k % `_DEPTH` nodes, and `_calls` makes the calls of one phase or of
-    a sweep.  The pair sum prev_l + prev_r is carried in one array from
-    phase to phase, so the phases must run in order, from phase 0; it
+    by k % `_DEPTH` cache lines, and `_calls` makes the calls of one phase
+    or of a sweep.  The pair sum prev_l + prev_r is carried in one array
+    from phase to phase, so the phases must run in order, from phase 0; it
     starts as the pair of ring[1], the same addition that the step which
     wrote ring[2] made.  The periodic wrap pass carries its own pair.
     `table` has one `_weight_row` per row of `layout`: a single row keeps
     its Python floats, and a batch, which is never periodic, repeats each
     column over the nodes of each row, once.  The outputs must not overlap
-    the levels a phase reads.  The two pass-sized work arrays are
-    allocated here unless `scratch` gives two arrays of the levels' dtype,
-    as long as the row and free while a phase runs.
+    the levels a phase reads, and its passes write whole cache lines when
+    the outputs start one at node 1.  The pair and the two pass-sized work
+    arrays are carved from one block, each starting a line, unless
+    `scratch` gives the work arrays: two of the levels' dtype, as long as
+    the row and free while a phase runs.
     """
     periodic = boundary.kind == "periodic"
     dtype = outs[0].dtype
     interior = outs[0].shape[0] - 2
-    pair = np.empty(interior, dtype)
-    np.add(ring[1][:-2], ring[1][2:], pair)
+    line = _LINE // dtype.itemsize
     if periodic:
         wrap_work = tuple(np.empty((3, 2), dtype))
         left, _, right = _wrap(ring[1])
@@ -302,7 +322,7 @@ def _plan(ring: list, outs: list, table, boundary: BoundarySpec,
     # arguments of one `put` of the end nodes that the pass writes, or None.
     forms = []
     for lag in range(min(len(outs), _DEPTH)):
-        bounds = _bounds(interior, lag)
+        bounds = _bounds(interior, lag * line)
         pins = [None] * len(bounds)
         if not periodic:
             cuts = [0] + [bisect.bisect_left(ends, lo + 1)
@@ -314,13 +334,17 @@ def _plan(ring: list, outs: list, table, boundary: BoundarySpec,
                        tuple(columns[:, lo + 1:hi + 1]), pin)
                       for (lo, hi), pin in zip(bounds, pins)])
     width = max(hi - lo for form in forms for lo, hi, _, _ in form)
-    term, part = np.empty((2, width), dtype) if scratch is None else scratch
+    # The pair and the two work arrays, rounded up to whole cache lines.
+    skip, wide = -(-interior // line) * line, -(-width // line) * line
+    block = _aligned(skip + (0 if scratch else 2 * wide), 0, dtype)
+    pair = block[:interior]
+    term, part = scratch or (block[skip:skip + wide], block[skip + wide:])
+    np.add(ring[1][:-2], ring[1][2:], pair)
     phases = []
     for k, out in enumerate(outs):
         old, prev, cur = (ring[(k + i) % len(ring)] for i in range(3))
-        lag = k % _DEPTH
         groups = []
-        for lo, hi, weights, pin in forms[lag]:
+        for lo, hi, weights, pin in forms[k % _DEPTH]:
             calls = _pass_calls(
                 (cur[lo:hi], cur[lo + 1:hi + 1], cur[lo + 2:hi + 2]),
                 prev[lo + 1:hi + 1], old[lo + 1:hi + 1], out[lo + 1:hi + 1],
@@ -335,7 +359,7 @@ def _plan(ring: list, outs: list, table, boundary: BoundarySpec,
         if periodic:
             wrap = _pass_calls(_wrap(cur), _wrap(prev)[1], _wrap(old)[1],
                                _wrap(out)[1], *wrap_work, table[0])
-        phases.append([wrap, *groups, []] if lag == 0 else
+        phases.append([wrap, *groups, []] if k % _DEPTH == 0 else
                       [[], *groups, wrap])
     return tuple(phases)
 
@@ -398,15 +422,17 @@ def _check_group(cases: list, grid: Grid1D, t_end: float) -> tuple:
     return dt, n_steps
 
 
-def _seed(block: np.ndarray, value) -> None:
-    # Copy an initializer's result into a block of a start level; the
-    # result is dropped on return, before the next one is made.
-    try:
-        block[...] = value
-    except ValueError:
-        raise DomainError(f"the initializer's result, of shape "
-                          f"{np.shape(value)}, does not broadcast to the "
-                          f"level shape {block.shape}") from None
+def _seed(blocks: list, initializer, xs: np.ndarray, dt: float) -> None:
+    # Copy the initializer's results at t = 0, dt, 2*dt into a group's blocks
+    # of the start levels, each dropped before the next one is made.
+    for k, block in enumerate(blocks):
+        value = initializer(xs, k * dt)
+        try:
+            block[...] = value
+        except ValueError:
+            raise DomainError(f"the initializer's result, of shape "
+                              f"{np.shape(value)}, does not broadcast to "
+                              f"the level shape {block.shape}") from None
 
 
 def _march(groups, boundary: BoundarySpec) -> list:
@@ -434,21 +460,21 @@ def _march(groups, boundary: BoundarySpec) -> list:
     if periodic and sum(len(cases) for _, cases, _, _ in checked) > 1:
         raise DomainError("a periodic march holds one row")
     order = sorted(range(len(checked)), key=lambda g: -checked[g][0][1])
-    steps, tables, layout, seeds = [], [], [], []
+    steps, tables, layout = [], [], []
     for g in order:
-        (dt, n_steps), cases, grid, initializer = checked[g]
-        xs = grid.nodes()[:-1] if periodic else grid.nodes()
+        (dt, n_steps), cases, grid, _ = checked[g]
         steps.append(n_steps)
         tables.append([_weight_row(coefficients(p.omega0, p.s1, p.s2), dt,
                                    p.source_R) for p in cases])
-        layout.append((len(tables[-1]), xs.size))
-        seeds.append((initializer, xs, dt))
-    # Level m of the march lives in ring[m % 4].
-    ring = [np.empty(sum(r * n for r, n in layout)) for _ in range(4)]
-    for k in range(3):
-        for block, (initializer, xs, dt) in zip(_blocks(ring[k], layout),
-                                                seeds):
-            _seed(block, initializer(xs, k * dt))
+        layout.append((len(cases), grid.n_intervals + (not periodic)))
+    # Level m lives in ring[m % 4], whose node 1, the first that a pass
+    # writes, starts a cache line.  A group's nodes live only for its seeds.
+    ring = [_aligned(sum(r * n for r, n in layout), 1) for _ in range(4)]
+    starts = [_blocks(ring[k], layout) for k in range(3)]
+    for i, g in enumerate(order):
+        (dt, _), _, grid, initializer = checked[g]
+        _seed([blocks[i] for blocks in starts], initializer,
+              grid.nodes()[:-1] if periodic else grid.nodes(), dt)
     finals = [None] * len(order)
     level, active = 2, len(order)
     while active:

@@ -403,12 +403,14 @@ def _reference_run(triple, source_R, scale, grid, boundary, t_end):
     return levels[2]
 
 
-@pytest.mark.parametrize("chunk", [1, 2, 3, 4, 7])
+@pytest.mark.parametrize("chunk", [1, 2, 3, 4, 7, 8, 9])
 def test_batched_run_matches_the_reference_march_bit_for_bit(chunk,
                                                              monkeypatch):
-    # Passes of 1 to 7 nodes straddle the seams between the rows of the
-    # flat Dirichlet batch, and at 1 to 3 nodes the level that trails by
-    # one node in a sweep crosses a seam or a wrap node in every pass.  A
+    # Passes of 1 to 9 nodes straddle the seams between the rows of the
+    # flat Dirichlet batch.  The level that trails by one cache line (eight
+    # nodes) in a sweep makes empty passes first when the chunk is shorter
+    # than that, and chunks of 8 and 9 nodes are the lag and one above it;
+    # every row has more interior nodes than two chunks and the lag.  A
     # batch reads every weight and source per node, and a single case keeps
     # them as scalars; both must give the bits of the reference march of
     # each row on its own, whether the rows share a weight or not.  A
@@ -417,7 +419,7 @@ def test_batched_run_matches_the_reference_march_bit_for_bit(chunk,
     # of the four phases of its call plan, the last one after the carried
     # pair has gone once round the four level buffers.
     monkeypatch.setattr(scheme, "_CHUNK", chunk)
-    grid = Grid1D(12)
+    grid = Grid1D(30)
     t0, t1, t2 = (0.83, 0.92, 1.15), (0.6, 1.4, 0.7), (0.8, 1.0, 1.0)
     r0, r1, r2 = 0.0, 0.5, -1.25
     batches = ([(t0, r0), (t1, r1), (t2, r2)],
@@ -474,12 +476,12 @@ _STAGED_GROUPS = (
 )
 
 
-@pytest.mark.parametrize("chunk", [None, 1, 2, 3, 4, 7])
+@pytest.mark.parametrize("chunk", [None, 1, 2, 3, 4, 7, 8, 9])
 @pytest.mark.parametrize("boundary", [BoundarySpec.dirichlet(0.25, -1.5)],
                          ids=["dirichlet"])
 def test_staged_march_matches_one_run_per_group_bit_for_bit(chunk, boundary,
                                                             monkeypatch):
-    # Passes of 1 to 7 nodes straddle the seams between groups as well as
+    # Passes of 1 to 9 nodes straddle the seams between groups as well as
     # those between rows, and stages of odd and even length end with and
     # without a single-level tail.  A group must get the bits of a march of
     # its own, which the batched reference test ties to the whole-array
@@ -501,3 +503,36 @@ def test_staged_march_matches_one_run_per_group_bit_for_bit(chunk, boundary,
         alone = _batch(params, grid, init, boundary, t_end)
         assert final.shape == alone.shape
         assert final.tobytes() == alone.tobytes()
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.complex128])
+def test_aligned_buffers_start_a_cache_line_at_their_lead_element(dtype):
+    for lead, n in itertools.product(range(8), range(18)):
+        buf = scheme._aligned(n, lead, dtype)
+        assert (buf.ctypes.data + lead * buf.itemsize) % 64 == 0
+        assert buf.shape == (n,) and buf.dtype == dtype
+        assert buf.flags.writeable and buf.flags.aligned
+        buf[...] = 1.0
+        assert np.all(buf == 1.0)
+
+
+def test_run_plans_its_passes_on_level_buffers_aligned_at_node_one(
+        monkeypatch):
+    # A pass writes its level from node lo + 1, and lo is a multiple of the
+    # chunk or of the trailing level's lag, so the outputs of a march must
+    # start a cache line at node 1.  2**16 intervals make two chunks.
+    outputs = []
+    plan = scheme._plan
+
+    def recording_plan(ring, outs, *args):
+        outputs.extend(outs)
+        return plan(ring, outs, *args)
+
+    monkeypatch.setattr(scheme, "_plan", recording_plan)
+    grid = Grid1D(2 ** 16)
+    p = cal.ModelParams(0.8, 1.0, 1.0, dx=grid.dx, dt=1e-9)
+    run(p, grid, _sine_bump, BoundarySpec.dirichlet(0.0, 0.0), 6e-9)
+    assert len(outputs) == 4
+    for out in outputs:
+        assert out.shape == (2 ** 16 + 1,)
+        assert (out.ctypes.data + out.itemsize) % 64 == 0
