@@ -313,7 +313,8 @@ def calibrate_fourth(epsilon: float, s1: float = 1.0) -> CalibrationResult:
 
 
 def second_order_reference(epsilon: float) -> CalibrationResult:
-    """Baseline second-order parameter set: s1 = s2 = 1, omega0 = 1 - 2*epsilon.
+    """Baseline second-order parameter set: s1 = s2 = 1 and
+    omega0 = 1 - 2*epsilon.
 
     With unit rates the four-level update degenerates to the classical
     two-level central scheme with mesh Fourier number epsilon.  Raises

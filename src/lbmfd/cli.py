@@ -66,64 +66,26 @@ def _write_json(payload: dict, output: str | None) -> None:
     _write_lines([json.dumps(payload, indent=2)], output)
 
 
-def _build_parser() -> _Parser:
+def _build_parser(command: str | None) -> _Parser:
+    """The parser of all seven subcommands, with the flags of `command`
+    alone: the others are listed, so the top-level help and usage errors
+    are whole, but their flags are never built, as nothing parses them."""
     parser = _Parser(prog="lbmfd", description=__doc__,
                      formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = parser.add_subparsers(dest="command", required=True,
                                 parser_class=_Parser)
-
-    def cmd(name: str, help_text: str,
-            formats: tuple = ("csv", "json")) -> _Parser:
+    for name, (_, help_text, formats, flags) in _COMMANDS.items():
         p = sub.add_parser(name, help=help_text)
+        if name != command:
+            continue
         p.add_argument("--output", default=None,
                        help="write to this path instead of stdout")
         p.add_argument("--format", default=None, choices=formats,
                        help="output format")
         p.add_argument("--config", default=None,
                        help="JSON file of flag values; flags override")
-        return p
-
-    p = cmd("calibrate", "solve the accuracy conditions", ("json",))
-    p.add_argument("--epsilon", type=float, required=True)
-    p.add_argument("--order", type=int, choices=(4, 6), required=True)
-    p.add_argument("--s1", type=float, default=1.0,
-                   help="pinned first-moment rate for order 4")
-
-    p = cmd("run", "march one benchmark case to t_end")
-    p.add_argument("--epsilon", type=float, required=True)
-    p.add_argument("--order", type=int, choices=(2, 4, 6), default=6)
-    p.add_argument("--dx", type=float, default=0.025)
-    p.add_argument("--t-end", type=float, default=12.0)
-
-    p = cmd("convergence", "refinement study per epsilon")
-    p.add_argument("--order", type=int, choices=(2, 4, 6), required=True)
-    p.add_argument("--eps-list", type=_float_list, default=None)
-    p.add_argument("--dx-list", type=_float_list, default=None)
-
-    p = cmd("stability", "spectral radius scan of one triple", ("json",))
-    p.add_argument("--omega0", type=float, required=True)
-    p.add_argument("--s1", type=float, required=True)
-    p.add_argument("--s2", type=float, required=True)
-    p.add_argument("--n-theta", type=int, default=720)
-
-    p = cmd("equivalence", "mesoscopic versus four-level trajectory gap",
-            ("json",))
-    p.add_argument("--n-nodes", type=int, default=64)
-    p.add_argument("--steps", type=int, default=200)
-    p.add_argument("--omega0", type=float, required=True)
-    p.add_argument("--s1", type=float, required=True)
-    p.add_argument("--s2", type=float, required=True)
-    p.add_argument("--seed", type=int, default=42,
-                   help="PCG64 seed for the random start field")
-
-    p = cmd("sweep", "sixth-order calibration over a grid")
-    p.add_argument("--eps-min", type=float, required=True)
-    p.add_argument("--eps-max", type=float, required=True)
-    p.add_argument("--n-points", type=int, required=True)
-
-    p = cmd("profile", "field versus exact solution at t_end")
-    p.add_argument("--eps-list", type=_float_list, default=None)
-
+        for flag, options in flags:
+            p.add_argument(flag, **options)
     return parser
 
 
@@ -259,25 +221,61 @@ def _cmd_profile(ns) -> int:
     return EXIT_OK
 
 
-_DISPATCH = {
-    "calibrate": _cmd_calibrate,
-    "run": _cmd_run,
-    "convergence": _cmd_convergence,
-    "stability": _cmd_stability,
-    "equivalence": _cmd_equivalence,
-    "sweep": _cmd_sweep,
-    "profile": _cmd_profile,
+# Per subcommand: its handler, its help line, its --format choices and
+# its own flags, each with the keyword arguments of `add_argument`.
+_COMMANDS = {
+    "calibrate": (_cmd_calibrate, "solve the accuracy conditions",
+                  ("json",), (
+        ("--epsilon", dict(type=float, required=True)),
+        ("--order", dict(type=int, choices=(4, 6), required=True)),
+        ("--s1", dict(type=float, default=1.0,
+                      help="pinned first-moment rate for order 4")))),
+    "run": (_cmd_run, "march one benchmark case to t_end", ("csv", "json"), (
+        ("--epsilon", dict(type=float, required=True)),
+        ("--order", dict(type=int, choices=(2, 4, 6), default=6)),
+        ("--dx", dict(type=float, default=0.025)),
+        ("--t-end", dict(type=float, default=12.0)))),
+    "convergence": (_cmd_convergence, "refinement study per epsilon",
+                    ("csv", "json"), (
+        ("--order", dict(type=int, choices=(2, 4, 6), required=True)),
+        ("--eps-list", dict(type=_float_list, default=None)),
+        ("--dx-list", dict(type=_float_list, default=None)))),
+    "stability": (_cmd_stability, "spectral radius scan of one triple",
+                  ("json",), (
+        ("--omega0", dict(type=float, required=True)),
+        ("--s1", dict(type=float, required=True)),
+        ("--s2", dict(type=float, required=True)),
+        ("--n-theta", dict(type=int, default=720)))),
+    "equivalence": (_cmd_equivalence,
+                    "mesoscopic versus four-level trajectory gap",
+                    ("json",), (
+        ("--n-nodes", dict(type=int, default=64)),
+        ("--steps", dict(type=int, default=200)),
+        ("--omega0", dict(type=float, required=True)),
+        ("--s1", dict(type=float, required=True)),
+        ("--s2", dict(type=float, required=True)),
+        ("--seed", dict(type=int, default=42,
+                        help="PCG64 seed for the random start field")))),
+    "sweep": (_cmd_sweep, "sixth-order calibration over a grid",
+              ("csv", "json"), (
+        ("--eps-min", dict(type=float, required=True)),
+        ("--eps-max", dict(type=float, required=True)),
+        ("--n-points", dict(type=int, required=True)))),
+    "profile": (_cmd_profile, "field versus exact solution at t_end",
+                ("csv", "json"), (
+        ("--eps-list", dict(type=_float_list, default=None)),)),
 }
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
+    argv = list(sys.argv[1:] if argv is None else argv)
+    parser = _build_parser(argv[0] if argv else None)
     try:
-        ns = _parse_args(parser, list(sys.argv[1:] if argv is None else argv))
+        ns = _parse_args(parser, argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        return _DISPATCH[ns.command](ns)
+        return _COMMANDS[ns.command][0](ns)
     except BrokenPipeError:
         return EXIT_OK
     except (DomainError, OSError) as exc:

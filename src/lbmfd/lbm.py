@@ -21,10 +21,13 @@ the conserved moment already equals its equilibrium.
 
 `evolve` and `fd_equivalence_deviation` share one in-place kernel that
 collides and streams three preallocated population arrays with slice
-operations.  The equivalence check streams the trajectory through it and
-holds only the latest four macroscopic levels, so its memory grows with the
-node count, not with nodes times steps; each of its arrays starts a 64-byte
-cache line at the first node that a kernel writes.
+operations, its scalars held as 0-d arrays.  The equivalence check streams
+the trajectory through it and holds only the latest four macroscopic
+levels, so its memory grows with the node count, not with nodes times
+steps.  The levels are rows of one block, each with a ghost node at either
+end that holds its periodic neighbour, so the four-level kernel of
+`scheme` predicts a level in one flat pass over the padded row, and each
+array starts a 64-byte cache line at the first node that a kernel writes.
 
 Only periodic streaming is supported at this level; bounded domains are the
 business of the equivalent finite-difference form.
@@ -43,9 +46,10 @@ from .errors import DomainError
 from .scheme import (BoundarySpec, _aligned, _calls, _check_node_steps,
                      _plan, _weight_row, coefficients)
 
-# The equivalence check holds about 110 B per node (populations, six level
-# buffers, work arrays and the start field): 2**21 nodes keep that near
-# 230 MB.
+# The equivalence check holds thirteen node-length float64 arrays (three
+# populations, four padded level rows, the prediction and its carried pair,
+# three work arrays and the start field) and no temporaries: its tracemalloc
+# peak is 105 B per node at 2**14 nodes, so 2**21 nodes keep it near 220 MB.
 _MAX_EQUIV_NODES = 2 ** 21
 
 
@@ -114,29 +118,42 @@ def initialize(phi0: np.ndarray, params: ModelParams) -> DistributionField:
     return DistributionField(fm, f0, fp)
 
 
-def _collide_stream(f_minus, f_zero, f_plus, params: ModelParams, phi,
-                    asym, pull, tmp) -> None:
-    # One periodic update of the three population arrays, in place.  `phi`
-    # receives the macroscopic field of the incoming populations; asym,
-    # pull and tmp are scratch of the same shape.  Each term is summed in
-    # the order of the substituted population form, written out in
-    # `evolve`'s docstring, and the last addition of each moving population
-    # lands one node downstream, so streaming costs no extra pass.
+def _collision_constants(params: ModelParams, dtype) -> tuple:
+    # The scalar operands of `_collide_stream`, as 0-d arrays of the
+    # populations' dtype: a ufunc takes one faster than a Python float and
+    # rounds it alike.
     omega0, omega1, s1, s2 = params.omega0, params.omega1, params.s1, params.s2
     dt_R = params.dt * params.source_R
+    return tuple(np.array(value, dtype) for value in (
+        0.5 * params.dt * params.source_R, 0.5 * s1, 0.5 * s2,
+        0.5 * omega0 * s2, 1.0 - s2, omega0 * s2,
+        omega0 * (1.0 - s2 / 2.0) * dt_R,
+        (omega1 + omega0 * s2 / 4.0) * dt_R))
+
+
+def _collide_stream(f_minus, f_zero, f_plus, consts, phi, asym, pull,
+                    tmp) -> None:
+    # One periodic update of the three population arrays, in place.  `phi`
+    # receives the macroscopic field of the incoming populations; asym,
+    # pull and tmp are scratch of the same shape, and `consts` comes from
+    # `_collision_constants`.  Each term is summed in the order of the
+    # substituted population form, written out in `evolve`'s docstring,
+    # and the last addition of each moving population lands one node
+    # downstream, so streaming costs no extra pass.
+    (half_src, half_s1, half_s2, half_omega0_s2, keep_zero, omega0_s2,
+     zero_src, moving_src) = consts
     np.add(f_minus, f_zero, out=phi)
     np.add(phi, f_plus, out=phi)
-    np.add(phi, 0.5 * params.dt * params.source_R, out=phi)
+    np.add(phi, half_src, out=phi)
     np.subtract(f_minus, f_plus, out=asym)
-    np.multiply(asym, 0.5 * s1, out=asym)
-    np.multiply(f_zero, 0.5 * s2, out=pull)
-    np.multiply(phi, 0.5 * omega0 * s2, out=tmp)
+    np.multiply(asym, half_s1, out=asym)
+    np.multiply(f_zero, half_s2, out=pull)
+    np.multiply(phi, half_omega0_s2, out=tmp)
     np.subtract(pull, tmp, out=pull)
-    np.multiply(f_zero, 1.0 - s2, out=f_zero)
-    np.multiply(phi, omega0 * s2, out=tmp)
+    np.multiply(f_zero, keep_zero, out=f_zero)
+    np.multiply(phi, omega0_s2, out=tmp)
     np.add(f_zero, tmp, out=f_zero)
-    np.add(f_zero, omega0 * (1.0 - s2 / 2.0) * dt_R, out=f_zero)
-    moving_src = (omega1 + omega0 * s2 / 4.0) * dt_R
+    np.add(f_zero, zero_src, out=f_zero)
     np.subtract(f_minus, asym, out=tmp)
     np.add(tmp, pull, out=tmp)
     np.add(tmp[1:], moving_src, out=f_minus[:-1])
@@ -145,6 +162,13 @@ def _collide_stream(f_minus, f_zero, f_plus, params: ModelParams, phi,
     np.add(tmp, pull, out=tmp)
     np.add(tmp[:-1], moving_src, out=f_plus[1:])
     np.add(tmp[-1:], moving_src, out=f_plus[:1])
+
+
+def _max_abs(x: np.ndarray, acc):
+    # max(acc, max|x|), reading max|x| as max(max x, -min x), which is exact
+    # and writes nothing; a NaN in x or in acc gives NaN.
+    top = np.maximum.reduce(x, None)
+    return top if top != top else max(acc, top, -np.minimum.reduce(x, None))
 
 
 def evolve(f: DistributionField, params: ModelParams,
@@ -173,7 +197,7 @@ def evolve(f: DistributionField, params: ModelParams,
     dtype = np.result_type(*pops, 1.0)
     new = [np.array(p, dtype=dtype) for p in pops]
     work = [np.empty_like(new[0]) for _ in range(4)]
-    _collide_stream(*new, params, *work)
+    _collide_stream(*new, _collision_constants(params, dtype), *work)
     return DistributionField(*new)
 
 
@@ -235,35 +259,51 @@ def fd_equivalence_deviation(n_nodes: int, steps: int, omega0: float,
     base = rng.random(n_nodes) - 0.5 * params.dt * params.source_R
     pops = [np.multiply(share, base, out=_aligned(n_nodes))
             for share in (params.omega1, params.omega0, params.omega1)]
-    field = DistributionField(*pops)
+    consts = _collision_constants(params, np.float64)
     table = [_weight_row(coefficients(omega0, s1, s2), params.dt,
                          params.source_R)]
-    # Level n goes into ring[n % 4], and phase (n - 3) % 4 of the plan
-    # predicts it from the three before into `predicted`, whose node 1
-    # starts a cache line, as the stencil writes its middle.  The prediction
+    # Level n goes into the middle of row n % 4 of one block.  A row is
+    # whole cache lines of eight nodes long, starts node 1 on a line and
+    # has a ghost node at each end, which one strided copy fills with the
+    # level's last and first node.  So phase (n - 3) % 4 of a plan over the
+    # padded rows predicts level n from the three before in one flat pass,
+    # into `predicted`, which is laid out alike; the plan's Dirichlet pins
+    # land on its ghost nodes, which are never compared.  The prediction
     # borrows two of the collision's work arrays, so the check sweeps twelve
     # node-length arrays: 1.5 MiB at 2**14 nodes, inside a 2 MiB L2 cache.
     # Two arrays more measured 3-5% slower there.
-    ring = [_aligned(n_nodes) for _ in range(4)]
-    predicted = _aligned(n_nodes, 1)
+    width = -(-(n_nodes + 2) // 8) * 8
+    block = _aligned(4 * width, 1).reshape(4, width)
+    rows = list(block[:, :n_nodes + 2])
+    levels = block[:, 1:n_nodes + 1]
+    mids = list(levels)
+    ghosts = [(row[::n_nodes + 1], row[n_nodes:0:1 - n_nodes])
+              for row in rows]
+    predicted = _aligned(n_nodes + 2, 1)
+    gap = predicted[1:-1]
     work = [_aligned(n_nodes) for _ in range(3)]
     max_dev = max_phi = 0.0
     for n in range(steps + 1):
-        new = ring[n % 4]
+        new = mids[n % 4]
         if n < steps:
-            _collide_stream(*pops, params, new, *work)
+            _collide_stream(*pops, consts, new, *work)
         else:
-            new[...] = macro_phi(field, params)
-        # `predicted` is free until the prediction below overwrites it.
-        max_phi = np.maximum(max_phi, np.abs(new, out=predicted).max())
+            # `macro_phi` of the last populations, with no temporaries.
+            np.add(pops[0], pops[1], out=new)
+            np.add(new, pops[2], out=new)
+            np.add(new, consts[0], out=new)
+        ghost, wrap = ghosts[n % 4]
+        ghost[...] = wrap
+        # Every level is in the block at one of these reductions.
+        if n % 4 == 3 or n == steps:
+            max_phi = _max_abs(levels, max_phi)
         if n == 2:
             phases = [_calls(phase) for phase in _plan(
-                ring, [predicted] * 4, table, BoundarySpec.periodic(),
-                [(1, n_nodes)], work[:2])]
+                rows, [predicted] * 4, table, BoundarySpec.dirichlet(0.0, 0.0),
+                [(1, n_nodes + 2)], work[:2])]
         elif n > 2:
             for fn, args in phases[(n - 3) % 4]:
                 fn(*args)
-            np.subtract(predicted, new, out=predicted)
-            np.abs(predicted, out=predicted)
-            max_dev = np.maximum(max_dev, predicted.max())
+            np.subtract(gap, new, out=gap)
+            max_dev = _max_abs(gap, max_dev)
     return float(max_dev), float(max_phi)

@@ -29,7 +29,7 @@ eleven numpy calls, not twelve.  The passes also cover the seam nodes
 between rows, which Dirichlet pinning overwrites; a periodic march holds
 one row, whose wrap nodes 0 and n-1 are computed from the same expression
 on one strided view with a pair of its own.  A single case keeps its
-weights and source term as scalars, and a batch reads them per node.
+weights and source term as 0-d arrays, and a batch reads them per node.
 
 Long rows are cut into cache-sized passes, and a march advances two levels
 per sweep: level n+1 makes its pass over a chunk, then level n+2 makes its
@@ -290,14 +290,15 @@ def _plan(ring: list, outs: list, table, boundary: BoundarySpec,
     from phase to phase, so the phases must run in order, from phase 0; it
     starts as the pair of ring[1], the same addition that the step which
     wrote ring[2] made.  The periodic wrap pass carries its own pair.
-    `table` has one `_weight_row` per row of `layout`: a single row keeps
-    its Python floats, and a batch, which is never periodic, repeats each
-    column over the nodes of each row, once.  The outputs must not overlap
-    the levels a phase reads, and its passes write whole cache lines when
-    the outputs start one at node 1.  The pair and the two pass-sized work
-    arrays are carved from one block, each starting a line, unless
-    `scratch` gives the work arrays: two of the levels' dtype, as long as
-    the row and free while a phase runs.
+    `table` has one `_weight_row` per row of `layout`: a single row's
+    weights become 0-d arrays of the levels' dtype, which a ufunc takes
+    faster than Python floats and rounds alike, and a batch, which is never
+    periodic, repeats each column over the nodes of each row, once.  The
+    outputs must not overlap the levels a phase reads, and its passes write
+    whole cache lines when the outputs start one at node 1.  The pair and
+    the two pass-sized work arrays are carved from one block, each starting
+    a line, unless `scratch` gives the work arrays: two of the levels'
+    dtype, as long as the row and free while a phase runs.
     """
     periodic = boundary.kind == "periodic"
     dtype = outs[0].dtype
@@ -318,6 +319,8 @@ def _plan(ring: list, outs: list, table, boundary: BoundarySpec,
     if len(table) > 1:
         nodes = [n for rows, n in layout for _ in range(rows)]
         columns = np.repeat(np.array(table).T, nodes, axis=1)
+    else:
+        row = tuple(np.array(w, dtype) for w in table[0])
     # Per lag, the passes as (lo, hi, weights, pins): `pins` are the
     # arguments of one `put` of the end nodes that the pass writes, or None.
     forms = []
@@ -330,7 +333,7 @@ def _plan(ring: list, outs: list, table, boundary: BoundarySpec,
             for c, (i, j) in enumerate(zip(cuts, cuts[1:])):
                 if j > i:
                     pins[c] = (np.array(ends[i:j]), values[i:j])
-        forms.append([(lo, hi, table[0] if len(table) == 1 else
+        forms.append([(lo, hi, row if len(table) == 1 else
                        tuple(columns[:, lo + 1:hi + 1]), pin)
                       for (lo, hi), pin in zip(bounds, pins)])
     width = max(hi - lo for form in forms for lo, hi, _, _ in form)
@@ -358,7 +361,7 @@ def _plan(ring: list, outs: list, table, boundary: BoundarySpec,
         wrap = []
         if periodic:
             wrap = _pass_calls(_wrap(cur), _wrap(prev)[1], _wrap(old)[1],
-                               _wrap(out)[1], *wrap_work, table[0])
+                               _wrap(out)[1], *wrap_work, row)
         phases.append([wrap, *groups, []] if k % _DEPTH == 0 else
                       [[], *groups, wrap])
     return tuple(phases)
@@ -446,10 +449,10 @@ def _march(groups, boundary: BoundarySpec) -> list:
     in one flat level row, groups in descending step-count order, so the
     groups still marching are always a prefix of it.  Each stage plans that
     prefix of the rotated level ring and marches, `_DEPTH` levels per
-    sweep, to the step count of the next group to end; that group is then read out and costs nothing more,
-    as later stages write only a shorter prefix.  Returns one (rows, nodes)
-    array per group, in the order given: views of the march's own buffers,
-    whose blocks do not overlap.
+    sweep, to the step count of the next group to end; that group is then
+    read out and costs nothing more, as later stages write only a shorter
+    prefix.  Returns one (rows, nodes) array per group, in the order given:
+    views of the march's own buffers, whose blocks do not overlap.
     """
     periodic = boundary.kind == "periodic"
     checked = []

@@ -89,7 +89,8 @@ def _check_theta(theta: float) -> None:
 
 
 def char_poly(omega0: float, s1: float, s2: float, theta: float) -> CharPoly:
-    """Characteristic cubic of the amplification problem at wavenumber theta."""
+    """Characteristic cubic of the amplification problem at wavenumber
+    theta."""
     co = coefficients(omega0, s1, s2)
     _check_theta(theta)
     p0, p1, p2 = _char_coeff_grid(co, np.cos(theta))
@@ -138,7 +139,8 @@ def cubic_roots(p: CharPoly) -> np.ndarray:
     return np.linalg.eigvals(_companion(-p.p2, -p.p1, -p.p0))
 
 
-def routh_hurwitz_values(p: CharPoly) -> tuple[float, float, float, float, float]:
+def routh_hurwitz_values(
+        p: CharPoly) -> tuple[float, float, float, float, float]:
     """The five sign conditions for all roots inside the closed unit disk.
 
     Order: (1 - p0 + p1 - p2, 1 - p0, 1 + p0, 1 + p0 + p1 + p2,

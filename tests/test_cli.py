@@ -5,6 +5,7 @@ import contextlib
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -345,9 +346,49 @@ def test_config_file_errors(tmp_path, capsys):
         assert ": error: " in err.splitlines()[-1]
 
 
+# Each subcommand's own flags; every one also takes --output, --format,
+# --config and --help.
+_COMMAND_FLAGS = {
+    "calibrate": {"--epsilon", "--order", "--s1"},
+    "run": {"--epsilon", "--order", "--dx", "--t-end"},
+    "convergence": {"--order", "--eps-list", "--dx-list"},
+    "stability": {"--omega0", "--s1", "--s2", "--n-theta"},
+    "equivalence": {"--n-nodes", "--steps", "--omega0", "--s1", "--s2",
+                    "--seed"},
+    "sweep": {"--eps-min", "--eps-max", "--n-points"},
+    "profile": {"--eps-list"},
+}
+
+
+@pytest.mark.parametrize("command", sorted(_COMMAND_FLAGS))
+def test_command_help_names_its_flags_and_no_others(command, capsys):
+    assert main([command, "--help"]) == 0
+    out = capsys.readouterr().out
+    assert out.startswith(f"usage: lbmfd {command} ")
+    assert set(re.findall(r"--[a-z0-9-]+", out)) == \
+        _COMMAND_FLAGS[command] | {"--output", "--format", "--config",
+                                   "--help"}
+
+
+def test_top_level_help_names_every_command(capsys):
+    assert main(["--help"]) == 0
+    out = capsys.readouterr().out
+    listed = re.search(r"\{([a-z,]+)\}", out).group(1).split(",")
+    assert sorted(listed) == sorted(_COMMAND_FLAGS)
+    for command in _COMMAND_FLAGS:
+        assert re.search(rf"^    {command} +\S", out, re.MULTILINE), command
+
+
 def test_unknown_command_is_a_usage_error(capsys):
     assert main(["frobnicate"]) == 1
-    capsys.readouterr()
+    err = capsys.readouterr().err
+    assert err.startswith("usage: lbmfd ") and err.count("error:") == 1
+    last = err.splitlines()[-1]
+    head = ("lbmfd: error: argument command: invalid choice: 'frobnicate' "
+            "(choose from ")
+    assert last.startswith(head) and last.endswith(")")
+    listed = [name.strip(" '") for name in last[len(head):-1].split(",")]
+    assert sorted(listed) == sorted(_COMMAND_FLAGS)
 
 
 # Values that have broken validation before, mixed with in-range ones.

@@ -223,7 +223,10 @@ def test_streamed_check_matches_the_stored_trajectory_bit_for_bit():
         for source_R in (0.0, 0.3, -1.7):
             triple = (rng.uniform(0.05, 0.95), rng.uniform(0.1, 1.9),
                       rng.uniform(0.1, 1.9))
-            for n_nodes, steps in ((8, 3), (37, 50)):
+            # 3 to 9 steps end on a reduction of one to four levels, and 8
+            # nodes give the shortest ghost copy.
+            sizes = [(n, k) for n in (8, 9) for k in range(3, 10)]
+            for n_nodes, steps in sizes + [(37, 50)]:
                 args = (n_nodes, steps, *triple, seed, source_R)
                 assert lbm.fd_equivalence_deviation(*args) == \
                     _stored_trajectory_deviation(*args)
