@@ -191,17 +191,12 @@ def _cmd_sweep(ns) -> int:
     span = ns.eps_max - ns.eps_min
     grid = [ns.eps_min + span * i / max(ns.n_points - 1, 1)
             for i in range(ns.n_points)]
-    rows = calibration.calibration_sweep(grid)
+    rows = [vars(r) for r in calibration.calibration_sweep(grid)]
     if ns.format == "json":
-        payload = {"rows": [
-            {"epsilon": r.epsilon, "omega0": r.omega0, "s1": r.s1,
-             "s2": r.s2, "status": r.status} for r in rows]}
-        _write_json(payload, ns.output)
+        _write_json({"rows": rows}, ns.output)
     else:
         _write_lines(verification.csv_lines(
-            "epsilon,omega0,s1,s2,status",
-            ((r.epsilon, r.omega0, r.s1, r.s2, r.status) for r in rows)),
-            ns.output)
+            ",".join(rows[0]), (r.values() for r in rows)), ns.output)
     return EXIT_OK
 
 

@@ -262,7 +262,8 @@ def fd_equivalence_deviation(n_nodes: int, steps: int, omega0: float,
     consts = _collision_constants(params, np.float64)
     table = [_weight_row(coefficients(omega0, s1, s2), params.dt,
                          params.source_R)]
-    # Level n goes into the middle of row n % 4 of one block.  A row is
+    # Collision n writes level n into the middle of row n % 4 of one block;
+    # the last collision's populations are never read.  A row is
     # whole cache lines of eight nodes long, starts node 1 on a line and
     # has a ghost node at each end, which one strided copy fills with the
     # level's last and first node.  So phase (n - 3) % 4 of a plan over the
@@ -285,13 +286,7 @@ def fd_equivalence_deviation(n_nodes: int, steps: int, omega0: float,
     max_dev = max_phi = 0.0
     for n in range(steps + 1):
         new = mids[n % 4]
-        if n < steps:
-            _collide_stream(*pops, consts, new, *work)
-        else:
-            # `macro_phi` of the last populations, with no temporaries.
-            np.add(pops[0], pops[1], out=new)
-            np.add(new, pops[2], out=new)
-            np.add(new, consts[0], out=new)
+        _collide_stream(*pops, consts, new, *work)
         ghost, wrap = ghosts[n % 4]
         ghost[...] = wrap
         # Every level is in the block at one of these reductions.

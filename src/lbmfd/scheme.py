@@ -38,12 +38,13 @@ still in cache, and every output of a pass starts a 64-byte cache line.
 Every node gets the same eleven calls in the same order, so the bits do
 not depend on how the levels are swept.  The levels rotate through four
 buffers: level n+2 overwrites level n-2, whose nodes level n+1 has already
-read.  Each pass pins the end nodes that it writes, so level n+2 reads
-level n+1's ends pinned; a periodic row computes level n+1's wrap nodes
-first and level n+2's last.  The calls of all four phases are built once
-per stage, grouped by pass, and a sweep makes the groups of two phases in
-turn.  A stage of odd length ends with one phase alone, the leading half
-of a sweep, and `step` and the equivalence check make their phases so too.
+read.  Each pass of a Dirichlet row ends by pinning every end node of the
+row, so level n+2 reads level n+1's ends pinned; a periodic row computes
+level n+1's wrap nodes first and level n+2's last.  The calls of all four
+phases are built once per stage, grouped by pass, and a sweep makes the
+groups of two phases in turn.  A stage of odd length ends with one phase
+alone, the leading half of a sweep, and `step` and the equivalence check
+make their phases so too.
 
 `run` is the one-row case of a staged march: groups of rows on different
 grids, with different dt and step counts, lie one after the other in one
@@ -55,7 +56,6 @@ march all of their spacings at once.
 
 from __future__ import annotations
 
-import bisect
 import ctypes
 import math
 import operator
@@ -199,6 +199,10 @@ _DEPTH = 2
 # or step count that nobody means to wait for, and would otherwise just hang.
 _MAX_NODE_STEPS = 2 ** 36
 
+# Upper bound on the intervals of a row.  A march holds about six float64
+# arrays of the node count: 2**22 intervals keep that near 200 MB.
+_MAX_INTERVALS = 2 ** 22
+
 # Bytes per cache line.  On an AVX-512 core a 2**14-node np.add whose output
 # straddles lines takes about twice as long as one whose output starts a line.
 _LINE = 64
@@ -282,9 +286,12 @@ def _plan(ring: list, outs: list, table, boundary: BoundarySpec,
     phase k reads old, prev and cur from ring[k], ring[k+1] and ring[k+2]
     (indices mod len(ring)), writes the next level into outs[k] and pins
     its Dirichlet ends.  A phase is a list of groups of (function, args)
-    calls, one group per flat pass with the pins of the end nodes that the
-    pass writes, plus a first and a last group, one of which holds a
-    periodic row's wrap pass.  In a sweep phase k trails the leading phase
+    calls, one group per flat pass, plus a first and a last group, one of
+    which holds a periodic row's wrap pass.  On a Dirichlet row each pass
+    ends with one `put` of every end node of the row, with the bits of
+    pinning each end once: a pass computes an end only as a value that its
+    put overwrites, and an end pinned early is read only as an old level,
+    which feeds only its own node.  In a sweep phase k trails the leading phase
     by k % `_DEPTH` cache lines, and `_calls` makes the calls of one phase
     or of a sweep.  The pair sum prev_l + prev_r is carried in one array
     from phase to phase, so the phases must run in order, from phase 0; it
@@ -314,29 +321,20 @@ def _plan(ring: list, outs: list, table, boundary: BoundarySpec,
             for _ in range(rows):
                 ends += (start, start + nodes - 1)
                 start += nodes
-        values = np.array((boundary.left_value, boundary.right_value)
-                          * (len(ends) // 2), dtype)
+        values = (boundary.left_value, boundary.right_value) * (len(ends) // 2)
+        pins = (np.array(ends), np.array(values, dtype))
     if len(table) > 1:
         nodes = [n for rows, n in layout for _ in range(rows)]
         columns = np.repeat(np.array(table).T, nodes, axis=1)
     else:
         row = tuple(np.array(w, dtype) for w in table[0])
-    # Per lag, the passes as (lo, hi, weights, pins): `pins` are the
-    # arguments of one `put` of the end nodes that the pass writes, or None.
-    forms = []
-    for lag in range(min(len(outs), _DEPTH)):
-        bounds = _bounds(interior, lag * line)
-        pins = [None] * len(bounds)
-        if not periodic:
-            cuts = [0] + [bisect.bisect_left(ends, lo + 1)
-                          for lo, _ in bounds[1:]] + [len(ends)]
-            for c, (i, j) in enumerate(zip(cuts, cuts[1:])):
-                if j > i:
-                    pins[c] = (np.array(ends[i:j]), values[i:j])
-        forms.append([(lo, hi, row if len(table) == 1 else
-                       tuple(columns[:, lo + 1:hi + 1]), pin)
-                      for (lo, hi), pin in zip(bounds, pins)])
-    width = max(hi - lo for form in forms for lo, hi, _, _ in form)
+    # Per lag, the passes as (lo, hi, weights); on a Dirichlet row each
+    # pass then pins every end node of the row with the one `put` of `pins`.
+    forms = [[(lo, hi, row if len(table) == 1 else
+               tuple(columns[:, lo + 1:hi + 1]))
+              for lo, hi in _bounds(interior, lag * line)]
+             for lag in range(min(len(outs), _DEPTH))]
+    width = max(hi - lo for form in forms for lo, hi, _ in form)
     # The pair and the two work arrays, rounded up to whole cache lines.
     skip, wide = -(-interior // line) * line, -(-width // line) * line
     block = _aligned(skip + (0 if scratch else 2 * wide), 0, dtype)
@@ -347,13 +345,13 @@ def _plan(ring: list, outs: list, table, boundary: BoundarySpec,
     for k, out in enumerate(outs):
         old, prev, cur = (ring[(k + i) % len(ring)] for i in range(3))
         groups = []
-        for lo, hi, weights, pin in forms[k % _DEPTH]:
+        for lo, hi, weights in forms[k % _DEPTH]:
             calls = _pass_calls(
                 (cur[lo:hi], cur[lo + 1:hi + 1], cur[lo + 2:hi + 2]),
                 prev[lo + 1:hi + 1], old[lo + 1:hi + 1], out[lo + 1:hi + 1],
                 pair[lo:hi], term[:hi - lo], part[:hi - lo], weights)
-            if pin is not None:
-                calls.append((out.put, pin))
+            if not periodic:
+                calls.append((out.put, pins))
             groups.append(calls)
         # A leading level's wrap pass reads only the levels before it, so
         # it runs first; a trailing one reads the nodes next to the wrap
@@ -412,6 +410,9 @@ def _check_group(cases: list, grid: Grid1D, t_end: float) -> tuple:
     if not math.isfinite(t_end):
         raise DomainError(f"t_end must be finite, got {t_end}")
     _check_node_steps(len(cases) * (grid.n_intervals + 1), t_end / dt)
+    if grid.n_intervals > _MAX_INTERVALS:
+        raise DomainError(f"{grid.n_intervals} intervals exceed the "
+                          f"{_MAX_INTERVALS} a march may hold")
     # The step count with the slack first: at dx = 0.1, dt = 30*dx**2 is
     # 0.30000000000000004, and t_end = 0.6 is two steps, not fewer.
     n_steps = round(t_end / dt)
@@ -420,9 +421,14 @@ def _check_group(cases: list, grid: Grid1D, t_end: float) -> tuple:
             f"t_end = {t_end} is not an integer multiple of dt = {dt}")
     if n_steps < 2:
         raise DomainError("t_end must be at least 2*dt")
-    if abs(grid.dx - dx) > 1e-12 * dx:
+    if not _is_spacing(dx, grid.n_intervals):
         raise DomainError("grid spacing does not match params.dx")
     return dt, n_steps
+
+
+def _is_spacing(dx: float, n_intervals: int) -> bool:
+    # Whether dx is 1/n_intervals to 1e-12 relative: the one spacing test.
+    return abs(1.0 / n_intervals - dx) <= 1e-12 * dx
 
 
 def _seed(blocks: list, initializer, xs: np.ndarray, dt: float) -> None:
@@ -513,14 +519,15 @@ def run(params: ModelParams, grid: Grid1D, initializer,
     2*dt, called once per level with the array x of node positions; its
     result must broadcast to the level's shape (else `DomainError`) and is
     copied, so it may return a scalar or a field on the nodes, and it is
-    never modified.  t_end must be
-    finite and an integer multiple of dt (relative slack 1e-9) of at least
-    two steps, and the march may take at most 2**36 node-steps (nodes x time
-    levels).  For t_end = 2*dt the third seeded level is returned with zero
-    four-level updates applied, so the result is always the field at
-    exactly t_end.  The result is a fresh array.  Periodic runs use the
-    n_intervals distinct nodes j*dx, j = 0..n_intervals-1.  A run is the
-    one-row case of the staged march that the convergence tables share.
+    never modified.  t_end must be finite and an integer multiple of dt
+    (relative slack 1e-9) of at least two steps, the grid may have at most
+    2**22 intervals, and the march may take at most 2**36 node-steps
+    (nodes x time levels).  For t_end = 2*dt the third seeded level is
+    returned with zero four-level updates applied, so the result is always
+    the field at exactly t_end.  The result is a fresh array.  Periodic
+    runs use the n_intervals distinct nodes j*dx, j = 0..n_intervals-1.  A
+    run is the one-row case of the staged march that the convergence
+    tables share.
     """
     if not isinstance(params, ModelParams):
         raise DomainError("params must be one ModelParams")

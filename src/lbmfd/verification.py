@@ -25,15 +25,13 @@ import numpy as np
 from . import calibration
 from .calibration import CalibrationResult, ModelParams
 from .errors import DomainError
-from .scheme import BoundarySpec, Grid1D, _march
+from .scheme import (BoundarySpec, Grid1D, _MAX_INTERVALS, _is_spacing,
+                     _march)
 
 DEFAULT_EPSILONS = (0.1, 0.15, 0.175, 0.2, 0.24)
 DEFAULT_SPACINGS = (0.1, 0.05, 0.025)
 _DT_OVER_DX2 = 30.0
 _T_END = 12.0
-# A march holds about six float64 arrays of the node count: 2**22 intervals
-# keep that near 200 MB.
-_MAX_INTERVALS = 2 ** 22
 
 
 def analytic_phi(x, t, kappa: float):
@@ -101,7 +99,7 @@ class BenchmarkCase:
             raise DomainError(f"dx = {self.dx} needs {float(n):.3g} "
                               f"intervals, more than the {_MAX_INTERVALS} a "
                               "march may hold")
-        if abs(n * self.dx - 1.0) > 1e-9:
+        if n == 0 or not _is_spacing(self.dx, n):
             raise DomainError(f"dx = {self.dx} does not divide the unit "
                               "interval")
         object.__setattr__(self, "dt", dt)

@@ -263,6 +263,12 @@ def test_run_validates_its_time_and_grid_arguments():
     tiny = cal.ModelParams(0.8, 1.0, 1.0, dx=0.1, dt=1e-300)
     with pytest.raises(DomainError):
         run(tiny, grid, init, boundary, 1e300)
+    # More than 2**22 intervals is refused before anything is allocated,
+    # also at two steps, which keep 2**34 intervals within the node-step
+    # bound while their four levels would take 128 GiB each.
+    wide = cal.ModelParams(0.8, 1.0, 1.0, dx=2.0 ** -34, dt=0.3)
+    with pytest.raises(DomainError, match="intervals exceed"):
+        run(wide, Grid1D(2 ** 34), init, boundary, 0.6)
 
 
 def test_run_rejects_an_initializer_that_does_not_broadcast():

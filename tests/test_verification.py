@@ -98,6 +98,12 @@ def test_benchmark_case_derived_fields():
             ver.BenchmarkCase(epsilon=0.1, dx=tiny, order="sixth")
     assert ver.BenchmarkCase(epsilon=0.1, dx=2.0 ** -22, order="sixth").dx \
         == 2.0 ** -22
+    # A spacing is accepted as the march accepts it: 1/n to within 1e-12
+    # relative.
+    for dx in (0.1, 0.05, 0.025, 2.0 ** -22, 1 / 3):
+        assert ver.BenchmarkCase(0.1, dx, "sixth", case.params).dx == dx
+    with pytest.raises(DomainError, match="does not divide"):
+        ver.BenchmarkCase(epsilon=0.1, dx=0.1 + 1e-11, order="sixth")
     with pytest.raises(DomainError):
         ver.BenchmarkCase(epsilon=0.1, dx=0.1, order="fifth")
     # A case at another spacing may share the calibration, and only one
