@@ -15,12 +15,16 @@ Exit codes: 0 success; 1 a usage or validation error, or an output file
 that cannot be written; 2 a valid epsilon with no admissible (omega0, s1,
 s2) triple, at any order; 3 a checked numerical property failed to hold.
 `main` alone maps the library's errors to codes 1 and 2, each with one
-"lbmfd: error:" line on stderr and no traceback.
+"lbmfd: error:" line on stderr and no traceback.  It builds each
+subcommand's parser once per process and reuses it, so a process that
+calls it many times, such as a test suite or a benchmark, pays for
+argparse once.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -66,10 +70,18 @@ def _write_json(payload: dict, output: str | None) -> None:
     _write_lines([json.dumps(payload, indent=2)], output)
 
 
+@functools.cache
 def _build_parser(command: str | None) -> _Parser:
     """The parser of all seven subcommands, with the flags of `command`
     alone: the others are listed, so the top-level help and usage errors
-    are whole, but their flags are never built, as nothing parses them."""
+    are whole, but their flags are never built, as nothing parses them.
+
+    Built once per process for each `command` and reused, as in-process
+    callers (tests, the `analysis` benchmark) call `main` many times.
+    Parsing leaves a parser as it was: each parse makes its own
+    `Namespace`, and help and usage read the stream and terminal width
+    when printed.  `main` passes None for every argv[0] that is not a
+    subcommand, so at most eight parsers are ever held."""
     parser = _Parser(prog="lbmfd", description=__doc__,
                      formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = parser.add_subparsers(dest="command", required=True,
@@ -89,15 +101,20 @@ def _build_parser(command: str | None) -> _Parser:
     return parser
 
 
+@functools.cache
+def _config_probe() -> argparse.ArgumentParser:
+    probe = argparse.ArgumentParser(add_help=False, exit_on_error=False)
+    probe.add_argument("--config", default=None)
+    return probe
+
+
 def _parse_args(parser: _Parser, argv: list[str]) -> argparse.Namespace:
     # The probe reads only --config, so flags that the config file supplies
     # are not yet required; a malformed --config is left to the full parse
     # to report.  Config tokens go right after the subcommand, before the
     # explicit flags, which argparse lets override them.
-    probe = argparse.ArgumentParser(add_help=False, exit_on_error=False)
-    probe.add_argument("--config", default=None)
     try:
-        config_path = probe.parse_known_args(argv)[0].config
+        config_path = _config_probe().parse_known_args(argv)[0].config
     except argparse.ArgumentError:
         config_path = None
     if config_path:
@@ -264,7 +281,8 @@ _COMMANDS = {
 
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    parser = _build_parser(argv[0] if argv else None)
+    parser = _build_parser(argv[0] if argv and argv[0] in _COMMANDS
+                           else None)
     try:
         ns = _parse_args(parser, argv)
     except SystemExit as exc:

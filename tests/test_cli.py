@@ -1,7 +1,9 @@
 """Tests for the command-line front end (in-process invocations, and one
 real process)."""
 
+import argparse
 import contextlib
+import gc
 import io
 import json
 import os
@@ -389,6 +391,77 @@ def test_unknown_command_is_a_usage_error(capsys):
     assert last.startswith(head) and last.endswith(")")
     listed = [name.strip(" '") for name in last[len(head):-1].split(",")]
     assert sorted(listed) == sorted(_COMMAND_FLAGS)
+
+
+def _run(argv):
+    # (exit code, stdout, stderr) of one in-process call.
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+_TRIPLE = ["--omega0", "0.8310204592587027", "--s1", "0.9159290534201945",
+           "--s2", "1.1450386147380731"]
+
+
+def test_a_reused_parser_gives_the_same_bytes_on_every_call(tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"seed": 7, "steps": 50}))
+    calls = [
+        ["calibrate", "--epsilon", "0.1", "--order", "6"],
+        ["run", "--epsilon", "0.1", "--dx", "0.1"],
+        ["convergence", "--order", "6", "--eps-list", "0.1",
+         "--dx-list", "0.1,0.05"],
+        ["stability", *_TRIPLE, "--n-theta", "90"],
+        ["equivalence", *_TRIPLE, "--n-nodes", "16", "--steps", "20"],
+        ["sweep", "--eps-min", "0.25", "--eps-max", "0.3", "--n-points", "4"],
+        ["profile", "--eps-list", "0.1", "--format", "json"],
+        ["--help"], ["calibrate", "--help"], ["frobnicate"],
+        ["run", "--epsilon", "0.1", "--order", "5"],
+        ["equivalence", *_TRIPLE, "--config", str(cfg)],
+    ]
+    for argv in calls:
+        first = _run(argv)
+        assert first[0] in (0, 1) and (first[1] or first[2]), argv
+        assert _run(argv) == first, argv
+
+
+def test_at_most_eight_parsers_are_held():
+    for i in range(100):
+        assert _run([f"not-a-command-{i}"])[0] == 1
+    for argv in ([], ["--help"], *([c, "--help"] for c in cli._COMMANDS)):
+        _run(argv)
+    assert cli._build_parser.cache_info().currsize <= 8
+
+
+def test_calls_leave_no_argparse_garbage():
+    # A parser holds reference cycles, which only the cyclic collector
+    # frees; a call should leave none behind for it.
+    calls = [["calibrate", "--epsilon", "0.1", "--order", "6"],
+             ["stability", *_TRIPLE],
+             ["sweep", "--eps-min", "0.01", "--eps-max", "0.3",
+              "--n-points", "30"],
+             ["equivalence", *_TRIPLE]]
+    for argv in calls:
+        assert _run(argv)[0] == 0
+    enabled = gc.isenabled()
+    gc.disable()
+    gc.collect()
+    gc.set_debug(gc.DEBUG_SAVEALL)
+    try:
+        for argv in calls:
+            assert _run(argv)[0] == 0
+        gc.collect()
+        left = [type(obj).__name__ for obj in gc.garbage
+                if any(cls.__module__ == argparse.__name__
+                       for cls in type(obj).__mro__)]
+    finally:
+        gc.set_debug(0)
+        gc.garbage.clear()
+        if enabled:
+            gc.enable()
+    assert left == []
 
 
 # Values that have broken validation before, mixed with in-range ones.
