@@ -66,30 +66,24 @@ def _write_lines(lines: list[str], output: str | None) -> None:
             handle.write(text)
 
 
-def _write_json(payload: dict, output: str | None) -> None:
-    _write_lines([json.dumps(payload, indent=2)], output)
+def _json(payload: dict) -> list[str]:
+    return [json.dumps(payload, indent=2)]
 
 
 @functools.cache
-def _build_parser(command: str | None) -> _Parser:
-    """The parser of all seven subcommands, with the flags of `command`
-    alone: the others are listed, so the top-level help and usage errors
-    are whole, but their flags are never built, as nothing parses them.
+def _build_parser() -> _Parser:
+    """The one parser of all seven subcommands and their flags.
 
-    Built once per process for each `command` and reused, as in-process
-    callers (tests, the `analysis` benchmark) call `main` many times.
-    Parsing leaves a parser as it was: each parse makes its own
-    `Namespace`, and help and usage read the stream and terminal width
-    when printed.  `main` passes None for every argv[0] that is not a
-    subcommand, so at most eight parsers are ever held."""
+    Built once per process and reused, as in-process callers (tests, the
+    `analysis` benchmark) call `main` many times.  Parsing leaves the
+    parser as it was: each parse makes its own `Namespace`, and help and
+    usage read the stream and terminal width when printed."""
     parser = _Parser(prog="lbmfd", description=__doc__,
                      formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = parser.add_subparsers(dest="command", required=True,
                                 parser_class=_Parser)
     for name, (_, help_text, formats, flags) in _COMMANDS.items():
         p = sub.add_parser(name, help=help_text)
-        if name != command:
-            continue
         p.add_argument("--output", default=None,
                        help="write to this path instead of stdout")
         p.add_argument("--format", default=None, choices=formats,
@@ -117,7 +111,7 @@ def _parse_args(parser: _Parser, argv: list[str]) -> argparse.Namespace:
         config_path = _config_probe().parse_known_args(argv)[0].config
     except argparse.ArgumentError:
         config_path = None
-    if config_path:
+    if config_path is not None:
         try:
             with open(config_path) as handle:
                 config = json.load(handle)
@@ -134,30 +128,27 @@ def _parse_args(parser: _Parser, argv: list[str]) -> argparse.Namespace:
     return parser.parse_args(argv)
 
 
-def _cmd_calibrate(ns) -> int:
+def _cmd_calibrate(ns) -> tuple[list[str], int]:
     # --s1 is checked at order 6 too, where the calibration does not use it.
     calibration.check_box(s1=ns.s1)
     if ns.order == 6:
         result = calibration.calibrate_sixth(ns.epsilon)
     else:
         result = calibration.calibrate_fourth(ns.epsilon, ns.s1)
-    _write_json(result.to_json_dict(), ns.output)
-    return EXIT_OK
+    return _json(result.to_json_dict()), EXIT_OK
 
 
-def _cmd_run(ns) -> int:
+def _cmd_run(ns) -> tuple[list[str], int]:
     case = verification.BenchmarkCase(epsilon=ns.epsilon, dx=ns.dx,
                                       order=_ORDER_WORDS[ns.order])
     ((xs, final),) = verification._march_decaying_sine([case], ns.t_end)
     if ns.format == "json":
-        _write_json({"x": [float(v) for v in xs],
-                     "phi": [float(v) for v in final]}, ns.output)
-    else:
-        _write_lines(verification.snapshot_csv_lines(xs, final), ns.output)
-    return EXIT_OK
+        return _json({"x": [float(v) for v in xs],
+                      "phi": [float(v) for v in final]}), EXIT_OK
+    return verification.snapshot_csv_lines(xs, final), EXIT_OK
 
 
-def _cmd_convergence(ns) -> int:
+def _cmd_convergence(ns) -> tuple[list[str], int]:
     reports = verification.reproduce_table(_ORDER_WORDS[ns.order],
                                            ns.eps_list, ns.dx_list)
     if ns.format == "json":
@@ -166,36 +157,33 @@ def _cmd_convergence(ns) -> int:
              "rows": [{"dx": dx, "dt": dt, "rmse": err}
                       for (dx, err), dt in zip(rep.rows, rep.dts())],
              "rates": list(rep.rates)} for rep in reports]}
-        _write_json(payload, ns.output)
-    else:
-        _write_lines(verification.convergence_csv_lines(reports), ns.output)
-    return EXIT_OK
+        return _json(payload), EXIT_OK
+    return verification.convergence_csv_lines(reports), EXIT_OK
 
 
-def _cmd_stability(ns) -> int:
+def _cmd_stability(ns) -> tuple[list[str], int]:
     report = stability.spectral_radius_scan(ns.omega0, ns.s1, ns.s2,
                                             ns.n_theta)
-    _write_json(report.to_json_dict(), ns.output)
-    return EXIT_OK if report.stable else EXIT_PROPERTY
+    return (_json(report.to_json_dict()),
+            EXIT_OK if report.stable else EXIT_PROPERTY)
 
 
-def _cmd_equivalence(ns) -> int:
+def _cmd_equivalence(ns) -> tuple[list[str], int]:
     max_dev, max_phi = lbm.fd_equivalence_deviation(
         ns.n_nodes, ns.steps, ns.omega0, ns.s1, ns.s2, ns.seed)
     threshold = _EQUIV_TOL * max_phi
     passed = max_dev <= threshold
-    _write_json({
+    return _json({
         "max_abs_deviation": float(max_dev),
         "threshold": float(threshold),
         "passed": bool(passed),
         "n_nodes": int(ns.n_nodes),
         "steps": int(ns.steps),
         "seed": int(ns.seed),
-    }, ns.output)
-    return EXIT_OK if passed else EXIT_PROPERTY
+    }), EXIT_OK if passed else EXIT_PROPERTY
 
 
-def _cmd_sweep(ns) -> int:
+def _cmd_sweep(ns) -> tuple[list[str], int]:
     if ns.n_points > _MAX_SWEEP_POINTS:
         raise DomainError(f"--n-points must be at most {_MAX_SWEEP_POINTS}, "
                           f"got {ns.n_points}")
@@ -210,14 +198,12 @@ def _cmd_sweep(ns) -> int:
             for i in range(ns.n_points)]
     rows = [vars(r) for r in calibration.calibration_sweep(grid)]
     if ns.format == "json":
-        _write_json({"rows": rows}, ns.output)
-    else:
-        _write_lines(verification.csv_lines(
-            ",".join(rows[0]), (r.values() for r in rows)), ns.output)
-    return EXIT_OK
+        return _json({"rows": rows}), EXIT_OK
+    return verification.csv_lines(
+        ",".join(rows[0]), (r.values() for r in rows)), EXIT_OK
 
 
-def _cmd_profile(ns) -> int:
+def _cmd_profile(ns) -> tuple[list[str], int]:
     profiles = verification.profile_solution(ns.eps_list)
     if ns.format == "json":
         payload = {"profiles": [
@@ -227,10 +213,8 @@ def _cmd_profile(ns) -> int:
              "phi_numeric": [float(v) for v in prof.phi_numeric],
              "phi_analytic": [float(v) for v in prof.phi_analytic]}
             for prof in profiles]}
-        _write_json(payload, ns.output)
-    else:
-        _write_lines(verification.profile_csv_lines(profiles), ns.output)
-    return EXIT_OK
+        return _json(payload), EXIT_OK
+    return verification.profile_csv_lines(profiles), EXIT_OK
 
 
 # Per subcommand: its handler, its help line, its --format choices and
@@ -281,14 +265,14 @@ _COMMANDS = {
 
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    parser = _build_parser(argv[0] if argv and argv[0] in _COMMANDS
-                           else None)
     try:
-        ns = _parse_args(parser, argv)
+        ns = _parse_args(_build_parser(), argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        return _COMMANDS[ns.command][0](ns)
+        lines, code = _COMMANDS[ns.command][0](ns)
+        _write_lines(lines, ns.output)
+        return code
     except BrokenPipeError:
         return EXIT_OK
     except (DomainError, OSError) as exc:

@@ -3,6 +3,7 @@ real process)."""
 
 import argparse
 import contextlib
+import dataclasses
 import gc
 import io
 import json
@@ -329,6 +330,13 @@ def test_config_file_errors(tmp_path, capsys):
     base = ["equivalence", "--omega0", "0.5", "--s1", "1.5", "--s2", "0.5"]
     assert main(base + ["--config", str(missing)]) == 1
     assert main(base + ["--config"]) == 1
+    capsys.readouterr()
+    # An empty path is refused like any unreadable one, not ignored.
+    assert main(base + ["--config", ""]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines()[-1].startswith(
+        "lbmfd: error: cannot read config ")
     not_a_dict = tmp_path / "list.json"
     not_a_dict.write_text("[1, 2]")
     assert main(base + ["--config", str(not_a_dict)]) == 1
@@ -405,18 +413,26 @@ _TRIPLE = ["--omega0", "0.8310204592587027", "--s1", "0.9159290534201945",
            "--s2", "1.1450386147380731"]
 
 
+# One small happy-path call per subcommand.
+_HAPPY = {
+    "calibrate": ["calibrate", "--epsilon", "0.1", "--order", "6"],
+    "run": ["run", "--epsilon", "0.1", "--dx", "0.1"],
+    "convergence": ["convergence", "--order", "6", "--eps-list", "0.1",
+                    "--dx-list", "0.1,0.05"],
+    "stability": ["stability", *_TRIPLE, "--n-theta", "90"],
+    "equivalence": ["equivalence", *_TRIPLE, "--n-nodes", "16",
+                    "--steps", "20"],
+    "sweep": ["sweep", "--eps-min", "0.25", "--eps-max", "0.3",
+              "--n-points", "4"],
+    "profile": ["profile", "--eps-list", "0.1"],
+}
+
+
 def test_a_reused_parser_gives_the_same_bytes_on_every_call(tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"seed": 7, "steps": 50}))
     calls = [
-        ["calibrate", "--epsilon", "0.1", "--order", "6"],
-        ["run", "--epsilon", "0.1", "--dx", "0.1"],
-        ["convergence", "--order", "6", "--eps-list", "0.1",
-         "--dx-list", "0.1,0.05"],
-        ["stability", *_TRIPLE, "--n-theta", "90"],
-        ["equivalence", *_TRIPLE, "--n-nodes", "16", "--steps", "20"],
-        ["sweep", "--eps-min", "0.25", "--eps-max", "0.3", "--n-points", "4"],
-        ["profile", "--eps-list", "0.1", "--format", "json"],
+        *_HAPPY.values(),
         ["--help"], ["calibrate", "--help"], ["frobnicate"],
         ["run", "--epsilon", "0.1", "--order", "5"],
         ["equivalence", *_TRIPLE, "--config", str(cfg)],
@@ -427,12 +443,49 @@ def test_a_reused_parser_gives_the_same_bytes_on_every_call(tmp_path):
         assert _run(argv) == first, argv
 
 
-def test_at_most_eight_parsers_are_held():
+def test_one_parser_is_held():
     for i in range(100):
         assert _run([f"not-a-command-{i}"])[0] == 1
     for argv in ([], ["--help"], *([c, "--help"] for c in cli._COMMANDS)):
         _run(argv)
-    assert cli._build_parser.cache_info().currsize <= 8
+    for argv in _HAPPY.values():
+        assert _run(argv)[0] == 0, argv
+    assert cli._build_parser.cache_info().currsize == 1
+
+
+@pytest.mark.parametrize("command, fmt", [
+    (command, fmt) for command, (_, _, formats, _) in cli._COMMANDS.items()
+    for fmt in formats])
+def test_output_file_holds_the_bytes_of_stdout(command, fmt, tmp_path):
+    argv = [*_HAPPY[command], "--format", fmt]
+    code, out, err = _run(argv)
+    assert code == 0 and err == "" and out
+    path = tmp_path / "out.txt"
+    assert _run([*argv, "--output", str(path)]) == (0, "", "")
+    assert path.read_bytes() == out.encode()
+
+
+def test_a_failed_check_still_writes_its_json(monkeypatch, tmp_path):
+    scan = stability.spectral_radius_scan
+    deviation = lbm.fd_equivalence_deviation
+
+    def unstable_scan(*args):
+        return dataclasses.replace(scan(*args), stable=False)
+
+    def wide_gap(*args):
+        max_phi = deviation(*args)[1]
+        return 2 * cli._EQUIV_TOL * max_phi, max_phi
+
+    monkeypatch.setattr(stability, "spectral_radius_scan", unstable_scan)
+    monkeypatch.setattr(lbm, "fd_equivalence_deviation", wide_gap)
+    for command, key in (("stability", "stable"), ("equivalence", "passed")):
+        code, out, err = _run(_HAPPY[command])
+        assert (code, err) == (cli.EXIT_PROPERTY, "")
+        assert json.loads(out)[key] is False
+        path = tmp_path / f"{command}.json"
+        assert _run([*_HAPPY[command], "--output", str(path)]) == \
+            (cli.EXIT_PROPERTY, "", "")
+        assert path.read_text() == out
 
 
 def test_calls_leave_no_argparse_garbage():

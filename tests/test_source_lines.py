@@ -1,6 +1,7 @@
 """Source layout: every line of the package fits in 79 columns, as PEP 8
-asks, and every name that a module imports is used.  No linter is
-configured for the project, so the suite checks both."""
+asks, every name that a module imports is used, and every private
+module-level name is used by the package itself, not by tests alone.  No
+linter is configured for the project, so the suite checks all three."""
 
 import ast
 from pathlib import Path
@@ -37,3 +38,31 @@ def test_every_imported_name_is_used():
         unused += [f"{path.name}:{line} {name}"
                    for name, line in imported.items() if name not in used]
     assert not unused, f"imported names never used: {unused}"
+
+
+def test_every_private_name_is_used():
+    trees = {path.name: ast.parse(path.read_text())
+             for path in sorted(SRC.glob("*.py"))}
+    assert trees
+    defined, loaded = {}, set()
+    for name, tree in trees.items():
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                targets = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = [target.id for target in ast.walk(node)
+                           if isinstance(target, ast.Name)
+                           and isinstance(target.ctx, ast.Store)]
+            else:
+                continue
+            for target in targets:
+                if target.startswith("_") and not target.startswith("__"):
+                    defined[target] = f"{name}:{node.lineno}"
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                loaded.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                loaded.add(node.attr)
+    unused = [f"{where} {target}" for target, where in defined.items()
+              if target not in loaded]
+    assert not unused, f"private names the package never uses: {unused}"
