@@ -38,7 +38,7 @@ Larger epsilon is treated as out of calibration range, keeping omega0 in
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -148,9 +148,9 @@ class CalibrationResult:
     omega0: float
     s1: float
     s2: float
-    order: str
     residual_second: float = field(init=False)
     residual_fourth: float = field(init=False)
+    order: str
 
     def __post_init__(self):
         triple = (self.omega0, self.s1, self.s2, self.epsilon)
@@ -168,15 +168,7 @@ class CalibrationResult:
                               "residual")
 
     def to_json_dict(self) -> dict:
-        return {
-            "epsilon": float(self.epsilon),
-            "omega0": float(self.omega0),
-            "s1": float(self.s1),
-            "s2": float(self.s2),
-            "residual_second": float(self.residual_second),
-            "residual_fourth": float(self.residual_fourth),
-            "order": self.order,
-        }
+        return asdict(self)
 
 
 def _omega0_of_s1(s1: float, epsilon: float) -> float:

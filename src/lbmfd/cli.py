@@ -43,15 +43,6 @@ _MAX_SWEEP_POINTS = 2 ** 17
 _ORDER_WORDS = {2: "second", 4: "fourth", 6: "sixth"}
 
 
-class _Parser(argparse.ArgumentParser):
-    # argparse exits with 2 on usage errors; 2 is reserved for infeasible
-    # calibrations here, so remap to 1.
-    def error(self, message):
-        self.print_usage(sys.stderr)
-        print(f"{self.prog}: error: {message}", file=sys.stderr)
-        raise SystemExit(EXIT_USAGE)
-
-
 def _float_list(text):
     items = [part for part in text.split(",") if part.strip() != ""]
     return [float(part) for part in items]
@@ -71,17 +62,17 @@ def _json(payload: dict) -> list[str]:
 
 
 @functools.cache
-def _build_parser() -> _Parser:
+def _build_parser() -> argparse.ArgumentParser:
     """The one parser of all seven subcommands and their flags.
 
     Built once per process and reused, as in-process callers (tests, the
     `analysis` benchmark) call `main` many times.  Parsing leaves the
     parser as it was: each parse makes its own `Namespace`, and help and
     usage read the stream and terminal width when printed."""
-    parser = _Parser(prog="lbmfd", description=__doc__,
-                     formatter_class=argparse.RawDescriptionHelpFormatter)
-    sub = parser.add_subparsers(dest="command", required=True,
-                                parser_class=_Parser)
+    parser = argparse.ArgumentParser(
+        prog="lbmfd", description=__doc__,
+        formatter_class=argparse.RawDescriptionHelpFormatter)
+    sub = parser.add_subparsers(dest="command", required=True)
     for name, (_, help_text, formats, flags) in _COMMANDS.items():
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--output", default=None,
@@ -102,13 +93,22 @@ def _config_probe() -> argparse.ArgumentParser:
     return probe
 
 
-def _parse_args(parser: _Parser, argv: list[str]) -> argparse.Namespace:
-    # The probe reads only --config, so flags that the config file supplies
-    # are not yet required; a malformed --config is left to the full parse
-    # to report.  Config tokens go right after the subcommand, before the
-    # explicit flags, which argparse lets override them.
+def _parse_args(parser, argv: list[str]) -> argparse.Namespace:
+    # Only -h may come before the subcommand, the first word that is not a
+    # flag; --config or a prefix of it there is refused before any file is
+    # opened.  The probe reads only --config, so flags that the config file
+    # supplies are not yet required; a malformed --config is left to the
+    # full parse to report.  Config tokens go right after the subcommand,
+    # before the explicit flags, which argparse lets override them.
+    at = next((i for i, tok in enumerate(argv) if not tok.startswith("-")),
+              len(argv))
+    for flag in (tok.split("=")[0] for tok in argv[:at]):
+        if len(flag) > 2 and "--config".startswith(flag):
+            parser.error(f"{flag} must follow the subcommand, as in "
+                         "'lbmfd calibrate --config FILE'")
+    tail = argv[at + 1:]
     try:
-        config_path = _config_probe().parse_known_args(argv)[0].config
+        config_path = _config_probe().parse_known_args(tail)[0].config
     except argparse.ArgumentError:
         config_path = None
     if config_path is not None:
@@ -124,7 +124,7 @@ def _parse_args(parser: _Parser, argv: list[str]) -> argparse.Namespace:
             if isinstance(value, list):
                 value = ",".join(str(v) for v in value)
             tokens += ["--" + key.replace("_", "-"), str(value)]
-        argv = argv[:1] + tokens + argv[1:]
+        argv = argv[:at + 1] + tokens + tail
     return parser.parse_args(argv)
 
 
@@ -268,7 +268,8 @@ def main(argv=None) -> int:
     try:
         ns = _parse_args(_build_parser(), argv)
     except SystemExit as exc:
-        return int(exc.code or 0)
+        # argparse's usage errors exit with 2, which means infeasible here.
+        return EXIT_USAGE if exc.code == 2 else int(exc.code or 0)
     try:
         lines, code = _COMMANDS[ns.command][0](ns)
         _write_lines(lines, ns.output)

@@ -18,7 +18,10 @@ condition onto five sign conditions on the coefficients (Routh-Hurwitz);
 `routh_hurwitz_values` returns them in fixed order and `spectral_radius_scan`
 checks the root moduli directly on a theta grid.  The fourth condition
 vanishes identically at theta = 0: that root is the conserved mode, which
-always has modulus exactly one.
+always has modulus exactly one.  p0 is free of theta and p1, p2 are affine
+in cos(theta), so each condition is too: the scan's margin, the least of the
+five at cos(theta) = -1 and the four nonzero ones at 1, is free of the theta
+grid and positive iff all five hold at every nonzero wavenumber.
 
 The same five conditions on the cubic scaled to radius rho (coefficients
 p0/rho**3, p1/rho**2, p2/rho) put every root inside |lambda| < rho.  The
@@ -41,7 +44,6 @@ from .errors import DomainError
 from .scheme import FdCoefficients, coefficients
 
 _RADIUS_SLACK = 1e-10
-_COS_ONE = 1.0 - 1e-12
 # Screen of `spectral_radius_scan`.  rho = r0*(1 - _SCREEN_TAU) must sit below
 # the seed radius r0 by more than LAPACK's radius error on any skipped row, or
 # that row could still return a radius of r0 or more.  The error on a root of
@@ -55,8 +57,8 @@ _COS_ONE = 1.0 - 1e-12
 _SCREEN_TAU = 1e-4
 _SCREEN_DELTA = 1e-12
 # A scan holds about 200 B per theta sample when the screen keeps every row
-# (the coefficient and Routh-Hurwitz grids, the companion stack and LAPACK's
-# roots): 2**20 samples keep that near 200 MB.
+# (the theta and coefficient grids, the screen's scaled values, the companion
+# stack and LAPACK's roots): 2**20 samples keep that near 200 MB.
 _MAX_THETA_SAMPLES = 2 ** 20
 
 
@@ -71,7 +73,9 @@ class CharPoly:
 
 @dataclass(frozen=True)
 class StabilityReport:
-    """Outcome of a spectral radius scan over the wavenumber interval."""
+    """Outcome of a spectral radius scan over the wavenumber interval.
+    rh_min_margin, the least Routh-Hurwitz value at cos(theta) = -1 and 1
+    (the fourth only at -1), does not depend on theta_samples."""
 
     max_spectral_radius: float
     worst_theta: float
@@ -190,9 +194,9 @@ def spectral_radius_scan(omega0: float, s1: float, s2: float,
     Uses n_theta + 1 equispaced samples including both endpoints.  LAPACK
     computes every reported radius on the rows that the screen of the
     module docstring keeps, so the report equals a full-grid scan's.  The
-    reported Routh-Hurwitz margin is the minimum of the five condition
-    values over the grid, excluding the fourth condition where
-    cos(theta) = 1 (it vanishes there identically).
+    Routh-Hurwitz margin, the least of the five values at cos(theta) = -1 and
+    of the four at 1 (the fourth vanishes there), is positive iff all five
+    are at every nonzero wavenumber; it does not depend on n_theta.
     """
     co = coefficients(omega0, s1, s2)
     try:
@@ -209,9 +213,9 @@ def spectral_radius_scan(omega0: float, s1: float, s2: float,
     rows = _candidate_rows(p0, p1, p2, cos_t)
     radii = _max_moduli(p0[rows], p1[rows], p2[rows])
     worst = int(rows[np.argmax(radii)])
-    rh = np.stack(_rh_value_grid(p0, p1, p2))
-    rh[3, cos_t > _COS_ONE] = np.inf
-    margin = rh.min()
+    low = _rh_value_grid(*_char_coeff_grid(co, -1.0))
+    high = _rh_value_grid(*_char_coeff_grid(co, 1.0))
+    margin = min(*low, *high[:3], high[4])
     max_radius = float(radii.max())
     return StabilityReport(
         max_spectral_radius=max_radius,

@@ -166,13 +166,14 @@ def test_acceptance_6_unconditional_stability_search():
     cos_t = np.cos(thetas)
     away_from_zero = cos_t < 1.0 - 1e-12
     worst_radius = 0.0
-    min_rh = np.inf
+    min_rh = min_margin = np.inf
     for trial in range(1000):
         omega0 = rng.uniform(0.01, 0.99)
         s1 = rng.uniform(0.01, 1.99)
         s2 = rng.uniform(0.01, 1.99)
         report = stab.spectral_radius_scan(omega0, s1, s2, 720)
         worst_radius = max(worst_radius, report.max_spectral_radius)
+        min_margin = min(min_margin, report.rh_min_margin)
         values = _rh_values_on_grid(omega0, s1, s2, cos_t)
         min_rh = min(min_rh, float(values[:, away_from_zero].min()))
         if trial % 100 == 0:
@@ -183,11 +184,12 @@ def test_acceptance_6_unconditional_stability_search():
                 _rh_values_on_grid(omega0, s1, s2,
                                    np.array([np.cos(theta)]))[:, 0],
                 direct, atol=1e-13)
-    ok = worst_radius <= 1.0 + 1e-10 and min_rh > 0.0
+    ok = worst_radius <= 1.0 + 1e-10 and min_rh > 0.0 and min_margin > 0.0
     assert _verdict(6, ok, f"1000 random triples, max spectral radius "
                            f"{worst_radius:.12f} (<= 1 + 1e-10), min "
                            f"Routh-Hurwitz value away from theta=0 "
-                           f"{min_rh:.2e} (> 0)")
+                           f"{min_rh:.2e} (> 0), min scan margin "
+                           f"{min_margin:.2e} (> 0)")
 
 
 def test_acceptance_7_characteristic_consistency():

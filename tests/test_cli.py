@@ -354,6 +354,18 @@ def test_config_file_errors(tmp_path, capsys):
         assert err.startswith("usage: lbmfd ") and err.count("error:") == 1
         assert err.splitlines()[-1].startswith("lbmfd")
         assert ": error: " in err.splitlines()[-1]
+    # --config is a flag of each subcommand: before the subcommand it is
+    # refused by name, and no file is opened (a missing one would say
+    # "cannot read config").
+    cfg.write_text(json.dumps({"epsilon": 0.1, "order": 6}))
+    for head in (["--config", str(cfg)], [f"--config={cfg}"],
+                 ["--conf", str(missing)]):
+        assert main(head + ["calibrate"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.count("error:") == 1
+        last = captured.err.splitlines()[-1]
+        assert last.startswith("lbmfd: error: --conf")
+        assert "must follow the subcommand" in last
 
 
 # Each subcommand's own flags; every one also takes --output, --format,

@@ -198,12 +198,14 @@ def _full_grid_reference(omega0, s1, s2, n_theta):
     p0, p1, p2 = stab._char_coeff_grid(coefficients(omega0, s1, s2), cos_t)
     radii = _lapack_radii(p0, p1, p2)
     worst = int(np.argmax(radii))
-    values = np.array(stab._rh_value_grid(p0, p1, p2))
-    margin = min(float(np.delete(values, 3, axis=0).min()),
-                 float(values[3][cos_t <= 1.0 - 1e-12].min()))
+    # The margin: the Routh-Hurwitz values at exactly cos(theta) = -1 and 1,
+    # less the fourth at 1, which vanishes there identically.
+    ends = np.array(stab._rh_value_grid(*stab._char_coeff_grid(
+        coefficients(omega0, s1, s2), np.array([-1.0, 1.0]))))
+    ends[3, 1] = np.inf
     return {"max_spectral_radius": float(radii[worst]),
             "worst_theta": float(thetas[worst]),
-            "rh_min_margin": margin,
+            "rh_min_margin": float(ends.min()),
             "stable": bool(radii[worst] <= 1.0 + 1e-10),
             "theta_samples": n_theta + 1}
 
@@ -213,7 +215,8 @@ def _hexed(payload):
             for k, v in payload.items()}
 
 
-def test_screened_scan_matches_the_full_grid_reference():
+def _scan_triples():
+    # Calibrated, random, box-corner, subnormal-edge and s1 = s2 triples.
     from lbmfd.calibration import calibrate_fourth, calibrate_sixth
 
     rng = np.random.default_rng(808)
@@ -230,11 +233,22 @@ def test_screened_scan_matches_the_full_grid_reference():
         s = rng.uniform(0.01, 1.99)
         omega0 = rng.uniform(0.01, 0.99)
         triples += [(omega0, s, s), (omega0, s, float(np.nextafter(s, 2.0)))]
-    for triple in triples:
+    return triples
+
+
+def test_screened_scan_matches_the_full_grid_reference():
+    for triple in _scan_triples():
         for n_theta in (64, 101, 720):
             report = stab.spectral_radius_scan(*triple, n_theta)
             assert _hexed(report.to_json_dict()) == _hexed(
                 _full_grid_reference(*triple, n_theta)), (triple, n_theta)
+
+
+def test_scan_margin_does_not_depend_on_the_theta_grid():
+    for triple in _scan_triples():
+        margins = {stab.spectral_radius_scan(*triple, n).rh_min_margin.hex()
+                   for n in (64, 65, 720, 721, 2 ** 16)}
+        assert len(margins) == 1, (triple, margins)
 
 
 def _random_cubic_rows(rng, n, rho):

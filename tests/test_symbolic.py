@@ -262,3 +262,30 @@ def test_the_positivity_proof_rejects_what_is_not_positive():
     assert not _positive_on_open_box(OMEGA0 * (S2 - 1) ** 2)
     assert _positive_on_open_box((2 - S1) * (S1 + S2 - S1 * S2))
     assert not _positive_on_open_box((S1 - S2) ** 2 + 1)
+
+
+def test_routh_hurwitz_values_are_affine_in_cos_theta():
+    # The exact margin of `spectral_radius_scan` rests on this: p0 has no
+    # cos(theta) term, so each value, p0*p2 and p0**2 included, has degree
+    # at most one in cos(theta) and takes its least value at -1 or 1.
+    cubic, _ = _derivation()
+    assert cubic[0][1].is_zero
+    cos_t = sp.Symbol("cos_theta")
+    assert all(sp.degree(v, cos_t) <= 1 for v in _rh_values(cos_t))
+
+
+def test_scan_margin_is_the_least_exact_value_at_the_ends():
+    # rh_min_margin against the nine forms of _RH_AT_COS that do not vanish
+    # identically, evaluated in rationals at the float triple.
+    forms = [sp.Poly(f, *RATES) for values in _RH_AT_COS.values()
+             for f in values if f != 0]
+    assert len(forms) == 9
+    low, high = 1e-9, 2.0 - 1e-9
+    corners = [(a, b, c) for a in (low, 1.0 - low) for b in (low, high)
+               for c in (low, high)]
+    worst = 0.0
+    for triple in _rand_triples(7) + corners:
+        want = min(_exact(f, triple) for f in forms)
+        got = stab.spectral_radius_scan(*triple, 64).rh_min_margin
+        worst = max(worst, abs(Fraction(got) - want))
+    assert worst <= TOL, float(worst)
