@@ -10,14 +10,12 @@ moment space.  The moment transform and its exact inverse are
 with the population order (f_minus, f_zero, f_plus).  The macroscopic field
 carries the trapezoidal half-step source correction,
 phi = f_minus + f_zero + f_plus + dt*R/2, and equilibria are weight shares
-of phi.  Each helper (`initialize`, `macro_phi`, `equilibrium`,
-`lattice_matrices`, `evolve`) reads what it needs from the one
-`calibration.ModelParams` record of the run.  `evolve` applies the
-collision in its fully substituted population form (cheap, no matrix
-products); `evolve_matrix_form` applies the raw moment-space definition
-with explicit M, S, M_inv products.  Both walk the same trajectory to
-rounding error, and the conserved-moment rate s0 drops out exactly because
-the conserved moment already equals its equilibrium.
+of phi.  `evolve` applies the collision in its fully substituted
+population form (cheap, no matrix products); `evolve_matrix_form` applies
+the raw moment-space definition with explicit M, S, M_inv products.  Both
+walk the same trajectory to rounding error, and the conserved-moment rate
+s0 drops out exactly because the conserved moment already equals its
+equilibrium.
 
 `evolve` and `fd_equivalence_deviation` share one in-place kernel that
 collides and streams three preallocated population arrays with slice
@@ -28,6 +26,9 @@ steps.  The levels are rows of one block, each with a ghost node at either
 end that holds its periodic neighbour, so the four-level kernel of
 `scheme` predicts a level in one flat pass over the padded row, and each
 array starts a 64-byte cache line at the first node that a kernel writes.
+A source term of +-0.0 sets only the sign of exact zeros, which the
+check's maxima of |gap| and |phi| cannot see, so the check leaves out its
+zero source adds; `evolve`, which returns its populations, keeps them.
 
 Only periodic streaming is supported at this level; bounded domains are the
 business of the equivalent finite-difference form.
@@ -46,10 +47,8 @@ from .errors import DomainError
 from .scheme import (BoundarySpec, _aligned, _calls, _check_node_steps,
                      _plan, _weight_row, coefficients)
 
-# The equivalence check holds thirteen node-length float64 arrays (three
-# populations, four padded level rows, the prediction and its carried pair,
-# three work arrays and the start field) and no temporaries: its tracemalloc
-# peak is 105 B per node at 2**14 nodes, so 2**21 nodes keep it near 220 MB.
+# The equivalence check holds thirteen node-length float64 arrays and no
+# temporaries, about 105 B per node: 2**21 nodes keep it near 220 MB.
 _MAX_EQUIV_NODES = 2 ** 21
 
 
@@ -121,13 +120,12 @@ def initialize(phi0: np.ndarray, params: ModelParams) -> DistributionField:
 def _collision_constants(params: ModelParams, dtype) -> tuple:
     # The scalar operands of `_collide_stream`, as 0-d arrays of the
     # populations' dtype: a ufunc takes one faster than a Python float and
-    # rounds it alike.
+    # rounds it alike.  The three source terms come last.
     omega0, omega1, s1, s2 = params.omega0, params.omega1, params.s1, params.s2
     dt_R = params.dt * params.source_R
     return tuple(np.array(value, dtype) for value in (
-        0.5 * params.dt * params.source_R, 0.5 * s1, 0.5 * s2,
-        0.5 * omega0 * s2, 1.0 - s2, omega0 * s2,
-        omega0 * (1.0 - s2 / 2.0) * dt_R,
+        0.5 * s1, 0.5 * s2, 0.5 * omega0 * s2, 1.0 - s2, omega0 * s2,
+        0.5 * params.dt * params.source_R, omega0 * (1.0 - s2 / 2.0) * dt_R,
         (omega1 + omega0 * s2 / 4.0) * dt_R))
 
 
@@ -136,15 +134,15 @@ def _collide_stream(f_minus, f_zero, f_plus, consts, phi, asym, pull,
     # One periodic update of the three population arrays, in place.  `phi`
     # receives the macroscopic field of the incoming populations; asym,
     # pull and tmp are scratch of the same shape, and `consts` comes from
-    # `_collision_constants`.  Each term is summed in the order of the
-    # substituted population form, written out in `evolve`'s docstring,
-    # and the last addition of each moving population lands one node
-    # downstream, so streaming costs no extra pass.
-    (half_src, half_s1, half_s2, half_omega0_s2, keep_zero, omega0_s2,
+    # `_collision_constants`, a source term of None being left out.  Terms
+    # are summed in the order of `evolve`'s docstring, and the addition of
+    # `pull` to a moving population lands one node downstream.
+    (half_s1, half_s2, half_omega0_s2, keep_zero, omega0_s2, half_src,
      zero_src, moving_src) = consts
     np.add(f_minus, f_zero, out=phi)
     np.add(phi, f_plus, out=phi)
-    np.add(phi, half_src, out=phi)
+    if half_src is not None:
+        np.add(phi, half_src, out=phi)
     np.subtract(f_minus, f_plus, out=asym)
     np.multiply(asym, half_s1, out=asym)
     np.multiply(f_zero, half_s2, out=pull)
@@ -153,15 +151,17 @@ def _collide_stream(f_minus, f_zero, f_plus, consts, phi, asym, pull,
     np.multiply(f_zero, keep_zero, out=f_zero)
     np.multiply(phi, omega0_s2, out=tmp)
     np.add(f_zero, tmp, out=f_zero)
-    np.add(f_zero, zero_src, out=f_zero)
+    if zero_src is not None:
+        np.add(f_zero, zero_src, out=f_zero)
     np.subtract(f_minus, asym, out=tmp)
-    np.add(tmp, pull, out=tmp)
-    np.add(tmp[1:], moving_src, out=f_minus[:-1])
-    np.add(tmp[:1], moving_src, out=f_minus[-1:])
+    np.add(tmp[1:], pull[1:], out=f_minus[:-1])
+    np.add(tmp[:1], pull[:1], out=f_minus[-1:])
     np.add(f_plus, asym, out=tmp)
-    np.add(tmp, pull, out=tmp)
-    np.add(tmp[:-1], moving_src, out=f_plus[1:])
-    np.add(tmp[-1:], moving_src, out=f_plus[:1])
+    np.add(tmp[:-1], pull[:-1], out=f_plus[1:])
+    np.add(tmp[-1:], pull[-1:], out=f_plus[:1])
+    if moving_src is not None:
+        np.add(f_minus, moving_src, out=f_minus)
+        np.add(f_plus, moving_src, out=f_plus)
 
 
 def _max_abs(x: np.ndarray, acc):
@@ -217,10 +217,8 @@ def evolve_matrix_form(f: DistributionField,
     r_vec = params.source_R * np.array(equilibrium(1.0, params))
     src = params.dt * (source_op @ r_vec)
     post = stack - collide @ (stack - eq_stack) + src[:, None]
-    return DistributionField(
-        f_minus=np.roll(post[0], -1),
-        f_zero=post[1].copy(),
-        f_plus=np.roll(post[2], 1))
+    return DistributionField(np.roll(post[0], -1), post[1].copy(),
+                             np.roll(post[2], 1))
 
 
 def fd_equivalence_deviation(n_nodes: int, steps: int, omega0: float,
@@ -240,11 +238,9 @@ def fd_equivalence_deviation(n_nodes: int, steps: int, omega0: float,
     are taken; the seed must be a non-negative integer.
     """
     try:
-        n_nodes, steps, seed = (operator.index(v)
-                                for v in (n_nodes, steps, seed))
+        n_nodes, steps, seed = map(operator.index, (n_nodes, steps, seed))
     except TypeError:
-        raise DomainError("n_nodes, steps and seed must be "
-                          "integers") from None
+        raise DomainError("n_nodes, steps and seed must be integers") from None
     if not 8 <= n_nodes <= _MAX_EQUIV_NODES:
         raise DomainError(f"need 8 to {_MAX_EQUIV_NODES} nodes, got {n_nodes}")
     if steps < 3:
@@ -254,14 +250,15 @@ def fd_equivalence_deviation(n_nodes: int, steps: int, omega0: float,
     _check_node_steps(n_nodes, steps)
     rng = np.random.default_rng(seed)
     params = ModelParams(omega0, s1, s2, dx=1.0, dt=1.0, source_R=source_R)
+    table = [_weight_row(coefficients(omega0, s1, s2), params.dt,
+                         params.source_R)]
     # The equilibrium of `initialize`, built straight into buffers that start
     # a cache line, as do all below: the collision writes whole arrays.
     base = rng.random(n_nodes) - 0.5 * params.dt * params.source_R
     pops = [np.multiply(share, base, out=_aligned(n_nodes))
             for share in (params.omega1, params.omega0, params.omega1)]
     consts = _collision_constants(params, np.float64)
-    table = [_weight_row(coefficients(omega0, s1, s2), params.dt,
-                         params.source_R)]
+    consts = consts[:5] + tuple(term if term else None for term in consts[5:])
     # Collision n writes level n into the middle of row n % 4 of one block;
     # the last collision's populations are never read.  A row is
     # whole cache lines of eight nodes long, starts node 1 on a line and
@@ -272,7 +269,6 @@ def fd_equivalence_deviation(n_nodes: int, steps: int, omega0: float,
     # land on its ghost nodes, which are never compared.  The prediction
     # borrows two of the collision's work arrays, so the check sweeps twelve
     # node-length arrays: 1.5 MiB at 2**14 nodes, inside a 2 MiB L2 cache.
-    # Two arrays more measured 3-5% slower there.
     width = -(-(n_nodes + 2) // 8) * 8
     block = _aligned(4 * width, 1).reshape(4, width)
     rows = list(block[:, :n_nodes + 2])

@@ -25,33 +25,27 @@ order written above, so a level gets the same bits whether it is marched
 alone or as one row of a batch.  The pair sum phi[j-1, n] + phi[j+1, n]
 that level n+1 needs is, rounded alike, the level n-1 pair of level n+2, so
 the kernel keeps it in an array from one step to the next and a pass makes
-eleven numpy calls, not twelve.  The passes also cover the seam nodes
-between rows, which Dirichlet pinning overwrites; a periodic march holds
-one row, whose wrap nodes 0 and n-1 are computed from the same expression
-on one strided view with a pair of its own.  A single case keeps its
-weights and source term as 0-d arrays, and a batch reads them per node.
+eleven numpy calls, not twelve, or ten when every row's source term is
++-0.0, as on the paper's tables: one add of the zero term to the level
+returned then restores the sign of its exact zeros, the only bits that
+the add sets.  The passes also cover the seam nodes between rows, which
+Dirichlet pinning overwrites; a periodic march holds one row, whose wrap
+nodes 0 and n-1 are computed from the same expression on one strided view
+with a pair of its own.
 
 Long rows are cut into cache-sized passes, and a march advances two levels
 per sweep: level n+1 makes its pass over a chunk, then level n+2 makes its
 pass one cache line (eight nodes) behind, while the chunk's levels are
 still in cache, and every output of a pass starts a 64-byte cache line.
-Every node gets the same eleven calls in the same order, so the bits do
-not depend on how the levels are swept.  The levels rotate through four
+Every node of a stage gets the same calls in the same order, so the bits
+do not depend on how the levels are swept.  The levels rotate through four
 buffers: level n+2 overwrites level n-2, whose nodes level n+1 has already
-read.  Each pass of a Dirichlet row ends by pinning every end node of the
-row, so level n+2 reads level n+1's ends pinned; a periodic row computes
-level n+1's wrap nodes first and level n+2's last.  The calls of all four
-phases are built once per stage, grouped by pass, and a sweep makes the
-groups of two phases in turn.  A stage of odd length ends with one phase
-alone, the leading half of a sweep, and `step` and the equivalence check
-make their phases so too.
+read.  The calls of all four phases are built once per stage (`_plan`),
+and a sweep makes the groups of two phases in turn; a stage of odd length
+ends with one phase alone, as `step` and the equivalence check make theirs.
 
-`run` is the one-row case of a staged march: groups of rows on different
-grids, with different dt and step counts, lie one after the other in one
-flat row, in descending step-count order.  Each stage marches the prefix
-of the groups still running to the step count of the next group to end,
-so a group that has ended costs nothing more, and the convergence tables
-march all of their spacings at once.
+`run` is the one-row case of the staged march `_march`, in which the
+convergence tables march all of their spacings at once.
 """
 
 from __future__ import annotations
@@ -179,32 +173,28 @@ class PhiHistory:
 
 
 # Nodes per pass of the kernel.  A sweep makes the passes of two levels
-# over one chunk in turn, eleven operations each on slices of 256 KiB per
-# array, so the chunk's five levels and its pair stay in a 2 MiB L2 cache
-# from the first pass to the second; a longer row would otherwise be
-# streamed from L3 eleven times per step.  At 2**18 nodes 2**13, 2**14 and
-# 2**16 took 5.1, 4.4 and 5.7 ns per node-step against 4.4 (BENCH_11.json).
+# over one chunk in turn, so the chunk's five levels and its pair stay in a
+# 2 MiB L2 cache from the first pass to the second (BENCH_11.json
+# `chunk_and_depth_remeasured`).
 _CHUNK = 2 ** 15
 
-# Time levels per sweep of a march.  At 2**18 nodes two took about 5% less
-# time per node-step than one (BENCH_10.json), and four, on a Dirichlet
-# row, no less than two (BENCH_11.json).  A periodic row allows no more
-# than two: the first pass of a third level would read the second level's
-# wrap node n-1, which needs the first level's last pass.
+# Time levels per sweep of a march (BENCH_10.json `claim`, BENCH_11.json
+# `chunk_and_depth_remeasured`).  A periodic row allows no more than two:
+# the first pass of a third level would read the second level's wrap node
+# n-1, which needs the first level's last pass.
 _DEPTH = 2
 
 # Upper bound on the node-steps (nodes x time levels) of one group of a
-# march.  The kernel takes about 4.4 ns per node-step on a 2 MiB-L2 Xeon
-# core, so 2**36 is about 5 minutes; a larger count comes from a t_end, dx
-# or step count that nobody means to wait for, and would otherwise just hang.
+# march: minutes of marching (BENCH_14.json `in_process`), from a t_end, dx
+# or step count that nobody means to wait for, which would otherwise hang.
 _MAX_NODE_STEPS = 2 ** 36
 
 # Upper bound on the intervals of a row.  A march holds about six float64
 # arrays of the node count: 2**22 intervals keep that near 200 MB.
 _MAX_INTERVALS = 2 ** 22
 
-# Bytes per cache line.  On an AVX-512 core a 2**14-node np.add whose output
-# straddles lines takes about twice as long as one whose output starts a line.
+# Bytes per cache line; an output that straddles lines slows a pass
+# (BENCH_11.json `in_process_march_ns_per_node_step`).
 _LINE = 64
 
 
@@ -219,9 +209,22 @@ def _aligned(n: int, lead: int = 0, dtype=np.float64) -> np.ndarray:
 
 
 def _weight_row(coeffs: FdCoefficients, dt: float, R: float) -> tuple:
-    # The five field weights in stencil order, then the source term.
+    # The five field weights in stencil order, then the finite source term.
+    term = coeffs.source * dt * R
+    if not math.isfinite(term):
+        raise DomainError(f"the source term source*dt*R is {term}")
     return (coeffs.side_n, coeffs.center_n, coeffs.side_nm1,
-            coeffs.center_nm1, coeffs.center_nm2, coeffs.source * dt * R)
+            coeffs.center_nm1, coeffs.center_nm2, term)
+
+
+def _add_zero_terms(block, table: list, periodic: bool) -> None:
+    # Add each row's zero source term once to the nodes that its passes
+    # wrote: x + 0.0 is x but at -0.0 and x + -0.0 is x, so this idempotent
+    # add gives the bits of adding the term at every step.
+    for row, weights in zip(block, table):
+        if not weights[5]:
+            nodes = row if periodic else row[1:-1]
+            np.add(nodes, weights[5], out=nodes)
 
 
 def _blocks(buf: np.ndarray, layout: list) -> list:
@@ -256,14 +259,13 @@ def _wrap(buf: np.ndarray) -> tuple:
     return buf[:-3:-1], buf[::max(buf.shape[0] - 1, 1)], buf[1::-1]
 
 
-def _pass_calls(cur, prev_m, old_m, acc, pair, term, part,
-                weights) -> list:
-    # The recurrence at the mid views of one pass as eleven in-place ufunc
-    # calls, summed in the order of the module docstring.  `pair` holds
-    # prev_l + prev_r from the pass that wrote the previous level, and
-    # leaves with cur_l + cur_r for the next.
+def _pass_calls(cur, prev_m, old_m, acc, pair, term, part, weights) -> list:
+    # The recurrence at the mid views of one pass as ten in-place ufunc
+    # calls, and an eleventh for the source term if `weights` holds one, in
+    # the order of the module docstring.  `pair` holds prev_l + prev_r from
+    # the pass that wrote the previous level, and leaves with cur_l + cur_r.
     cur_l, cur_m, cur_r = cur
-    side_n, center_n, side_nm1, center_nm1, center_nm2, src = weights
+    side_n, center_n, side_nm1, center_nm1, center_nm2, *src = weights
     mul, add = np.multiply, np.add
     return [(mul, (pair, side_nm1, term)),
             (add, (cur_l, cur_r, pair)),
@@ -274,8 +276,7 @@ def _pass_calls(cur, prev_m, old_m, acc, pair, term, part,
             (mul, (prev_m, center_nm1, part)),
             (add, (acc, part, acc)),
             (mul, (old_m, center_nm2, part)),
-            (add, (acc, part, acc)),
-            (add, (acc, src, acc))]
+            (add, (acc, part, acc))] + [(add, (acc, s, acc)) for s in src]
 
 
 def _plan(ring: list, outs: list, table, boundary: BoundarySpec,
@@ -300,7 +301,8 @@ def _plan(ring: list, outs: list, table, boundary: BoundarySpec,
     `table` has one `_weight_row` per row of `layout`: a single row's
     weights become 0-d arrays of the levels' dtype, which a ufunc takes
     faster than Python floats and rounds alike, and a batch, which is never
-    periodic, repeats each column over the nodes of each row, once.  The
+    periodic, repeats each column over the nodes of each row, once; source
+    terms that are all +-0.0 are left out (see `_add_zero_terms`).  The
     outputs must not overlap the levels a phase reads, and its passes write
     whole cache lines when the outputs start one at node 1.  The pair and
     the two pass-sized work arrays are carved from one block, each starting
@@ -323,6 +325,8 @@ def _plan(ring: list, outs: list, table, boundary: BoundarySpec,
                 start += nodes
         values = (boundary.left_value, boundary.right_value) * (len(ends) // 2)
         pins = (np.array(ends), np.array(values, dtype))
+    if not any(weights[5] for weights in table):
+        table = [weights[:5] for weights in table]
     if len(table) > 1:
         nodes = [n for rows, n in layout for _ in range(rows)]
         columns = np.repeat(np.array(table).T, nodes, axis=1)
@@ -378,18 +382,17 @@ def step(history: PhiHistory, coeffs: FdCoefficients, dt: float, R: float,
     The new level is a freshly allocated array; it is pushed into the
     history and returned.  Dirichlet end nodes are pinned to their boundary
     values; periodic indexing wraps.  A non-finite or non-positive dt, or a
-    non-finite R, raises DomainError.
+    non-finite R or source term source*dt*R, raises DomainError.
     """
     if not (math.isfinite(dt) and dt > 0.0):
         raise DomainError(f"dt must be positive and finite, got {dt}")
-    if not math.isfinite(R):
-        raise DomainError(f"R must be finite, got {R}")
     levels = history._levels
     out = np.empty(levels[0].shape, np.result_type(*levels, 1.0))
-    (phase,) = _plan(levels, [out], [_weight_row(coeffs, dt, R)], boundary,
-                     [(1, out.size)])
+    table = [_weight_row(coeffs, dt, R)]
+    (phase,) = _plan(levels, [out], table, boundary, [(1, out.size)])
     for fn, args in _calls(phase):
         fn(*args)
+    _add_zero_terms([out], table, boundary.kind == "periodic")
     return history.push(out)
 
 
@@ -456,9 +459,10 @@ def _march(groups, boundary: BoundarySpec) -> list:
     groups still marching are always a prefix of it.  Each stage plans that
     prefix of the rotated level ring and marches, `_DEPTH` levels per
     sweep, to the step count of the next group to end; that group is then
-    read out and costs nothing more, as later stages write only a shorter
-    prefix.  Returns one (rows, nodes) array per group, in the order given:
-    views of the march's own buffers, whose blocks do not overlap.
+    read out, with its zero source terms added back, and costs nothing
+    more, as later stages write only a shorter prefix.  Returns one (rows,
+    nodes) array per group, in the order given: views of the march's own
+    buffers, whose blocks do not overlap.
     """
     periodic = boundary.kind == "periodic"
     checked = []
@@ -506,8 +510,10 @@ def _march(groups, boundary: BoundarySpec) -> list:
             level = steps[active - 1]
         while active and steps[active - 1] == level:
             active -= 1
-            finals[order[active]] = _blocks(ring[level % 4],
-                                            layout)[active]
+            final = _blocks(ring[level % 4], layout)[active]
+            if level > 2:
+                _add_zero_terms(final, tables[active], periodic)
+            finals[order[active]] = final
     return finals
 
 
@@ -525,9 +531,7 @@ def run(params: ModelParams, grid: Grid1D, initializer,
     (nodes x time levels).  For t_end = 2*dt the third seeded level is
     returned with zero four-level updates applied, so the result is always
     the field at exactly t_end.  The result is a fresh array.  Periodic
-    runs use the n_intervals distinct nodes j*dx, j = 0..n_intervals-1.  A
-    run is the one-row case of the staged march that the convergence
-    tables share.
+    runs use the n_intervals distinct nodes j*dx, j = 0..n_intervals-1.
     """
     if not isinstance(params, ModelParams):
         raise DomainError("params must be one ModelParams")

@@ -154,6 +154,10 @@ def test_fd_equivalence_deviation_carries_nan_through():
                                                     seed=1, source_R=1e308)
     assert np.isnan(dev)
     assert not dev <= 1e-12 * max_phi
+    # A term source*dt*R that overflows is refused before the march.
+    with pytest.raises(DomainError, match="source term"):
+        lbm.fd_equivalence_deviation(16, 20, 0.5, 1.9, 1.9, seed=1,
+                                     source_R=1.7e308)
 
 
 def _pops(f):
@@ -215,6 +219,41 @@ def test_evolve_matches_the_roll_expression_bit_for_bit():
                 assert ([p.tobytes() for p in _pops(new)]
                         == [p.tobytes() for p in _pops(want)])
                 f = new
+
+
+def test_evolve_keeps_the_sign_of_zero_bit_for_bit():
+    # `evolve` returns its populations, so it keeps its zero source adds,
+    # which turn a -0.0 sum into +0.0 at R = +0.0 and leave it at -0.0.
+    rng = np.random.default_rng(18)
+    values = np.array([0.0, -0.0, 5e-324, -5e-324, 0.3])
+    for n_nodes, source_R in ((1, 0.0), (2, -0.0), (17, 0.0), (17, -0.0)):
+        params = _random_params(rng, source_R=source_R)
+        f = lbm.DistributionField(*(rng.choice(values, n_nodes,
+                                               p=[0.15, 0.55, 0.1, 0.1, 0.1])
+                                    for _ in range(3)))
+        for _ in range(10):
+            new = lbm.evolve(f, params, BoundarySpec.periodic())
+            want = _roll_evolve(f, params)
+            assert ([p.tobytes() for p in _pops(new)]
+                    == [p.tobytes() for p in _pops(want)])
+            f = new
+
+
+def test_the_check_adds_only_nonzero_source_terms(monkeypatch):
+    # The check's maxima cannot see the sign of zero, so its collision gets
+    # None for each +-0.0 source term and adds only the others.
+    sources = []
+    collide = lbm._collide_stream
+
+    def recording_collide(*args):
+        sources.append(tuple(term is None for term in args[3][5:]))
+        return collide(*args)
+
+    monkeypatch.setattr(lbm, "_collide_stream", recording_collide)
+    for source_R, skipped in ((0.0, True), (-0.0, True), (0.5, False)):
+        sources.clear()
+        lbm.fd_equivalence_deviation(8, 3, 0.6, 1.4, 0.7, 1, source_R)
+        assert sources == [(skipped,) * 3] * 4
 
 
 def test_streamed_check_matches_the_stored_trajectory_bit_for_bit():

@@ -395,18 +395,23 @@ def test_run_leaves_the_initializer_result_untouched():
     assert not np.shares_memory(final, start)
 
 
+def _reference_march(levels, co, src, boundary, n_updates):
+    # The march of one row from its three start levels, oldest first,
+    # spelled out with the whole-array reference expression.
+    for _ in range(n_updates):
+        levels = levels[1:] + [_reference_step(levels[2], levels[1],
+                                               levels[0], co, src, boundary)]
+    return levels[2]
+
+
 def _reference_run(triple, source_R, scale, grid, boundary, t_end):
-    # run's march for one case, spelled out with the whole-array reference
-    # expression, from the start levels scale * _sine_bump.
+    # run's march for one case from the start levels scale * _sine_bump.
     p = cal.ModelParams(*triple, dx=grid.dx, dt=0.01, source_R=source_R)
     xs = grid.nodes()[:-1] if boundary.kind == "periodic" else grid.nodes()
     levels = [scale * _sine_bump(xs, k * p.dt) for k in range(3)]
     co = coefficients(*triple)
-    src = co.source * p.dt * p.source_R
-    for _ in range(round(t_end / p.dt) - 2):
-        levels = levels[1:] + [_reference_step(levels[2], levels[1],
-                                               levels[0], co, src, boundary)]
-    return levels[2]
+    return _reference_march(levels, co, co.source * p.dt * p.source_R,
+                            boundary, round(t_end / p.dt) - 2)
 
 
 @pytest.mark.parametrize("chunk", [1, 2, 3, 4, 7, 8, 9])
@@ -542,3 +547,139 @@ def test_run_plans_its_passes_on_level_buffers_aligned_at_node_one(
     for out in outputs:
         assert out.shape == (2 ** 16 + 1,)
         assert (out.ctypes.data + out.itemsize) % 64 == 0
+
+
+# Start values for the signed-zero tests, drawn mostly as -0.0 so that a
+# node's whole stencil is often zero, whose sum's sign the source add sets.
+_SIGNED = np.array([0.0, -0.0, 5e-324, -5e-324, 0.3])
+_SIGNED_P = [0.15, 0.55, 0.1, 0.1, 0.1]
+_TRIPLES = ((0.83, 0.92, 1.15), (0.6, 1.4, 0.7), (0.8, 1.0, 1.0))
+# At dt = 1e-4 a source_R of 1e-320 rounds to a +0.0 term, as 0.0 does.
+_ZERO_SOURCES = (0.0, -0.0, 1e-320)
+_SIGNED_ENDS = (BoundarySpec.dirichlet(0.0, -0.0),
+                BoundarySpec.dirichlet(-0.0, -0.0), BoundarySpec.periodic())
+
+
+def _signed_group(rng, rows, grid, boundary, n_steps, dt=1e-4):
+    # One group of the march on signed-zero start levels, as the march's
+    # argument, and each row's reference final level.
+    nodes = grid.n_intervals + (boundary.kind == "dirichlet")
+    starts = [rng.choice(_SIGNED, (len(rows), nodes), p=_SIGNED_P)
+              for _ in range(3)]
+    params = [cal.ModelParams(*t, dx=grid.dx, dt=dt, source_R=r)
+              for t, r in rows]
+    expected = [_reference_march([lv[i] for lv in starts], coefficients(*t),
+                                 coefficients(*t).source * dt * r, boundary,
+                                 n_steps - 2)
+                for i, (t, r) in enumerate(rows)]
+    group = (params, grid, lambda x, t: starts[round(t / dt)], n_steps * dt)
+    return group, expected
+
+
+@pytest.mark.parametrize("chunk", [None, 3, 8])
+def test_signed_zero_starts_match_the_reference_march_bit_for_bit(
+        chunk, monkeypatch):
+    # A pass leaves out a source term that is +-0.0 in every active row, so
+    # a level differs from the reference only in the sign of exact zeros
+    # until the march's read-out adds the zero term back.  Rows of +0.0,
+    # -0.0 and 1e-320 (a +0.0 term) run alone, periodic and Dirichlet, in
+    # an all-zero batch, in a batch whose row of 0.5 keeps the add, and in
+    # two-group stages where the zero group ends first or runs on alone
+    # after the mixed stage, from 2*dt (no update) to 7*dt.
+    if chunk is not None:
+        monkeypatch.setattr(scheme, "_CHUNK", chunk)
+    assert all(coefficients(*t).source * 1e-4 * 1e-320 == 0.0
+               for t in _TRIPLES)
+    rng = np.random.default_rng(43)
+    zeros = [(t, r) for t in _TRIPLES for r in _ZERO_SOURCES]
+    mixed = [(_TRIPLES[0], 0.0), (_TRIPLES[1], 0.5), (_TRIPLES[2], -0.0)]
+    for n_steps, boundary in itertools.product(range(2, 8), _SIGNED_ENDS):
+        for row in zeros + [mixed[1]]:
+            group, (want,) = _signed_group(rng, [row], Grid1D(7), boundary,
+                                           n_steps)
+            (final,) = scheme._march([group], boundary)
+            assert final[0].tobytes() == want.tobytes()
+        if boundary.kind == "periodic":
+            continue
+        for rows in (zeros, mixed):
+            group, want = _signed_group(rng, rows, Grid1D(11), boundary,
+                                        n_steps)
+            (final,) = scheme._march([group], boundary)
+            assert [row.tobytes() for row in final] == \
+                [row.tobytes() for row in want]
+        for extra in (0, 3):
+            first = _signed_group(rng, zeros[:4], Grid1D(9), boundary,
+                                  n_steps + extra)
+            second = _signed_group(rng, mixed, Grid1D(6), boundary,
+                                   n_steps + 3 - extra)
+            finals = scheme._march([first[0], second[0]], boundary)
+            for final, (_, want) in zip(finals, (first, second)):
+                assert [row.tobytes() for row in final] == \
+                    [row.tobytes() for row in want]
+
+
+def test_step_keeps_the_sign_of_zero_bit_for_bit():
+    # `step` returns its level, so it adds a zero term back to the nodes it
+    # wrote, for real and complex levels alike.
+    rng = np.random.default_rng(47)
+    for triple, R, boundary, n, dtype in itertools.product(
+            _TRIPLES, _ZERO_SOURCES, _SIGNED_ENDS, (2, 3, 17),
+            (np.float64, np.complex128)):
+        levels = [rng.choice(_SIGNED, n, p=_SIGNED_P).astype(dtype)
+                  for _ in range(3)]
+        if dtype is np.complex128:
+            levels = [lv + 1j * rng.choice(_SIGNED, n, p=_SIGNED_P)
+                      for lv in levels]
+        co = coefficients(*triple)
+        new = step(PhiHistory.from_levels(*levels), co, 1e-4, R, boundary)
+        expected = _reference_step(levels[2], levels[1], levels[0], co,
+                                   co.source * 1e-4 * R, boundary)
+        assert new.tobytes() == expected.tobytes()
+
+
+def test_a_pass_adds_the_source_term_only_when_a_row_has_one(monkeypatch):
+    # A pass plans ten ufunc calls when every active row's source term is
+    # +-0.0 and eleven when one is not; a Dirichlet pass adds its `put`.
+    counts = []
+    plan = scheme._plan
+
+    def recording_plan(*args):
+        phases = plan(*args)
+        counts.append({sum(isinstance(fn, np.ufunc) for fn, _ in group)
+                       for phase in phases for group in phase if group})
+        return phases
+
+    monkeypatch.setattr(scheme, "_plan", recording_plan)
+    grid = Grid1D(10)
+    init = lambda x, t: np.sin(np.pi * x)
+    for (R, n_calls), boundary in itertools.product(
+            ((0.0, 10), (-0.0, 10), (1e-320, 10), (0.5, 11)),
+            _SIGNED_ENDS[1:]):
+        counts.clear()
+        p = cal.ModelParams(*_TRIPLES[0], dx=grid.dx, dt=1e-4, source_R=R)
+        run(p, grid, init, boundary, 6e-4)
+        step(PhiHistory.from_levels(*[np.ones(5)] * 3),
+             coefficients(*_TRIPLES[0]), 1e-4, R, boundary)
+        assert counts == [{n_calls}] * 2
+    # A stage plans eleven while a row of 0.5 marches, and ten after it.
+    counts.clear()
+    zero, half = ([cal.ModelParams(*_TRIPLES[1], dx=grid.dx, dt=1e-4,
+                                   source_R=R)] for R in (0.0, 0.5))
+    scheme._march([(zero, grid, init, 9e-4), (half, grid, init, 5e-4)],
+                  _SIGNED_ENDS[1])
+    assert counts == [{11}, {10}]
+
+
+def test_an_overflowing_source_term_is_refused():
+    # A finite dt and R can still overflow source*dt*R to inf, which would
+    # fill the interior with inf; run, step and the check refuse it alike.
+    params = cal.ModelParams(0.5, 1.5, 0.5, dx=0.1, dt=1e10, source_R=1e308)
+    with pytest.raises(DomainError, match="source term"):
+        run(params, Grid1D(10), lambda x, t: 0 * x,
+            BoundarySpec.dirichlet(0.0, 0.0), 3e10)
+    z = np.zeros(6)
+    history = PhiHistory.from_levels(z, z, z)
+    with pytest.raises(DomainError, match="source term"):
+        step(history, coefficients(0.8, 1.0, 1.0), 1e300, 1e300,
+             BoundarySpec.periodic())
+    assert history.current is z
