@@ -105,14 +105,24 @@ def equilibrium(phi, params: ModelParams):
     return (params.omega1 * phi, params.omega0 * phi, params.omega1 * phi)
 
 
+def _half_source(params: ModelParams) -> float:
+    # The half-step source correction dt*R/2.  Every source term of the
+    # update scales dt*R, so one that overflows is refused, as
+    # `scheme._weight_row` refuses source*dt*R.
+    dt_R = params.dt * params.source_R
+    if not math.isfinite(dt_R):
+        raise DomainError(f"the source term dt*R is {dt_R}")
+    return 0.5 * params.dt * params.source_R
+
+
 def macro_phi(f: DistributionField, params: ModelParams) -> np.ndarray:
     """Macroscopic field with the half-step source correction."""
-    return f.f_minus + f.f_zero + f.f_plus + 0.5 * params.dt * params.source_R
+    return f.f_minus + f.f_zero + f.f_plus + _half_source(params)
 
 
 def initialize(phi0: np.ndarray, params: ModelParams) -> DistributionField:
     """Equilibrium populations whose macroscopic field equals phi0."""
-    base = np.asarray(phi0, dtype=float) - 0.5 * params.dt * params.source_R
+    base = np.asarray(phi0, dtype=float) - _half_source(params)
     fm, f0, fp = equilibrium(base, params)
     return DistributionField(fm, f0, fp)
 
@@ -125,7 +135,7 @@ def _collision_constants(params: ModelParams, dtype) -> tuple:
     dt_R = params.dt * params.source_R
     return tuple(np.array(value, dtype) for value in (
         0.5 * s1, 0.5 * s2, 0.5 * omega0 * s2, 1.0 - s2, omega0 * s2,
-        0.5 * params.dt * params.source_R, omega0 * (1.0 - s2 / 2.0) * dt_R,
+        _half_source(params), omega0 * (1.0 - s2 / 2.0) * dt_R,
         (omega1 + omega0 * s2 / 4.0) * dt_R))
 
 
@@ -254,7 +264,7 @@ def fd_equivalence_deviation(n_nodes: int, steps: int, omega0: float,
                          params.source_R)]
     # The equilibrium of `initialize`, built straight into buffers that start
     # a cache line, as do all below: the collision writes whole arrays.
-    base = rng.random(n_nodes) - 0.5 * params.dt * params.source_R
+    base = rng.random(n_nodes) - _half_source(params)
     pops = [np.multiply(share, base, out=_aligned(n_nodes))
             for share in (params.omega1, params.omega0, params.omega1)]
     consts = _collision_constants(params, np.float64)

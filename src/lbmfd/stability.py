@@ -28,7 +28,12 @@ p0/rho**3, p1/rho**2, p2/rho) put every root inside |lambda| < rho.  The
 scan uses that as a screen: rho sits a factor 1 - _SCREEN_TAU (1e-4) below
 the LAPACK radius of the row with the largest cos(theta), and a row whose
 five scaled values all exceed _SCREEN_DELTA (1e-12) cannot hold the maximum,
-so LAPACK never sees it.  Every reported radius still comes from LAPACK.
+so LAPACK never sees it.  The scaled values are affine in cos(theta) too,
+so those rows are the ones whose cos(theta) lies in one open interval, cut
+from the ten scaled values at cos(theta) = -1 and 1.  Rounding moves its
+ends by about 1e-15, and no slope exceeds 4.1 over the box, so a row left
+out misses _SCREEN_DELTA by at most about 4e-15.  Every reported radius
+still comes from LAPACK.
 """
 
 from __future__ import annotations
@@ -50,15 +55,16 @@ _RADIUS_SLACK = 1e-10
 # multiplicity m grows like (u*|A|)**(1/m), and a companion can hold a triple
 # root: the cubic tends to (lambda + 1)**3 at theta = pi as (omega0, s1, s2)
 # tends to (0, 0, 2), where errors of 1.2e-5 against 60-digit roots were
-# measured.  _SCREEN_DELTA must exceed the float error of evaluating the five
-# scaled values.  Over the box corners and 20,000 random triples r0 >= 0.95,
-# so the scaled coefficients stay below 3.1 in modulus and that error below
-# about 2e-14.
+# measured.  _SCREEN_DELTA must exceed the float error of the five scaled
+# values and of the interval's ends.  Over the box corners and 20,000 random
+# triples r0 >= 0.95, so the scaled coefficients stay below 3.1 in modulus
+# and that error below about 2e-14.
 _SCREEN_TAU = 1e-4
 _SCREEN_DELTA = 1e-12
-# A scan holds about 200 B per theta sample when the screen keeps every row
-# (the theta and coefficient grids, the screen's scaled values, the companion
-# stack and LAPACK's roots): 2**20 samples keep that near 200 MB.
+# A scan holds 163 B per theta sample at its tracemalloc peak when the screen
+# keeps every row (a box corner, whose interval is empty): the theta grid,
+# the kept rows' coefficients, the companion stack and LAPACK's roots.
+# 2**20 samples keep that near 170 MB.
 _MAX_THETA_SAMPLES = 2 ** 20
 
 
@@ -157,11 +163,11 @@ def routh_hurwitz_values(
 
 def _char_coeff_grid(co: FdCoefficients, cos_t):
     # The cubic of the stencil: the mode exp(i*theta*j) turns each side pair
-    # into 2*cos(theta) times its weight.
-    p0 = np.full_like(cos_t, -co.center_nm2)
+    # into 2*cos(theta) times its weight.  p0, free of theta, is a scalar
+    # for floats and arrays of cos(theta) alike.
     p1 = -(2.0 * co.side_nm1 * cos_t + co.center_nm1)
     p2 = -(2.0 * co.side_n * cos_t + co.center_n)
-    return p0, p1, p2
+    return -co.center_nm2, p1, p2
 
 
 def _rh_value_grid(p0, p1, p2):
@@ -170,21 +176,31 @@ def _rh_value_grid(p0, p1, p2):
         1.0 - p0,
         1.0 + p0,
         1.0 + p0 + p1 + p2,
-        1.0 - p1 + p0 * p2 - p0 ** 2,
+        1.0 - p1 + p0 * p2 - p0 * p0,
     )
 
 
-def _candidate_rows(p0, p1, p2, cos_t) -> np.ndarray:
+def _candidate_rows(co: FdCoefficients, cos_t: np.ndarray) -> np.ndarray:
     """Indices of the rows that could hold the largest root modulus: the
     screen of the module docstring, seeded by the largest cos(theta).  The
     seed row is always kept, so the result is never empty."""
     seed = int(np.argmax(cos_t))
-    rho = _max_moduli(p0[[seed]], p1[[seed]], p2[[seed]])[0] \
+    rho = float(_max_moduli(*_char_coeff_grid(co, cos_t[[seed]]))[0]) \
         * (1.0 - _SCREEN_TAU)
-    scaled = _rh_value_grid(p0 / rho ** 3, p1 / rho ** 2, p2 / rho)
-    inside = np.logical_and.reduce([v > _SCREEN_DELTA for v in scaled])
-    inside[seed] = False
-    return np.flatnonzero(~inside)
+    ends = [_rh_value_grid(p0 / rho ** 3, p1 / rho ** 2, p2 / rho)
+            for p0, p1, p2 in (_char_coeff_grid(co, c) for c in (-1.0, 1.0))]
+    # Each scaled value a + (b - a)*(c + 1)/2 exceeds delta on one side of
+    # its cut; all five do on (lo, hi), which is empty when lo >= hi.
+    lo, hi = -np.inf, np.inf
+    for a, b in zip(*ends):
+        if a == b:
+            lo = lo if a > _SCREEN_DELTA else np.inf
+            continue
+        cut = -1.0 + 2.0 * (_SCREEN_DELTA - a) / (b - a)
+        lo, hi = (max(lo, cut), hi) if b > a else (lo, min(hi, cut))
+    keep = (cos_t <= lo) | (cos_t >= hi)
+    keep[seed] = True
+    return np.flatnonzero(keep)
 
 
 def spectral_radius_scan(omega0: float, s1: float, s2: float,
@@ -209,9 +225,8 @@ def spectral_radius_scan(omega0: float, s1: float, s2: float,
                           f"got {n_theta}")
     thetas = -np.pi + 2.0 * np.pi * np.arange(n_theta + 1) / n_theta
     cos_t = np.cos(thetas)
-    p0, p1, p2 = _char_coeff_grid(co, cos_t)
-    rows = _candidate_rows(p0, p1, p2, cos_t)
-    radii = _max_moduli(p0[rows], p1[rows], p2[rows])
+    rows = _candidate_rows(co, cos_t)
+    radii = _max_moduli(*_char_coeff_grid(co, cos_t[rows]))
     worst = int(rows[np.argmax(radii)])
     low = _rh_value_grid(*_char_coeff_grid(co, -1.0))
     high = _rh_value_grid(*_char_coeff_grid(co, 1.0))

@@ -160,6 +160,20 @@ def test_fd_equivalence_deviation_carries_nan_through():
                                      source_R=1.7e308)
 
 
+def test_an_overflowing_source_term_is_refused():
+    # dt*R = 1e318 overflows, and dt*R = 2e308 does while dt*R/2 does not;
+    # each entry point refuses both rather than return inf or NaN.
+    zeros = np.zeros(4)
+    f = lbm.DistributionField(zeros, zeros, zeros)
+    for dt, R in ((1e10, 1e308), (2.0, 1e308)):
+        params = ModelParams(0.5, 1.5, 0.5, dx=1.0, dt=dt, source_R=R)
+        for call in (lambda: lbm.initialize(zeros, params),
+                     lambda: lbm.macro_phi(f, params),
+                     lambda: lbm.evolve(f, params, BoundarySpec.periodic())):
+            with pytest.raises(DomainError, match="source term"):
+                call()
+
+
 def _pops(f):
     return (f.f_minus, f.f_zero, f.f_plus)
 

@@ -1,5 +1,6 @@
 """Tests for the amplification matrices and the stability criteria."""
 
+import dataclasses
 import itertools
 
 import numpy as np
@@ -185,8 +186,9 @@ def test_scan_validation_and_report_payload():
 
 
 def _lapack_radii(p0, p1, p2):
-    comp = np.zeros((p0.size, 3, 3))
-    comp[:, 0] = np.stack([-p2, -p1, -p0], axis=1)
+    # p0 may be one scalar for all rows, as `_char_coeff_grid` returns it.
+    comp = np.zeros((p1.size, 3, 3))
+    comp[:, 0] = np.stack(np.broadcast_arrays(-p2, -p1, -p0), axis=1)
     comp[:, 1, 0] = comp[:, 2, 1] = 1.0
     return np.abs(np.linalg.eigvals(comp)).max(axis=1)
 
@@ -200,8 +202,9 @@ def _full_grid_reference(omega0, s1, s2, n_theta):
     worst = int(np.argmax(radii))
     # The margin: the Routh-Hurwitz values at exactly cos(theta) = -1 and 1,
     # less the fourth at 1, which vanishes there identically.
-    ends = np.array(stab._rh_value_grid(*stab._char_coeff_grid(
-        coefficients(omega0, s1, s2), np.array([-1.0, 1.0]))))
+    ends = np.array(np.broadcast_arrays(*stab._rh_value_grid(
+        *stab._char_coeff_grid(coefficients(omega0, s1, s2),
+                               np.array([-1.0, 1.0])))))
     ends[3, 1] = np.inf
     return {"max_spectral_radius": float(radii[worst]),
             "worst_theta": float(thetas[worst]),
@@ -238,7 +241,7 @@ def _scan_triples():
 
 def test_screened_scan_matches_the_full_grid_reference():
     for triple in _scan_triples():
-        for n_theta in (64, 101, 720):
+        for n_theta in (64, 65, 101, 720, 721):
             report = stab.spectral_radius_scan(*triple, n_theta)
             assert _hexed(report.to_json_dict()) == _hexed(
                 _full_grid_reference(*triple, n_theta)), (triple, n_theta)
@@ -278,21 +281,46 @@ def _random_cubic_rows(rng, n, rho):
 
 
 def test_scan_screen_leaves_out_only_rows_inside_the_scaled_radius():
-    # The screen's lemma: every row it leaves out has a LAPACK radius below
-    # rho = r0*(1 - tau), where r0 is the LAPACK radius of the seed row (the
-    # largest cos(theta), here row 0).  The seed row itself is always kept.
+    # The screen's lemma: a row whose five Routh-Hurwitz values, scaled to
+    # rho = r0*(1 - tau), all exceed delta has a LAPACK radius below rho,
+    # where r0 is the LAPACK radius of the seed row (here row 0).
     rng = np.random.default_rng(4242)
-    tau = stab._SCREEN_TAU
+    tau, delta = stab._SCREEN_TAU, stab._SCREEN_DELTA
     for _ in range(40):
         r0 = rng.uniform(0.3, 1.2)
         p0, p1, p2 = _random_cubic_rows(rng, 300, r0 * (1.0 - tau))
         seed = np.real(np.poly([r0, 0.4 * r0, -0.3 * r0]))
         p0[0], p1[0], p2[0] = seed[3], seed[2], seed[1]
-        cos_t = np.zeros(p0.size)
-        cos_t[0] = 1.0
         radii = _lapack_radii(p0, p1, p2)
-        rows = stab._candidate_rows(p0, p1, p2, cos_t)
-        assert 0 in rows
-        left_out = np.setdiff1d(np.arange(p0.size), rows)
-        assert left_out.size > 0
-        assert np.all(radii[left_out] < radii[0] * (1.0 - tau))
+        rho = radii[0] * (1.0 - tau)
+        scaled = stab._rh_value_grid(p0 / rho ** 3, p1 / rho ** 2, p2 / rho)
+        inside = np.logical_and.reduce([v > delta for v in scaled])
+        assert not inside[0] and inside.any()
+        assert np.all(radii[inside] < rho)
+    # The scan's screen leaves out only such rows: on every scan triple,
+    # each row outside `_candidate_rows` has its five scaled values, taken
+    # row by row, above delta and a full-grid LAPACK radius below rho.  The
+    # last stencil, with no side weights, gives every row the seed's cubic,
+    # so its five values are constant and the screen must keep every row.
+    stencils = [coefficients(*triple) for triple in _scan_triples()]
+    stencils.append(dataclasses.replace(stencils[0], side_n=0.0,
+                                        side_nm1=0.0))
+    left_out_total = 0
+    for co in stencils:
+        for n_theta in (64, 65, 720, 721):
+            thetas = -np.pi + 2.0 * np.pi * np.arange(n_theta + 1) / n_theta
+            cos_t = np.cos(thetas)
+            rows = stab._candidate_rows(co, cos_t)
+            seed = int(np.argmax(cos_t))
+            assert seed in rows
+            p0, p1, p2 = stab._char_coeff_grid(co, cos_t)
+            radii = _lapack_radii(p0, p1, p2)
+            rho = radii[seed] * (1.0 - tau)
+            left_out = np.setdiff1d(np.arange(cos_t.size), rows)
+            left_out_total += left_out.size
+            scaled = stab._rh_value_grid(
+                p0 / rho ** 3, p1[left_out] / rho ** 2, p2[left_out] / rho)
+            for value in np.broadcast_arrays(*scaled):
+                assert np.all(value > delta), (co, n_theta)
+            assert np.all(radii[left_out] < rho), (co, n_theta)
+    assert left_out_total > 0
