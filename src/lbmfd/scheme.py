@@ -28,10 +28,11 @@ the kernel keeps it in an array from one step to the next and a pass makes
 eleven numpy calls, not twelve, or ten when every row's source term is
 +-0.0, as on the paper's tables: one add of the zero term to the level
 returned then restores the sign of its exact zeros, the only bits that
-the add sets.  The passes also cover the seam nodes between rows, which
-Dirichlet pinning overwrites; a periodic march holds one row, whose wrap
-nodes 0 and n-1 are computed from the same expression on one strided view
-with a pair of its own.
+the add sets.  Every row has Dirichlet ends, and the passes also cover the
+seam nodes between rows, which pinning overwrites.  The periodic
+four-level form is the one of `lbm.fd_equivalence_deviation`, which plans
+this kernel over rows with a ghost node at either end that holds its
+periodic neighbour.
 
 Long rows are cut into cache-sized passes, and a march advances two levels
 per sweep: level n+1 makes its pass over a chunk, then level n+2 makes its
@@ -121,7 +122,8 @@ class Grid1D:
 
 @dataclass(frozen=True)
 class BoundarySpec:
-    """Boundary treatment: periodic wrap or fixed end values."""
+    """Boundary treatment: fixed (Dirichlet) end values, the only form that
+    `step` and `run` take, or the periodic wrap of `lbm.evolve`."""
 
     kind: str
     left_value: float = 0.0
@@ -155,6 +157,8 @@ class PhiHistory:
         shape = np.shape(levels[0])
         if len(shape) != 1 or any(np.shape(lv) != shape for lv in levels):
             raise DomainError("history levels must share one 1-D shape")
+        if shape[0] < 2:
+            raise DomainError("a history level needs its two end nodes")
         self._levels = list(levels)
 
     @classmethod
@@ -179,9 +183,7 @@ class PhiHistory:
 _CHUNK = 2 ** 15
 
 # Time levels per sweep of a march (BENCH_10.json `claim`, BENCH_11.json
-# `chunk_and_depth_remeasured`).  A periodic row allows no more than two:
-# the first pass of a third level would read the second level's wrap node
-# n-1, which needs the first level's last pass.
+# `chunk_and_depth_remeasured`).
 _DEPTH = 2
 
 # Upper bound on the node-steps (nodes x time levels) of one group of a
@@ -217,14 +219,13 @@ def _weight_row(coeffs: FdCoefficients, dt: float, R: float) -> tuple:
             coeffs.center_nm1, coeffs.center_nm2, term)
 
 
-def _add_zero_terms(block, table: list, periodic: bool) -> None:
+def _add_zero_terms(block, table: list) -> None:
     # Add each row's zero source term once to the nodes that its passes
     # wrote: x + 0.0 is x but at -0.0 and x + -0.0 is x, so this idempotent
     # add gives the bits of adding the term at every step.
     for row, weights in zip(block, table):
         if not weights[5]:
-            nodes = row if periodic else row[1:-1]
-            np.add(nodes, weights[5], out=nodes)
+            np.add(row[1:-1], weights[5], out=row[1:-1])
 
 
 def _blocks(buf: np.ndarray, layout: list) -> list:
@@ -251,12 +252,6 @@ def _bounds(interior: int, lag: int) -> list:
         bounds.append((max(lo - lag, 0),
                        max(hi - lag, 0) if hi < interior else hi))
     return bounds
-
-
-def _wrap(buf: np.ndarray) -> tuple:
-    # The (left, mid, right) views of a periodic row's wrap nodes 0 and n-1,
-    # whose left neighbours are n-1, n-2 and right ones 1, 0.
-    return buf[:-3:-1], buf[::max(buf.shape[0] - 1, 1)], buf[1::-1]
 
 
 def _pass_calls(cur, prev_m, old_m, acc, pair, term, part, weights) -> list:
@@ -286,22 +281,20 @@ def _plan(ring: list, outs: list, table, boundary: BoundarySpec,
     `ring` holds flat level buffers of the blocks that `layout` lists;
     phase k reads old, prev and cur from ring[k], ring[k+1] and ring[k+2]
     (indices mod len(ring)), writes the next level into outs[k] and pins
-    its Dirichlet ends.  A phase is a list of groups of (function, args)
-    calls, one group per flat pass, plus a first and a last group, one of
-    which holds a periodic row's wrap pass.  On a Dirichlet row each pass
-    ends with one `put` of every end node of the row, with the bits of
+    the Dirichlet ends of every row to `boundary`'s values.  A phase is a
+    list of groups of (function, args) calls, one group per flat pass, and
+    each group ends with one `put` of every end node, with the bits of
     pinning each end once: a pass computes an end only as a value that its
     put overwrites, and an end pinned early is read only as an old level,
-    which feeds only its own node.  In a sweep phase k trails the leading phase
-    by k % `_DEPTH` cache lines, and `_calls` makes the calls of one phase
-    or of a sweep.  The pair sum prev_l + prev_r is carried in one array
-    from phase to phase, so the phases must run in order, from phase 0; it
-    starts as the pair of ring[1], the same addition that the step which
-    wrote ring[2] made.  The periodic wrap pass carries its own pair.
-    `table` has one `_weight_row` per row of `layout`: a single row's
-    weights become 0-d arrays of the levels' dtype, which a ufunc takes
-    faster than Python floats and rounds alike, and a batch, which is never
-    periodic, repeats each column over the nodes of each row, once; source
+    which feeds only its own node.  In a sweep phase k trails the leading
+    phase by k % `_DEPTH` cache lines, and `_calls` makes the calls of one
+    phase or of a sweep.  The pair sum prev_l + prev_r is carried in one
+    array from phase to phase, so the phases must run in order, from phase
+    0; it starts as the pair of ring[1], the same addition that the step
+    which wrote ring[2] made.  `table` has one `_weight_row` per row of
+    `layout`: a single row's weights become 0-d arrays of the levels'
+    dtype, which a ufunc takes faster than Python floats and rounds alike,
+    and a batch repeats each column over the nodes of each row, once; source
     terms that are all +-0.0 are left out (see `_add_zero_terms`).  The
     outputs must not overlap the levels a phase reads, and its passes write
     whole cache lines when the outputs start one at node 1.  The pair and
@@ -309,22 +302,16 @@ def _plan(ring: list, outs: list, table, boundary: BoundarySpec,
     a line, unless `scratch` gives the work arrays: two of the levels'
     dtype, as long as the row and free while a phase runs.
     """
-    periodic = boundary.kind == "periodic"
     dtype = outs[0].dtype
     interior = outs[0].shape[0] - 2
     line = _LINE // dtype.itemsize
-    if periodic:
-        wrap_work = tuple(np.empty((3, 2), dtype))
-        left, _, right = _wrap(ring[1])
-        np.add(left, right, wrap_work[0])
-    else:
-        ends, start = [], 0
-        for rows, nodes in layout:
-            for _ in range(rows):
-                ends += (start, start + nodes - 1)
-                start += nodes
-        values = (boundary.left_value, boundary.right_value) * (len(ends) // 2)
-        pins = (np.array(ends), np.array(values, dtype))
+    ends, start = [], 0
+    for rows, nodes in layout:
+        for _ in range(rows):
+            ends += (start, start + nodes - 1)
+            start += nodes
+    values = (boundary.left_value, boundary.right_value) * (len(ends) // 2)
+    pins = (np.array(ends), np.array(values, dtype))
     if not any(weights[5] for weights in table):
         table = [weights[:5] for weights in table]
     if len(table) > 1:
@@ -332,8 +319,8 @@ def _plan(ring: list, outs: list, table, boundary: BoundarySpec,
         columns = np.repeat(np.array(table).T, nodes, axis=1)
     else:
         row = tuple(np.array(w, dtype) for w in table[0])
-    # Per lag, the passes as (lo, hi, weights); on a Dirichlet row each
-    # pass then pins every end node of the row with the one `put` of `pins`.
+    # Per lag, the passes as (lo, hi, weights); each pass then pins every
+    # end node with the one `put` of `pins`.
     forms = [[(lo, hi, row if len(table) == 1 else
                tuple(columns[:, lo + 1:hi + 1]))
               for lo, hi in _bounds(interior, lag * line)]
@@ -348,24 +335,12 @@ def _plan(ring: list, outs: list, table, boundary: BoundarySpec,
     phases = []
     for k, out in enumerate(outs):
         old, prev, cur = (ring[(k + i) % len(ring)] for i in range(3))
-        groups = []
-        for lo, hi, weights in forms[k % _DEPTH]:
-            calls = _pass_calls(
-                (cur[lo:hi], cur[lo + 1:hi + 1], cur[lo + 2:hi + 2]),
-                prev[lo + 1:hi + 1], old[lo + 1:hi + 1], out[lo + 1:hi + 1],
-                pair[lo:hi], term[:hi - lo], part[:hi - lo], weights)
-            if not periodic:
-                calls.append((out.put, pins))
-            groups.append(calls)
-        # A leading level's wrap pass reads only the levels before it, so
-        # it runs first; a trailing one reads the nodes next to the wrap
-        # nodes of the level it trails, so it runs last.
-        wrap = []
-        if periodic:
-            wrap = _pass_calls(_wrap(cur), _wrap(prev)[1], _wrap(old)[1],
-                               _wrap(out)[1], *wrap_work, row)
-        phases.append([wrap, *groups, []] if k % _DEPTH == 0 else
-                      [[], *groups, wrap])
+        phases.append([
+            _pass_calls((cur[lo:hi], cur[lo + 1:hi + 1], cur[lo + 2:hi + 2]),
+                        prev[lo + 1:hi + 1], old[lo + 1:hi + 1],
+                        out[lo + 1:hi + 1], pair[lo:hi], term[:hi - lo],
+                        part[:hi - lo], weights) + [(out.put, pins)]
+            for lo, hi, weights in forms[k % _DEPTH]])
     return tuple(phases)
 
 
@@ -380,19 +355,21 @@ def step(history: PhiHistory, coeffs: FdCoefficients, dt: float, R: float,
     """Advance the four-level recurrence by one time level.
 
     The new level is a freshly allocated array; it is pushed into the
-    history and returned.  Dirichlet end nodes are pinned to their boundary
-    values; periodic indexing wraps.  A non-finite or non-positive dt, or a
-    non-finite R or source term source*dt*R, raises DomainError.
+    history and returned.  The end nodes are pinned to the Dirichlet
+    boundary values.  A periodic boundary, a non-finite or non-positive dt,
+    or a non-finite R or source term source*dt*R raises DomainError.
     """
     if not (math.isfinite(dt) and dt > 0.0):
         raise DomainError(f"dt must be positive and finite, got {dt}")
+    if boundary.kind != "dirichlet":
+        raise DomainError("the four-level kernel takes Dirichlet ends only")
     levels = history._levels
     out = np.empty(levels[0].shape, np.result_type(*levels, 1.0))
     table = [_weight_row(coeffs, dt, R)]
     (phase,) = _plan(levels, [out], table, boundary, [(1, out.size)])
     for fn, args in _calls(phase):
         fn(*args)
-    _add_zero_terms([out], table, boundary.kind == "periodic")
+    _add_zero_terms([out], table)
     return history.push(out)
 
 
@@ -453,8 +430,8 @@ def _march(groups, boundary: BoundarySpec) -> list:
     A group is a tuple (cases, grid, initializer, t_end): a non-empty
     sequence of `ModelParams` that share dx and dt, and `run`'s other
     arguments, the initializer's result broadcast to the group's (rows,
-    nodes) block.  Every group is checked before anything is allocated,
-    and a periodic march holds one row (else `DomainError`).  The rows lie
+    nodes) block.  The boundary must be Dirichlet, and every group is
+    checked before anything is allocated (else `DomainError`).  The rows lie
     in one flat level row, groups in descending step-count order, so the
     groups still marching are always a prefix of it.  Each stage plans that
     prefix of the rotated level ring and marches, `_DEPTH` levels per
@@ -464,14 +441,13 @@ def _march(groups, boundary: BoundarySpec) -> list:
     nodes) array per group, in the order given: views of the march's own
     buffers, whose blocks do not overlap.
     """
-    periodic = boundary.kind == "periodic"
+    if boundary.kind != "dirichlet":
+        raise DomainError("the four-level kernel takes Dirichlet ends only")
     checked = []
     for cases, grid, initializer, t_end in groups:
         cases = list(cases)
         checked.append((_check_group(cases, grid, t_end), cases, grid,
                         initializer))
-    if periodic and sum(len(cases) for _, cases, _, _ in checked) > 1:
-        raise DomainError("a periodic march holds one row")
     order = sorted(range(len(checked)), key=lambda g: -checked[g][0][1])
     steps, tables, layout = [], [], []
     for g in order:
@@ -479,15 +455,15 @@ def _march(groups, boundary: BoundarySpec) -> list:
         steps.append(n_steps)
         tables.append([_weight_row(coefficients(p.omega0, p.s1, p.s2), dt,
                                    p.source_R) for p in cases])
-        layout.append((len(cases), grid.n_intervals + (not periodic)))
+        layout.append((len(cases), grid.n_intervals + 1))
     # Level m lives in ring[m % 4], whose node 1, the first that a pass
     # writes, starts a cache line.  A group's nodes live only for its seeds.
     ring = [_aligned(sum(r * n for r, n in layout), 1) for _ in range(4)]
     starts = [_blocks(ring[k], layout) for k in range(3)]
     for i, g in enumerate(order):
         (dt, _), _, grid, initializer = checked[g]
-        _seed([blocks[i] for blocks in starts], initializer,
-              grid.nodes()[:-1] if periodic else grid.nodes(), dt)
+        _seed([blocks[i] for blocks in starts], initializer, grid.nodes(),
+              dt)
     finals = [None] * len(order)
     level, active = 2, len(order)
     while active:
@@ -512,7 +488,7 @@ def _march(groups, boundary: BoundarySpec) -> list:
             active -= 1
             final = _blocks(ring[level % 4], layout)[active]
             if level > 2:
-                _add_zero_terms(final, tables[active], periodic)
+                _add_zero_terms(final, tables[active])
             finals[order[active]] = final
     return finals
 
@@ -530,8 +506,8 @@ def run(params: ModelParams, grid: Grid1D, initializer,
     2**22 intervals, and the march may take at most 2**36 node-steps
     (nodes x time levels).  For t_end = 2*dt the third seeded level is
     returned with zero four-level updates applied, so the result is always
-    the field at exactly t_end.  The result is a fresh array.  Periodic
-    runs use the n_intervals distinct nodes j*dx, j = 0..n_intervals-1.
+    the field at exactly t_end.  The result is a fresh array.  The boundary
+    must be Dirichlet (else `DomainError`).
     """
     if not isinstance(params, ModelParams):
         raise DomainError("params must be one ModelParams")

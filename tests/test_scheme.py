@@ -19,11 +19,6 @@ from lbmfd.scheme import (
 )
 
 
-def _mirror(phi):
-    # Reflection j -> -j mod n on a periodic index set.
-    return np.roll(phi[::-1], 1)
-
-
 def test_coefficients_at_unit_rates():
     co = coefficients(0.8, 1.0, 1.0)
     np.testing.assert_allclose(co.side_n, 0.1, rtol=1e-14)
@@ -71,54 +66,55 @@ def test_unit_rates_reduce_to_a_two_level_stencil():
         R = rng.uniform(-1.0, 1.0)
         dt = 0.37
         history = PhiHistory.from_levels(phi.copy(), phi.copy(), phi.copy())
-        new = step(history, co, dt, R, BoundarySpec.periodic())
-        lap = np.roll(phi, 1) - 2.0 * phi + np.roll(phi, -1)
-        np.testing.assert_allclose(new, phi + eps * lap + dt * R,
+        new = step(history, co, dt, R, BoundarySpec.dirichlet(0.0, 0.0))
+        lap = phi[:-2] - 2.0 * phi[1:-1] + phi[2:]
+        np.testing.assert_allclose(new[1:-1], phi[1:-1] + eps * lap + dt * R,
                                    rtol=1e-13, atol=1e-13)
 
 
 def test_constant_field_is_a_fixed_point():
     co = coefficients(0.7, 1.3, 0.9)
     value = 2.5
-    for boundary in (BoundarySpec.periodic(),
-                     BoundarySpec.dirichlet(value, value)):
-        phi = np.full(16, value)
-        history = PhiHistory.from_levels(phi.copy(), phi.copy(), phi.copy())
-        new = step(history, co, 0.1, 0.0, boundary)
-        np.testing.assert_allclose(new, value, rtol=1e-13)
+    phi = np.full(16, value)
+    history = PhiHistory.from_levels(phi.copy(), phi.copy(), phi.copy())
+    new = step(history, co, 0.1, 0.0, BoundarySpec.dirichlet(value, value))
+    np.testing.assert_allclose(new, value, rtol=1e-13)
 
 
 def test_step_matches_the_companion_matrix_on_a_fourier_mode():
-    # A single periodic mode evolves by the top row of the companion
-    # amplification matrix at that wavenumber.
+    # A single sine mode with zero ends evolves by the top row of the
+    # companion amplification matrix at its wavenumber, since
+    # sin(theta*(j-1)) + sin(theta*(j+1)) = 2*cos(theta)*sin(theta*j).
     rng = np.random.default_rng(17)
     n = 32
-    j = np.arange(n)
+    j = np.arange(n + 1)
     for k in (1, 3, 7):
-        theta = 2.0 * np.pi * k / n
-        mode = np.exp(1j * theta * j)
+        theta = np.pi * k / n
+        mode = np.sin(theta * j)
         omega0, s1, s2 = 0.65, 1.2, 0.8
         co = coefficients(omega0, s1, s2)
         H = stability.companion_amplification(co, theta)
         amps = rng.random(3) + 1j * rng.random(3)
         history = PhiHistory.from_levels(amps[2] * mode, amps[1] * mode,
                                          amps[0] * mode)
-        new = step(history, co, 1.0, 0.0, BoundarySpec.periodic())
+        new = step(history, co, 1.0, 0.0, BoundarySpec.dirichlet(0.0, 0.0))
         expected = (H[0, 0] * amps[0] + H[0, 1] * amps[1]
                     + H[0, 2] * amps[2]) * mode
         np.testing.assert_allclose(new, expected, atol=1e-12)
 
 
 def test_step_commutes_with_spatial_reflection():
+    # Reflection j -> n-1-j commutes with a step whose end values are equal.
     rng = np.random.default_rng(23)
     co = coefficients(0.6, 1.4, 0.7)
     levels = [rng.random(20) for _ in range(3)]
     R = 0.3
+    ends = BoundarySpec.dirichlet(0.4, 0.4)
     plain = PhiHistory.from_levels(*[lv.copy() for lv in levels])
-    flipped = PhiHistory.from_levels(*[_mirror(lv) for lv in levels])
-    new_plain = step(plain, co, 1.0, R, BoundarySpec.periodic())
-    new_flipped = step(flipped, co, 1.0, R, BoundarySpec.periodic())
-    np.testing.assert_allclose(new_flipped, _mirror(new_plain), atol=1e-14)
+    flipped = PhiHistory.from_levels(*[lv[::-1] for lv in levels])
+    new_plain = step(plain, co, 1.0, R, ends)
+    new_flipped = step(flipped, co, 1.0, R, ends)
+    np.testing.assert_allclose(new_flipped, new_plain[::-1], atol=1e-14)
 
 
 def test_steady_parabola_with_source_stays_stationary():
@@ -138,15 +134,8 @@ def test_steady_parabola_with_source_stays_stationary():
 
 
 def _reference_step(cur, prev, old, co, src, boundary):
-    # The four-level update as one numpy expression, with np.roll for the
-    # periodic wrap; the kernel must reproduce it bit for bit.
-    if boundary.kind == "periodic":
-        return (co.side_n * (np.roll(cur, 1) + np.roll(cur, -1))
-                + co.center_n * cur
-                + co.side_nm1 * (np.roll(prev, 1) + np.roll(prev, -1))
-                + co.center_nm1 * prev
-                + co.center_nm2 * old
-                + src)
+    # The four-level update as one numpy expression on the interior, with
+    # the Dirichlet ends pinned; the kernel must reproduce it bit for bit.
     new = np.empty_like(cur)
     new[1:-1] = (co.side_n * (cur[:-2] + cur[2:])
                  + co.center_n * cur[1:-1]
@@ -168,9 +157,8 @@ def test_step_matches_the_reference_expression_bit_for_bit(chunk,
     rng = np.random.default_rng(29)
     co = coefficients(0.83, 0.92, 1.15)
     dt, R = 0.37, -0.6
-    cases = [(BoundarySpec.periodic(), False), (BoundarySpec.periodic(), True),
-             (BoundarySpec.dirichlet(0.25, -1.5), False)]
-    for boundary, complex_levels in cases:
+    boundary = BoundarySpec.dirichlet(0.25, -1.5)
+    for complex_levels in (False, True):
         for n in (2, 3, 6, 17, 64):
             levels = [rng.standard_normal(n) for _ in range(3)]
             if complex_levels:
@@ -204,6 +192,11 @@ def test_history_validation_and_rotation():
         PhiHistory([phi, phi])
     with pytest.raises(DomainError, match="history levels must share"):
         PhiHistory([phi, phi, np.zeros(9)])
+    # A level needs its two end nodes, which `step` pins; two nodes, both
+    # pinned, with no interior, are enough.
+    for n in (0, 1):
+        with pytest.raises(DomainError, match="two end nodes"):
+            PhiHistory([np.zeros(n)] * 3)
     # After a push the history holds b, c, d oldest first, so the next
     # step reads d as its current level, c as the previous and b as the
     # oldest; four distinct random levels make any other order show.
@@ -291,13 +284,6 @@ def test_run_with_zero_updates_returns_the_third_seed():
                                [init(x, 0.6) for x in xs], rtol=1e-15)
 
 
-def test_run_periodic_uses_the_distinct_nodes():
-    params = cal.ModelParams(0.8, 1.0, 1.0, dx=0.1, dt=0.3)
-    final = run(params, Grid1D(10), lambda x, t: np.cos(2.0 * np.pi * x),
-                BoundarySpec.periodic(), 1.2)
-    assert final.shape == (10,)
-
-
 def test_grid_and_boundary_validation():
     grid = Grid1D(4)
     assert grid.dx == 0.25
@@ -345,18 +331,28 @@ def test_batched_run_rows_equal_single_runs():
             row, run(p, grid, _sine_bump, boundary, 0.5))
 
 
-def test_periodic_march_holds_one_row():
-    # One group of two rows and two groups of one row are both refused,
-    # before the initializer is called.
+def test_the_kernel_refuses_a_periodic_boundary():
+    # The kernel marches Dirichlet rows only (the equivalence check covers
+    # the periodic form).  run, a march of one row, of one group of two
+    # rows and of two groups, and step all refuse a periodic boundary
+    # before the initializer is called or the history changes.
     grid = Grid1D(10)
     p = cal.ModelParams(0.8, 1.0, 1.0, dx=0.1, dt=0.3)
     seeded = []
     init = lambda x, t: seeded.append(t) or 0.0
-    for groups in ([([p, p], grid, init, 1.2)],
+    periodic = BoundarySpec.periodic()
+    with pytest.raises(DomainError, match="Dirichlet"):
+        run(p, grid, init, periodic, 1.2)
+    for groups in ([([p], grid, init, 1.2)], [([p, p], grid, init, 1.2)],
                    [([p], grid, init, 1.2), ([p], grid, init, 0.9)]):
-        with pytest.raises(DomainError, match="one row"):
-            scheme._march(groups, BoundarySpec.periodic())
+        with pytest.raises(DomainError, match="Dirichlet"):
+            scheme._march(groups, periodic)
     assert seeded == []
+    z = np.zeros(6)
+    history = PhiHistory.from_levels(z, z, z)
+    with pytest.raises(DomainError, match="Dirichlet"):
+        step(history, coefficients(0.8, 1.0, 1.0), 0.3, 0.0, periodic)
+    assert history.current is z
 
 
 def test_batched_run_accepts_one_row_per_case():
@@ -407,8 +403,7 @@ def _reference_march(levels, co, src, boundary, n_updates):
 def _reference_run(triple, source_R, scale, grid, boundary, t_end):
     # run's march for one case from the start levels scale * _sine_bump.
     p = cal.ModelParams(*triple, dx=grid.dx, dt=0.01, source_R=source_R)
-    xs = grid.nodes()[:-1] if boundary.kind == "periodic" else grid.nodes()
-    levels = [scale * _sine_bump(xs, k * p.dt) for k in range(3)]
+    levels = [scale * _sine_bump(grid.nodes(), k * p.dt) for k in range(3)]
     co = coefficients(*triple)
     return _reference_march(levels, co, co.source * p.dt * p.source_R,
                             boundary, round(t_end / p.dt) - 2)
@@ -424,8 +419,7 @@ def test_batched_run_matches_the_reference_march_bit_for_bit(chunk,
     # every row has more interior nodes than two chunks and the lag.  A
     # batch reads every weight and source per node, and a single case keeps
     # them as scalars; both must give the bits of the reference march of
-    # each row on its own, whether the rows share a weight or not.  A
-    # periodic march holds one row, so there only single runs are checked.
+    # each row on its own, whether the rows share a weight or not.
     # Ends at 2*dt .. 7*dt finish a march with zero updates and after each
     # of the four phases of its call plan, the last one after the carried
     # pair has gone once round the four level buffers.
@@ -439,20 +433,16 @@ def test_batched_run_matches_the_reference_march_bit_for_bit(chunk,
                [(t1, r2)] * 3)
     scale = np.array([[1.0], [-2.0], [0.5]])
     ends = [0.2] + [k * 0.01 for k in range(2, 8)]
-    for boundary, rows, t_end in itertools.product(
-            (BoundarySpec.dirichlet(0.25, -1.5), BoundarySpec.periodic()),
-            batches, ends):
+    boundary = BoundarySpec.dirichlet(0.25, -1.5)
+    for rows, t_end in itertools.product(batches, ends):
         params = [cal.ModelParams(*t, dx=grid.dx, dt=0.01, source_R=r)
                   for t, r in rows]
-        if boundary.kind == "dirichlet":
-            batch = _batch(params, grid,
-                           lambda x, t: scale * _sine_bump(x, t), boundary,
-                           t_end)
+        batch = _batch(params, grid, lambda x, t: scale * _sine_bump(x, t),
+                       boundary, t_end)
         for i, ((triple, source_R), p) in enumerate(zip(rows, params)):
             expected = _reference_run(triple, source_R, scale[i], grid,
                                       boundary, t_end)
-            if boundary.kind == "dirichlet":
-                assert batch[i].tobytes() == expected.tobytes()
+            assert batch[i].tobytes() == expected.tobytes()
             single = run(p, grid, lambda x, t: scale[i] * _sine_bump(x, t),
                          boundary, t_end)
             assert single.tobytes() == expected.tobytes()
@@ -557,14 +547,14 @@ _TRIPLES = ((0.83, 0.92, 1.15), (0.6, 1.4, 0.7), (0.8, 1.0, 1.0))
 # At dt = 1e-4 a source_R of 1e-320 rounds to a +0.0 term, as 0.0 does.
 _ZERO_SOURCES = (0.0, -0.0, 1e-320)
 _SIGNED_ENDS = (BoundarySpec.dirichlet(0.0, -0.0),
-                BoundarySpec.dirichlet(-0.0, -0.0), BoundarySpec.periodic())
+                BoundarySpec.dirichlet(-0.0, -0.0))
 
 
 def _signed_group(rng, rows, grid, boundary, n_steps, dt=1e-4):
     # One group of the march on signed-zero start levels, as the march's
     # argument, and each row's reference final level.
-    nodes = grid.n_intervals + (boundary.kind == "dirichlet")
-    starts = [rng.choice(_SIGNED, (len(rows), nodes), p=_SIGNED_P)
+    starts = [rng.choice(_SIGNED, (len(rows), grid.n_intervals + 1),
+                         p=_SIGNED_P)
               for _ in range(3)]
     params = [cal.ModelParams(*t, dx=grid.dx, dt=dt, source_R=r)
               for t, r in rows]
@@ -582,10 +572,10 @@ def test_signed_zero_starts_match_the_reference_march_bit_for_bit(
     # A pass leaves out a source term that is +-0.0 in every active row, so
     # a level differs from the reference only in the sign of exact zeros
     # until the march's read-out adds the zero term back.  Rows of +0.0,
-    # -0.0 and 1e-320 (a +0.0 term) run alone, periodic and Dirichlet, in
-    # an all-zero batch, in a batch whose row of 0.5 keeps the add, and in
-    # two-group stages where the zero group ends first or runs on alone
-    # after the mixed stage, from 2*dt (no update) to 7*dt.
+    # -0.0 and 1e-320 (a +0.0 term) run alone, in an all-zero batch, in a
+    # batch whose row of 0.5 keeps the add, and in two-group stages where
+    # the zero group ends first or runs on alone after the mixed stage,
+    # from 2*dt (no update) to 7*dt.
     if chunk is not None:
         monkeypatch.setattr(scheme, "_CHUNK", chunk)
     assert all(coefficients(*t).source * 1e-4 * 1e-320 == 0.0
@@ -599,8 +589,6 @@ def test_signed_zero_starts_match_the_reference_march_bit_for_bit(
                                            n_steps)
             (final,) = scheme._march([group], boundary)
             assert final[0].tobytes() == want.tobytes()
-        if boundary.kind == "periodic":
-            continue
         for rows in (zeros, mixed):
             group, want = _signed_group(rng, rows, Grid1D(11), boundary,
                                         n_steps)
@@ -646,7 +634,7 @@ def test_a_pass_adds_the_source_term_only_when_a_row_has_one(monkeypatch):
     def recording_plan(*args):
         phases = plan(*args)
         counts.append({sum(isinstance(fn, np.ufunc) for fn, _ in group)
-                       for phase in phases for group in phase if group})
+                       for phase in phases for group in phase})
         return phases
 
     monkeypatch.setattr(scheme, "_plan", recording_plan)
@@ -681,5 +669,5 @@ def test_an_overflowing_source_term_is_refused():
     history = PhiHistory.from_levels(z, z, z)
     with pytest.raises(DomainError, match="source term"):
         step(history, coefficients(0.8, 1.0, 1.0), 1e300, 1e300,
-             BoundarySpec.periodic())
+             BoundarySpec.dirichlet(0.0, 0.0))
     assert history.current is z
