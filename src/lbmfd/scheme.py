@@ -28,11 +28,24 @@ the kernel keeps it in an array from one step to the next and a pass makes
 eleven numpy calls, not twelve, or ten when every row's source term is
 +-0.0, as on the paper's tables: one add of the zero term to the level
 returned then restores the sign of its exact zeros, the only bits that
-the add sets.  Every row has Dirichlet ends, and the passes also cover the
-seam nodes between rows, which pinning overwrites.  The periodic
-four-level form is the one of `lbm.fd_equivalence_deviation`, which plans
-this kernel over rows with a ghost node at either end that holds its
-periodic neighbour.
+the add sets.  A march (`run` and the tables) also leaves out the multiply
+and the add of each history weight that is +-0.0 in every row of a stage,
+so a pass of the tables makes four calls at second order (s1 = s2 = 1,
+two levels) and six at fourth (s1 = 1, three levels).  A left-out w*x,
+w = +-0.0, changes a sum only by the sign of a zero, or by the NaN it
+makes of a non-finite x.  So a group skips only from finite start levels,
+and is marched again on the full plan if its result holds a zero or a
+non-finite value.  Else every level was finite, as a non-finite node
+stays so through the center_n multiply, so the two plans made the same
+values but for the signs of zeros, and the result has none.  A group
+whose last start level has a zero inside marches on the full plan from
+the start, as such zeros tend to last and would make it march twice.
+`step`, whose time goes to planning, and the check, which has no zero
+weight, make all ten calls.  Every row has Dirichlet ends, and the passes
+also cover the seam nodes between rows, which pinning overwrites.  The
+periodic four-level form is the one of `lbm.fd_equivalence_deviation`,
+which plans this kernel over rows with a ghost node at either end that
+holds its periodic neighbour.
 
 Long rows are cut into cache-sized passes, and a march advances two levels
 per sweep: level n+1 makes its pass over a chunk, then level n+2 makes its
@@ -148,7 +161,8 @@ class BoundarySpec:
 class PhiHistory:
     """Ring buffer of the three most recent field levels, oldest first.
 
-    Levels rotate by index on push; arrays are never copied.
+    Levels rotate by index on push; arrays are never copied.  A pushed
+    level must have the shape of the others (else `DomainError`).
     """
 
     def __init__(self, levels: list[np.ndarray]):
@@ -171,6 +185,10 @@ class PhiHistory:
         return self._levels[2]
 
     def push(self, new_level: np.ndarray) -> np.ndarray:
+        if np.shape(new_level) != self._levels[2].shape:
+            raise DomainError(f"a level of shape {np.shape(new_level)} does "
+                              f"not fit a history of shape "
+                              f"{self._levels[2].shape}")
         self._levels[0], self._levels[1], self._levels[2] = (
             self._levels[1], self._levels[2], new_level)
         return new_level
@@ -255,27 +273,31 @@ def _bounds(interior: int, lag: int) -> list:
 
 
 def _pass_calls(cur, prev_m, old_m, acc, pair, term, part, weights) -> list:
-    # The recurrence at the mid views of one pass as ten in-place ufunc
-    # calls, and an eleventh for the source term if `weights` holds one, in
-    # the order of the module docstring.  `pair` holds prev_l + prev_r from
-    # the pass that wrote the previous level, and leaves with cur_l + cur_r.
+    # The recurrence at the mid views of one pass as in-place ufunc calls,
+    # in the order of the module docstring: ten, less the multiply and the
+    # add of each weight that is None, as `_plan` leaves them out.  `pair`
+    # holds prev_l + prev_r from the pass that wrote the previous level,
+    # and leaves with cur_l + cur_r.
     cur_l, cur_m, cur_r = cur
-    side_n, center_n, side_nm1, center_nm1, center_nm2, *src = weights
+    side_n, center_n, side_nm1, center_nm1, center_nm2, src = weights
     mul, add = np.multiply, np.add
-    return [(mul, (pair, side_nm1, term)),
-            (add, (cur_l, cur_r, pair)),
-            (mul, (pair, side_n, acc)),
-            (mul, (cur_m, center_n, part)),
-            (add, (acc, part, acc)),
-            (add, (acc, term, acc)),
-            (mul, (prev_m, center_nm1, part)),
-            (add, (acc, part, acc)),
-            (mul, (old_m, center_nm2, part)),
-            (add, (acc, part, acc))] + [(add, (acc, s, acc)) for s in src]
+    calls = [(add, (cur_l, cur_r, pair)),
+             (mul, (pair, side_n, acc)),
+             (mul, (cur_m, center_n, part)),
+             (add, (acc, part, acc))]
+    if side_nm1 is not None:
+        calls = [(mul, (pair, side_nm1, term)), *calls,
+                 (add, (acc, term, acc))]
+    for level, weight in ((prev_m, center_nm1), (old_m, center_nm2)):
+        if weight is not None:
+            calls += [(mul, (level, weight, part)), (add, (acc, part, acc))]
+    if src is not None:
+        calls.append((add, (acc, src, acc)))
+    return calls
 
 
 def _plan(ring: list, outs: list, table, boundary: BoundarySpec,
-          layout: list, scratch=None) -> tuple:
+          layout: list, scratch=None, skip: bool = False) -> tuple:
     """The calls of each phase of a march, with the carried pair seeded.
 
     `ring` holds flat level buffers of the blocks that `layout` lists;
@@ -295,7 +317,9 @@ def _plan(ring: list, outs: list, table, boundary: BoundarySpec,
     `layout`: a single row's weights become 0-d arrays of the levels'
     dtype, which a ufunc takes faster than Python floats and rounds alike,
     and a batch repeats each column over the nodes of each row, once; source
-    terms that are all +-0.0 are left out (see `_add_zero_terms`).  The
+    terms that are all +-0.0 are left out (see `_add_zero_terms`).  With
+    `skip`, which only `_march` sets, so is each history weight (side_nm1,
+    center_nm1, center_nm2) that is +-0.0 in every row, with its add.  The
     outputs must not overlap the levels a phase reads, and its passes write
     whole cache lines when the outputs start one at node 1.  The pair and
     the two pass-sized work arrays are carved from one block, each starting
@@ -312,17 +336,21 @@ def _plan(ring: list, outs: list, table, boundary: BoundarySpec,
             start += nodes
     values = (boundary.left_value, boundary.right_value) * (len(ends) // 2)
     pins = (np.array(ends), np.array(values, dtype))
-    if not any(weights[5] for weights in table):
-        table = [weights[:5] for weights in table]
+    # The columns left out, as None: a source term that is +-0.0 in every
+    # row and, with `skip`, such a history weight.
+    gone = [(k == 5 or (skip and k > 1)) and not any(w[k] for w in table)
+            for k in range(6)]
     if len(table) > 1:
         nodes = [n for rows, n in layout for _ in range(rows)]
         columns = np.repeat(np.array(table).T, nodes, axis=1)
     else:
-        row = tuple(np.array(w, dtype) for w in table[0])
+        row = tuple(None if g else np.array(w, dtype)
+                    for g, w in zip(gone, table[0]))
     # Per lag, the passes as (lo, hi, weights); each pass then pins every
     # end node with the one `put` of `pins`.
     forms = [[(lo, hi, row if len(table) == 1 else
-               tuple(columns[:, lo + 1:hi + 1]))
+               tuple(None if g else c[lo + 1:hi + 1]
+                     for g, c in zip(gone, columns)))
               for lo, hi in _bounds(interior, lag * line)]
              for lag in range(min(len(outs), _DEPTH))]
     width = max(hi - lo for form in forms for lo, hi, _ in form)
@@ -424,7 +452,7 @@ def _seed(blocks: list, initializer, xs: np.ndarray, dt: float) -> None:
                               f"the level shape {block.shape}") from None
 
 
-def _march(groups, boundary: BoundarySpec) -> list:
+def _march(groups, boundary: BoundarySpec, skip: bool = True) -> list:
     """March groups of rows to their ends as one flat batch, in stages.
 
     A group is a tuple (cases, grid, initializer, t_end): a non-empty
@@ -438,8 +466,15 @@ def _march(groups, boundary: BoundarySpec) -> list:
     sweep, to the step count of the next group to end; that group is then
     read out, with its zero source terms added back, and costs nothing
     more, as later stages write only a shorter prefix.  Returns one (rows,
-    nodes) array per group, in the order given: views of the march's own
-    buffers, whose blocks do not overlap.
+    nodes) array per group, in the order given: views of march buffers
+    whose blocks do not overlap.
+
+    With `skip`, a stage leaves out the history weights that are +-0.0 in
+    all of its rows.  A group with such a weight skips only from finite
+    start levels whose last has no zero in its interior, and keeps copies
+    of them; if its interior then holds a zero or a non-finite value it is
+    marched again alone from them with `skip` false (see the module
+    docstring for why this keeps every bit).
     """
     if boundary.kind != "dirichlet":
         raise DomainError("the four-level kernel takes Dirichlet ends only")
@@ -460,10 +495,19 @@ def _march(groups, boundary: BoundarySpec) -> list:
     # writes, starts a cache line.  A group's nodes live only for its seeds.
     ring = [_aligned(sum(r * n for r, n in layout), 1) for _ in range(4)]
     starts = [_blocks(ring[k], layout) for k in range(3)]
+    # A zero in the interior of the last start level tends to last to the
+    # end (a field of compact support), which would march the group twice.
+    may_skip, kept = [True] * len(order), {}
     for i, g in enumerate(order):
         (dt, _), _, grid, initializer = checked[g]
-        _seed([blocks[i] for blocks in starts], initializer, grid.nodes(),
-              dt)
+        seeds = [blocks[i] for blocks in starts]
+        _seed(seeds, initializer, grid.nodes(), dt)
+        if skip and any(not any(row[k] for row in tables[i])
+                        for k in (2, 3, 4)):
+            may_skip[i] = seeds[2][:, 1:-1].all() and all(
+                np.isfinite(seed).all() for seed in seeds)
+            if may_skip[i]:
+                kept[i] = [seed.copy() for seed in seeds]
     finals = [None] * len(order)
     level, active = 2, len(order)
     while active:
@@ -472,7 +516,8 @@ def _march(groups, boundary: BoundarySpec) -> list:
             rot = [ring[(level - 2 + i) % 4][:size] for i in range(4)]
             phases = _plan(rot, rot[3:] + rot[:3],
                            [row for t in tables[:active] for row in t],
-                           boundary, layout[:active])
+                           boundary, layout[:active], None,
+                           skip and all(may_skip[:active]))
             sweeps = [_calls(*phases[k:k + _DEPTH])
                       for k in range(0, 4, _DEPTH)]
             n_sweeps, tail = divmod(steps[active - 1] - level, _DEPTH)
@@ -489,6 +534,13 @@ def _march(groups, boundary: BoundarySpec) -> list:
             final = _blocks(ring[level % 4], layout)[active]
             if level > 2:
                 _add_zero_terms(final, tables[active])
+                inner = final[:, 1:-1]
+                if active in kept and not (inner.all()
+                                           and np.isfinite(inner).all()):
+                    (dt, _), cases, grid, _ = checked[order[active]]
+                    again = iter(kept[active])
+                    (final,) = _march([(cases, grid, lambda x, t: next(again),
+                                        level * dt)], boundary, False)
             finals[order[active]] = final
     return finals
 

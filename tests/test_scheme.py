@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from lbmfd import calibration as cal
-from lbmfd import scheme, stability
+from lbmfd import lbm, scheme, stability
 from lbmfd.errors import DomainError
 from lbmfd.scheme import (
     BoundarySpec,
@@ -223,6 +223,21 @@ def test_history_rejects_scalar_levels():
         PhiHistory.from_levels(1.0, 2.0, 3.0)
 
 
+def test_history_push_rejects_a_level_of_another_shape():
+    # A shorter level would make the next step fail to broadcast, and a
+    # longer one would step on its first nodes only; both are refused, and
+    # the history is left as it was.
+    levels = [np.zeros(7) for _ in range(3)]
+    history = PhiHistory(levels)
+    for bad in (np.zeros(3), np.zeros(9), np.zeros((1, 7)), 0.0):
+        with pytest.raises(DomainError, match="does not fit a history"):
+            history.push(bad)
+        assert all(a is b for a, b in zip(history._levels, levels))
+    new = step(history, coefficients(0.8, 1.0, 1.0), 0.3, 0.0,
+               BoundarySpec.dirichlet(0.0, 0.0))
+    assert new.shape == (7,)
+
+
 def test_run_validates_its_time_and_grid_arguments():
     params = cal.ModelParams(0.8, 1.0, 1.0, dx=0.1, dt=0.3)
     grid = Grid1D(10)
@@ -409,6 +424,12 @@ def _reference_run(triple, source_R, scale, grid, boundary, t_end):
                             boundary, round(t_end / p.dt) - 2)
 
 
+# Fourth-order triples at s1 = 1, whose center_nm1 is +0.0 and whose
+# center_nm2 is +0.0 at epsilon = 0.1 and -0.0 at 0.2.
+_FOURTH = tuple((res.omega0, res.s1, res.s2) for res in (
+    cal.calibrate_fourth(0.1, 1.0), cal.calibrate_fourth(0.2, 1.0)))
+
+
 @pytest.mark.parametrize("chunk", [1, 2, 3, 4, 7, 8, 9])
 def test_batched_run_matches_the_reference_march_bit_for_bit(chunk,
                                                              monkeypatch):
@@ -419,18 +440,24 @@ def test_batched_run_matches_the_reference_march_bit_for_bit(chunk,
     # every row has more interior nodes than two chunks and the lag.  A
     # batch reads every weight and source per node, and a single case keeps
     # them as scalars; both must give the bits of the reference march of
-    # each row on its own, whether the rows share a weight or not.
-    # Ends at 2*dt .. 7*dt finish a march with zero updates and after each
-    # of the four phases of its call plan, the last one after the carried
-    # pair has gone once round the four level buffers.
+    # each row on its own, whether the rows share a weight or not.  A batch
+    # of second-order rows plans no history weight, and one of fourth-order
+    # rows, whose center_nm2 is +0.0 at epsilon = 0.1 and -0.0 at 0.2, no
+    # center_nm1 or center_nm2.  Ends at 2*dt .. 7*dt finish a march with
+    # zero updates and after each of the four phases of its call plan, the
+    # last one after the carried pair has gone once round the four level
+    # buffers.
     monkeypatch.setattr(scheme, "_CHUNK", chunk)
     grid = Grid1D(30)
     t0, t1, t2 = (0.83, 0.92, 1.15), (0.6, 1.4, 0.7), (0.8, 1.0, 1.0)
+    t3, t4 = _FOURTH
     r0, r1, r2 = 0.0, 0.5, -1.25
     batches = ([(t0, r0), (t1, r1), (t2, r2)],
                [(t0, r0), (t0, r1), (t0, r2)],
                [(t0, r1), (t1, r1), (t2, r1)],
-               [(t1, r2)] * 3)
+               [(t1, r2)] * 3,
+               [(t2, r0), (t2, r1), (t2, r2)],
+               [(t3, r0), (t4, r1), (t3, r2)])
     scale = np.array([[1.0], [-2.0], [0.5]])
     ends = [0.2] + [k * 0.01 for k in range(2, 8)]
     boundary = BoundarySpec.dirichlet(0.25, -1.5)
@@ -464,9 +491,12 @@ def test_batched_run_keeps_the_sign_of_zero_per_row():
 
 
 # Groups of the staged march as (intervals, dt, t_end, rows of (triple,
-# source_R)), with the step counts 7, 7, 2, 12 and 3: two groups end
-# together, one ends at 2*dt with zero updates, and neither the first nor
-# the last group given is the first or the last to end.
+# source_R)), with the step counts 7, 7, 2, 12, 3, 15 and 13: two groups
+# end together, one ends at 2*dt with zero updates, and neither the first
+# nor the last group given is the first or the last to end.  The groups of
+# second- and of fourth-order rows outlast the rest, so their stage from
+# step 12 to 13 leaves out center_nm1 and center_nm2, and the last stage
+# every history weight.
 _STAGED_GROUPS = (
     (12, 0.01, 0.07, [((0.83, 0.92, 1.15), 0.0), ((0.6, 1.4, 0.7), 0.5)]),
     (5, 0.02, 0.14, [((0.8, 1.0, 1.0), -1.25)]),
@@ -474,6 +504,8 @@ _STAGED_GROUPS = (
     (7, 0.005, 0.06, [((0.83, 0.92, 1.15), 0.5)]),
     (16, 0.01, 0.03, [((0.8, 1.0, 1.0), 0.5), ((0.6, 1.4, 0.7), -1.25),
                       ((0.83, 0.92, 1.15), 0.0)]),
+    (8, 0.005, 0.075, [((0.8, 1.0, 1.0), 0.0), ((0.8, 1.0, 1.0), -1.25)]),
+    (10, 0.01, 0.13, [(_FOURTH[0], 0.5), (_FOURTH[1], 0.0)]),
 )
 
 
@@ -606,6 +638,61 @@ def test_signed_zero_starts_match_the_reference_march_bit_for_bit(
                     [row.tobytes() for row in want]
 
 
+def _edge_starts(rng, n: int) -> list:
+    # Start levels (phi0, phi1, phi2) of n nodes at which a left-out +-0.0
+    # product would show: a NaN in phi0, which at second order only the
+    # zero weights read; +inf and -inf in phi1, and in phi2; values near
+    # 1.7e308, whose sums overflow to inf and then to NaN; and subnormal
+    # values, whose products round to zeros of either sign.
+    sets = []
+    for level, values in ((0, [np.nan]), (1, [np.inf, -np.inf]),
+                          (2, [-np.inf, np.inf])):
+        starts = [rng.standard_normal(n) for _ in range(3)]
+        starts[level][[2, n - 4][:len(values)]] = values
+        sets.append(starts)
+    huge = np.array([-1.7e308, 1.6e308, 1.7e308])
+    tiny = 5e-324 * np.array([-3.0, -1.0, 1.0, 2.0])
+    return sets + [[rng.choice(values, n) for _ in range(3)]
+                   for values in (huge, tiny)]
+
+
+@pytest.mark.parametrize("chunk", [None, 3])
+def test_non_finite_huge_and_subnormal_starts_match_the_reference_march(
+        chunk, monkeypatch):
+    # A march may leave out a zero weight's product only where that gives
+    # the full plan's bits, NaN against inf and the sign of zero included,
+    # so every start set marches to the bits of the reference march: alone,
+    # with zero to six updates, and all five sets as the rows of one group.
+    # The triples are second order at epsilon = 0.1 and 0.4 (whose small
+    # center_n rounds subnormal products to zero), fourth and sixth order,
+    # and the -0.0 source term keeps the sign of every zero in the result.
+    if chunk is not None:
+        monkeypatch.setattr(scheme, "_CHUNK", chunk)
+    rng = np.random.default_rng(53)
+    grid = Grid1D(11)
+    sixth = cal.calibrate_sixth(0.1)
+    triples = ((0.8, 1.0, 1.0), (0.2, 1.0, 1.0), _FOURTH[1],
+               (sixth.omega0, sixth.s1, sixth.s2))
+    sets = _edge_starts(rng, grid.n_intervals + 1)
+    boundary = _SIGNED_ENDS[0]
+    with np.errstate(all="ignore"):
+        for triple, n_steps in itertools.product(triples, (2, 3, 4, 5, 8)):
+            co = coefficients(*triple)
+            p = cal.ModelParams(*triple, dx=grid.dx, dt=1e-4, source_R=-0.0)
+            want = [_reference_march(list(starts), co, -0.0, boundary,
+                                     n_steps - 2) for starts in sets]
+            for starts, expected in zip(sets, want):
+                (final,) = scheme._march(
+                    [([p], grid, lambda x, t: starts[round(t / 1e-4)],
+                      n_steps * 1e-4)], boundary)
+                assert final[0].tobytes() == expected.tobytes()
+            rows = [np.array(level) for level in zip(*sets)]
+            (final,) = scheme._march(
+                [([p] * len(sets), grid, lambda x, t: rows[round(t / 1e-4)],
+                  n_steps * 1e-4)], boundary)
+            assert final.tobytes() == np.array(want).tobytes()
+
+
 def test_step_keeps_the_sign_of_zero_bit_for_bit():
     # `step` returns its level, so it adds a zero term back to the nodes it
     # wrote, for real and complex levels alike.
@@ -625,9 +712,10 @@ def test_step_keeps_the_sign_of_zero_bit_for_bit():
         assert new.tobytes() == expected.tobytes()
 
 
-def test_a_pass_adds_the_source_term_only_when_a_row_has_one(monkeypatch):
-    # A pass plans ten ufunc calls when every active row's source term is
-    # +-0.0 and eleven when one is not; a Dirichlet pass adds its `put`.
+def _record_pass_calls(monkeypatch) -> list:
+    # The set of ufunc-call counts of the passes of each plan made from now
+    # on, by the march, `step` and the equivalence check, in plan order; a
+    # Dirichlet pass also makes its `put`, which is not a ufunc.
     counts = []
     plan = scheme._plan
 
@@ -638,6 +726,14 @@ def test_a_pass_adds_the_source_term_only_when_a_row_has_one(monkeypatch):
         return phases
 
     monkeypatch.setattr(scheme, "_plan", recording_plan)
+    monkeypatch.setattr(lbm, "_plan", recording_plan)
+    return counts
+
+
+def test_a_pass_adds_the_source_term_only_when_a_row_has_one(monkeypatch):
+    # A pass plans ten ufunc calls when every active row's source term is
+    # +-0.0 and eleven when one is not.
+    counts = _record_pass_calls(monkeypatch)
     grid = Grid1D(10)
     init = lambda x, t: np.sin(np.pi * x)
     for (R, n_calls), boundary in itertools.product(
@@ -656,6 +752,53 @@ def test_a_pass_adds_the_source_term_only_when_a_row_has_one(monkeypatch):
     scheme._march([(zero, grid, init, 9e-4), (half, grid, init, 5e-4)],
                   _SIGNED_ENDS[1])
     assert counts == [{11}, {10}]
+
+
+def test_a_march_leaves_out_the_history_weights_that_are_zero(monkeypatch):
+    # At the tables' second-order triple (s1 = s2 = 1) side_nm1, center_nm1
+    # and center_nm2 are +-0.0, so a march's pass makes four ufunc calls,
+    # and at the fourth-order ones (s1 = 1) center_nm1 and center_nm2 are,
+    # so it makes six; the sixth-order triple keeps all ten.  `step` and
+    # the equivalence check keep all ten at every triple.
+    counts = _record_pass_calls(monkeypatch)
+    grid = Grid1D(10)
+    init = lambda x, t: np.sin(np.pi * x)
+    boundary = BoundarySpec.dirichlet(0.0, 0.0)
+    sixth = cal.calibrate_sixth(0.1)
+    second, sixth = (0.8, 1.0, 1.0), (sixth.omega0, sixth.s1, sixth.s2)
+    for triple, n_calls in ((second, 4), (_FOURTH[0], 6), (_FOURTH[1], 6),
+                            (sixth, 10)):
+        counts.clear()
+        p = cal.ModelParams(*triple, dx=grid.dx, dt=1e-4)
+        run(p, grid, init, boundary, 6e-4)
+        step(PhiHistory.from_levels(*[np.ones(5)] * 3),
+             coefficients(*triple), 1e-4, 0.0, boundary)
+        lbm.fd_equivalence_deviation(8, 3, *triple, seed=1)
+        assert counts == [{n_calls}, {10}, {10}]
+    # A stage leaves a weight out only when it is zero in every row: ten
+    # while a sixth-order row marches, then four, or six beside a
+    # fourth-order row.
+    counts.clear()
+    p2, p4, p6 = (cal.ModelParams(*t, dx=grid.dx, dt=1e-4)
+                  for t in (second, _FOURTH[1], sixth))
+    scheme._march([([p2, p6], grid, init, 6e-4)], boundary)
+    scheme._march([([p2], grid, init, 9e-4), ([p6], grid, init, 5e-4)],
+                  boundary)
+    scheme._march([([p2], grid, init, 9e-4), ([p4], grid, init, 7e-4)],
+                  boundary)
+    assert counts == [{10}, {10}, {4}, {6}, {4}]
+    # A group with a zero history weight skips only from finite start
+    # levels: a stage that holds one with a NaN keeps all ten, and the
+    # stage after it has ended skips again.  Nor does it skip when its last
+    # start level has a zero inside: a one-update march keeps those zeros,
+    # so it would run twice, on the skipping plan and on the full one.
+    counts.clear()
+    nan_start = lambda x, t: np.where((x == x[3]) & (t == 0.0), np.nan, 1.0)
+    scheme._march([([p2], grid, nan_start, 6e-4), ([p2], grid, init, 9e-4)],
+                  boundary)
+    bump = lambda x, t: 1.0 * (np.abs(x - 0.5) < 0.15)
+    scheme._march([([p2], grid, bump, 3e-4)], boundary)
+    assert counts == [{10}, {4}, {10}]
 
 
 def test_an_overflowing_source_term_is_refused():
