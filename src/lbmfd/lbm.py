@@ -20,12 +20,15 @@ equilibrium.
 `evolve` and `fd_equivalence_deviation` share one in-place kernel that
 collides and streams three preallocated population arrays with slice
 operations, its scalars held as 0-d arrays.  The equivalence check streams
-the trajectory through it and holds only the latest four macroscopic
-levels, so its memory grows with the node count, not with nodes times
-steps.  The levels are rows of one block, each with a ghost node at either
-end that holds its periodic neighbour, so the four-level kernel of
-`scheme` predicts a level in one flat pass over the padded row, and each
-array starts a 64-byte cache line at the first node that a kernel writes.
+the trajectory through it into a ring of macroscopic levels, rows of one
+block, each with a ghost node at either end that holds its periodic
+neighbour.  The ring holds three levels more than one cache-sized pass of
+the four-level kernel of `scheme` can predict, and at most the whole
+trajectory, so its memory grows with the node count, not with nodes times
+steps.  The kernel predicts all but three of the ring's levels in one
+flat pass over the padded rows, which saves its per-call cost on short
+rows, and the other three one row at a time.  Each array starts a 64-byte
+cache line at the first node that a kernel writes.
 A source term of +-0.0 sets only the sign of exact zeros, which the
 check's maxima of |gap| and |phi| cannot see, so the check leaves out its
 zero source adds; `evolve`, which returns its populations, keeps them.
@@ -44,11 +47,14 @@ import numpy as np
 
 from .calibration import ModelParams
 from .errors import DomainError
-from .scheme import (BoundarySpec, _aligned, _calls, _check_node_steps,
-                     _plan, _weight_row, coefficients)
+from .scheme import (_CHUNK, BoundarySpec, _aligned, _calls,
+                     _check_node_steps, _plan, _weight_row, coefficients)
 
 # The equivalence check holds thirteen node-length float64 arrays and no
-# temporaries, about 105 B per node: 2**21 nodes keep it near 220 MB.
+# temporaries, about 105 B per node, when its window is one level (from
+# about 2**14 nodes: a tracemalloc peak of 1.72 MB there).  A longer window
+# stretches six of them to about one `_CHUNK` pass each (0.81 MB at 64
+# nodes, 1.68 MB at 9,000).  So 2**21 nodes keep it near 220 MB.
 _MAX_EQUIV_NODES = 2 ** 21
 
 
@@ -243,7 +249,9 @@ def fd_equivalence_deviation(n_nodes: int, steps: int, omega0: float,
     preceding macroscopic levels with the four-level stencil.  Returns
     (max absolute deviation, max absolute field value); a NaN anywhere in
     the trajectory or a prediction makes the deviation NaN.  The
-    trajectory is streamed: only the latest four levels are held.  At most
+    trajectory is streamed through a ring of levels, three more than one
+    pass of `scheme`'s kernel predicts at once: the whole trajectory of a
+    short row, but four levels from about 2**14 nodes on.  At most
     2**21 nodes and, as in `scheme.run`, 2**36 node-steps (n_nodes x steps)
     are taken; the seed must be a non-negative integer.
     """
@@ -262,6 +270,7 @@ def fd_equivalence_deviation(n_nodes: int, steps: int, omega0: float,
     params = ModelParams(omega0, s1, s2, dx=1.0, dt=1.0, source_R=source_R)
     table = [_weight_row(coefficients(omega0, s1, s2), params.dt,
                          params.source_R)]
+    pins = BoundarySpec.dirichlet(0.0, 0.0)
     # The equilibrium of `initialize`, built straight into buffers that start
     # a cache line, as do all below: the collision writes whole arrays.
     base = rng.random(n_nodes) - _half_source(params)
@@ -269,42 +278,72 @@ def fd_equivalence_deviation(n_nodes: int, steps: int, omega0: float,
             for share in (params.omega1, params.omega0, params.omega1)]
     consts = _collision_constants(params, np.float64)
     consts = consts[:5] + tuple(term if term else None for term in consts[5:])
-    # Collision n writes level n into the middle of row n % 4 of one block;
-    # the last collision's populations are never read.  A row is
-    # whole cache lines of eight nodes long, starts node 1 on a line and
-    # has a ghost node at each end, which one strided copy fills with the
-    # level's last and first node.  So phase (n - 3) % 4 of a plan over the
-    # padded rows predicts level n from the three before in one flat pass,
-    # into `predicted`, which is laid out alike; the plan's Dirichlet pins
-    # land on its ghost nodes, which are never compared.  The prediction
-    # borrows two of the collision's work arrays, so the check sweeps twelve
-    # node-length arrays: 1.5 MiB at 2**14 nodes, inside a 2 MiB L2 cache.
+    # Collision n writes level n into the middle of row n % ring of one
+    # block; the last collision's populations are never read.  A row is
+    # whole cache lines of eight nodes long, starts node 1 on a line and has
+    # a ghost node at each end, which a strided copy fills with the level's
+    # last and first node; the padding after them is zeroed once, so that a
+    # flat pass reads only finite values.  Rows 3 .. ring-1, as many as one
+    # `_CHUNK` pass holds, are a window: one plan predicts them in one flat
+    # pass into `out`, which is laid out alike, reading the old, previous
+    # and current levels from the flat block at rows 0, 1 and 2 on.  A last
+    # window cut short at row t predicts every row and compares rows 3 .. t.
+    # Rows 0 .. 2 are predicted one by one, with wrap.  The plans' Dirichlet
+    # pins land on ghost nodes, which are never compared.  They share one
+    # carried pair: the window's last row hands it on to the wrap phases,
+    # which hand it back only to a one-row window (ring 4), so a longer
+    # window adds it again.  They borrow two of the collision's work arrays.
     width = -(-(n_nodes + 2) // 8) * 8
-    block = _aligned(4 * width, 1).reshape(4, width)
-    rows = list(block[:, :n_nodes + 2])
+    ring = min(steps + 1, 3 + max(1, _CHUNK // width))
+    span = (ring - 4) * width + n_nodes + 2
+    flat = _aligned(ring * width, 1)
+    block = flat.reshape(ring, width)
+    block[:, n_nodes + 2:] = 0.0
     levels = block[:, 1:n_nodes + 1]
     mids = list(levels)
-    ghosts = [(row[::n_nodes + 1], row[n_nodes:0:1 - n_nodes])
-              for row in rows]
-    predicted = _aligned(n_nodes + 2, 1)
-    gap = predicted[1:-1]
-    work = [_aligned(n_nodes) for _ in range(3)]
+    ends = block[:, :n_nodes + 2:n_nodes + 1]
+    wraps = block[:, n_nodes:0:1 - n_nodes]
+    ghosts = list(zip(ends[:3], wraps[:3]))
+    out = _aligned((ring - 3) * width, 1)
+    gaps = out.reshape(ring - 3, width)[:, 1:n_nodes + 1]
+    work = [_aligned(span - 2), _aligned(span - 2), _aligned(n_nodes)]
+    pair = _aligned(span - 2)
+    collide_work = [w[:n_nodes] for w in work]
+    flats = [flat[k * width:k * width + span] for k in range(3)]
     max_dev = max_phi = 0.0
     for n in range(steps + 1):
-        new = mids[n % 4]
-        _collide_stream(*pops, consts, new, *work)
-        ghost, wrap = ghosts[n % 4]
-        ghost[...] = wrap
+        t = n % ring
+        _collide_stream(*pops, consts, mids[t], *collide_work)
+        if t < 3:
+            ghost, wrap = ghosts[t]
+            ghost[...] = wrap
+        elif t < ring - 1 and n < steps:
+            continue
+        else:
+            ends[3:] = wraps[3:]
         # Every level is in the block at one of these reductions.
-        if n % 4 == 3 or n == steps:
+        if t == ring - 1 or n == steps:
             max_phi = _max_abs(levels, max_phi)
-        if n == 2:
-            phases = [_calls(phase) for phase in _plan(
-                rows, [predicted] * 4, table, BoundarySpec.dirichlet(0.0, 0.0),
-                [(1, n_nodes + 2)], work[:2])]
-        elif n > 2:
-            for fn, args in phases[(n - 3) % 4]:
-                fn(*args)
-            np.subtract(gap, new, out=gap)
-            max_dev = _max_abs(gap, max_dev)
+        if n < 3:
+            continue
+        if t < 3:
+            if n == ring:
+                wrapped = [_calls(phase) for phase in _plan(
+                    [*block[-3:, :n_nodes + 2], *block[:2, :n_nodes + 2]],
+                    [out[:n_nodes + 2]] * 3, table, pins,
+                    [(1, n_nodes + 2)], (pair[span - 2 - n_nodes:],
+                                         *work[:2]))]
+            calls, gap, new = wrapped[t], gaps[0], mids[t]
+        else:
+            if n == ring - 1:
+                (phase,) = _plan(flats, [out[:span]], table, pins,
+                                 [(1, span)], (pair, *work[:2]))
+                windowed = _calls(phase)
+            elif ring > 4:
+                np.add(flats[1][:-2], flats[1][2:], pair)
+            calls, gap, new = windowed, gaps[:t - 2], levels[3:t + 1]
+        for fn, args in calls:
+            fn(*args)
+        np.subtract(gap, new, out=gap)
+        max_dev = _max_abs(gap, max_dev)
     return float(max_dev), float(max_phi)

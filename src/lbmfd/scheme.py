@@ -40,12 +40,13 @@ stays so through the center_n multiply, so the two plans made the same
 values but for the signs of zeros, and the result has none.  A group
 whose last start level has a zero inside marches on the full plan from
 the start, as such zeros tend to last and would make it march twice.
-`step`, whose time goes to planning, and the check, which has no zero
-weight, make all ten calls.  Every row has Dirichlet ends, and the passes
-also cover the seam nodes between rows, which pinning overwrites.  The
-periodic four-level form is the one of `lbm.fd_equivalence_deviation`,
-which plans this kernel over rows with a ghost node at either end that
-holds its periodic neighbour.
+`step`, whose time goes to planning, and the check plan every weight,
+zero or not, so they make all ten calls.  Every row has Dirichlet ends,
+and the passes also cover the seam nodes between rows, which pinning
+overwrites.  The periodic four-level form is the one of
+`lbm.fd_equivalence_deviation`, which plans this kernel over rows with a
+ghost node at either end that holds its periodic neighbour, a window of
+such rows in one flat pass.
 
 Long rows are cut into cache-sized passes, and a march advances two levels
 per sweep: level n+1 makes its pass over a chunk, then level n+2 makes its
@@ -323,8 +324,10 @@ def _plan(ring: list, outs: list, table, boundary: BoundarySpec,
     outputs must not overlap the levels a phase reads, and its passes write
     whole cache lines when the outputs start one at node 1.  The pair and
     the two pass-sized work arrays are carved from one block, each starting
-    a line, unless `scratch` gives the work arrays: two of the levels'
-    dtype, as long as the row and free while a phase runs.
+    a line, unless `scratch` gives all three, of the levels' dtype: the
+    pair, as long as the interior, and two work arrays, as long as a pass
+    and free while a phase runs.  Plans that are given one pair hand it on
+    from the last phase that one makes to the first of the next.
     """
     dtype = outs[0].dtype
     interior = outs[0].shape[0] - 2
@@ -354,11 +357,13 @@ def _plan(ring: list, outs: list, table, boundary: BoundarySpec,
               for lo, hi in _bounds(interior, lag * line)]
              for lag in range(min(len(outs), _DEPTH))]
     width = max(hi - lo for form in forms for lo, hi, _ in form)
-    # The pair and the two work arrays, rounded up to whole cache lines.
-    skip, wide = -(-interior // line) * line, -(-width // line) * line
-    block = _aligned(skip + (0 if scratch else 2 * wide), 0, dtype)
-    pair = block[:interior]
-    term, part = scratch or (block[skip:skip + wide], block[skip + wide:])
+    if scratch is None:
+        # The pair and the two work arrays, rounded up to whole cache lines.
+        skip, wide = -(-interior // line) * line, -(-width // line) * line
+        block = _aligned(skip + 2 * wide, 0, dtype)
+        scratch = (block[:interior], block[skip:skip + wide],
+                   block[skip + wide:])
+    pair, term, part = scratch
     np.add(ring[1][:-2], ring[1][2:], pair)
     phases = []
     for k, out in enumerate(outs):

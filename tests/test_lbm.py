@@ -1,5 +1,7 @@
 """Tests for the mesoscopic three-velocity model."""
 
+import itertools
+
 import numpy as np
 import pytest
 
@@ -154,6 +156,13 @@ def test_fd_equivalence_deviation_carries_nan_through():
                                                     seed=1, source_R=1e308)
     assert np.isnan(dev)
     assert not dev <= 1e-12 * max_phi
+    # So does a check whose windows of three levels alternate with wrap
+    # phases.
+    with np.errstate(over="ignore", invalid="ignore"):
+        dev, max_phi = lbm.fd_equivalence_deviation(9000, 20, 0.5, 1.5, 0.5,
+                                                    seed=1, source_R=1e308)
+    assert np.isnan(dev)
+    assert not dev <= 1e-12 * max_phi
     # A term source*dt*R that overflows is refused before the march.
     with pytest.raises(DomainError, match="source term"):
         lbm.fd_equivalence_deviation(16, 20, 0.5, 1.9, 1.9, seed=1,
@@ -278,6 +287,55 @@ def test_the_check_adds_only_nonzero_source_terms(monkeypatch):
         assert sources == [(skipped,) * 3] * 4
 
 
+def _check_calls(monkeypatch, n_nodes, steps):
+    # The numpy calls of one check, as a recording proxy counts them: those
+    # made through the `np` of `lbm` and those of the plans that it builds,
+    # but not the item assignments of the ghost copies.
+    count = [0]
+
+    class Counting:
+        def __init__(self, target):
+            self._target = target
+
+        def __call__(self, *args, **kwargs):
+            count[0] += 1
+            return self._target(*args, **kwargs)
+
+        def __getattr__(self, name):
+            attr = getattr(self._target, name)
+            return (Counting(attr) if callable(attr)
+                    and not isinstance(attr, type) else attr)
+
+    plan = lbm._plan
+
+    def counting_plan(*args):
+        return tuple([[(Counting(fn), fn_args) for fn, fn_args in group]
+                      for group in phase] for phase in plan(*args))
+
+    with monkeypatch.context() as patch:
+        patch.setattr(lbm, "np", Counting(np))
+        patch.setattr(lbm, "_plan", counting_plan)
+        lbm.fd_equivalence_deviation(n_nodes, steps, 0.7, 1.2, 0.9, seed=1)
+    return count[0]
+
+
+def test_the_check_predicts_a_window_of_levels_per_pass(monkeypatch):
+    # Calls per level, as the difference of two step counts.  With one-level
+    # windows (2**14 nodes) each level makes the collision's 16 calls, the
+    # prediction's 10 and its put, the gap's subtract and two reductions,
+    # and every fourth level two reductions of |phi|: 30.5, as when every
+    # level was predicted alone.
+    def per_level(n_nodes, fewer, more):
+        return (_check_calls(monkeypatch, n_nodes, more)
+                - _check_calls(monkeypatch, n_nodes, fewer)) / (more - fewer)
+
+    assert per_level(2 ** 14, 7, 11) == 30.5
+    # At 64 nodes the whole trajectory is one window, so a level makes only
+    # the collision's calls, and the check, set-up and all, under 16.2.
+    assert per_level(64, 100, 200) == 16
+    assert _check_calls(monkeypatch, 64, 200) < 16.2 * 201
+
+
 def test_streamed_check_matches_the_stored_trajectory_bit_for_bit():
     rng = np.random.default_rng(16)
     for seed in (1, 2, 3):
@@ -291,6 +349,21 @@ def test_streamed_check_matches_the_stored_trajectory_bit_for_bit():
                 args = (n_nodes, steps, *triple, seed, source_R)
                 assert lbm.fd_equivalence_deviation(*args) == \
                     _stored_trajectory_deviation(*args)
+    # Every shape of window: one level (2**14 nodes and up); five, four,
+    # three and two levels with wrap phases, the last cut to three levels
+    # (6000 x 29) or to one (12000 x 28), or ending on a wrap phase (8000 x
+    # 30, 9000 x 31); and one window of the whole trajectory (64 x 200).
+    # Zeroed padding keeps every flat pass finite.
+    windows = [(16384, 11), (16387, 11), (6000, 29), (8000, 30), (9000, 31),
+               (12000, 28), (64, 200)]
+    with np.errstate(invalid="raise", over="raise"):
+        for (n_nodes, steps), source_R in itertools.product(
+                windows, (0.0, 0.3, -1.7)):
+            triple = (rng.uniform(0.05, 0.95), rng.uniform(0.1, 1.9),
+                      rng.uniform(0.1, 1.9))
+            args = (n_nodes, steps, *triple, 4, source_R)
+            assert lbm.fd_equivalence_deviation(*args) == \
+                _stored_trajectory_deviation(*args)
 
 
 def test_matrix_form_matches_the_substituted_form():
