@@ -33,8 +33,8 @@ A source term of +-0.0 sets only the sign of exact zeros, which the
 check's maxima of |gap| and |phi| cannot see, so the check leaves out its
 zero source adds; `evolve`, which returns its populations, keeps them.
 
-Only periodic streaming is supported at this level; bounded domains are the
-business of the equivalent finite-difference form.
+The lattice is periodic, the form on which the model is analysed; the
+Dirichlet decaying-sine problem is marched in the finite-difference form.
 """
 
 from __future__ import annotations
@@ -47,8 +47,8 @@ import numpy as np
 
 from .calibration import ModelParams
 from .errors import DomainError
-from .scheme import (_CHUNK, BoundarySpec, _aligned, _calls,
-                     _check_node_steps, _plan, _weight_row, coefficients)
+from .scheme import (_CHUNK, _aligned, _calls, _check_node_steps, _plan,
+                     _weight_row, coefficients)
 
 # The equivalence check holds thirteen node-length float64 arrays and no
 # temporaries, about 105 B per node, when its window is one level (from
@@ -187,8 +187,7 @@ def _max_abs(x: np.ndarray, acc):
     return top if top != top else max(acc, top, -np.minimum.reduce(x, None))
 
 
-def evolve(f: DistributionField, params: ModelParams,
-           boundary: BoundarySpec) -> DistributionField:
+def evolve(f: DistributionField, params: ModelParams) -> DistributionField:
     """One collision-streaming update in substituted population form.
 
     With phi = macro_phi(f), asym = s1/2 * (f_minus - f_plus) and
@@ -202,13 +201,8 @@ def evolve(f: DistributionField, params: ModelParams,
 
     summed left to right; g_minus then streams one node left and g_plus
     one node right, with periodic wrap.  The result is a new field and f
-    is left untouched.  Only periodic streaming is supported; any other
-    boundary raises DomainError.
+    is left untouched.
     """
-    if boundary.kind != "periodic":
-        raise DomainError(
-            "the mesoscopic update only streams periodically; use the "
-            "finite-difference form for bounded domains")
     pops = (f.f_minus, f.f_zero, f.f_plus)
     dtype = np.result_type(*pops, 1.0)
     new = [np.array(p, dtype=dtype) for p in pops]
@@ -270,7 +264,6 @@ def fd_equivalence_deviation(n_nodes: int, steps: int, omega0: float,
     params = ModelParams(omega0, s1, s2, dx=1.0, dt=1.0, source_R=source_R)
     table = [_weight_row(coefficients(omega0, s1, s2), params.dt,
                          params.source_R)]
-    pins = BoundarySpec.dirichlet(0.0, 0.0)
     # The equilibrium of `initialize`, built straight into buffers that start
     # a cache line, as do all below: the collision writes whole arrays.
     base = rng.random(n_nodes) - _half_source(params)
@@ -330,13 +323,13 @@ def fd_equivalence_deviation(n_nodes: int, steps: int, omega0: float,
             if n == ring:
                 wrapped = [_calls(phase) for phase in _plan(
                     [*block[-3:, :n_nodes + 2], *block[:2, :n_nodes + 2]],
-                    [out[:n_nodes + 2]] * 3, table, pins,
+                    [out[:n_nodes + 2]] * 3, table, (0.0, 0.0),
                     [(1, n_nodes + 2)], (pair[span - 2 - n_nodes:],
                                          *work[:2]))]
             calls, gap, new = wrapped[t], gaps[0], mids[t]
         else:
             if n == ring - 1:
-                (phase,) = _plan(flats, [out[:span]], table, pins,
+                (phase,) = _plan(flats, [out[:span]], table, (0.0, 0.0),
                                  [(1, span)], (pair, *work[:2]))
                 windowed = _calls(phase)
             elif ring > 4:

@@ -69,7 +69,7 @@ import ctypes
 import math
 import operator
 from dataclasses import dataclass, field
-from itertools import chain
+from itertools import accumulate, chain
 
 import numpy as np
 
@@ -112,6 +112,11 @@ def coefficients(omega0: float, s1: float, s2: float) -> FdCoefficients:
                           center_nm2=center_nm2, source=s1 * s2)
 
 
+# Upper bound on the intervals of a grid.  A march holds about six float64
+# arrays of the node count: 2**22 intervals keep that near 200 MB.
+_MAX_INTERVALS = 2 ** 22
+
+
 @dataclass(frozen=True)
 class Grid1D:
     """Nodes j*dx of [0, 1], dx = 1/n_intervals, j = 0..n_intervals."""
@@ -128,6 +133,9 @@ class Grid1D:
                               f"{self.n_intervals!r}") from None
         if self.n_intervals < 2:
             raise DomainError("need at least 2 intervals")
+        if self.n_intervals > _MAX_INTERVALS:
+            raise DomainError(f"{self.n_intervals} intervals exceed the "
+                              f"{_MAX_INTERVALS} a grid may hold")
         object.__setattr__(self, "dx", 1.0 / self.n_intervals)
 
     def nodes(self) -> np.ndarray:
@@ -136,27 +144,20 @@ class Grid1D:
 
 @dataclass(frozen=True)
 class BoundarySpec:
-    """Boundary treatment: fixed (Dirichlet) end values, the only form that
-    `step` and `run` take, or the periodic wrap of `lbm.evolve`."""
+    """The fixed (Dirichlet) end values of a row, the one boundary form of
+    the four-level scheme; they must be finite (else `DomainError`)."""
 
-    kind: str
-    left_value: float = 0.0
-    right_value: float = 0.0
+    left_value: float
+    right_value: float
 
     def __post_init__(self):
-        if self.kind not in ("periodic", "dirichlet"):
-            raise DomainError(f"unknown boundary kind {self.kind!r}")
         if not (math.isfinite(self.left_value)
                 and math.isfinite(self.right_value)):
             raise DomainError("boundary values must be finite")
 
     @classmethod
-    def periodic(cls) -> "BoundarySpec":
-        return cls("periodic")
-
-    @classmethod
     def dirichlet(cls, left: float, right: float) -> "BoundarySpec":
-        return cls("dirichlet", left, right)
+        return cls(left, right)
 
 
 class PhiHistory:
@@ -209,10 +210,6 @@ _DEPTH = 2
 # march: minutes of marching (BENCH_14.json `in_process`), from a t_end, dx
 # or step count that nobody means to wait for, which would otherwise hang.
 _MAX_NODE_STEPS = 2 ** 36
-
-# Upper bound on the intervals of a row.  A march holds about six float64
-# arrays of the node count: 2**22 intervals keep that near 200 MB.
-_MAX_INTERVALS = 2 ** 22
 
 # Bytes per cache line; an output that straddles lines slows a pass
 # (BENCH_11.json `in_process_march_ns_per_node_step`).
@@ -297,16 +294,16 @@ def _pass_calls(cur, prev_m, old_m, acc, pair, term, part, weights) -> list:
     return calls
 
 
-def _plan(ring: list, outs: list, table, boundary: BoundarySpec,
-          layout: list, scratch=None, skip: bool = False) -> tuple:
+def _plan(ring: list, outs: list, table, ends: tuple, layout: list,
+          scratch=None, skip: bool = False) -> tuple:
     """The calls of each phase of a march, with the carried pair seeded.
 
     `ring` holds flat level buffers of the blocks that `layout` lists;
     phase k reads old, prev and cur from ring[k], ring[k+1] and ring[k+2]
     (indices mod len(ring)), writes the next level into outs[k] and pins
-    the Dirichlet ends of every row to `boundary`'s values.  A phase is a
-    list of groups of (function, args) calls, one group per flat pass, and
-    each group ends with one `put` of every end node, with the bits of
+    the end nodes of every row to the (left, right) values `ends`.  A phase
+    is a list of groups of (function, args) calls, one group per flat pass,
+    and each group ends with one `put` of every end node, with the bits of
     pinning each end once: a pass computes an end only as a value that its
     put overwrites, and an end pinned early is read only as an old level,
     which feeds only its own node.  In a sweep phase k trails the leading
@@ -332,20 +329,16 @@ def _plan(ring: list, outs: list, table, boundary: BoundarySpec,
     dtype = outs[0].dtype
     interior = outs[0].shape[0] - 2
     line = _LINE // dtype.itemsize
-    ends, start = [], 0
-    for rows, nodes in layout:
-        for _ in range(rows):
-            ends += (start, start + nodes - 1)
-            start += nodes
-    values = (boundary.left_value, boundary.right_value) * (len(ends) // 2)
-    pins = (np.array(ends), np.array(values, dtype))
+    sizes = [n for rows, n in layout for _ in range(rows)]
+    end_nodes = [j for lo, n in zip(accumulate([0, *sizes]), sizes)
+                 for j in (lo, lo + n - 1)]
+    pins = (np.array(end_nodes), np.array(ends * len(sizes), dtype))
     # The columns left out, as None: a source term that is +-0.0 in every
     # row and, with `skip`, such a history weight.
     gone = [(k == 5 or (skip and k > 1)) and not any(w[k] for w in table)
             for k in range(6)]
     if len(table) > 1:
-        nodes = [n for rows, n in layout for _ in range(rows)]
-        columns = np.repeat(np.array(table).T, nodes, axis=1)
+        columns = np.repeat(np.array(table).T, sizes, axis=1)
     else:
         row = tuple(None if g else np.array(w, dtype)
                     for g, w in zip(gone, table[0]))
@@ -359,10 +352,10 @@ def _plan(ring: list, outs: list, table, boundary: BoundarySpec,
     width = max(hi - lo for form in forms for lo, hi, _ in form)
     if scratch is None:
         # The pair and the two work arrays, rounded up to whole cache lines.
-        skip, wide = -(-interior // line) * line, -(-width // line) * line
-        block = _aligned(skip + 2 * wide, 0, dtype)
-        scratch = (block[:interior], block[skip:skip + wide],
-                   block[skip + wide:])
+        lead, wide = -(-interior // line) * line, -(-width // line) * line
+        block = _aligned(lead + 2 * wide, 0, dtype)
+        scratch = (block[:interior], block[lead:lead + wide],
+                   block[lead + wide:])
     pair, term, part = scratch
     np.add(ring[1][:-2], ring[1][2:], pair)
     phases = []
@@ -389,17 +382,16 @@ def step(history: PhiHistory, coeffs: FdCoefficients, dt: float, R: float,
 
     The new level is a freshly allocated array; it is pushed into the
     history and returned.  The end nodes are pinned to the Dirichlet
-    boundary values.  A periodic boundary, a non-finite or non-positive dt,
-    or a non-finite R or source term source*dt*R raises DomainError.
+    boundary values.  A non-finite or non-positive dt, or a non-finite R or
+    source term source*dt*R raises DomainError.
     """
     if not (math.isfinite(dt) and dt > 0.0):
         raise DomainError(f"dt must be positive and finite, got {dt}")
-    if boundary.kind != "dirichlet":
-        raise DomainError("the four-level kernel takes Dirichlet ends only")
     levels = history._levels
     out = np.empty(levels[0].shape, np.result_type(*levels, 1.0))
     table = [_weight_row(coeffs, dt, R)]
-    (phase,) = _plan(levels, [out], table, boundary, [(1, out.size)])
+    ends = boundary.left_value, boundary.right_value
+    (phase,) = _plan(levels, [out], table, ends, [(1, out.size)])
     for fn, args in _calls(phase):
         fn(*args)
     _add_zero_terms([out], table)
@@ -423,9 +415,6 @@ def _check_group(cases: list, grid: Grid1D, t_end: float) -> tuple:
     if not math.isfinite(t_end):
         raise DomainError(f"t_end must be finite, got {t_end}")
     _check_node_steps(len(cases) * (grid.n_intervals + 1), t_end / dt)
-    if grid.n_intervals > _MAX_INTERVALS:
-        raise DomainError(f"{grid.n_intervals} intervals exceed the "
-                          f"{_MAX_INTERVALS} a march may hold")
     # The step count with the slack first: at dx = 0.1, dt = 30*dx**2 is
     # 0.30000000000000004, and t_end = 0.6 is two steps, not fewer.
     n_steps = round(t_end / dt)
@@ -463,7 +452,7 @@ def _march(groups, boundary: BoundarySpec, skip: bool = True) -> list:
     A group is a tuple (cases, grid, initializer, t_end): a non-empty
     sequence of `ModelParams` that share dx and dt, and `run`'s other
     arguments, the initializer's result broadcast to the group's (rows,
-    nodes) block.  The boundary must be Dirichlet, and every group is
+    nodes) block; every row's ends are pinned to `boundary`.  Every group is
     checked before anything is allocated (else `DomainError`).  The rows lie
     in one flat level row, groups in descending step-count order, so the
     groups still marching are always a prefix of it.  Each stage plans that
@@ -481,8 +470,6 @@ def _march(groups, boundary: BoundarySpec, skip: bool = True) -> list:
     marched again alone from them with `skip` false (see the module
     docstring for why this keeps every bit).
     """
-    if boundary.kind != "dirichlet":
-        raise DomainError("the four-level kernel takes Dirichlet ends only")
     checked = []
     for cases, grid, initializer, t_end in groups:
         cases = list(cases)
@@ -521,7 +508,8 @@ def _march(groups, boundary: BoundarySpec, skip: bool = True) -> list:
             rot = [ring[(level - 2 + i) % 4][:size] for i in range(4)]
             phases = _plan(rot, rot[3:] + rot[:3],
                            [row for t in tables[:active] for row in t],
-                           boundary, layout[:active], None,
+                           (boundary.left_value, boundary.right_value),
+                           layout[:active], None,
                            skip and all(may_skip[:active]))
             sweeps = [_calls(*phases[k:k + _DEPTH])
                       for k in range(0, 4, _DEPTH)]
@@ -559,12 +547,11 @@ def run(params: ModelParams, grid: Grid1D, initializer,
     result must broadcast to the level's shape (else `DomainError`) and is
     copied, so it may return a scalar or a field on the nodes, and it is
     never modified.  t_end must be finite and an integer multiple of dt
-    (relative slack 1e-9) of at least two steps, the grid may have at most
-    2**22 intervals, and the march may take at most 2**36 node-steps
-    (nodes x time levels).  For t_end = 2*dt the third seeded level is
-    returned with zero four-level updates applied, so the result is always
-    the field at exactly t_end.  The result is a fresh array.  The boundary
-    must be Dirichlet (else `DomainError`).
+    (relative slack 1e-9) of at least two steps, and the march may take at
+    most 2**36 node-steps (nodes x time levels).  For t_end = 2*dt the
+    third seeded level is returned with zero four-level updates applied, so
+    the result is always the field at exactly t_end.  The result is a fresh
+    array.  The end nodes are pinned to `boundary`'s Dirichlet values.
     """
     if not isinstance(params, ModelParams):
         raise DomainError("params must be one ModelParams")

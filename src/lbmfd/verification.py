@@ -25,8 +25,7 @@ import numpy as np
 from . import calibration
 from .calibration import CalibrationResult, ModelParams
 from .errors import DomainError
-from .scheme import (BoundarySpec, Grid1D, _MAX_INTERVALS, _is_spacing,
-                     _march)
+from .scheme import BoundarySpec, Grid1D, _is_spacing, _march
 
 DEFAULT_EPSILONS = (0.1, 0.15, 0.175, 0.2, 0.24)
 DEFAULT_SPACINGS = (0.1, 0.05, 0.025)
@@ -95,10 +94,8 @@ class BenchmarkCase:
         except OverflowError:
             raise DomainError(f"dx = {self.dx} is out of range: 1/dx or dt "
                               "leaves the float range") from None
-        if n > _MAX_INTERVALS:
-            raise DomainError(f"dx = {self.dx} needs {float(n):.3g} "
-                              f"intervals, more than the {_MAX_INTERVALS} a "
-                              "march may hold")
+        if n > 1:
+            Grid1D(n)  # refuses more intervals than a grid may hold
         if n == 0 or not _is_spacing(self.dx, n):
             raise DomainError(f"dx = {self.dx} does not divide the unit "
                               "interval")

@@ -253,7 +253,7 @@ def test_acceptance_9_matrix_form_and_conserved_rate():
         fa = lbm.initialize(phi0, params)
         fb = fa
         for _ in range(10):
-            fa = lbm.evolve(fa, params, BoundarySpec.periodic())
+            fa = lbm.evolve(fa, params)
             fb = lbm.evolve_matrix_form(fb, params)
             for a, b in ((fa.f_minus, fb.f_minus), (fa.f_zero, fb.f_zero),
                          (fa.f_plus, fb.f_plus)):

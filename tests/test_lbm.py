@@ -8,7 +8,7 @@ import pytest
 from lbmfd import lbm
 from lbmfd.calibration import ModelParams
 from lbmfd.errors import DomainError
-from lbmfd.scheme import BoundarySpec, coefficients
+from lbmfd.scheme import coefficients
 
 
 def _random_params(rng, source_R=0.0, s0=1.0):
@@ -90,7 +90,7 @@ def test_uniform_equilibrium_is_a_fixed_point():
     params = ModelParams(0.6, 1.2, 0.8, dx=1.0, dt=1.0)
     phi = np.full(10, 1.7)
     f = lbm.initialize(phi, params)
-    new = lbm.evolve(f, params, BoundarySpec.periodic())
+    new = lbm.evolve(f, params)
     np.testing.assert_allclose(new.f_minus, f.f_minus, rtol=1e-14)
     np.testing.assert_allclose(new.f_zero, f.f_zero, rtol=1e-14)
     np.testing.assert_allclose(new.f_plus, f.f_plus, rtol=1e-14)
@@ -103,16 +103,9 @@ def test_evolve_conserves_the_total_field():
     f = lbm.initialize(phi0, params)
     total0 = float(np.sum(lbm.macro_phi(f, params)))
     for _ in range(100):
-        f = lbm.evolve(f, params, BoundarySpec.periodic())
+        f = lbm.evolve(f, params)
     total = float(np.sum(lbm.macro_phi(f, params)))
     np.testing.assert_allclose(total, total0, rtol=1e-13)
-
-
-def test_evolve_rejects_bounded_domains():
-    params = ModelParams(0.6, 1.2, 0.8, dx=1.0, dt=1.0)
-    f = lbm.initialize(np.zeros(8), params)
-    with pytest.raises(DomainError, match="only streams periodically"):
-        lbm.evolve(f, params, BoundarySpec.dirichlet(0.0, 0.0))
 
 
 def test_trajectory_matches_the_four_level_prediction():
@@ -178,7 +171,7 @@ def test_an_overflowing_source_term_is_refused():
         params = ModelParams(0.5, 1.5, 0.5, dx=1.0, dt=dt, source_R=R)
         for call in (lambda: lbm.initialize(zeros, params),
                      lambda: lbm.macro_phi(f, params),
-                     lambda: lbm.evolve(f, params, BoundarySpec.periodic())):
+                     lambda: lbm.evolve(f, params)):
             with pytest.raises(DomainError, match="source term"):
                 call()
 
@@ -244,7 +237,7 @@ def test_evolve_matches_the_roll_expression_bit_for_bit():
             f = lbm.initialize(rng.random(n_nodes), params)
             for _ in range(20):
                 before = [p.tobytes() for p in _pops(f)]
-                new = lbm.evolve(f, params, BoundarySpec.periodic())
+                new = lbm.evolve(f, params)
                 assert [p.tobytes() for p in _pops(f)] == before
                 want = _roll_evolve(f, params)
                 assert ([p.tobytes() for p in _pops(new)]
@@ -263,7 +256,7 @@ def test_evolve_keeps_the_sign_of_zero_bit_for_bit():
                                                p=[0.15, 0.55, 0.1, 0.1, 0.1])
                                     for _ in range(3)))
         for _ in range(10):
-            new = lbm.evolve(f, params, BoundarySpec.periodic())
+            new = lbm.evolve(f, params)
             want = _roll_evolve(f, params)
             assert ([p.tobytes() for p in _pops(new)]
                     == [p.tobytes() for p in _pops(want)])
@@ -374,7 +367,7 @@ def test_matrix_form_matches_the_substituted_form():
         fa = lbm.initialize(phi0, params)
         fb = fa
         for _ in range(10):
-            fa = lbm.evolve(fa, params, BoundarySpec.periodic())
+            fa = lbm.evolve(fa, params)
             fb = lbm.evolve_matrix_form(fb, params)
             np.testing.assert_allclose(fa.f_minus, fb.f_minus, atol=1e-13)
             np.testing.assert_allclose(fa.f_zero, fb.f_zero, atol=1e-13)

@@ -1,5 +1,6 @@
 """Tests for the four-level finite-difference scheme."""
 
+import dataclasses
 import itertools
 import math
 
@@ -315,11 +316,16 @@ def test_grid_and_boundary_validation():
     for bad in (10.5, 10.0, "10"):
         with pytest.raises(DomainError):
             Grid1D(bad)
-    assert BoundarySpec.periodic().kind == "periodic"
     ends = BoundarySpec.dirichlet(1.0, 2.0)
     assert (ends.left_value, ends.right_value) == (1.0, 2.0)
-    with pytest.raises(DomainError):
-        BoundarySpec("neumann")
+    # The spec is the pair of end values and nothing else.
+    assert dataclasses.astuple(BoundarySpec.dirichlet(1.0, -2.0)) == (1.0, -2.0)
+    # The 2**22-interval cap is checked where the count enters, so nodes()
+    # of a refused grid never allocates.
+    assert Grid1D(2 ** 22).n_intervals == 2 ** 22
+    for bad in (2 ** 22 + 1, 2 ** 40):
+        with pytest.raises(DomainError, match="intervals exceed"):
+            Grid1D(bad)
 
 
 def _sine_bump(x, t):
@@ -344,30 +350,6 @@ def test_batched_run_rows_equal_single_runs():
     for row, p in zip(batch, params):
         np.testing.assert_array_equal(
             row, run(p, grid, _sine_bump, boundary, 0.5))
-
-
-def test_the_kernel_refuses_a_periodic_boundary():
-    # The kernel marches Dirichlet rows only (the equivalence check covers
-    # the periodic form).  run, a march of one row, of one group of two
-    # rows and of two groups, and step all refuse a periodic boundary
-    # before the initializer is called or the history changes.
-    grid = Grid1D(10)
-    p = cal.ModelParams(0.8, 1.0, 1.0, dx=0.1, dt=0.3)
-    seeded = []
-    init = lambda x, t: seeded.append(t) or 0.0
-    periodic = BoundarySpec.periodic()
-    with pytest.raises(DomainError, match="Dirichlet"):
-        run(p, grid, init, periodic, 1.2)
-    for groups in ([([p], grid, init, 1.2)], [([p, p], grid, init, 1.2)],
-                   [([p], grid, init, 1.2), ([p], grid, init, 0.9)]):
-        with pytest.raises(DomainError, match="Dirichlet"):
-            scheme._march(groups, periodic)
-    assert seeded == []
-    z = np.zeros(6)
-    history = PhiHistory.from_levels(z, z, z)
-    with pytest.raises(DomainError, match="Dirichlet"):
-        step(history, coefficients(0.8, 1.0, 1.0), 0.3, 0.0, periodic)
-    assert history.current is z
 
 
 def test_batched_run_accepts_one_row_per_case():
