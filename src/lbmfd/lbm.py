@@ -19,7 +19,10 @@ equilibrium.
 
 `evolve` and `fd_equivalence_deviation` share one in-place kernel that
 collides and streams three preallocated population arrays with slice
-operations, its scalars held as 0-d arrays.  The equivalence check streams
+operations, its scalars held as 0-d arrays.  `_collider` slices the
+streaming views and binds the scalars once, then returns the collision;
+the check builds one per run, so each level pays only for its ufunc calls.
+The equivalence check streams
 the trajectory through it into a ring of macroscopic levels, rows of one
 block, each with a ghost node at either end that holds its periodic
 neighbour.  The ring holds three levels more than one cache-sized pass of
@@ -134,7 +137,7 @@ def initialize(phi0: np.ndarray, params: ModelParams) -> DistributionField:
 
 
 def _collision_constants(params: ModelParams, dtype) -> tuple:
-    # The scalar operands of `_collide_stream`, as 0-d arrays of the
+    # The scalar operands of `_collider`, as 0-d arrays of the
     # populations' dtype: a ufunc takes one faster than a Python float and
     # rounds it alike.  The three source terms come last.
     omega0, omega1, s1, s2 = params.omega0, params.omega1, params.s1, params.s2
@@ -145,39 +148,49 @@ def _collision_constants(params: ModelParams, dtype) -> tuple:
         (omega1 + omega0 * s2 / 4.0) * dt_R))
 
 
-def _collide_stream(f_minus, f_zero, f_plus, consts, phi, asym, pull,
-                    tmp) -> None:
-    # One periodic update of the three population arrays, in place.  `phi`
-    # receives the macroscopic field of the incoming populations; asym,
-    # pull and tmp are scratch of the same shape, and `consts` comes from
-    # `_collision_constants`, a source term of None being left out.  Terms
-    # are summed in the order of `evolve`'s docstring, and the addition of
-    # `pull` to a moving population lands one node downstream.
+def _collider(f_minus, f_zero, f_plus, consts, asym, pull, tmp):
+    # One periodic update of the three population arrays, in place, as
+    # `collide(phi)`, which writes the macroscopic field of the incoming
+    # populations into `phi`.  asym, pull and tmp are scratch of the same
+    # shape, and `consts` comes from `_collision_constants`, a source term of
+    # None being left out.  The views of the streaming adds and the constants
+    # are bound here once, so a call makes only its ufunc calls.  Terms are
+    # summed in the order of `evolve`'s docstring, and the addition of `pull`
+    # to a moving population lands one node downstream.
     (half_s1, half_s2, half_omega0_s2, keep_zero, omega0_s2, half_src,
      zero_src, moving_src) = consts
-    np.add(f_minus, f_zero, out=phi)
-    np.add(phi, f_plus, out=phi)
-    if half_src is not None:
-        np.add(phi, half_src, out=phi)
-    np.subtract(f_minus, f_plus, out=asym)
-    np.multiply(asym, half_s1, out=asym)
-    np.multiply(f_zero, half_s2, out=pull)
-    np.multiply(phi, half_omega0_s2, out=tmp)
-    np.subtract(pull, tmp, out=pull)
-    np.multiply(f_zero, keep_zero, out=f_zero)
-    np.multiply(phi, omega0_s2, out=tmp)
-    np.add(f_zero, tmp, out=f_zero)
-    if zero_src is not None:
-        np.add(f_zero, zero_src, out=f_zero)
-    np.subtract(f_minus, asym, out=tmp)
-    np.add(tmp[1:], pull[1:], out=f_minus[:-1])
-    np.add(tmp[:1], pull[:1], out=f_minus[-1:])
-    np.add(f_plus, asym, out=tmp)
-    np.add(tmp[:-1], pull[:-1], out=f_plus[1:])
-    np.add(tmp[-1:], pull[-1:], out=f_plus[:1])
-    if moving_src is not None:
-        np.add(f_minus, moving_src, out=f_minus)
-        np.add(f_plus, moving_src, out=f_plus)
+    add, subtract, multiply = np.add, np.subtract, np.multiply
+    left = (tmp[1:], pull[1:], f_minus[:-1])
+    left_wrap = (tmp[:1], pull[:1], f_minus[-1:])
+    right = (tmp[:-1], pull[:-1], f_plus[1:])
+    right_wrap = (tmp[-1:], pull[-1:], f_plus[:1])
+
+    def collide(phi):
+        add(f_minus, f_zero, phi)
+        add(phi, f_plus, phi)
+        if half_src is not None:
+            add(phi, half_src, phi)
+        subtract(f_minus, f_plus, asym)
+        multiply(asym, half_s1, asym)
+        multiply(f_zero, half_s2, pull)
+        multiply(phi, half_omega0_s2, tmp)
+        subtract(pull, tmp, pull)
+        multiply(f_zero, keep_zero, f_zero)
+        multiply(phi, omega0_s2, tmp)
+        add(f_zero, tmp, f_zero)
+        if zero_src is not None:
+            add(f_zero, zero_src, f_zero)
+        subtract(f_minus, asym, tmp)
+        add(*left)
+        add(*left_wrap)
+        add(f_plus, asym, tmp)
+        add(*right)
+        add(*right_wrap)
+        if moving_src is not None:
+            add(f_minus, moving_src, f_minus)
+            add(f_plus, moving_src, f_plus)
+
+    return collide
 
 
 def _max_abs(x: np.ndarray, acc):
@@ -206,8 +219,8 @@ def evolve(f: DistributionField, params: ModelParams) -> DistributionField:
     pops = (f.f_minus, f.f_zero, f.f_plus)
     dtype = np.result_type(*pops, 1.0)
     new = [np.array(p, dtype=dtype) for p in pops]
-    work = [np.empty_like(new[0]) for _ in range(4)]
-    _collide_stream(*new, _collision_constants(params, dtype), *work)
+    phi, *work = [np.empty_like(new[0]) for _ in range(4)]
+    _collider(*new, _collision_constants(params, dtype), *work)(phi)
     return DistributionField(*new)
 
 
@@ -301,12 +314,12 @@ def fd_equivalence_deviation(n_nodes: int, steps: int, omega0: float,
     gaps = out.reshape(ring - 3, width)[:, 1:n_nodes + 1]
     work = [_aligned(span - 2), _aligned(span - 2), _aligned(n_nodes)]
     pair = _aligned(span - 2)
-    collide_work = [w[:n_nodes] for w in work]
+    collide = _collider(*pops, consts, *(w[:n_nodes] for w in work))
     flats = [flat[k * width:k * width + span] for k in range(3)]
     max_dev = max_phi = 0.0
     for n in range(steps + 1):
         t = n % ring
-        _collide_stream(*pops, consts, mids[t], *collide_work)
+        collide(mids[t])
         if t < 3:
             ghost, wrap = ghosts[t]
             ghost[...] = wrap

@@ -25,15 +25,18 @@ grid and positive iff all five hold at every nonzero wavenumber.
 
 The same five conditions on the cubic scaled to radius rho (coefficients
 p0/rho**3, p1/rho**2, p2/rho) put every root inside |lambda| < rho.  The
-scan uses that as a screen: rho sits a factor 1 - _SCREEN_TAU (1e-4) below
-the LAPACK radius of the row with the largest cos(theta), and a row whose
-five scaled values all exceed _SCREEN_DELTA (1e-12) cannot hold the maximum,
-so LAPACK never sees it.  The scaled values are affine in cos(theta) too,
-so those rows are the ones whose cos(theta) lies in one open interval, cut
+scan screens with them.  The cubic p of the row with the largest cos(theta)
+is monic, so p(a0) < -_SCREEN_DELTA puts a real root above a0 (at theta = 0
+the conserved mode puts one at 1).  a0 is the largest point of the ladder
+1 - _SCREEN_TAU*4**k, k = -2..4, that passes, and rho = a0*(1 - _SCREEN_TAU).
+A row whose five scaled values all exceed _SCREEN_DELTA (1e-12) then cannot
+hold the maximum (see _SCREEN_TAU), so LAPACK never sees it; with no a0,
+every row is kept.  The scaled values are affine in cos(theta) too, so
+those rows are the ones whose cos(theta) lies in one open interval, cut
 from the ten scaled values at cos(theta) = -1 and 1.  Rounding moves its
 ends by about 1e-15, and no slope exceeds 4.1 over the box, so a row left
 out misses _SCREEN_DELTA by at most about 4e-15.  Every reported radius
-still comes from LAPACK.
+still comes from LAPACK, in one call per scan.
 """
 
 from __future__ import annotations
@@ -49,22 +52,26 @@ from .errors import DomainError
 from .scheme import FdCoefficients, coefficients
 
 _RADIUS_SLACK = 1e-10
-# Screen of `spectral_radius_scan`.  rho = r0*(1 - _SCREEN_TAU) must sit below
-# the seed radius r0 by more than LAPACK's radius error on any skipped row, or
-# that row could still return a radius of r0 or more.  The error on a root of
-# multiplicity m grows like (u*|A|)**(1/m), and a companion can hold a triple
-# root: the cubic tends to (lambda + 1)**3 at theta = pi as (omega0, s1, s2)
-# tends to (0, 0, 2), where errors of 1.2e-5 against 60-digit roots were
-# measured.  _SCREEN_DELTA must exceed the float error of the five scaled
-# values and of the interval's ends.  Over the box corners and 20,000 random
-# triples r0 >= 0.95, so the scaled coefficients stay below 3.1 in modulus
-# and that error below about 2e-14.
+# Screen of `spectral_radius_scan`.  rho = a0*(1 - _SCREEN_TAU) must sit below
+# the seed's certified root a0 by more than twice LAPACK's radius error: once
+# for a skipped row, whose radius could read high, and once for the seed,
+# whose radius could read low.  The error on a root of multiplicity m grows
+# like (u*|A|)**(1/m), and a companion can hold a triple root: the cubic
+# tends to (lambda + 1)**3 at theta = pi as (omega0, s1, s2) tends to
+# (0, 0, 2), where errors of 1.2e-5 against 60-digit roots were measured.
+# The ladder's lowest point, 1 - 4**4*_SCREEN_TAU = 0.9744, keeps
+# a0*_SCREEN_TAU >= 0.97e-4, about eight times that error.  _SCREEN_DELTA
+# must exceed the float error of the seed's Horner values, of the five
+# scaled values and of the interval's ends.  Over the box corners and 20,000
+# random triples rho >= 0.9995 at theta = 0, so the scaled coefficients stay
+# below 3.1 in modulus and that error below about 2e-14.
 _SCREEN_TAU = 1e-4
 _SCREEN_DELTA = 1e-12
+_SCREEN_LADDER = 1.0 - _SCREEN_TAU * 4.0 ** np.arange(-2, 5)
 # A scan holds 163 B per theta sample at its tracemalloc peak when the screen
-# keeps every row (a box corner, whose interval is empty): the theta grid,
-# the kept rows' coefficients, the companion stack and LAPACK's roots.
-# 2**20 samples keep that near 170 MB.
+# keeps every row (a box corner, whose interval is empty or whose seed no
+# ladder point certifies): the theta grid, the kept rows' coefficients, the
+# companion stack and LAPACK's roots.  2**20 samples keep that near 170 MB.
 _MAX_THETA_SAMPLES = 2 ** 20
 
 
@@ -139,11 +146,6 @@ def companion_amplification(coeffs: FdCoefficients,
     return _companion(-p2, -p1, -p0)
 
 
-def _max_moduli(p0, p1, p2) -> np.ndarray:
-    # Largest root modulus of each monic cubic in a batch (LAPACK geev).
-    return np.abs(np.linalg.eigvals(_companion(-p2, -p1, -p0))).max(axis=1)
-
-
 def cubic_roots(p: CharPoly) -> np.ndarray:
     """Roots of the characteristic cubic via companion-matrix eigenvalues."""
     return np.linalg.eigvals(_companion(-p.p2, -p.p1, -p.p0))
@@ -180,19 +182,33 @@ def _rh_value_grid(p0, p1, p2):
     )
 
 
-def _candidate_rows(co: FdCoefficients, cos_t: np.ndarray) -> np.ndarray:
+def _certified_root(p0, p1, p2):
+    """The largest point a0 of `_SCREEN_LADDER` below a real root of the
+    monic cubic, or None: p(a0) < -_SCREEN_DELTA, past the float error of
+    the Horner value, and p grows without bound, so a root lies above a0."""
+    a = _SCREEN_LADDER
+    below = a[((a + p2) * a + p1) * a + p0 < -_SCREEN_DELTA]
+    return float(below[0]) if below.size else None
+
+
+def _candidate_rows(co: FdCoefficients, cos_t: np.ndarray,
+                    ends) -> np.ndarray:
     """Indices of the rows that could hold the largest root modulus: the
-    screen of the module docstring, seeded by the largest cos(theta).  The
-    seed row is always kept, so the result is never empty."""
+    screen of the module docstring, seeded by the largest cos(theta), with
+    `ends` the cubic's coefficients at cos(theta) = -1 and 1.  The seed row
+    is always kept, so the result is never empty; every row is kept when
+    the seed's root is not certified."""
     seed = int(np.argmax(cos_t))
-    rho = float(_max_moduli(*_char_coeff_grid(co, cos_t[[seed]]))[0]) \
-        * (1.0 - _SCREEN_TAU)
-    ends = [_rh_value_grid(p0 / rho ** 3, p1 / rho ** 2, p2 / rho)
-            for p0, p1, p2 in (_char_coeff_grid(co, c) for c in (-1.0, 1.0))]
+    a0 = _certified_root(*_char_coeff_grid(co, cos_t[seed]))
+    if a0 is None:
+        return np.arange(cos_t.size)
+    rho = a0 * (1.0 - _SCREEN_TAU)
+    scaled = [_rh_value_grid(p0 / rho ** 3, p1 / rho ** 2, p2 / rho)
+              for p0, p1, p2 in ends]
     # Each scaled value a + (b - a)*(c + 1)/2 exceeds delta on one side of
     # its cut; all five do on (lo, hi), which is empty when lo >= hi.
     lo, hi = -np.inf, np.inf
-    for a, b in zip(*ends):
+    for a, b in zip(*scaled):
         if a == b:
             lo = lo if a > _SCREEN_DELTA else np.inf
             continue
@@ -225,11 +241,12 @@ def spectral_radius_scan(omega0: float, s1: float, s2: float,
                           f"got {n_theta}")
     thetas = -np.pi + 2.0 * np.pi * np.arange(n_theta + 1) / n_theta
     cos_t = np.cos(thetas)
-    rows = _candidate_rows(co, cos_t)
-    radii = _max_moduli(*_char_coeff_grid(co, cos_t[rows]))
+    ends = [_char_coeff_grid(co, c) for c in (-1.0, 1.0)]
+    rows = _candidate_rows(co, cos_t, ends)
+    p0, p1, p2 = _char_coeff_grid(co, cos_t[rows])
+    radii = np.abs(np.linalg.eigvals(_companion(-p2, -p1, -p0))).max(axis=1)
     worst = int(rows[np.argmax(radii)])
-    low = _rh_value_grid(*_char_coeff_grid(co, -1.0))
-    high = _rh_value_grid(*_char_coeff_grid(co, 1.0))
+    low, high = (_rh_value_grid(*end) for end in ends)
     margin = min(*low, *high[:3], high[4])
     max_radius = float(radii.max())
     return StabilityReport(

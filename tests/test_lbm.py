@@ -267,13 +267,19 @@ def test_the_check_adds_only_nonzero_source_terms(monkeypatch):
     # The check's maxima cannot see the sign of zero, so its collision gets
     # None for each +-0.0 source term and adds only the others.
     sources = []
-    collide = lbm._collide_stream
+    collider = lbm._collider
 
-    def recording_collide(*args):
-        sources.append(tuple(term is None for term in args[3][5:]))
-        return collide(*args)
+    def recording_collider(*args):
+        collide = collider(*args)
+        skipped = tuple(term is None for term in args[3][5:])
 
-    monkeypatch.setattr(lbm, "_collide_stream", recording_collide)
+        def recording_collide(phi):
+            sources.append(skipped)
+            collide(phi)
+
+        return recording_collide
+
+    monkeypatch.setattr(lbm, "_collider", recording_collider)
     for source_R, skipped in ((0.0, True), (-0.0, True), (0.5, False)):
         sources.clear()
         lbm.fd_equivalence_deviation(8, 3, 0.6, 1.4, 0.7, 1, source_R)

@@ -297,25 +297,50 @@ def test_scan_screen_leaves_out_only_rows_inside_the_scaled_radius():
         inside = np.logical_and.reduce([v > delta for v in scaled])
         assert not inside[0] and inside.any()
         assert np.all(radii[inside] < rho)
+    # The seed's certificate: a ladder point a0 with p(a0) < -delta lies
+    # below a real root, so below the LAPACK radius plus its worst error of
+    # 1.2e-5; a cubic with no root near the ladder certifies none.
+    certified = 0
+    for _ in range(10):
+        p0, p1, p2 = _random_cubic_rows(rng, 300, 1.0)
+        radii = _lapack_radii(p0, p1, p2)
+        for row, radius in enumerate(radii):
+            a0 = stab._certified_root(p0[row], p1[row], p2[row])
+            if a0 is not None:
+                certified += 1
+                assert a0 < radius + 1.2e-5
+    assert 0 < certified < 3000
     # The scan's screen leaves out only such rows: on every scan triple,
-    # each row outside `_candidate_rows` has its five scaled values, taken
-    # row by row, above delta and a full-grid LAPACK radius below rho.  The
-    # last stencil, with no side weights, gives every row the seed's cubic,
-    # so its five values are constant and the screen must keep every row.
+    # each row outside `_candidate_rows` has its five values, scaled to the
+    # certified rho = a0*(1 - tau) and taken row by row, above delta and a
+    # full-grid LAPACK radius below rho.  The last but one stencil, with no
+    # side weights, gives every row the seed's cubic, so its five values are
+    # constant and the screen must keep every row; the last, with no
+    # weights, has the cubic lambda**3, whose seed no ladder point
+    # certifies, so every row is kept.
     stencils = [coefficients(*triple) for triple in _scan_triples()]
     stencils.append(dataclasses.replace(stencils[0], side_n=0.0,
                                         side_nm1=0.0))
+    stencils.append(dataclasses.replace(
+        stencils[0], side_n=0.0, center_n=0.0, side_nm1=0.0, center_nm1=0.0,
+        center_nm2=0.0))
     left_out_total = 0
     for co in stencils:
+        ends = [stab._char_coeff_grid(co, c) for c in (-1.0, 1.0)]
         for n_theta in (64, 65, 720, 721):
             thetas = -np.pi + 2.0 * np.pi * np.arange(n_theta + 1) / n_theta
             cos_t = np.cos(thetas)
-            rows = stab._candidate_rows(co, cos_t)
+            rows = stab._candidate_rows(co, cos_t, ends)
             seed = int(np.argmax(cos_t))
             assert seed in rows
             p0, p1, p2 = stab._char_coeff_grid(co, cos_t)
             radii = _lapack_radii(p0, p1, p2)
-            rho = radii[seed] * (1.0 - tau)
+            a0 = stab._certified_root(p0, p1[seed], p2[seed])
+            if a0 is None:
+                assert rows.size == cos_t.size, (co, n_theta)
+                continue
+            assert a0 < radii[seed] + 1.2e-5
+            rho = a0 * (1.0 - tau)
             left_out = np.setdiff1d(np.arange(cos_t.size), rows)
             left_out_total += left_out.size
             scaled = stab._rh_value_grid(
@@ -323,4 +348,5 @@ def test_scan_screen_leaves_out_only_rows_inside_the_scaled_radius():
             for value in np.broadcast_arrays(*scaled):
                 assert np.all(value > delta), (co, n_theta)
             assert np.all(radii[left_out] < rho), (co, n_theta)
+    assert stab._certified_root(0.0, 0.0, 0.0) is None
     assert left_out_total > 0

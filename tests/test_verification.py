@@ -7,7 +7,7 @@ import pytest
 from lbmfd import calibration as cal
 from lbmfd import scheme
 from lbmfd import verification as ver
-from lbmfd.errors import DomainError
+from lbmfd.errors import DomainError, NoRealRoot
 from test_symbolic import _derivation, _exact
 
 SPACINGS = (0.1, 0.05, 0.025)
@@ -104,6 +104,12 @@ def test_benchmark_case_derived_fields():
         assert ver.BenchmarkCase(0.1, dx, "sixth", case.params).dx == dx
     with pytest.raises(DomainError, match="does not divide"):
         ver.BenchmarkCase(epsilon=0.1, dx=0.1 + 1e-11, order="sixth")
+    # One interval is refused at entry, after the calibration, whose error
+    # still wins.
+    with pytest.raises(DomainError, match="at least 2 intervals"):
+        ver.BenchmarkCase(epsilon=0.1, dx=1.0, order="sixth")
+    with pytest.raises(NoRealRoot):
+        ver.BenchmarkCase(epsilon=0.3, dx=1.0, order="sixth")
     with pytest.raises(DomainError):
         ver.BenchmarkCase(epsilon=0.1, dx=0.1, order="fifth")
     # A case at another spacing may share the calibration, and only one
