@@ -281,7 +281,7 @@ def fd_equivalence_deviation(n_nodes: int, steps: int, omega0: float,
     # a cache line, as do all below: the collision writes whole arrays.
     base = rng.random(n_nodes) - _half_source(params)
     pops = [np.multiply(share, base, out=_aligned(n_nodes))
-            for share in (params.omega1, params.omega0, params.omega1)]
+            for share in equilibrium(1.0, params)]
     consts = _collision_constants(params, np.float64)
     consts = consts[:5] + tuple(term if term else None for term in consts[5:])
     # Collision n writes level n into the middle of row n % ring of one

@@ -23,20 +23,21 @@ in cos(theta), so each condition is too: the scan's margin, the least of the
 five at cos(theta) = -1 and the four nonzero ones at 1, is free of the theta
 grid and positive iff all five hold at every nonzero wavenumber.
 
-The same five conditions on the cubic scaled to radius rho (coefficients
-p0/rho**3, p1/rho**2, p2/rho) put every root inside |lambda| < rho.  The
-scan screens with them.  The cubic p of the row with the largest cos(theta)
-is monic, so p(a0) < -_SCREEN_DELTA puts a real root above a0 (at theta = 0
-the conserved mode puts one at 1).  a0 is the largest point of the ladder
-1 - _SCREEN_TAU*4**k, k = -2..4, that passes, and rho = a0*(1 - _SCREEN_TAU).
-A row whose five scaled values all exceed _SCREEN_DELTA (1e-12) then cannot
-hold the maximum (see _SCREEN_TAU), so LAPACK never sees it; with no a0,
-every row is kept.  The scaled values are affine in cos(theta) too, so
-those rows are the ones whose cos(theta) lies in one open interval, cut
-from the ten scaled values at cos(theta) = -1 and 1.  Rounding moves its
-ends by about 1e-15, and no slope exceeds 4.1 over the box, so a row left
-out misses _SCREEN_DELTA by at most about 4e-15.  Every reported radius
-still comes from LAPACK, in one call per scan.
+The five conditions on the cubic scaled to radius rho (coefficients
+p0/rho**3, p1/rho**2, p2/rho) all hold iff every root lies inside
+|lambda| < rho.  The scan uses this one lemma twice.  The seed, the row
+with the largest cos(theta), has a root of modulus at least a0, real or
+complex, when some scaled value at radius a0 is below -_SCREEN_DELTA
+(1e-12); a0 is the largest such point of the ladder 1 - _SCREEN_TAU*4**k,
+k = -2..4 (at theta = 0 the conserved mode has modulus 1).  With
+rho = a0*(1 - _SCREEN_TAU), a row whose five scaled values all exceed
+_SCREEN_DELTA cannot hold the maximum (see _SCREEN_TAU), so LAPACK never
+sees it; with no a0, every row is kept.  The scaled values are affine in
+cos(theta) too, so those rows are the ones whose cos(theta) lies in one
+open interval, cut from the ten scaled values at cos(theta) = -1 and 1.
+Rounding moves its ends by about 1e-15, and no slope exceeds 4.1 over the
+box, so a row left out misses _SCREEN_DELTA by at most about 4e-15.  Every
+reported radius still comes from LAPACK, in one call per scan.
 """
 
 from __future__ import annotations
@@ -53,7 +54,7 @@ from .scheme import FdCoefficients, coefficients
 
 _RADIUS_SLACK = 1e-10
 # Screen of `spectral_radius_scan`.  rho = a0*(1 - _SCREEN_TAU) must sit below
-# the seed's certified root a0 by more than twice LAPACK's radius error: once
+# the seed's certified radius a0 by more than twice LAPACK's radius error: once
 # for a skipped row, whose radius could read high, and once for the seed,
 # whose radius could read low.  The error on a root of multiplicity m grows
 # like (u*|A|)**(1/m), and a companion can hold a triple root: the cubic
@@ -61,13 +62,13 @@ _RADIUS_SLACK = 1e-10
 # (0, 0, 2), where errors of 1.2e-5 against 60-digit roots were measured.
 # The ladder's lowest point, 1 - 4**4*_SCREEN_TAU = 0.9744, keeps
 # a0*_SCREEN_TAU >= 0.97e-4, about eight times that error.  _SCREEN_DELTA
-# must exceed the float error of the seed's Horner values, of the five
-# scaled values and of the interval's ends.  Over the box corners and 20,000
-# random triples rho >= 0.9995 at theta = 0, so the scaled coefficients stay
-# below 3.1 in modulus and that error below about 2e-14.
+# must exceed the float error of the scaled values, at the seed's ladder
+# points and at the interval's ends.  Over the box corners and 20,000
+# random triples the scaled coefficients stay below 3.2 in modulus down to
+# rho = 0.9744*(1 - _SCREEN_TAU), and that error below about 2e-14.
 _SCREEN_TAU = 1e-4
 _SCREEN_DELTA = 1e-12
-_SCREEN_LADDER = 1.0 - _SCREEN_TAU * 4.0 ** np.arange(-2, 5)
+_SCREEN_LADDER = tuple(1.0 - _SCREEN_TAU * 4.0 ** k for k in range(-2, 5))
 # A scan holds 163 B per theta sample at its tracemalloc peak when the screen
 # keeps every row (a box corner, whose interval is empty or whose seed no
 # ladder point certifies): the theta grid, the kept rows' coefficients, the
@@ -182,13 +183,10 @@ def _rh_value_grid(p0, p1, p2):
     )
 
 
-def _certified_root(p0, p1, p2):
-    """The largest point a0 of `_SCREEN_LADDER` below a real root of the
-    monic cubic, or None: p(a0) < -_SCREEN_DELTA, past the float error of
-    the Horner value, and p grows without bound, so a root lies above a0."""
-    a = _SCREEN_LADDER
-    below = a[((a + p2) * a + p1) * a + p0 < -_SCREEN_DELTA]
-    return float(below[0]) if below.size else None
+def _scaled_rh_values(p0, p1, p2, rho):
+    # The five values of the cubic scaled to radius rho: all positive iff
+    # every root lies inside |lambda| < rho.
+    return _rh_value_grid(p0 / rho ** 3, p1 / rho ** 2, p2 / rho)
 
 
 def _candidate_rows(co: FdCoefficients, cos_t: np.ndarray,
@@ -197,14 +195,15 @@ def _candidate_rows(co: FdCoefficients, cos_t: np.ndarray,
     screen of the module docstring, seeded by the largest cos(theta), with
     `ends` the cubic's coefficients at cos(theta) = -1 and 1.  The seed row
     is always kept, so the result is never empty; every row is kept when
-    the seed's root is not certified."""
+    no ladder point certifies the seed."""
     seed = int(np.argmax(cos_t))
-    a0 = _certified_root(*_char_coeff_grid(co, cos_t[seed]))
+    p = _char_coeff_grid(co, float(cos_t[seed]))
+    a0 = next((a for a in _SCREEN_LADDER
+               if min(_scaled_rh_values(*p, a)) < -_SCREEN_DELTA), None)
     if a0 is None:
         return np.arange(cos_t.size)
     rho = a0 * (1.0 - _SCREEN_TAU)
-    scaled = [_rh_value_grid(p0 / rho ** 3, p1 / rho ** 2, p2 / rho)
-              for p0, p1, p2 in ends]
+    scaled = [_scaled_rh_values(*end, rho) for end in ends]
     # Each scaled value a + (b - a)*(c + 1)/2 exceeds delta on one side of
     # its cut; all five do on (lo, hi), which is empty when lo >= hi.
     lo, hi = -np.inf, np.inf

@@ -25,12 +25,17 @@ import numpy as np
 from . import calibration
 from .calibration import CalibrationResult, ModelParams
 from .errors import DomainError
-from .scheme import BoundarySpec, Grid1D, _is_spacing, _march
+from .scheme import (_MAX_INTERVALS, BoundarySpec, Grid1D, _is_spacing,
+                     _march)
 
 DEFAULT_EPSILONS = (0.1, 0.15, 0.175, 0.2, 0.24)
 DEFAULT_SPACINGS = (0.1, 0.05, 0.025)
 _DT_OVER_DX2 = 30.0
 _T_END = 12.0
+# Tables of 2,000 epsilons at the default spacings peaked at 185-208 B per
+# node of their rows (tracemalloc; a profile at 120): 2**20 nodes keep that
+# near 220 MB.
+_MAX_TABLE_NODES = 2 ** 20
 
 
 def analytic_phi(x, t, kappa: float):
@@ -148,6 +153,18 @@ def _interior_rmse(case: BenchmarkCase, xs: np.ndarray,
     return rmse(final[1:-1], exact[1:-1])
 
 
+def _check_table_nodes(n_eps: int, spacings) -> None:
+    """Refuse a table or profile whose rows hold more than
+    _MAX_TABLE_NODES nodes, before anything is calibrated.  A spacing that
+    no grid can hold counts none here: its case refuses it."""
+    nodes = n_eps * sum(round(1.0 / dx) + 1 for dx in spacings
+                        if dx * _MAX_INTERVALS >= 1.0)
+    if nodes > _MAX_TABLE_NODES:
+        raise DomainError(f"{n_eps} epsilons at these spacings make {nodes} "
+                          f"nodes, more than the {_MAX_TABLE_NODES} a table "
+                          "or profile may hold")
+
+
 def run_benchmark(case: BenchmarkCase) -> float:
     """March the scheme to t_end and return the interior-node RMSE."""
     ((xs, final),) = _march_decaying_sine([case], case.t_end)
@@ -175,7 +192,8 @@ def reproduce_table(order: str, eps_list=None,
     Each epsilon is calibrated once, and all cases march in one staged
     batch, so the coarse spacings cost nothing once they have ended; each
     spacing may take at most 2**36 node-steps, checked before anything is
-    marched.
+    marched, and the table's rows at most 2**20 nodes, checked before
+    anything is calibrated.
     """
     eps_values = tuple(DEFAULT_EPSILONS if eps_list is None else eps_list)
     dx_values = tuple(DEFAULT_SPACINGS if dx_list is None else dx_list)
@@ -183,6 +201,7 @@ def reproduce_table(order: str, eps_list=None,
         raise DomainError("epsilon and dx lists must not be empty")
     if any(b >= a for a, b in zip(dx_values, dx_values[1:])):
         raise DomainError("dx list must be strictly decreasing")
+    _check_table_nodes(len(eps_values), dx_values)
     # The cases at later spacings share the calibration made at the first;
     # column j holds the errors at dx_values[j].
     first = [BenchmarkCase(epsilon=eps, dx=dx_values[0], order=order)
@@ -240,11 +259,13 @@ class SolutionProfile:
 
 def profile_solution(epsilon_list=None) -> list[SolutionProfile]:
     """Full-field comparison against the exact solution at t_end, at sixth
-    order on the finest default spacing, dx = 0.025."""
+    order on the finest default spacing, dx = 0.025; the profiles may hold
+    at most 2**20 nodes, checked before anything is calibrated."""
     eps_values = tuple(DEFAULT_EPSILONS if epsilon_list is None
                        else epsilon_list)
     if not eps_values:
         raise DomainError("the epsilon list must not be empty")
+    _check_table_nodes(len(eps_values), DEFAULT_SPACINGS[-1:])
     cases = [BenchmarkCase(epsilon=eps, dx=DEFAULT_SPACINGS[-1],
                            order="sixth") for eps in eps_values]
     profiles = []

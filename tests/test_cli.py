@@ -18,7 +18,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lbmfd import cli, lbm, stability
+from lbmfd import cli, lbm, stability, verification
 from lbmfd.cli import main
 
 
@@ -296,6 +296,22 @@ def test_profile_csv(capsys):
     assert first[1] == "0" and first[2] == "0"
     assert main(["profile", "--eps-list", ""]) == 1
     capsys.readouterr()
+
+
+def test_tables_and_profiles_past_the_node_cap_exit_with_one_line(
+        tmp_path, capsys, monkeypatch):
+    def refused(*args):
+        raise AssertionError("calibrated past the node cap")
+
+    monkeypatch.setattr(verification, "_params_for", refused)
+    eps = ",".join(["0.1"] * (verification._MAX_TABLE_NODES // 41 + 1))
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"order": 6, "eps_list": eps}))
+    for argv in (["profile", "--eps-list", eps],
+                 ["convergence", "--order", "6", "--eps-list", eps],
+                 ["convergence", "--config", str(cfg)]):
+        assert main(argv) == 1
+        _assert_one_error_line(capsys)
 
 
 def test_config_file_supplies_defaults(tmp_path, capsys):

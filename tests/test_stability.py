@@ -185,12 +185,24 @@ def test_scan_validation_and_report_payload():
     assert payload["theta_samples"] == 65
 
 
-def _lapack_radii(p0, p1, p2):
+def _lapack_roots(p0, p1, p2):
     # p0 may be one scalar for all rows, as `_char_coeff_grid` returns it.
     comp = np.zeros((p1.size, 3, 3))
     comp[:, 0] = np.stack(np.broadcast_arrays(-p2, -p1, -p0), axis=1)
     comp[:, 1, 0] = comp[:, 2, 1] = 1.0
-    return np.abs(np.linalg.eigvals(comp)).max(axis=1)
+    return np.linalg.eigvals(comp)
+
+
+def _lapack_radii(p0, p1, p2):
+    return np.abs(_lapack_roots(p0, p1, p2)).max(axis=1)
+
+
+def _certificate(p0, p1, p2):
+    # The seed's certificate in `_candidate_rows`: the largest ladder point
+    # at which some scaled Routh-Hurwitz value is below -delta, or None.
+    return next((a for a in stab._SCREEN_LADDER
+                 if min(stab._scaled_rh_values(p0, p1, p2, a))
+                 < -stab._SCREEN_DELTA), None)
 
 
 def _full_grid_reference(omega0, s1, s2, n_theta):
@@ -297,27 +309,33 @@ def test_scan_screen_leaves_out_only_rows_inside_the_scaled_radius():
         inside = np.logical_and.reduce([v > delta for v in scaled])
         assert not inside[0] and inside.any()
         assert np.all(radii[inside] < rho)
-    # The seed's certificate: a ladder point a0 with p(a0) < -delta lies
-    # below a real root, so below the LAPACK radius plus its worst error of
-    # 1.2e-5; a cubic with no root near the ladder certifies none.
-    certified = 0
+    # The seed's certificate, by the same lemma: a ladder point a0 at which
+    # some value scaled to a0 is below -delta has a root of modulus at
+    # least a0, a real root or a complex pair, so a0 lies below the LAPACK
+    # radius plus its worst error of 1.2e-5; a cubic with no root near the
+    # ladder certifies none.  The budget: a0*tau exceeds twice that error.
+    assert min(stab._SCREEN_LADDER) * tau > 2 * 1.2e-5
+    certified = pairs = 0
     for _ in range(10):
         p0, p1, p2 = _random_cubic_rows(rng, 300, 1.0)
-        radii = _lapack_radii(p0, p1, p2)
+        roots = _lapack_roots(p0, p1, p2)
+        radii = np.abs(roots).max(axis=1)
+        top = roots[np.arange(radii.size), np.abs(roots).argmax(axis=1)]
         for row, radius in enumerate(radii):
-            a0 = stab._certified_root(p0[row], p1[row], p2[row])
+            a0 = _certificate(p0[row], p1[row], p2[row])
             if a0 is not None:
                 certified += 1
+                pairs += abs(top[row].imag) > 1e-3
                 assert a0 < radius + 1.2e-5
-    assert 0 < certified < 3000
+    assert 0 < certified < 3000 and pairs > 0
     # The scan's screen leaves out only such rows: on every scan triple,
     # each row outside `_candidate_rows` has its five values, scaled to the
     # certified rho = a0*(1 - tau) and taken row by row, above delta and a
-    # full-grid LAPACK radius below rho.  The last but one stencil, with no
-    # side weights, gives every row the seed's cubic, so its five values are
-    # constant and the screen must keep every row; the last, with no
-    # weights, has the cubic lambda**3, whose seed no ladder point
-    # certifies, so every row is kept.
+    # full-grid LAPACK radius below rho; every scan triple's seed is
+    # certified.  The last but one stencil, with no side weights, gives
+    # every row the seed's cubic, so its five values are constant and the
+    # screen must keep every row; the last, with no weights, has the cubic
+    # lambda**3, whose seed no ladder point certifies, so every row is kept.
     stencils = [coefficients(*triple) for triple in _scan_triples()]
     stencils.append(dataclasses.replace(stencils[0], side_n=0.0,
                                         side_nm1=0.0))
@@ -335,8 +353,9 @@ def test_scan_screen_leaves_out_only_rows_inside_the_scaled_radius():
             assert seed in rows
             p0, p1, p2 = stab._char_coeff_grid(co, cos_t)
             radii = _lapack_radii(p0, p1, p2)
-            a0 = stab._certified_root(p0, p1[seed], p2[seed])
+            a0 = _certificate(p0, p1[seed], p2[seed])
             if a0 is None:
+                assert co in stencils[-2:], (co, n_theta)
                 assert rows.size == cos_t.size, (co, n_theta)
                 continue
             assert a0 < radii[seed] + 1.2e-5
@@ -348,5 +367,19 @@ def test_scan_screen_leaves_out_only_rows_inside_the_scaled_radius():
             for value in np.broadcast_arrays(*scaled):
                 assert np.all(value > delta), (co, n_theta)
             assert np.all(radii[left_out] < rho), (co, n_theta)
-    assert stab._certified_root(0.0, 0.0, 0.0) is None
+    assert _certificate(0.0, 0.0, 0.0) is None
     assert left_out_total > 0
+
+
+def test_scan_certifies_a_seed_whose_largest_roots_are_a_complex_pair():
+    # The seed row's largest roots here are 0.9898 +- 0.0340i at n_theta 65;
+    # a certificate of real roots alone would keep every row.
+    triple = (0.4557230712092525, 0.01899082115516649, 1.5654380450127694)
+    co = coefficients(*triple)
+    ends = [stab._char_coeff_grid(co, c) for c in (-1.0, 1.0)]
+    for n_theta in (65, 101):
+        thetas = -np.pi + 2.0 * np.pi * np.arange(n_theta + 1) / n_theta
+        assert stab._candidate_rows(co, np.cos(thetas), ends).size < n_theta
+        assert _hexed(stab.spectral_radius_scan(*triple, n_theta)
+                      .to_json_dict()) == _hexed(
+            _full_grid_reference(*triple, n_theta)), n_theta

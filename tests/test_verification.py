@@ -317,11 +317,12 @@ def test_reproduce_table_bounds_node_steps_per_spacing(monkeypatch):
         return phi(x, t, kappa)
 
     monkeypatch.setattr(ver, "analytic_phi", counted)
-    # dx = 2**-22 is within the interval bound, but its march would take
-    # about 3e19 node-steps: the table is refused before anything is seeded.
+    # dx = 2**-13 is within the interval and node bounds, but its march
+    # would take about 2e11 node-steps: the table is refused before anything
+    # is seeded.
     with pytest.raises(DomainError, match="node-steps"):
         ver.reproduce_table("second", eps_list=(0.1,),
-                            dx_list=(0.1, 2.0 ** -22))
+                            dx_list=(0.1, 2.0 ** -13))
     assert seeded == []
     # The bound holds per spacing, not for the table's sum: the default
     # table passes a bound equal to its largest spacing's node-steps.
@@ -333,6 +334,27 @@ def test_reproduce_table_bounds_node_steps_per_spacing(monkeypatch):
     monkeypatch.setattr(scheme, "_MAX_NODE_STEPS", largest * (1 - 1e-9))
     with pytest.raises(DomainError, match="node-steps"):
         ver.reproduce_table("second")
+
+
+def test_tables_and_profiles_past_the_node_cap_are_refused_first(
+        monkeypatch):
+    def refused(*args):
+        raise AssertionError("calibrated or marched past the node cap")
+
+    monkeypatch.setattr(ver, "_params_for", refused)
+    monkeypatch.setattr(ver, "_march", refused)
+    cap = ver._MAX_TABLE_NODES
+    # Each epsilon's rows hold 11 + 21 + 41 = 73 nodes at the default
+    # spacings and 41 in a profile; one more epsilon than fits is refused.
+    ver._check_table_nodes(cap // 73, ver.DEFAULT_SPACINGS)
+    ver._check_table_nodes(cap // 41, ver.DEFAULT_SPACINGS[-1:])
+    with pytest.raises(DomainError, match=f"more than the {cap} a table"):
+        ver.reproduce_table("sixth", [0.1] * (cap // 73 + 1))
+    with pytest.raises(DomainError, match=f"more than the {cap} a table"):
+        ver.profile_solution([0.1] * (cap // 41 + 1))
+    # One row at the finest spacing a grid holds is past the cap too.
+    with pytest.raises(DomainError, match=f"more than the {cap} a table"):
+        ver.reproduce_table("second", (0.1,), (0.1, 2.0 ** -22))
 
 
 def test_reproduce_table_refuses_a_spacing_off_the_step_grid(monkeypatch):
