@@ -48,16 +48,20 @@ overwrites.  The periodic four-level form is the one of
 ghost node at either end that holds its periodic neighbour, a window of
 such rows in one flat pass.
 
-Long rows are cut into cache-sized passes, and a march advances two levels
-per sweep: level n+1 makes its pass over a chunk, then level n+2 makes its
-pass one cache line (eight nodes) behind, while the chunk's levels are
-still in cache, and every output of a pass starts a 64-byte cache line.
-Every node of a stage gets the same calls in the same order, so the bits
-do not depend on how the levels are swept.  The levels rotate through four
-buffers: level n+2 overwrites level n-2, whose nodes level n+1 has already
-read.  The calls of all four phases are built once per stage (`_plan`),
-and a sweep makes the groups of two phases in turn; a stage of odd length
-ends with one phase alone, as `step` and the equivalence check make theirs.
+Long rows are cut into passes of `_CHUNK` nodes, and every output of a
+pass starts a 64-byte cache line.  The levels rotate through four buffers:
+level n+1 overwrites level n-3, which no pass reads any more.  The calls
+of all four phases are built once per stage (`_plan`), and a march makes
+them one level at a time.  A stage whose level spans two or more passes
+splits each phase's passes into contiguous runs, one per CPU that the
+process may run on (and at most one per pass): the caller's thread makes
+the first run and a thread of its own each other run, and they meet at a
+barrier after every level, as a pass reads the nodes beside its run from
+the level before.  numpy lets go of the GIL inside a ufunc call on a long
+slice, so the runs of one level are made at once.  Every node gets the
+same calls in the same order whichever worker makes them, so the bits do
+not depend on the CPU count.  `step` and the equivalence check make their
+passes on the caller's thread alone.
 
 `run` is the one-row case of the staged march `_march`, in which the
 convergence tables march all of their spacings at once.
@@ -68,8 +72,10 @@ from __future__ import annotations
 import ctypes
 import math
 import operator
+import os
+import threading
 from dataclasses import dataclass, field
-from itertools import accumulate, chain
+from itertools import accumulate, chain, cycle, islice
 
 import numpy as np
 
@@ -196,15 +202,10 @@ class PhiHistory:
         return new_level
 
 
-# Nodes per pass of the kernel.  A sweep makes the passes of two levels
-# over one chunk in turn, so the chunk's five levels and its pair stay in a
-# 2 MiB L2 cache from the first pass to the second (BENCH_11.json
-# `chunk_and_depth_remeasured`).
+# Nodes per pass of the kernel, whose work arrays then stay in cache from
+# one call of the pass to the next (BENCH_11.json
+# `chunk_and_depth_remeasured`, measured at two levels per sweep).
 _CHUNK = 2 ** 15
-
-# Time levels per sweep of a march (BENCH_10.json `claim`, BENCH_11.json
-# `chunk_and_depth_remeasured`).
-_DEPTH = 2
 
 # Upper bound on the node-steps (nodes x time levels) of one group of a
 # march: minutes of marching (BENCH_14.json `in_process`), from a t_end, dx
@@ -254,20 +255,19 @@ def _blocks(buf: np.ndarray, layout: list) -> list:
     return blocks
 
 
-def _bounds(interior: int, lag: int) -> list:
-    """The (lo, hi) bounds of the flat passes of a level, one per `_CHUNK`
-    of its `interior` nodes and at least one.  A pass writes the mid nodes
-    lo+1 .. hi from the 1-D slices [lo:hi], [lo+1:hi+1] and [lo+2:hi+2].
-    A level that trails another by `lag` nodes in a sweep has its bounds
-    shifted left by `lag`, except that its first pass starts at 0 and its
-    last runs to the end of the row.  Any lag >= 1 keeps the bits, and
-    one cache line keeps each lo on a line, as `_CHUNK` does."""
-    bounds = []
-    for lo in range(0, max(interior, 1), _CHUNK):
-        hi = min(lo + _CHUNK, interior)
-        bounds.append((max(lo - lag, 0),
-                       max(hi - lag, 0) if hi < interior else hi))
-    return bounds
+def _cpus() -> int:
+    """The number of CPUs that this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _split(n_passes: int, workers: int) -> list:
+    """The first pass of each worker's run of a phase's passes, then
+    n_passes: at most `workers` contiguous runs, which differ in length by
+    one at most."""
+    workers = min(workers, n_passes)
+    return [n_passes * w // workers for w in range(workers + 1)]
 
 
 def _pass_calls(cur, prev_m, old_m, acc, pair, term, part, weights) -> list:
@@ -295,44 +295,47 @@ def _pass_calls(cur, prev_m, old_m, acc, pair, term, part, weights) -> list:
 
 
 def _plan(ring: list, outs: list, table, ends: tuple, layout: list,
-          scratch=None, skip: bool = False) -> tuple:
+          scratch=None, skip: bool = False, workers: int = 1) -> tuple:
     """The calls of each phase of a march, with the carried pair seeded.
 
     `ring` holds flat level buffers of the blocks that `layout` lists;
     phase k reads old, prev and cur from ring[k], ring[k+1] and ring[k+2]
-    (indices mod len(ring)), writes the next level into outs[k] and pins
-    the end nodes of every row to the (left, right) values `ends`.  A phase
-    is a list of groups of (function, args) calls, one group per flat pass,
-    and each group ends with one `put` of every end node, with the bits of
-    pinning each end once: a pass computes an end only as a value that its
-    put overwrites, and an end pinned early is read only as an old level,
-    which feeds only its own node.  In a sweep phase k trails the leading
-    phase by k % `_DEPTH` cache lines, and `_calls` makes the calls of one
-    phase or of a sweep.  The pair sum prev_l + prev_r is carried in one
-    array from phase to phase, so the phases must run in order, from phase
-    0; it starts as the pair of ring[1], the same addition that the step
-    which wrote ring[2] made.  `table` has one `_weight_row` per row of
-    `layout`: a single row's weights become 0-d arrays of the levels'
-    dtype, which a ufunc takes faster than Python floats and rounds alike,
-    and a batch repeats each column over the nodes of each row, once; source
-    terms that are all +-0.0 are left out (see `_add_zero_terms`).  With
-    `skip`, which only `_march` sets, so is each history weight (side_nm1,
-    center_nm1, center_nm2) that is +-0.0 in every row, with its add.  The
-    outputs must not overlap the levels a phase reads, and its passes write
-    whole cache lines when the outputs start one at node 1.  The pair and
-    the two pass-sized work arrays are carved from one block, each starting
-    a line, unless `scratch` gives all three, of the levels' dtype: the
-    pair, as long as the interior, and two work arrays, as long as a pass
-    and free while a phase runs.  Plans that are given one pair hand it on
-    from the last phase that one makes to the first of the next.
+    (indices mod len(ring)) and writes the next level into outs[k].  A
+    phase is a list of groups of (function, args) calls, one group per flat
+    pass of `_CHUNK` nodes, in node order, and `_split(len(phase),
+    workers)` cuts it into the workers' runs.  Each group ends with one
+    `put` that pins every end node of its worker's run of nodes (the first
+    run from node 0, the last to the row's end) to the (left, right)
+    values `ends`, with the bits of pinning each end once: a pass computes
+    an end only as a value that its put overwrites, and an end pinned early
+    is read only as an old level, which feeds only its own node.  So no
+    node is written by two workers.  The pair sum prev_l + prev_r is
+    carried in one array from phase to phase, so the phases must run in
+    order, from phase 0; it starts as the pair of ring[1], the same
+    addition that the step which wrote ring[2] made.  `table` has one
+    `_weight_row` per row of `layout`: a single row's weights become 0-d
+    arrays of the levels' dtype, which a ufunc takes faster than Python
+    floats and rounds alike, and a batch repeats each column over the
+    nodes of each row, once; source terms that are all +-0.0 are left out
+    (see `_add_zero_terms`).  With `skip`, which only `_march` sets, so is
+    each history weight (side_nm1, center_nm1, center_nm2) that is +-0.0 in
+    every row, with its add.  The outputs must not overlap the levels a
+    phase reads, and its passes write whole cache lines when the outputs
+    start one at node 1.  The pair, as long as the interior, and each
+    worker's two work arrays, as long as a pass, are carved from one block,
+    each starting a line, unless `scratch` gives the pair and one worker's
+    two, of the levels' dtype and free while a phase runs.  Plans that are
+    given one pair hand it on from the last phase that one makes to the
+    first of the next.
     """
     dtype = outs[0].dtype
-    interior = outs[0].shape[0] - 2
+    size = outs[0].shape[0]
+    interior = size - 2
     line = _LINE // dtype.itemsize
     sizes = [n for rows, n in layout for _ in range(rows)]
-    end_nodes = [j for lo, n in zip(accumulate([0, *sizes]), sizes)
-                 for j in (lo, lo + n - 1)]
-    pins = (np.array(end_nodes), np.array(ends * len(sizes), dtype))
+    end_nodes = np.array([j for lo, n in zip(accumulate([0, *sizes]), sizes)
+                          for j in (lo, lo + n - 1)])
+    end_values = np.array(ends * len(sizes), dtype)
     # The columns left out, as None: a source term that is +-0.0 in every
     # row and, with `skip`, such a history weight.
     gone = [(k == 5 or (skip and k > 1)) and not any(w[k] for w in table)
@@ -342,21 +345,33 @@ def _plan(ring: list, outs: list, table, ends: tuple, layout: list,
     else:
         row = tuple(None if g else np.array(w, dtype)
                     for g, w in zip(gone, table[0]))
-    # Per lag, the passes as (lo, hi, weights); each pass then pins every
-    # end node with the one `put` of `pins`.
-    forms = [[(lo, hi, row if len(table) == 1 else
+    # The passes as (lo, hi, weights), at least one.  A pass writes the mid
+    # nodes lo+1 .. hi from the 1-D slices [lo:hi], [lo+1:hi+1] and
+    # [lo+2:hi+2].
+    bounds = [(lo, min(lo + _CHUNK, interior))
+              for lo in range(0, max(interior, 1), _CHUNK)]
+    passes = [(lo, hi, row if len(table) == 1 else
                tuple(None if g else c[lo + 1:hi + 1]
                      for g, c in zip(gone, columns)))
-              for lo, hi in _bounds(interior, lag * line)]
-             for lag in range(min(len(outs), _DEPTH))]
-    width = max(hi - lo for form in forms for lo, hi, _ in form)
+              for lo, hi in bounds]
+    cuts = _split(len(passes), workers)
+    # The first end node of each worker's run of nodes, which starts at the
+    # first node that the worker writes, then the number of end nodes.
+    at = np.searchsorted(end_nodes, [0, *(bounds[c][0] + 1
+                                          for c in cuts[1:-1]), size])
     if scratch is None:
-        # The pair and the two work arrays, rounded up to whole cache lines.
-        lead, wide = -(-interior // line) * line, -(-width // line) * line
-        block = _aligned(lead + 2 * wide, 0, dtype)
-        scratch = (block[:interior], block[lead:lead + wide],
-                   block[lead + wide:])
-    pair, term, part = scratch
+        # The pair and the work arrays, rounded up to whole cache lines.
+        lead = -(-interior // line) * line
+        wide = -(-(bounds[0][1] - bounds[0][0]) // line) * line
+        block = _aligned(lead + 2 * (len(cuts) - 1) * wide, 0, dtype)
+        scratch = (block[:interior],
+                   *(block[lead + k * wide:lead + (k + 1) * wide]
+                     for k in range(2 * (len(cuts) - 1))))
+    pair, *work = scratch
+    # Per worker: its passes, its two work arrays and the pins of its run.
+    runs = [(passes[a:b], work[2 * w], work[2 * w + 1],
+             (end_nodes[p:q], end_values[p:q])) for w, (a, b, p, q)
+            in enumerate(zip(cuts, cuts[1:], at, at[1:]))]
     np.add(ring[1][:-2], ring[1][2:], pair)
     phases = []
     for k, out in enumerate(outs):
@@ -366,14 +381,74 @@ def _plan(ring: list, outs: list, table, ends: tuple, layout: list,
                         prev[lo + 1:hi + 1], old[lo + 1:hi + 1],
                         out[lo + 1:hi + 1], pair[lo:hi], term[:hi - lo],
                         part[:hi - lo], weights) + [(out.put, pins)]
-            for lo, hi, weights in forms[k % _DEPTH]])
+            for own, term, part, pins in runs for lo, hi, weights in own])
     return tuple(phases)
 
 
-def _calls(*phases) -> tuple:
-    """The calls of `phases` as one sweep: group c of each phase in turn,
-    for each c.  One phase gives its own calls in order."""
-    return tuple(chain.from_iterable(chain.from_iterable(zip(*phases))))
+def _calls(groups) -> list:
+    """The calls of a run of pass groups, in order."""
+    return list(chain.from_iterable(groups))
+
+
+def _advance(runs: list, n_levels: int) -> None:
+    """Make `n_levels` levels of a stage: level i makes the calls
+    runs[w][i % 4] of every worker w, where runs[w] holds the four phases'
+    calls of worker w.
+
+    Worker 0 is the caller's thread, and each other worker a thread that is
+    started here and joined before the return.  The workers meet at a
+    barrier after each level, at two `threading.Barrier`s in turn, so that
+    a worker that leaves one first need not wait at the next for the others
+    to leave it (BENCH_22.json `in_process`: 35 against 20 us per empty
+    level on two threads); one worker makes its calls alone, with neither.
+    Each worker runs under the caller's numpy error settings, which numpy
+    keeps per thread (1.x) or per context (2.x).  A worker that raises
+    breaks the barriers, so the others stop at one, all at one level; once
+    all are joined, the exception of the first worker that raised one is
+    raised again: the one that a march on one thread would raise.
+    """
+    if len(runs) == 1:
+        for calls in islice(cycle(runs[0]), n_levels):
+            for fn, args in calls:
+                fn(*args)
+        return
+    barriers = [threading.Barrier(len(runs)) for _ in range(2)]
+    errors = [None] * len(runs)
+    settings = dict(np.geterr(), call=np.geterrcall())
+
+    def work(w: int) -> None:
+        try:
+            with np.errstate(**settings):
+                for calls, barrier in zip(islice(cycle(runs[w]), n_levels),
+                                          cycle(barriers)):
+                    for fn, args in calls:
+                        fn(*args)
+                    barrier.wait()
+        except threading.BrokenBarrierError:
+            pass
+        except BaseException as exc:
+            errors[w] = exc
+            for barrier in barriers:
+                barrier.abort()
+
+    threads = [threading.Thread(target=work, args=(w,))
+               for w in range(1, len(runs))]
+    started = 0
+    try:
+        for thread in threads:
+            thread.start()
+            started += 1
+        work(0)
+    except BaseException:
+        for barrier in barriers:
+            barrier.abort()
+        raise
+    finally:
+        for thread in threads[:started]:
+            thread.join()
+    for exc in errors:
+        if exc is not None:
+            raise exc
 
 
 def step(history: PhiHistory, coeffs: FdCoefficients, dt: float, R: float,
@@ -456,10 +531,14 @@ def _march(groups, boundary: BoundarySpec, skip: bool = True) -> list:
     checked before anything is allocated (else `DomainError`).  The rows lie
     in one flat level row, groups in descending step-count order, so the
     groups still marching are always a prefix of it.  Each stage plans that
-    prefix of the rotated level ring and marches, `_DEPTH` levels per
-    sweep, to the step count of the next group to end; that group is then
-    read out, with its zero source terms added back, and costs nothing
-    more, as later stages write only a shorter prefix.  Returns one (rows,
+    prefix of the rotated level ring and marches it, one level at a time,
+    to the step count of the next group to end; that group is then read
+    out, with its zero source terms added back, and costs nothing more, as
+    later stages write only a shorter prefix.  A stage of two or more
+    passes per level splits them between `_cpus()` workers, at most one per
+    pass, which meet at a barrier after each level (`_advance`); the other
+    workers' threads have ended when `_march` returns or raises, and a
+    worker raises what the march on one thread would.  Returns one (rows,
     nodes) array per group, in the order given: views of march buffers
     whose blocks do not overlap.
 
@@ -506,21 +585,16 @@ def _march(groups, boundary: BoundarySpec, skip: bool = True) -> list:
         if steps[active - 1] > level:
             size = sum(r * n for r, n in layout[:active])
             rot = [ring[(level - 2 + i) % 4][:size] for i in range(4)]
+            workers = _cpus()
             phases = _plan(rot, rot[3:] + rot[:3],
                            [row for t in tables[:active] for row in t],
                            (boundary.left_value, boundary.right_value),
                            layout[:active], None,
-                           skip and all(may_skip[:active]))
-            sweeps = [_calls(*phases[k:k + _DEPTH])
-                      for k in range(0, 4, _DEPTH)]
-            n_sweeps, tail = divmod(steps[active - 1] - level, _DEPTH)
-            for k in range(n_sweeps):
-                for fn, args in sweeps[k % len(sweeps)]:
-                    fn(*args)
-            # The leading levels of one more sweep, if the stage has them.
-            k = n_sweeps * _DEPTH % 4
-            for fn, args in _calls(*phases[k:k + tail]):
-                fn(*args)
+                           skip and all(may_skip[:active]), workers)
+            cuts = _split(len(phases[0]), workers)
+            _advance([[_calls(phase[a:b]) for phase in phases]
+                      for a, b in zip(cuts, cuts[1:])],
+                     steps[active - 1] - level)
             level = steps[active - 1]
         while active and steps[active - 1] == level:
             active -= 1
@@ -551,7 +625,10 @@ def run(params: ModelParams, grid: Grid1D, initializer,
     most 2**36 node-steps (nodes x time levels).  For t_end = 2*dt the
     third seeded level is returned with zero four-level updates applied, so
     the result is always the field at exactly t_end.  The result is a fresh
-    array.  The end nodes are pinned to `boundary`'s Dirichlet values.
+    array.  The end nodes are pinned to `boundary`'s Dirichlet values.  A
+    row of two or more `_CHUNK` passes (2**15 nodes) is marched on as many
+    threads as the process has CPUs, up to one per pass, all joined before
+    the return; the result's bits do not depend on their number.
     """
     if not isinstance(params, ModelParams):
         raise DomainError("params must be one ModelParams")

@@ -25,8 +25,8 @@ import numpy as np
 from . import calibration
 from .calibration import CalibrationResult, ModelParams
 from .errors import DomainError
-from .scheme import (_MAX_INTERVALS, BoundarySpec, Grid1D, _is_spacing,
-                     _march)
+from .scheme import (_MAX_INTERVALS, BoundarySpec, Grid1D, _check_node_steps,
+                     _is_spacing, _march)
 
 DEFAULT_EPSILONS = (0.1, 0.15, 0.175, 0.2, 0.24)
 DEFAULT_SPACINGS = (0.1, 0.05, 0.025)
@@ -155,14 +155,22 @@ def _interior_rmse(case: BenchmarkCase, xs: np.ndarray,
 
 def _check_table_nodes(n_eps: int, spacings) -> None:
     """Refuse a table or profile whose rows hold more than
-    _MAX_TABLE_NODES nodes, before anything is calibrated.  A spacing that
-    no grid can hold counts none here: its case refuses it."""
-    nodes = n_eps * sum(round(1.0 / dx) + 1 for dx in spacings
-                        if dx * _MAX_INTERVALS >= 1.0)
+    _MAX_TABLE_NODES nodes, or whose march at one spacing would take more
+    node-steps than `scheme._march` allows, before anything is calibrated.
+    dt = 30*dx**2 depends on neither epsilon nor order, so the second check
+    is `_check_group`'s, message and all.  A spacing that no grid can hold
+    counts none here: its case refuses it."""
+    held = [dx for dx in spacings if dx * _MAX_INTERVALS >= 1.0]
+    nodes = n_eps * sum(round(1.0 / dx) + 1 for dx in held)
     if nodes > _MAX_TABLE_NODES:
         raise DomainError(f"{n_eps} epsilons at these spacings make {nodes} "
                           f"nodes, more than the {_MAX_TABLE_NODES} a table "
                           "or profile may hold")
+    for dx in held:
+        # Past dx = 1 a case refuses its spacing, and dx**2 may overflow.
+        if dx <= 1.0:
+            _check_node_steps(n_eps * (round(1.0 / dx) + 1),
+                              _T_END / (_DT_OVER_DX2 * dx ** 2))
 
 
 def run_benchmark(case: BenchmarkCase) -> float:
@@ -191,9 +199,8 @@ def reproduce_table(order: str, eps_list=None,
     dx_list must be strictly decreasing; rates pair successive levels.
     Each epsilon is calibrated once, and all cases march in one staged
     batch, so the coarse spacings cost nothing once they have ended; each
-    spacing may take at most 2**36 node-steps, checked before anything is
-    marched, and the table's rows at most 2**20 nodes, checked before
-    anything is calibrated.
+    spacing may take at most 2**36 node-steps and the table's rows at most
+    2**20 nodes, both checked before anything is calibrated.
     """
     eps_values = tuple(DEFAULT_EPSILONS if eps_list is None else eps_list)
     dx_values = tuple(DEFAULT_SPACINGS if dx_list is None else dx_list)

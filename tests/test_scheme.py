@@ -1,14 +1,18 @@
 """Tests for the four-level finite-difference scheme."""
 
 import dataclasses
+import faulthandler
 import itertools
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
 
 from lbmfd import calibration as cal
-from lbmfd import lbm, scheme, stability
+from lbmfd import cli, lbm, scheme, stability
+from lbmfd import verification as ver
 from lbmfd.errors import DomainError
 from lbmfd.scheme import (
     BoundarySpec,
@@ -796,3 +800,172 @@ def test_an_overflowing_source_term_is_refused():
         step(history, coefficients(0.8, 1.0, 1.0), 1e300, 1e300,
              BoundarySpec.dirichlet(0.0, 0.0))
     assert history.current is z
+
+
+def _staged_march_groups() -> list:
+    # The groups of `_STAGED_GROUPS` as arguments of the march.
+    return [([cal.ModelParams(*t, dx=1.0 / n, dt=dt, source_R=r)
+              for t, r in rows], Grid1D(n),
+             lambda x, t, g=g: (-0.5) ** g * _sine_bump(x, t), t_end)
+            for g, (n, dt, t_end, rows) in enumerate(_STAGED_GROUPS)]
+
+
+def _by_worker_count(monkeypatch, march, counts=(1, 2, 3)) -> list:
+    # The result of `march()` when `_cpus` reports each count of CPUs.  A
+    # march that hangs ends the test run, with every thread's traceback,
+    # after a minute.
+    results = []
+    faulthandler.dump_traceback_later(60, exit=True)
+    try:
+        for n_cpus in counts:
+            monkeypatch.setattr(scheme, "_cpus", lambda: n_cpus)
+            results.append(march())
+    finally:
+        faulthandler.cancel_dump_traceback_later()
+    return results
+
+
+def test_the_bits_do_not_depend_on_the_worker_count(monkeypatch):
+    # A row of 2**16 intervals is two passes at the default `_CHUNK`.  The
+    # staged groups at `_CHUNK` 3 and 8 put row ends and group seams inside
+    # every worker's run, and stages end after each phase.  A fourth-order
+    # row of subnormal starts leaves out its zero history weights, holds
+    # zeros at the end and is marched again, threaded, on the full plan.
+    # (Starts of a few subnormal units make exact zeros by rounding.)
+    boundary = BoundarySpec.dirichlet(0.25, -1.5)
+    sixth = cal.calibrate_sixth(0.1)
+    wide = Grid1D(2 ** 16)
+    p = cal.ModelParams(sixth.omega0, sixth.s1, sixth.s2, dx=wide.dx,
+                        dt=30.0 * wide.dx ** 2)
+    sine = lambda x, t: np.sin(np.pi * x)
+    one, two, three = _by_worker_count(monkeypatch, lambda: run(
+        p, wide, sine, boundary, 5 * p.dt).tobytes())
+    assert one == two == three
+    groups = _staged_march_groups()
+    for chunk in (3, 8):
+        monkeypatch.setattr(scheme, "_CHUNK", chunk)
+        one, two, three = _by_worker_count(monkeypatch, lambda: [
+            final.tobytes() for final in scheme._march(groups, boundary)])
+        assert one == two == three
+    # `_CHUNK` is still 8, so a row of 64 intervals is eight passes.
+    grid = Grid1D(64)
+    p = cal.ModelParams(*_FOURTH[1], dx=grid.dx, dt=1e-4)
+    rng = np.random.default_rng(59)
+    units = [-3.0, -2.0, -1.0, 1.0, 2.0, 3.0]
+    starts = [5e-324 * rng.choice(units, 65) for _ in range(3)]
+    marches, workers = [], []
+    march, advance = scheme._march, scheme._advance
+    monkeypatch.setattr(scheme, "_march", lambda *args: marches.append(
+        args[-1]) or march(*args))
+    monkeypatch.setattr(scheme, "_advance", lambda runs, n: workers.append(
+        len(runs)) or advance(runs, n))
+    one, two, three = _by_worker_count(monkeypatch, lambda: run(
+        p, grid, lambda x, t: starts[round(t / 1e-4)], boundary,
+        6e-4).tobytes())
+    assert one == two == three
+    assert (np.frombuffer(one)[1:-1] == 0.0).any()
+    assert marches == [boundary, False] * 3
+    assert workers == [1, 1, 2, 2, 3, 3]
+
+
+def test_more_workers_than_cpus_keep_the_bits_under_fast_switching(
+        monkeypatch):
+    # Five workers, each a run of 2-node passes, on fewer cores, with the
+    # interpreter switching threads every microsecond: a level read before
+    # its neighbours have written it, or a node written by two workers,
+    # would change the bits of the staged groups.
+    monkeypatch.setattr(scheme, "_CHUNK", 2)
+    boundary = BoundarySpec.dirichlet(0.25, -1.5)
+    groups = _staged_march_groups()
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        one, five = _by_worker_count(monkeypatch, lambda: [
+            final.tobytes() for final in scheme._march(groups, boundary)],
+            (1, 5))
+    finally:
+        sys.setswitchinterval(interval)
+    assert one == five
+
+
+def test_a_threaded_march_raises_or_stays_quiet_as_one_thread_does(
+        monkeypatch):
+    # At 2**16 intervals a level is two passes.  The third start level is
+    # near 1.7e308 in the second pass only, so the first pair sum overflows
+    # in the second worker's run, which must raise FloatingPointError under
+    # over="raise" as one thread does, and must let no warning out under
+    # all="ignore" (the suite makes a warning an error).  With +inf and
+    # -inf two nodes apart in the first pass as well, the first worker's
+    # invalid sum is raised under all="raise", as one thread raises it
+    # first.  None may hang or leave a thread running.
+    grid = Grid1D(2 ** 16)
+    p = cal.ModelParams(*_TRIPLES[0], dx=grid.dx, dt=1e-4)
+    huge = lambda x, t: np.where((x > 0.75) & (t > 1.5e-4), 1.7e308, 1.0)
+    boundary = BoundarySpec.dirichlet(0.0, 0.0)
+    threads = threading.active_count()
+
+    def raising(errors: str, start, message: str):
+        def march():
+            with pytest.raises(FloatingPointError, match=message), \
+                    np.errstate(**{errors: "raise"}):
+                run(p, grid, start, boundary, 6e-4)
+            return threading.active_count()
+        return march
+
+    def both(x, t):
+        level = huge(x, t)
+        if t > 1.5e-4:
+            level[[100, 102]] = np.inf, -np.inf
+        return level
+
+    assert _by_worker_count(monkeypatch, raising(
+        "over", huge, "overflow")) == [threads] * 3
+    assert _by_worker_count(monkeypatch, raising(
+        "all", both, "invalid")) == [threads] * 3
+
+    def quiet():
+        with np.errstate(all="ignore"):
+            return run(p, grid, huge, boundary, 6e-4).tobytes()
+
+    one, two, three = _by_worker_count(monkeypatch, quiet)
+    assert one == two == three
+    assert threading.active_count() == threads
+
+
+def test_only_a_march_of_long_rows_starts_threads(monkeypatch, capsys):
+    # Every default table, `step`, the equivalence check and every CLI
+    # subcommand at its defaults march rows of one pass per level on the
+    # caller's thread; a run of 2**16 intervals, two passes, starts one
+    # thread less than it has workers.  Every thread has ended on return.
+    starts = []
+    start = threading.Thread.start
+    monkeypatch.setattr(threading.Thread, "start",
+                        lambda self: starts.append(self) or start(self))
+
+    def started(call) -> int:
+        threads, starts[:] = threading.active_count(), []
+        call()
+        assert threading.active_count() == threads
+        return len(starts)
+
+    for order in cal.ORDERS:
+        assert started(lambda: ver.reproduce_table(order)) == 0
+    levels = [np.linspace(0.0, 1.0, 41)] * 3
+    assert started(lambda: step(PhiHistory.from_levels(*levels),
+                                coefficients(*_TRIPLES[0]), 1e-4, 0.0,
+                                BoundarySpec.dirichlet(0.0, 0.0))) == 0
+    assert started(lambda: lbm.fd_equivalence_deviation(
+        2 ** 14, 400, *_TRIPLES[0], seed=1)) == 0
+    triple = ["--omega0", "0.83", "--s1", "0.92", "--s2", "1.15"]
+    for argv in (["calibrate", "--epsilon", "0.1", "--order", "6"],
+                 ["run", "--epsilon", "0.1"], ["convergence", "--order", "6"],
+                 ["stability", *triple], ["equivalence", *triple],
+                 ["sweep", "--eps-min", "0.05", "--eps-max", "0.2",
+                  "--n-points", "4"], ["profile"]):
+        assert started(lambda: cli.main(argv)) == 0
+    capsys.readouterr()
+    grid = Grid1D(2 ** 16)
+    p = cal.ModelParams(*_TRIPLES[0], dx=grid.dx, dt=1e-4)
+    assert started(lambda: run(p, grid, _sine_bump,
+                               BoundarySpec.dirichlet(0.0, 0.0), 5e-4)) == \
+        min(scheme._cpus(), 2) - 1

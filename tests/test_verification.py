@@ -355,6 +355,12 @@ def test_tables_and_profiles_past_the_node_cap_are_refused_first(
     # One row at the finest spacing a grid holds is past the cap too.
     with pytest.raises(DomainError, match=f"more than the {cap} a table"):
         ver.reproduce_table("second", (0.1,), (0.1, 2.0 ** -22))
+    # Rows within the cap whose march at one spacing would take more
+    # node-steps than a march may are refused with the march's own words.
+    with pytest.raises(DomainError) as refused:
+        ver.reproduce_table("sixth", [0.1, 0.15, 0.2], (0.1, 2.0 ** -13))
+    assert str(refused.value) == ("24579 nodes x 2.68e+07 steps exceed the "
+                                  "68719476736 node-steps a march may take")
 
 
 def test_reproduce_table_refuses_a_spacing_off_the_step_grid(monkeypatch):
