@@ -50,7 +50,7 @@ import numpy as np
 
 from .calibration import ModelParams
 from .errors import DomainError
-from .scheme import (_CHUNK, _aligned, _calls, _check_node_steps, _plan,
+from .scheme import (_CHUNK, _aligned, _check_node_steps, _plan,
                      _weight_row, coefficients)
 
 # The equivalence check holds thirteen node-length float64 arrays and no
@@ -278,10 +278,11 @@ def fd_equivalence_deviation(n_nodes: int, steps: int, omega0: float,
     table = [_weight_row(coefficients(omega0, s1, s2), params.dt,
                          params.source_R)]
     # The equilibrium of `initialize`, built straight into buffers that start
-    # a cache line, as do all below: the collision writes whole arrays.
+    # a cache line at the first node that the collision writes, as do all
+    # below: node 1 of f_plus, whose first store is streamed, else node 0.
     base = rng.random(n_nodes) - _half_source(params)
-    pops = [np.multiply(share, base, out=_aligned(n_nodes))
-            for share in equilibrium(1.0, params)]
+    pops = [np.multiply(share, base, out=_aligned(n_nodes, lead))
+            for share, lead in zip(equilibrium(1.0, params), (0, 0, 1))]
     consts = _collision_constants(params, np.float64)
     consts = consts[:5] + tuple(term if term else None for term in consts[5:])
     # Collision n writes level n into the middle of row n % ring of one
@@ -334,17 +335,17 @@ def fd_equivalence_deviation(n_nodes: int, steps: int, omega0: float,
             continue
         if t < 3:
             if n == ring:
-                wrapped = [_calls(phase) for phase in _plan(
+                (wrapped,) = _plan(
                     [*block[-3:, :n_nodes + 2], *block[:2, :n_nodes + 2]],
                     [out[:n_nodes + 2]] * 3, table, (0.0, 0.0),
                     [(1, n_nodes + 2)], (pair[span - 2 - n_nodes:],
-                                         *work[:2]))]
+                                         *work[:2]))
             calls, gap, new = wrapped[t], gaps[0], mids[t]
         else:
             if n == ring - 1:
-                (phase,) = _plan(flats, [out[:span]], table, (0.0, 0.0),
-                                 [(1, span)], (pair, *work[:2]))
-                windowed = _calls(phase)
+                ((windowed,),) = _plan(flats, [out[:span]], table,
+                                       (0.0, 0.0), [(1, span)],
+                                       (pair, *work[:2]))
             elif ring > 4:
                 np.add(flats[1][:-2], flats[1][2:], pair)
             calls, gap, new = windowed, gaps[:t - 2], levels[3:t + 1]

@@ -50,18 +50,19 @@ such rows in one flat pass.
 
 Long rows are cut into passes of `_CHUNK` nodes, and every output of a
 pass starts a 64-byte cache line.  The levels rotate through four buffers:
-level n+1 overwrites level n-3, which no pass reads any more.  The calls
-of all four phases are built once per stage (`_plan`), and a march makes
-them one level at a time.  A stage whose level spans two or more passes
-splits each phase's passes into contiguous runs, one per CPU that the
-process may run on (and at most one per pass): the caller's thread makes
-the first run and a thread of its own each other run, and they meet at a
-barrier after every level, as a pass reads the nodes beside its run from
-the level before.  numpy lets go of the GIL inside a ufunc call on a long
-slice, so the runs of one level are made at once.  Every node gets the
-same calls in the same order whichever worker makes them, so the bits do
-not depend on the CPU count.  `step` and the equivalence check make their
-passes on the caller's thread alone.
+level n+1 overwrites level n-3, which no pass reads any more.  `_plan`
+builds the calls of all four phases once per stage, as one list per
+worker and phase, and a march makes them one level at a time.  A stage
+whose level spans two or more passes cuts them into contiguous runs, one
+per CPU that the process may run on (and at most one per pass), and a
+worker's phase ends with one `put` that pins the end nodes among its
+nodes.  The caller's thread makes the first run and a thread of its own
+each other run, and they meet at a barrier after every level, as a pass
+reads the nodes beside its run from the level before.  numpy lets go of
+the GIL inside a ufunc call on a long slice, so the runs of one level are
+made at once.  Every node gets the same calls in the same order whichever
+worker makes them, so the bits do not depend on the CPU count.  `step`
+and the equivalence check make their passes on the caller's thread alone.
 
 `run` is the one-row case of the staged march `_march`, in which the
 convergence tables march all of their spacings at once.
@@ -75,7 +76,7 @@ import operator
 import os
 import threading
 from dataclasses import dataclass, field
-from itertools import accumulate, chain, cycle, islice
+from itertools import accumulate, cycle, islice
 
 import numpy as np
 
@@ -262,14 +263,6 @@ def _cpus() -> int:
     return os.cpu_count() or 1
 
 
-def _split(n_passes: int, workers: int) -> list:
-    """The first pass of each worker's run of a phase's passes, then
-    n_passes: at most `workers` contiguous runs, which differ in length by
-    one at most."""
-    workers = min(workers, n_passes)
-    return [n_passes * w // workers for w in range(workers + 1)]
-
-
 def _pass_calls(cur, prev_m, old_m, acc, pair, term, part, weights) -> list:
     # The recurrence at the mid views of one pass as in-place ufunc calls,
     # in the order of the module docstring: ten, less the multiply and the
@@ -295,23 +288,24 @@ def _pass_calls(cur, prev_m, old_m, acc, pair, term, part, weights) -> list:
 
 
 def _plan(ring: list, outs: list, table, ends: tuple, layout: list,
-          scratch=None, skip: bool = False, workers: int = 1) -> tuple:
-    """The calls of each phase of a march, with the carried pair seeded.
+          scratch=None, skip: bool = False, workers: int = 1) -> list:
+    """The calls of a march's phases, one list per worker and phase, with
+    the carried pair seeded.
 
     `ring` holds flat level buffers of the blocks that `layout` lists;
     phase k reads old, prev and cur from ring[k], ring[k+1] and ring[k+2]
-    (indices mod len(ring)) and writes the next level into outs[k].  A
-    phase is a list of groups of (function, args) calls, one group per flat
-    pass of `_CHUNK` nodes, in node order, and `_split(len(phase),
-    workers)` cuts it into the workers' runs.  Each group ends with one
-    `put` that pins every end node of its worker's run of nodes (the first
-    run from node 0, the last to the row's end) to the (left, right)
-    values `ends`, with the bits of pinning each end once: a pass computes
-    an end only as a value that its put overwrites, and an end pinned early
-    is read only as an old level, which feeds only its own node.  So no
-    node is written by two workers.  The pair sum prev_l + prev_r is
-    carried in one array from phase to phase, so the phases must run in
-    order, from phase 0; it starts as the pair of ring[1], the same
+    (indices mod len(ring)) and writes the next level into outs[k].  The
+    flat passes of `_CHUNK` nodes are cut into at most `workers` contiguous
+    runs, one per worker, which differ in length by one pass at most.
+    runs[w][k] of the result holds the (function, args) calls of worker w in
+    phase k: those of its passes, in node order, then one `put` that pins
+    every end node of its run of nodes (the first run from node 0, the last
+    to the row's end) to the (left, right) values `ends`.  A pass computes
+    an end only as a value that the put overwrites, and no pass reads the
+    level that its phase writes, so this has the bits of pinning each end
+    once, and no node is written by two workers.  The pair sum prev_l +
+    prev_r is carried in one array from phase to phase, so the phases must
+    run in order, from phase 0; it starts as the pair of ring[1], the same
     addition that the step which wrote ring[2] made.  `table` has one
     `_weight_row` per row of `layout`: a single row's weights become 0-d
     arrays of the levels' dtype, which a ufunc takes faster than Python
@@ -354,7 +348,8 @@ def _plan(ring: list, outs: list, table, ends: tuple, layout: list,
                tuple(None if g else c[lo + 1:hi + 1]
                      for g, c in zip(gone, columns)))
               for lo, hi in bounds]
-    cuts = _split(len(passes), workers)
+    workers = min(workers, len(passes))
+    cuts = [len(passes) * w // workers for w in range(workers + 1)]
     # The first end node of each worker's run of nodes, which starts at the
     # first node that the worker writes, then the number of end nodes.
     at = np.searchsorted(end_nodes, [0, *(bounds[c][0] + 1
@@ -363,37 +358,33 @@ def _plan(ring: list, outs: list, table, ends: tuple, layout: list,
         # The pair and the work arrays, rounded up to whole cache lines.
         lead = -(-interior // line) * line
         wide = -(-(bounds[0][1] - bounds[0][0]) // line) * line
-        block = _aligned(lead + 2 * (len(cuts) - 1) * wide, 0, dtype)
+        block = _aligned(lead + 2 * workers * wide, 0, dtype)
         scratch = (block[:interior],
                    *(block[lead + k * wide:lead + (k + 1) * wide]
-                     for k in range(2 * (len(cuts) - 1))))
+                     for k in range(2 * workers)))
     pair, *work = scratch
-    # Per worker: its passes, its two work arrays and the pins of its run.
-    runs = [(passes[a:b], work[2 * w], work[2 * w + 1],
-             (end_nodes[p:q], end_values[p:q])) for w, (a, b, p, q)
-            in enumerate(zip(cuts, cuts[1:], at, at[1:]))]
     np.add(ring[1][:-2], ring[1][2:], pair)
-    phases = []
-    for k, out in enumerate(outs):
-        old, prev, cur = (ring[(k + i) % len(ring)] for i in range(3))
-        phases.append([
-            _pass_calls((cur[lo:hi], cur[lo + 1:hi + 1], cur[lo + 2:hi + 2]),
-                        prev[lo + 1:hi + 1], old[lo + 1:hi + 1],
-                        out[lo + 1:hi + 1], pair[lo:hi], term[:hi - lo],
-                        part[:hi - lo], weights) + [(out.put, pins)]
-            for own, term, part, pins in runs for lo, hi, weights in own])
-    return tuple(phases)
-
-
-def _calls(groups) -> list:
-    """The calls of a run of pass groups, in order."""
-    return list(chain.from_iterable(groups))
+    runs = []
+    for a, b, p, q, term, part in zip(cuts, cuts[1:], at, at[1:], work[::2],
+                                      work[1::2]):
+        runs.append([])
+        for k, out in enumerate(outs):
+            old, prev, cur = (ring[(k + i) % len(ring)] for i in range(3))
+            calls = []
+            for lo, hi, weights in passes[a:b]:
+                calls += _pass_calls(
+                    (cur[lo:hi], cur[lo + 1:hi + 1], cur[lo + 2:hi + 2]),
+                    prev[lo + 1:hi + 1], old[lo + 1:hi + 1],
+                    out[lo + 1:hi + 1], pair[lo:hi], term[:hi - lo],
+                    part[:hi - lo], weights)
+            runs[-1].append(calls + [(out.put, (end_nodes[p:q],
+                                                end_values[p:q]))])
+    return runs
 
 
 def _advance(runs: list, n_levels: int) -> None:
-    """Make `n_levels` levels of a stage: level i makes the calls
-    runs[w][i % 4] of every worker w, where runs[w] holds the four phases'
-    calls of worker w.
+    """Make `n_levels` levels of a stage planned by `_plan`: level i makes
+    the calls runs[w][i % 4] of every worker w.
 
     Worker 0 is the caller's thread, and each other worker a thread that is
     started here and joined before the return.  The workers meet at a
@@ -466,8 +457,8 @@ def step(history: PhiHistory, coeffs: FdCoefficients, dt: float, R: float,
     out = np.empty(levels[0].shape, np.result_type(*levels, 1.0))
     table = [_weight_row(coeffs, dt, R)]
     ends = boundary.left_value, boundary.right_value
-    (phase,) = _plan(levels, [out], table, ends, [(1, out.size)])
-    for fn, args in _calls(phase):
+    ((calls,),) = _plan(levels, [out], table, ends, [(1, out.size)])
+    for fn, args in calls:
         fn(*args)
     _add_zero_terms([out], table)
     return history.push(out)
@@ -585,15 +576,11 @@ def _march(groups, boundary: BoundarySpec, skip: bool = True) -> list:
         if steps[active - 1] > level:
             size = sum(r * n for r, n in layout[:active])
             rot = [ring[(level - 2 + i) % 4][:size] for i in range(4)]
-            workers = _cpus()
-            phases = _plan(rot, rot[3:] + rot[:3],
+            _advance(_plan(rot, rot[3:] + rot[:3],
                            [row for t in tables[:active] for row in t],
                            (boundary.left_value, boundary.right_value),
                            layout[:active], None,
-                           skip and all(may_skip[:active]), workers)
-            cuts = _split(len(phases[0]), workers)
-            _advance([[_calls(phase[a:b]) for phase in phases]
-                      for a, b in zip(cuts, cuts[1:])],
+                           skip and all(may_skip[:active]), _cpus()),
                      steps[active - 1] - level)
             level = steps[active - 1]
         while active and steps[active - 1] == level:

@@ -1,6 +1,7 @@
 """Tests for the mesoscopic three-velocity model."""
 
 import itertools
+import types
 
 import numpy as np
 import pytest
@@ -286,6 +287,47 @@ def test_the_check_adds_only_nonzero_source_terms(monkeypatch):
         assert sources == [(skipped,) * 3] * 4
 
 
+def test_the_check_writes_each_array_from_a_cache_line(monkeypatch):
+    # The first node that the check's collision writes of each of its
+    # arrays starts a 64-byte line: node 0 of most, and node 1 of f_plus,
+    # whose first store is the streamed f_plus[1:] = tmp[:-1] + pull[:-1].
+    outs, arrays = [], []
+    collider = lbm._collider
+
+    class Recording:
+        def __init__(self, ufunc):
+            self._ufunc = ufunc
+
+        def __call__(self, *args):
+            outs.append(args[-1])
+            return self._ufunc(*args)
+
+    def recording_collider(*args):
+        with monkeypatch.context() as patch:
+            patch.setattr(lbm, "np", types.SimpleNamespace(**{
+                name: Recording(getattr(np, name))
+                for name in ("add", "subtract", "multiply")}))
+            collide = collider(*args)
+        arrays.extend(args[:3] + args[4:])
+
+        def recording_collide(phi):
+            arrays.append(phi)
+            collide(phi)
+
+        return recording_collide
+
+    monkeypatch.setattr(lbm, "_collider", recording_collider)
+    for n_nodes, source_R in itertools.product((8, 13, 2 ** 14 + 3),
+                                               (0.0, 0.5)):
+        outs.clear()
+        arrays.clear()
+        lbm.fd_equivalence_deviation(n_nodes, 6, 0.6, 1.4, 0.7, 1, source_R)
+        assert len(arrays) == 6 + 7
+        for array in arrays:
+            first = next(out for out in outs if np.shares_memory(out, array))
+            assert first.ctypes.data % 64 == 0
+
+
 def _check_calls(monkeypatch, n_nodes, steps):
     # The numpy calls of one check, as a recording proxy counts them: those
     # made through the `np` of `lbm` and those of the plans that it builds,
@@ -308,8 +350,8 @@ def _check_calls(monkeypatch, n_nodes, steps):
     plan = lbm._plan
 
     def counting_plan(*args):
-        return tuple([[(Counting(fn), fn_args) for fn, fn_args in group]
-                      for group in phase] for phase in plan(*args))
+        return [[[(Counting(fn), fn_args) for fn, fn_args in calls]
+                 for calls in phases] for phases in plan(*args)]
 
     with monkeypatch.context() as patch:
         patch.setattr(lbm, "np", Counting(np))

@@ -24,6 +24,19 @@ from lbmfd.scheme import (
 )
 
 
+@pytest.fixture
+def chunk(request, monkeypatch):
+    # The `_CHUNK` of a reference-march test, its default when None.  A
+    # short chunk makes plans of many passes, which every case but chunk 3
+    # marches on one worker: two threads on passes of a few nodes take
+    # longer than the march, and the split has tests of its own.
+    if request.param is not None:
+        monkeypatch.setattr(scheme, "_CHUNK", request.param)
+        if request.param != 3:
+            monkeypatch.setattr(scheme, "_cpus", lambda: 1)
+    return request.param
+
+
 def test_coefficients_at_unit_rates():
     co = coefficients(0.8, 1.0, 1.0)
     np.testing.assert_allclose(co.side_n, 0.1, rtol=1e-14)
@@ -153,12 +166,9 @@ def _reference_step(cur, prev, old, co, src, boundary):
     return new
 
 
-@pytest.mark.parametrize("chunk", [None, 4])
-def test_step_matches_the_reference_expression_bit_for_bit(chunk,
-                                                            monkeypatch):
+@pytest.mark.parametrize("chunk", [None, 4], indirect=True)
+def test_step_matches_the_reference_expression_bit_for_bit(chunk):
     # chunk = 4 makes the kernel sweep the interior in many short passes.
-    if chunk is not None:
-        monkeypatch.setattr(scheme, "_CHUNK", chunk)
     rng = np.random.default_rng(29)
     co = coefficients(0.83, 0.92, 1.15)
     dt, R = 0.37, -0.6
@@ -416,9 +426,8 @@ _FOURTH = tuple((res.omega0, res.s1, res.s2) for res in (
     cal.calibrate_fourth(0.1, 1.0), cal.calibrate_fourth(0.2, 1.0)))
 
 
-@pytest.mark.parametrize("chunk", [1, 2, 3, 4, 7, 8, 9])
-def test_batched_run_matches_the_reference_march_bit_for_bit(chunk,
-                                                             monkeypatch):
+@pytest.mark.parametrize("chunk", [1, 2, 3, 4, 7, 8, 9], indirect=True)
+def test_batched_run_matches_the_reference_march_bit_for_bit(chunk):
     # Passes of 1 to 9 nodes straddle the seams between the rows of the
     # flat Dirichlet batch.  The level that trails by one cache line (eight
     # nodes) in a sweep makes empty passes first when the chunk is shorter
@@ -433,7 +442,6 @@ def test_batched_run_matches_the_reference_march_bit_for_bit(chunk,
     # zero updates and after each of the four phases of its call plan, the
     # last one after the carried pair has gone once round the four level
     # buffers.
-    monkeypatch.setattr(scheme, "_CHUNK", chunk)
     grid = Grid1D(30)
     t0, t1, t2 = (0.83, 0.92, 1.15), (0.6, 1.4, 0.7), (0.8, 1.0, 1.0)
     t3, t4 = _FOURTH
@@ -495,18 +503,15 @@ _STAGED_GROUPS = (
 )
 
 
-@pytest.mark.parametrize("chunk", [None, 1, 2, 3, 4, 7, 8, 9])
+@pytest.mark.parametrize("chunk", [None, 1, 2, 3, 4, 7, 8, 9], indirect=True)
 @pytest.mark.parametrize("boundary", [BoundarySpec.dirichlet(0.25, -1.5)],
                          ids=["dirichlet"])
-def test_staged_march_matches_one_run_per_group_bit_for_bit(chunk, boundary,
-                                                            monkeypatch):
+def test_staged_march_matches_one_run_per_group_bit_for_bit(chunk, boundary):
     # Passes of 1 to 9 nodes straddle the seams between groups as well as
     # those between rows, and stages of odd and even length end with and
     # without a single-level tail.  A group must get the bits of a march of
     # its own, which the batched reference test ties to the whole-array
     # expression.
-    if chunk is not None:
-        monkeypatch.setattr(scheme, "_CHUNK", chunk)
     groups = []
     for g, (n, dt, t_end, rows) in enumerate(_STAGED_GROUPS):
         grid = Grid1D(n)
@@ -584,9 +589,8 @@ def _signed_group(rng, rows, grid, boundary, n_steps, dt=1e-4):
     return group, expected
 
 
-@pytest.mark.parametrize("chunk", [None, 3, 8])
-def test_signed_zero_starts_match_the_reference_march_bit_for_bit(
-        chunk, monkeypatch):
+@pytest.mark.parametrize("chunk", [None, 3, 8], indirect=True)
+def test_signed_zero_starts_match_the_reference_march_bit_for_bit(chunk):
     # A pass leaves out a source term that is +-0.0 in every active row, so
     # a level differs from the reference only in the sign of exact zeros
     # until the march's read-out adds the zero term back.  Rows of +0.0,
@@ -594,8 +598,6 @@ def test_signed_zero_starts_match_the_reference_march_bit_for_bit(
     # batch whose row of 0.5 keeps the add, and in two-group stages where
     # the zero group ends first or runs on alone after the mixed stage,
     # from 2*dt (no update) to 7*dt.
-    if chunk is not None:
-        monkeypatch.setattr(scheme, "_CHUNK", chunk)
     assert all(coefficients(*t).source * 1e-4 * 1e-320 == 0.0
                for t in _TRIPLES)
     rng = np.random.default_rng(43)
@@ -642,9 +644,9 @@ def _edge_starts(rng, n: int) -> list:
                    for values in (huge, tiny)]
 
 
-@pytest.mark.parametrize("chunk", [None, 3])
+@pytest.mark.parametrize("chunk", [None, 3], indirect=True)
 def test_non_finite_huge_and_subnormal_starts_match_the_reference_march(
-        chunk, monkeypatch):
+        chunk):
     # A march may leave out a zero weight's product only where that gives
     # the full plan's bits, NaN against inf and the sign of zero included,
     # so every start set marches to the bits of the reference march: alone,
@@ -652,8 +654,6 @@ def test_non_finite_huge_and_subnormal_starts_match_the_reference_march(
     # The triples are second order at epsilon = 0.1 and 0.4 (whose small
     # center_n rounds subnormal products to zero), fourth and sixth order,
     # and the -0.0 source term keeps the sign of every zero in the result.
-    if chunk is not None:
-        monkeypatch.setattr(scheme, "_CHUNK", chunk)
     rng = np.random.default_rng(53)
     grid = Grid1D(11)
     sixth = cal.calibrate_sixth(0.1)
@@ -699,21 +699,26 @@ def test_step_keeps_the_sign_of_zero_bit_for_bit():
 
 
 def _record_pass_calls(monkeypatch) -> list:
-    # The set of ufunc-call counts of the passes of each plan made from now
-    # on, by the march, `step` and the equivalence check, in plan order; a
-    # Dirichlet pass also makes its `put`, which is not a ufunc.
+    # The ufunc-call count of each pass planned from now on, by the march,
+    # `step` and the equivalence check, in plan order: one per phase of a
+    # row of one pass, so four per stage of a march.  A Dirichlet phase
+    # also makes its `put`, which is not a ufunc.
     counts = []
-    plan = scheme._plan
+    pass_calls = scheme._pass_calls
 
-    def recording_plan(*args):
-        phases = plan(*args)
-        counts.append({sum(isinstance(fn, np.ufunc) for fn, _ in group)
-                       for phase in phases for group in phase})
-        return phases
+    def recording_pass_calls(*args):
+        calls = pass_calls(*args)
+        counts.append(sum(isinstance(fn, np.ufunc) for fn, _ in calls))
+        return calls
 
-    monkeypatch.setattr(scheme, "_plan", recording_plan)
-    monkeypatch.setattr(lbm, "_plan", recording_plan)
+    monkeypatch.setattr(scheme, "_pass_calls", recording_pass_calls)
     return counts
+
+
+def _per_stage(*counts) -> list:
+    # The pass counts of marches of one-pass rows whose stages make the
+    # given counts, four phases each.
+    return [n for n in counts for _ in range(4)]
 
 
 def test_a_pass_adds_the_source_term_only_when_a_row_has_one(monkeypatch):
@@ -730,14 +735,14 @@ def test_a_pass_adds_the_source_term_only_when_a_row_has_one(monkeypatch):
         run(p, grid, init, boundary, 6e-4)
         step(PhiHistory.from_levels(*[np.ones(5)] * 3),
              coefficients(*_TRIPLES[0]), 1e-4, R, boundary)
-        assert counts == [{n_calls}] * 2
+        assert counts == _per_stage(n_calls) + [n_calls]
     # A stage plans eleven while a row of 0.5 marches, and ten after it.
     counts.clear()
     zero, half = ([cal.ModelParams(*_TRIPLES[1], dx=grid.dx, dt=1e-4,
                                    source_R=R)] for R in (0.0, 0.5))
     scheme._march([(zero, grid, init, 9e-4), (half, grid, init, 5e-4)],
                   _SIGNED_ENDS[1])
-    assert counts == [{11}, {10}]
+    assert counts == _per_stage(11, 10)
 
 
 def test_a_march_leaves_out_the_history_weights_that_are_zero(monkeypatch):
@@ -760,7 +765,7 @@ def test_a_march_leaves_out_the_history_weights_that_are_zero(monkeypatch):
         step(PhiHistory.from_levels(*[np.ones(5)] * 3),
              coefficients(*triple), 1e-4, 0.0, boundary)
         lbm.fd_equivalence_deviation(8, 3, *triple, seed=1)
-        assert counts == [{n_calls}, {10}, {10}]
+        assert counts == _per_stage(n_calls) + [10, 10]
     # A stage leaves a weight out only when it is zero in every row: ten
     # while a sixth-order row marches, then four, or six beside a
     # fourth-order row.
@@ -772,7 +777,7 @@ def test_a_march_leaves_out_the_history_weights_that_are_zero(monkeypatch):
                   boundary)
     scheme._march([([p2], grid, init, 9e-4), ([p4], grid, init, 7e-4)],
                   boundary)
-    assert counts == [{10}, {10}, {4}, {6}, {4}]
+    assert counts == _per_stage(10, 10, 4, 6, 4)
     # A group with a zero history weight skips only from finite start
     # levels: a stage that holds one with a NaN keeps all ten, and the
     # stage after it has ended skips again.  Nor does it skip when its last
@@ -784,7 +789,7 @@ def test_a_march_leaves_out_the_history_weights_that_are_zero(monkeypatch):
                   boundary)
     bump = lambda x, t: 1.0 * (np.abs(x - 0.5) < 0.15)
     scheme._march([([p2], grid, bump, 3e-4)], boundary)
-    assert counts == [{10}, {4}, {10}]
+    assert counts == _per_stage(10, 4, 10)
 
 
 def test_an_overflowing_source_term_is_refused():
@@ -866,6 +871,31 @@ def test_the_bits_do_not_depend_on_the_worker_count(monkeypatch):
     assert (np.frombuffer(one)[1:-1] == 0.0).any()
     assert marches == [boundary, False] * 3
     assert workers == [1, 1, 2, 2, 3, 3]
+
+
+def test_each_worker_pins_its_run_once_per_phase(monkeypatch):
+    # `_march` hands `_advance` one list of calls per worker and phase:
+    # those of the worker's passes, then one `put` of the end nodes among
+    # its nodes.  The staged groups at `_CHUNK` 3 and 8 make stages of one
+    # pass and of many, which two and three workers split.
+    plans = []
+    advance = scheme._advance
+    monkeypatch.setattr(scheme, "_advance", lambda runs, n: plans.append(
+        runs) or advance(runs, n))
+    groups = _staged_march_groups()
+    boundary = BoundarySpec.dirichlet(0.25, -1.5)
+    for chunk in (3, 8):
+        monkeypatch.setattr(scheme, "_CHUNK", chunk)
+        _by_worker_count(monkeypatch, lambda: scheme._march(groups,
+                                                            boundary))
+    assert {len(runs) for runs in plans} == {1, 2, 3}
+    for runs in plans:
+        for phases in runs:
+            assert len(phases) == 4
+            for calls in phases:
+                puts = [getattr(fn, "__name__", None) == "put"
+                        for fn, _ in calls]
+                assert puts == [False] * (len(calls) - 1) + [True]
 
 
 def test_more_workers_than_cpus_keep_the_bits_under_fast_switching(
