@@ -36,6 +36,17 @@ A source term of +-0.0 sets only the sign of exact zeros, which the
 check's maxima of |gap| and |phi| cannot see, so the check leaves out its
 zero source adds; `evolve`, which returns its populations, keeps them.
 
+The check is a producer, the collision, that hands levels to a consumer,
+the prediction with the running maxima of |gap| and |phi|.  Where the ring
+holds four levels, `os.fork` exists, the process may run on two or more
+CPUs, no other thread runs and SIGCHLD is not ignored, the consumer runs
+in one forked child, which has a GIL of its own (threads cannot share
+this work: numpy calls on rows of 2**14 nodes hold the GIL for much of
+their time).  The two share a ring of eight rows in an
+anonymous shared map and pass one byte a level each way through two pipes;
+the child sends its two maxima back and is reaped before the call returns.
+Everywhere else the two interleave in the calling process.
+
 The lattice is periodic, the form on which the model is analysed; the
 Dirichlet decaying-sine problem is marched in the finite-difference form.
 """
@@ -43,22 +54,35 @@ Dirichlet decaying-sine problem is marched in the finite-difference form.
 from __future__ import annotations
 
 import math
+import mmap
 import operator
+import os
+import signal
+import threading
 from dataclasses import dataclass
+from itertools import cycle
 
 import numpy as np
 
 from .calibration import ModelParams
 from .errors import DomainError
-from .scheme import (_CHUNK, _aligned, _check_node_steps, _plan,
-                     _weight_row, coefficients)
+from .scheme import (_CHUNK, _LINE, _aligned, _check_node_steps, _cpus,
+                     _plan, _weight_row, coefficients)
 
 # The equivalence check holds thirteen node-length float64 arrays and no
 # temporaries, about 105 B per node, when its window is one level (from
 # about 2**14 nodes: a tracemalloc peak of 1.72 MB there).  A longer window
 # stretches six of them to about one `_CHUNK` pass each (0.81 MB at 64
-# nodes, 1.68 MB at 9,000).  So 2**21 nodes keep it near 220 MB.
+# nodes, 1.68 MB at 9,000).  A forked check holds nineteen, about 152 B
+# per node: seven in the parent, the eight rows of the shared ring and four
+# that the child allocates, which shares the parent's other pages until
+# either writes to them.  So 2**21 nodes keep it near 320 MB.
 _MAX_EQUIV_NODES = 2 ** 21
+
+# Rows of the forked check's shared ring: the four levels that a
+# prediction reads and compares, and four more that the collision may run
+# ahead (16 rows were no faster in a scratch prototype).
+_SHARED_ROWS = 8
 
 
 @dataclass(frozen=True)
@@ -244,6 +268,168 @@ def evolve_matrix_form(f: DistributionField,
                              np.roll(post[2], 1))
 
 
+def _produce(collide, block, n_nodes: int, steps: int, batched: bool):
+    # The check's producer.  Collision n writes level n into the middle of
+    # row n % ring of `block`, and n is yielded once the ghost nodes of its
+    # rows hold their periodic neighbours.  A row is whole cache lines of
+    # eight nodes long, starts node 1 on a line and has a ghost node at each
+    # end, which a strided copy fills with the level's last and first node.
+    # Rows 0, 1 and 2 are handed on one by one; when `batched`, rows 3 ..
+    # ring-1 are one window, handed on, and their ghosts filled in one copy,
+    # at its last row or the trajectory's.  Otherwise every row is handed
+    # on alone.  The last collision's populations are never read.
+    ring = len(block)
+    mids = list(block[:, 1:n_nodes + 1])
+    ends = block[:, :n_nodes + 2:n_nodes + 1]
+    wraps = block[:, n_nodes:0:1 - n_nodes]
+    ghosts = list(zip(ends, wraps))
+    if batched:
+        ghosts[3:] = [(ends[3:], wraps[3:])] * (ring - 3)
+    for n in range(steps + 1):
+        t = n % ring
+        collide(mids[t])
+        if t < 3 or t == ring - 1 or n == steps or not batched:
+            ghost, wrap = ghosts[t]
+            ghost[...] = wrap
+            yield n
+
+
+def _deviation(levels, block, n_nodes: int, steps: int, table: list,
+               batched: bool, scratch: list) -> tuple[float, float]:
+    # The check's consumer: (max |gap|, max |phi|) over the rows of `block`
+    # as `_produce` hands them on, each n that `levels` yields.  Rows 3 ..
+    # ring-1 of a `batched` ring, as many as one `_CHUNK` pass holds, are a
+    # window: one plan predicts them in one flat pass into `out`, which is
+    # laid out alike, reading the old, previous and current levels from the
+    # flat block at rows 0, 1 and 2 on; the padding after each row's ghosts
+    # must be zero, so that a flat pass reads only finite values.  A last
+    # window cut short at row t predicts every row and compares rows 3 .. t.
+    # Every other row is predicted alone, with wrap, by one cyclic plan.
+    # The plans' Dirichlet pins land on ghost nodes, which are never
+    # compared.  They share one carried pair, scratch[0], of span - 2 nodes
+    # (span: the flat length of a window): the window's last row hands it
+    # on to the single rows, which hand it back only to a one-row window,
+    # so a longer window adds it again.  scratch[1:] are the plans' two
+    # work arrays.  |phi| is reduced over each group of rows at its last
+    # row or the trajectory's: the whole ring when batched, else four rows,
+    # none of which the forked check frees before its last row is taken.
+    ring, width = block.shape
+    span = scratch[0].shape[0] + 2
+    out = _aligned((ring - 3 if batched else 1) * width, 1)
+    gaps = out.reshape(-1, width)[:, 1:n_nodes + 1]
+    mids = block[:, 1:n_nodes + 1]
+    rows = list(block[:, :n_nodes + 2])
+    flat = block.reshape(-1)
+    flats = [flat[k * width:k * width + span] for k in range(3)]
+    group, first = (ring, ring - 3) if batched else (4, 0)
+    max_dev = max_phi = 0.0
+    windowed = singles = None
+    for n in levels:
+        t = n % ring
+        # Every level is in the block at one of these reductions.
+        if t % group == group - 1 or n == steps:
+            max_phi = _max_abs(mids[t - t % group:t + 1], max_phi)
+        if n < 3:
+            continue
+        if batched and t >= 3:
+            if windowed is None:
+                ((windowed,),) = _plan(flats, [out[:span]], table,
+                                       (0.0, 0.0), [(1, span)], scratch)
+            else:
+                np.add(flats[1][:-2], flats[1][2:], scratch[0])
+            calls, gap, new = windowed, gaps[:t - 2], mids[3:t + 1]
+        else:
+            if singles is None:
+                # Phase k predicts row (first + k + 3) % ring.
+                (phases,) = _plan(
+                    [rows[i % ring] for i in range(first, ring + 2)],
+                    [out[:n_nodes + 2]] * (ring - first), table, (0.0, 0.0),
+                    [(1, n_nodes + 2)],
+                    (scratch[0][span - 2 - n_nodes:], *scratch[1:]))
+                singles = cycle(phases)
+            calls, gap, new = next(singles), gaps[0], mids[t]
+        for fn, args in calls:
+            fn(*args)
+        np.subtract(gap, new, out=gap)
+        max_dev = _max_abs(gap, max_dev)
+    return float(max_dev), float(max_phi)
+
+
+def _handed(levels_r: int, frees_w: int, steps: int):
+    # The levels of a forked check as its child takes them: one byte from
+    # the producer per level, and one byte back once level n is taken to
+    # free the row of level n-3, when the producer will write into it.
+    for n in range(steps + 1):
+        if not os.read(levels_r, 1):
+            raise EOFError("the producer stopped")
+        yield n
+        if 3 <= n <= steps + 3 - _SHARED_ROWS:
+            os.write(frees_w, b"\0")
+
+
+def _forked(collide, n_nodes: int, width: int, steps: int, table: list):
+    # The check with its consumer in a forked child, which reads the levels
+    # from a ring of `_SHARED_ROWS` rows of `width` nodes in shared memory
+    # and sends its two maxima back; None if the fork is abandoned.  Both
+    # processes raise on every floating-point event that the caller's
+    # settings do not ignore.  Such an event, or any failure of the child,
+    # abandons the fork; the child is reaped before the return either way.
+    strict = {kind: "ignore" if mode == "ignore" else "raise"
+              for kind, mode in np.geterr().items()}
+    fds = []
+    try:
+        # An anonymous map starts a page, so node 1 of every row starts a
+        # cache line, and it is zeroed.
+        size = _SHARED_ROWS * width
+        block = np.frombuffer(mmap.mmap(-1, 8 * size + _LINE), np.float64,
+                              size, _LINE - 8).reshape(_SHARED_ROWS, width)
+        fds += os.pipe()
+        fds += os.pipe()
+        pid = os.fork()
+    except OSError:
+        for fd in fds:
+            os.close(fd)
+        return None
+    levels_r, levels_w, frees_r, frees_w = fds
+    if pid == 0:
+        code = 1
+        try:
+            os.close(levels_w)
+            os.close(frees_r)
+            scratch = [_aligned(n_nodes) for _ in range(3)]
+            with np.errstate(**strict):
+                maxima = _deviation(_handed(levels_r, frees_w, steps), block,
+                                    n_nodes, steps, table, False, scratch)
+            os.write(frees_w, np.array(maxima).tobytes())
+            code = 0
+        finally:
+            os._exit(code)
+    os.close(levels_r)
+    os.close(frees_w)
+    data = b""
+    try:
+        with np.errstate(**strict):
+            for n in _produce(collide, block, n_nodes, steps, False):
+                os.write(levels_w, b"\0")
+                # Level n+1 overwrites level n+1-ring once that is freed.
+                # If the child has ended, this read gets no byte and the
+                # next write raises BrokenPipeError.
+                if _SHARED_ROWS - 1 <= n < steps:
+                    os.read(frees_r, 1)
+        data = os.read(frees_r, 16)
+    except (FloatingPointError, OSError):
+        pass
+    finally:
+        os.close(levels_w)
+        os.close(frees_r)
+        if len(data) < 16:
+            os.kill(pid, signal.SIGKILL)
+        status = os.waitpid(pid, 0)[1]
+    if len(data) < 16 or status:
+        return None
+    return tuple(np.frombuffer(data).tolist())
+
+
 def fd_equivalence_deviation(n_nodes: int, steps: int, omega0: float,
                              s1: float, s2: float, seed: int,
                              source_R: float = 0.0) -> tuple[float, float]:
@@ -258,9 +444,20 @@ def fd_equivalence_deviation(n_nodes: int, steps: int, omega0: float,
     the trajectory or a prediction makes the deviation NaN.  The
     trajectory is streamed through a ring of levels, three more than one
     pass of `scheme`'s kernel predicts at once: the whole trajectory of a
-    short row, but four levels from about 2**14 nodes on.  At most
-    2**21 nodes and, as in `scheme.run`, 2**36 node-steps (n_nodes x steps)
-    are taken; the seed must be a non-negative integer.
+    short row, but four levels from about 2**14 nodes on.  There, when
+    `os.fork` exists, the process may run on two or more CPUs, no other
+    thread runs and SIGCHLD is not ignored, the prediction runs in one
+    forked child: the collision
+    hands it each level through a ring of eight levels in shared memory,
+    one pipe byte per level each way, and it sends back the two maxima.
+    The results have the same bits either way.  While the fork runs, both
+    processes raise on every floating-point event that the caller's
+    `np.geterr()` does not ignore; on such an event or any failure of the
+    child, the child is reaped and the whole check runs again in this
+    process, so warnings, errors and `np.seterrcall` callbacks come as
+    without the fork.  No child outlives the call.  At most 2**21 nodes
+    and, as in `scheme.run`, 2**36 node-steps (n_nodes x steps) are taken;
+    the seed must be a non-negative integer.
     """
     try:
         n_nodes, steps, seed = map(operator.index, (n_nodes, steps, seed))
@@ -277,80 +474,36 @@ def fd_equivalence_deviation(n_nodes: int, steps: int, omega0: float,
     params = ModelParams(omega0, s1, s2, dx=1.0, dt=1.0, source_R=source_R)
     table = [_weight_row(coefficients(omega0, s1, s2), params.dt,
                          params.source_R)]
-    # The equilibrium of `initialize`, built straight into buffers that start
-    # a cache line at the first node that the collision writes, as do all
-    # below: node 1 of f_plus, whose first store is streamed, else node 0.
     base = rng.random(n_nodes) - _half_source(params)
-    pops = [np.multiply(share, base, out=_aligned(n_nodes, lead))
-            for share, lead in zip(equilibrium(1.0, params), (0, 0, 1))]
     consts = _collision_constants(params, np.float64)
     consts = consts[:5] + tuple(term if term else None for term in consts[5:])
-    # Collision n writes level n into the middle of row n % ring of one
-    # block; the last collision's populations are never read.  A row is
-    # whole cache lines of eight nodes long, starts node 1 on a line and has
-    # a ghost node at each end, which a strided copy fills with the level's
-    # last and first node; the padding after them is zeroed once, so that a
-    # flat pass reads only finite values.  Rows 3 .. ring-1, as many as one
-    # `_CHUNK` pass holds, are a window: one plan predicts them in one flat
-    # pass into `out`, which is laid out alike, reading the old, previous
-    # and current levels from the flat block at rows 0, 1 and 2 on.  A last
-    # window cut short at row t predicts every row and compares rows 3 .. t.
-    # Rows 0 .. 2 are predicted one by one, with wrap.  The plans' Dirichlet
-    # pins land on ghost nodes, which are never compared.  They share one
-    # carried pair: the window's last row hands it on to the wrap phases,
-    # which hand it back only to a one-row window (ring 4), so a longer
-    # window adds it again.  They borrow two of the collision's work arrays.
+
+    def collision(*work):
+        # The equilibrium of `initialize`, built straight into buffers that
+        # start a cache line at the first node that the collision writes, as
+        # do all below: node 1 of f_plus, whose first store is streamed, else
+        # node 0.
+        pops = [np.multiply(share, base, out=_aligned(n_nodes, lead))
+                for share, lead in zip(equilibrium(1.0, params), (0, 0, 1))]
+        return _collider(*pops, consts, *(w[:n_nodes] for w in work))
+
     width = -(-(n_nodes + 2) // 8) * 8
+    batched = _CHUNK // width > 1
+    # A caller that ignores SIGCHLD has its children reaped by the kernel,
+    # so a child could be neither waited for nor safely killed.
+    if (not batched and hasattr(os, "fork") and _cpus() > 1
+            and threading.active_count() == 1
+            and signal.getsignal(signal.SIGCHLD) != signal.SIG_IGN):
+        maxima = _forked(collision(*(_aligned(n_nodes) for _ in range(3))),
+                         n_nodes, width, steps, table)
+        if maxima is not None:
+            return maxima
     ring = min(steps + 1, 3 + max(1, _CHUNK // width))
     span = (ring - 4) * width + n_nodes + 2
-    flat = _aligned(ring * width, 1)
-    block = flat.reshape(ring, width)
+    block = _aligned(ring * width, 1).reshape(ring, width)
     block[:, n_nodes + 2:] = 0.0
-    levels = block[:, 1:n_nodes + 1]
-    mids = list(levels)
-    ends = block[:, :n_nodes + 2:n_nodes + 1]
-    wraps = block[:, n_nodes:0:1 - n_nodes]
-    ghosts = list(zip(ends[:3], wraps[:3]))
-    out = _aligned((ring - 3) * width, 1)
-    gaps = out.reshape(ring - 3, width)[:, 1:n_nodes + 1]
+    # The plans borrow two of the collision's work arrays.
     work = [_aligned(span - 2), _aligned(span - 2), _aligned(n_nodes)]
-    pair = _aligned(span - 2)
-    collide = _collider(*pops, consts, *(w[:n_nodes] for w in work))
-    flats = [flat[k * width:k * width + span] for k in range(3)]
-    max_dev = max_phi = 0.0
-    for n in range(steps + 1):
-        t = n % ring
-        collide(mids[t])
-        if t < 3:
-            ghost, wrap = ghosts[t]
-            ghost[...] = wrap
-        elif t < ring - 1 and n < steps:
-            continue
-        else:
-            ends[3:] = wraps[3:]
-        # Every level is in the block at one of these reductions.
-        if t == ring - 1 or n == steps:
-            max_phi = _max_abs(levels, max_phi)
-        if n < 3:
-            continue
-        if t < 3:
-            if n == ring:
-                (wrapped,) = _plan(
-                    [*block[-3:, :n_nodes + 2], *block[:2, :n_nodes + 2]],
-                    [out[:n_nodes + 2]] * 3, table, (0.0, 0.0),
-                    [(1, n_nodes + 2)], (pair[span - 2 - n_nodes:],
-                                         *work[:2]))
-            calls, gap, new = wrapped[t], gaps[0], mids[t]
-        else:
-            if n == ring - 1:
-                ((windowed,),) = _plan(flats, [out[:span]], table,
-                                       (0.0, 0.0), [(1, span)],
-                                       (pair, *work[:2]))
-            elif ring > 4:
-                np.add(flats[1][:-2], flats[1][2:], pair)
-            calls, gap, new = windowed, gaps[:t - 2], levels[3:t + 1]
-        for fn, args in calls:
-            fn(*args)
-        np.subtract(gap, new, out=gap)
-        max_dev = _max_abs(gap, max_dev)
-    return float(max_dev), float(max_phi)
+    levels = _produce(collision(*work), block, n_nodes, steps, batched)
+    return _deviation(levels, block, n_nodes, steps, table, batched,
+                      [_aligned(span - 2), *work[:2]])

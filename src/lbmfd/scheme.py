@@ -62,7 +62,8 @@ reads the nodes beside its run from the level before.  numpy lets go of
 the GIL inside a ufunc call on a long slice, so the runs of one level are
 made at once.  Every node gets the same calls in the same order whichever
 worker makes them, so the bits do not depend on the CPU count.  `step`
-and the equivalence check make their passes on the caller's thread alone.
+and the equivalence check make their passes on one thread: the caller's,
+or for the check's long rows that of a forked child (see `lbm`).
 
 `run` is the one-row case of the staged march `_march`, in which the
 convergence tables march all of their spacings at once.

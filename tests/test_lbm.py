@@ -1,6 +1,9 @@
 """Tests for the mesoscopic three-velocity model."""
 
 import itertools
+import os
+import signal
+import threading
 import types
 
 import numpy as np
@@ -155,6 +158,16 @@ def test_fd_equivalence_deviation_carries_nan_through():
     with np.errstate(over="ignore", invalid="ignore"):
         dev, max_phi = lbm.fd_equivalence_deviation(9000, 20, 0.5, 1.5, 0.5,
                                                     seed=1, source_R=1e308)
+    assert np.isnan(dev)
+    assert not dev <= 1e-12 * max_phi
+    # And so does a check whose prediction runs in a forked child.
+    with pytest.MonkeyPatch.context() as patch:
+        forks = _counting_forks(patch)
+        patch.setattr(lbm, "_cpus", lambda: 2)
+        with np.errstate(over="ignore", invalid="ignore"):
+            dev, max_phi = lbm.fd_equivalence_deviation(
+                2 ** 14, 20, 0.5, 1.5, 0.5, seed=1, source_R=1e308)
+    assert len(forks) == 1
     assert np.isnan(dev)
     assert not dev <= 1e-12 * max_phi
     # A term source*dt*R that overflows is refused before the march.
@@ -329,9 +342,11 @@ def test_the_check_writes_each_array_from_a_cache_line(monkeypatch):
 
 
 def _check_calls(monkeypatch, n_nodes, steps):
-    # The numpy calls of one check, as a recording proxy counts them: those
-    # made through the `np` of `lbm` and those of the plans that it builds,
-    # but not the item assignments of the ghost copies.
+    # The numpy calls of one check in one process, as a recording proxy
+    # counts them: those made through the `np` of `lbm` and those of the
+    # plans that it builds, but not the item assignments of the ghost
+    # copies.  One CPU keeps a long row's prediction out of a forked child,
+    # whose calls the proxy would not see.
     count = [0]
 
     class Counting:
@@ -356,6 +371,7 @@ def _check_calls(monkeypatch, n_nodes, steps):
     with monkeypatch.context() as patch:
         patch.setattr(lbm, "np", Counting(np))
         patch.setattr(lbm, "_plan", counting_plan)
+        patch.setattr(lbm, "_cpus", lambda: 1)
         lbm.fd_equivalence_deviation(n_nodes, steps, 0.7, 1.2, 0.9, seed=1)
     return count[0]
 
@@ -405,6 +421,199 @@ def test_streamed_check_matches_the_stored_trajectory_bit_for_bit():
             args = (n_nodes, steps, *triple, 4, source_R)
             assert lbm.fd_equivalence_deviation(*args) == \
                 _stored_trajectory_deviation(*args)
+    # Long rows whose prediction runs in a forked child on two CPUs, and in
+    # this process on one CPU or with no `os.fork`.  9 and 11 steps take the
+    # forked check's ring of eight rows into its second round, so its
+    # collision waits for freed rows.
+    long_rows = [(16384, 11), (16387, 11), (2 ** 15 + 5, 9)]
+    with np.errstate(invalid="raise", over="raise"):
+        for (n_nodes, steps), source_R in itertools.product(
+                long_rows, (0.0, -0.0, 0.3, -1.7)):
+            triple = (rng.uniform(0.05, 0.95), rng.uniform(0.1, 1.9),
+                      rng.uniform(0.1, 1.9))
+            args = (n_nodes, steps, *triple, 4, source_R)
+            want = _stored_trajectory_deviation(*args)
+            for cpus, has_fork in ((1, True), (2, True), (2, False)):
+                with pytest.MonkeyPatch.context() as patch:
+                    forks = _counting_forks(patch)
+                    patch.setattr(lbm, "_cpus", lambda: cpus)
+                    if not has_fork:
+                        patch.delattr(os, "fork")
+                    assert lbm.fd_equivalence_deviation(*args) == want
+                assert len(forks) == (cpus == 2 and has_fork)
+
+
+def _counting_forks(patch):
+    # The pids of the processes that call `os.fork`, which `patch` wraps.
+    forks = []
+    fork = os.fork
+
+    def counting_fork():
+        forks.append(os.getpid())
+        return fork()
+
+    patch.setattr(os, "fork", counting_fork)
+    return forks
+
+
+def test_the_check_forks_only_for_long_rows_on_two_cpus(monkeypatch):
+    # The CLI's default 64 x 200, `analysis`'s path, and 9000 x 31 batch
+    # their levels; a long row forks only on two CPUs with no other thread
+    # and SIGCHLD not ignored.
+    from lbmfd import cli
+
+    forks = _counting_forks(monkeypatch)
+    monkeypatch.setattr(lbm, "_cpus", lambda: 2)
+    assert cli.main(["equivalence", "--omega0", "0.5", "--s1", "1.5",
+                     "--s2", "0.5", "--output", os.devnull]) == 0
+    lbm.fd_equivalence_deviation(9000, 31, 0.7, 1.2, 0.9, seed=1)
+    assert forks == []
+    lbm.fd_equivalence_deviation(2 ** 14, 11, 0.7, 1.2, 0.9, seed=1)
+    assert forks == [os.getpid()]
+    forks.clear()
+    release = threading.Event()
+    waiter = threading.Thread(target=release.wait, args=(10.0,))
+    waiter.start()
+    try:
+        lbm.fd_equivalence_deviation(2 ** 14, 11, 0.7, 1.2, 0.9, seed=1)
+    finally:
+        release.set()
+        waiter.join(10.0)
+    assert not waiter.is_alive()
+    # A caller that ignores SIGCHLD could not wait for a child.
+    ignored = signal.signal(signal.SIGCHLD, signal.SIG_IGN)
+    try:
+        lbm.fd_equivalence_deviation(2 ** 14, 11, 0.7, 1.2, 0.9, seed=1)
+    finally:
+        signal.signal(signal.SIGCHLD, ignored)
+    monkeypatch.setattr(lbm, "_cpus", lambda: 1)
+    lbm.fd_equivalence_deviation(2 ** 14, 11, 0.7, 1.2, 0.9, seed=1)
+    assert forks == []
+
+
+def _open_fds():
+    return len(os.listdir("/proc/self/fd"))
+
+
+def _assert_no_child_left(fds):
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+    assert _open_fds() == fds
+
+
+def _both_paths(monkeypatch, call):
+    # call() with the prediction in a forked child and in this process,
+    # each as (result or exception, floating-point callbacks, forks).
+    outcomes = []
+    for cpus in (2, 1):
+        calls = []
+        with monkeypatch.context() as patch:
+            forks = _counting_forks(patch)
+            patch.setattr(lbm, "_cpus", lambda: cpus)
+            fds = _open_fds()
+            with np.errstate(call=lambda kind, flag: calls.append(
+                    (kind, os.getpid()))):
+                try:
+                    result = call()
+                except Exception as exc:
+                    result = (type(exc), str(exc))
+            _assert_no_child_left(fds)
+        outcomes.append((result, calls, len(forks)))
+    return outcomes
+
+
+def test_a_floating_point_event_reruns_the_check_in_this_process(
+        monkeypatch):
+    # The source overflows the populations of a long row.  Under the
+    # caller's settings a forked check gives what the one-process check
+    # gives: the same exception, the same warning as an error, or the same
+    # callbacks, all in this process, and the same NaN.
+    def overflowing():
+        return lbm.fd_equivalence_deviation(2 ** 14, 11, 0.5, 1.5, 0.5,
+                                            seed=1, source_R=1e308)
+
+    def under(**settings):
+        def call():
+            with np.errstate(**settings):
+                return overflowing()
+        return call
+
+    for settings, want in (({"over": "raise"}, FloatingPointError),
+                           ({}, RuntimeWarning)):
+        forked, alone = _both_paths(monkeypatch, under(**settings))
+        assert forked[0][0] is want
+        assert forked == alone[:2] + (1,)
+    forked, alone = _both_paths(monkeypatch, under(all="call"))
+    assert np.isnan(forked[0][0])
+    assert forked[1] and {pid for _, pid in forked[1]} == {os.getpid()}
+    # NaN != NaN, so the outcomes are compared by their reprs.
+    assert repr(forked) == repr(alone[:2] + (1,))
+    # An event in the child alone: no callback runs there, and the check
+    # runs again in this process, so `_deviation` runs here on both paths.
+    parent = os.getpid()
+    deviation = lbm._deviation
+    here = []
+
+    def deviation_with_an_event_in_the_child(*args):
+        if os.getpid() == parent:
+            here.append(args[2])
+        else:
+            np.multiply(np.float64(1e308), 10.0)
+        return deviation(*args)
+
+    def check():
+        with np.errstate(over="call"):
+            return lbm.fd_equivalence_deviation(2 ** 14, 11, 0.7, 1.2, 0.9,
+                                                seed=1)
+
+    monkeypatch.setattr(lbm, "_deviation",
+                        deviation_with_an_event_in_the_child)
+    forked, alone = _both_paths(monkeypatch, check)
+    assert forked == alone[:2] + (1,)
+    assert forked[1] == [] and here == [2 ** 14] * 2
+
+
+def test_a_failed_child_or_producer_leaves_no_process(monkeypatch):
+    args = (2 ** 14, 11, 0.7, 1.2, 0.9, 1, 0.3)
+    want = _stored_trajectory_deviation(*args)
+    monkeypatch.setattr(lbm, "_cpus", lambda: 2)
+    forks = _counting_forks(monkeypatch)
+    fds = _open_fds()
+    assert lbm.fd_equivalence_deviation(*args) == want
+    _assert_no_child_left(fds)
+    # A child that fails: the check runs again in this process.
+    parent = os.getpid()
+    plan = lbm._plan
+
+    def plan_in_the_parent(*plan_args):
+        if os.getpid() != parent:
+            raise RuntimeError("the child fails")
+        return plan(*plan_args)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(lbm, "_plan", plan_in_the_parent)
+        assert lbm.fd_equivalence_deviation(*args) == want
+    _assert_no_child_left(fds)
+    # A producer that raises at level k: the error, and no child.
+    collider = lbm._collider
+    for k in (0, 5, 9, 11):
+        def failing_collider(*collider_args):
+            collide = collider(*collider_args)
+            levels = itertools.count()
+
+            def failing_collide(phi):
+                if next(levels) == k:
+                    raise RuntimeError(f"level {k}")
+                collide(phi)
+
+            return failing_collide
+
+        with monkeypatch.context() as patch:
+            patch.setattr(lbm, "_collider", failing_collider)
+            with pytest.raises(RuntimeError, match=f"level {k}"):
+                lbm.fd_equivalence_deviation(*args)
+        _assert_no_child_left(fds)
+    assert len(forks) == 6
 
 
 def test_matrix_form_matches_the_substituted_form():
