@@ -38,14 +38,15 @@ zero source adds; `evolve`, which returns its populations, keeps them.
 
 The check is a producer, the collision, that hands levels to a consumer,
 the prediction with the running maxima of |gap| and |phi|.  Where the ring
-holds four levels, `os.fork` exists, the process may run on two or more
-CPUs, no other thread runs and SIGCHLD is not ignored, the consumer runs
-in one forked child, which has a GIL of its own (threads cannot share
-this work: numpy calls on rows of 2**14 nodes hold the GIL for much of
-their time).  The two share a ring of eight rows in an
-anonymous shared map and pass one byte a level each way through two pipes;
-the child sends its two maxima back and is reaped before the call returns.
-Everywhere else the two interleave in the calling process.
+holds four levels, the check takes `_FORK_NODE_STEPS` node-steps or more,
+`os.fork` exists, the process may run on two or more CPUs, no other thread
+runs and SIGCHLD is not ignored, the consumer runs in one forked child,
+which has a GIL of its own (threads cannot share this work: numpy calls
+on rows of 2**14 nodes hold the GIL for much of their time).  The two
+share a ring of eight rows in an anonymous shared map and pass one byte a
+level each way through two pipes; the child sends its two maxima back and
+is reaped before the call returns.  Everywhere else the two interleave in
+the calling process.
 
 The lattice is periodic, the form on which the model is analysed; the
 Dirichlet decaying-sine problem is marched in the finite-difference form.
@@ -83,6 +84,11 @@ _MAX_EQUIV_NODES = 2 ** 21
 # prediction reads and compares, and four more that the collision may run
 # ahead (16 rows were no faster in a scratch prototype).
 _SHARED_ROWS = 8
+
+# Node-steps (n_nodes x steps) from which the check forks: a fork and the
+# reaping of its child cost 3-4 ms whatever the steps, more than a shorter
+# check gains (BENCH_25.json `fork_break_even`).
+_FORK_NODE_STEPS = 2 ** 21
 
 
 @dataclass(frozen=True)
@@ -445,9 +451,9 @@ def fd_equivalence_deviation(n_nodes: int, steps: int, omega0: float,
     trajectory is streamed through a ring of levels, three more than one
     pass of `scheme`'s kernel predicts at once: the whole trajectory of a
     short row, but four levels from about 2**14 nodes on.  There, when
-    `os.fork` exists, the process may run on two or more CPUs, no other
-    thread runs and SIGCHLD is not ignored, the prediction runs in one
-    forked child: the collision
+    n_nodes x steps is at least 2**21, `os.fork` exists, the process may
+    run on two or more CPUs, no other thread runs and SIGCHLD is not
+    ignored, the prediction runs in one forked child: the collision
     hands it each level through a ring of eight levels in shared memory,
     one pipe byte per level each way, and it sends back the two maxima.
     The results have the same bits either way.  While the fork runs, both
@@ -491,7 +497,8 @@ def fd_equivalence_deviation(n_nodes: int, steps: int, omega0: float,
     batched = _CHUNK // width > 1
     # A caller that ignores SIGCHLD has its children reaped by the kernel,
     # so a child could be neither waited for nor safely killed.
-    if (not batched and hasattr(os, "fork") and _cpus() > 1
+    if (not batched and n_nodes * steps >= _FORK_NODE_STEPS
+            and hasattr(os, "fork") and _cpus() > 1
             and threading.active_count() == 1
             and signal.getsignal(signal.SIGCHLD) != signal.SIG_IGN):
         maxima = _forked(collision(*(_aligned(n_nodes) for _ in range(3))),

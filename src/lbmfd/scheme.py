@@ -32,14 +32,14 @@ the add sets.  A march (`run` and the tables) also leaves out the multiply
 and the add of each history weight that is +-0.0 in every row of a stage,
 so a pass of the tables makes four calls at second order (s1 = s2 = 1,
 two levels) and six at fourth (s1 = 1, three levels).  A left-out w*x,
-w = +-0.0, changes a sum only by the sign of a zero, or by the NaN it
-makes of a non-finite x.  So a group skips only from finite start levels,
-and is marched again on the full plan if its result holds a zero or a
-non-finite value.  Else every level was finite, as a non-finite node
-stays so through the center_n multiply, so the two plans made the same
-values but for the signs of zeros, and the result has none.  A group
-whose last start level has a zero inside marches on the full plan from
-the start, as such zeros tend to last and would make it march twice.
+w = +-0.0, changes a sum only in the sign of a zero, or by the NaN it
+makes of a non-finite x.  So a group skips only from finite start levels
+and when no row's source term is -0.0, and is marched again on the full
+plan if its result holds a non-finite value.  Else every level was
+finite, as a non-finite node stays so through the center_n multiply, so
+the two plans made the same values but for the signs of zeros, which
+either plan's last add of a level (x + 0.0, or x + c with c nonzero), or
+the read-out's add of +0.0, settles alike.
 `step`, whose time goes to planning, and the check plan every weight,
 zero or not, so they make all ten calls.  Every row has Dirichlet ends,
 and the passes also cover the seam nodes between rows, which pinning
@@ -71,7 +71,6 @@ convergence tables march all of their spacings at once.
 
 from __future__ import annotations
 
-import ctypes
 import math
 import operator
 import os
@@ -224,9 +223,8 @@ def _aligned(n: int, lead: int = 0, dtype=np.float64) -> np.ndarray:
     line: a view into an over-allocated byte buffer."""
     itemsize = np.dtype(dtype).itemsize
     buf = np.empty(n * itemsize + _LINE, np.uint8)
-    # A third of the time of buf.ctypes.data, which `step` would feel.
-    address = ctypes.addressof(ctypes.c_char.from_buffer(buf))
-    return np.frombuffer(buf, dtype, n, -(address + lead * itemsize) % _LINE)
+    return np.frombuffer(buf, dtype, n,
+                         -(buf.ctypes.data + lead * itemsize) % _LINE)
 
 
 def _weight_row(coeffs: FdCoefficients, dt: float, R: float) -> tuple:
@@ -388,31 +386,28 @@ def _advance(runs: list, n_levels: int) -> None:
     the calls runs[w][i % 4] of every worker w.
 
     Worker 0 is the caller's thread, and each other worker a thread that is
-    started here and joined before the return.  The workers meet at a
-    barrier after each level, at two `threading.Barrier`s in turn, so that
-    a worker that leaves one first need not wait at the next for the others
-    to leave it (BENCH_22.json `in_process`: 35 against 20 us per empty
-    level on two threads); one worker makes its calls alone, with neither.
-    Each worker runs under the caller's numpy error settings, which numpy
-    keeps per thread (1.x) or per context (2.x).  A worker that raises
-    breaks the barriers, so the others stop at one, all at one level; once
-    all are joined, the exception of the first worker that raised one is
-    raised again: the one that a march on one thread would raise.
+    started here and joined before the return.  The workers meet at one
+    `threading.Barrier` after each level, which serves every level in turn;
+    one worker makes its calls alone, without it.  Each worker runs under
+    the caller's numpy error settings, which numpy keeps per thread (1.x)
+    or per context (2.x).  A worker that raises breaks the barrier, so the
+    others stop at it, all at one level; once all are joined, the
+    exception of the first worker that raised one is raised again: the one
+    that a march on one thread would raise.
     """
     if len(runs) == 1:
         for calls in islice(cycle(runs[0]), n_levels):
             for fn, args in calls:
                 fn(*args)
         return
-    barriers = [threading.Barrier(len(runs)) for _ in range(2)]
+    barrier = threading.Barrier(len(runs))
     errors = [None] * len(runs)
     settings = dict(np.geterr(), call=np.geterrcall())
 
     def work(w: int) -> None:
         try:
             with np.errstate(**settings):
-                for calls, barrier in zip(islice(cycle(runs[w]), n_levels),
-                                          cycle(barriers)):
+                for calls in islice(cycle(runs[w]), n_levels):
                     for fn, args in calls:
                         fn(*args)
                     barrier.wait()
@@ -420,8 +415,7 @@ def _advance(runs: list, n_levels: int) -> None:
             pass
         except BaseException as exc:
             errors[w] = exc
-            for barrier in barriers:
-                barrier.abort()
+            barrier.abort()
 
     threads = [threading.Thread(target=work, args=(w,))
                for w in range(1, len(runs))]
@@ -432,8 +426,7 @@ def _advance(runs: list, n_levels: int) -> None:
             started += 1
         work(0)
     except BaseException:
-        for barrier in barriers:
-            barrier.abort()
+        barrier.abort()
         raise
     finally:
         for thread in threads[:started]:
@@ -536,8 +529,8 @@ def _march(groups, boundary: BoundarySpec, skip: bool = True) -> list:
 
     With `skip`, a stage leaves out the history weights that are +-0.0 in
     all of its rows.  A group with such a weight skips only from finite
-    start levels whose last has no zero in its interior, and keeps copies
-    of them; if its interior then holds a zero or a non-finite value it is
+    start levels and when none of its rows' source terms is -0.0, and keeps
+    copies of them; if its result then holds a non-finite value it is
     marched again alone from them with `skip` false (see the module
     docstring for why this keeps every bit).
     """
@@ -558,8 +551,6 @@ def _march(groups, boundary: BoundarySpec, skip: bool = True) -> list:
     # writes, starts a cache line.  A group's nodes live only for its seeds.
     ring = [_aligned(sum(r * n for r, n in layout), 1) for _ in range(4)]
     starts = [_blocks(ring[k], layout) for k in range(3)]
-    # A zero in the interior of the last start level tends to last to the
-    # end (a field of compact support), which would march the group twice.
     may_skip, kept = [True] * len(order), {}
     for i, g in enumerate(order):
         (dt, _), _, grid, initializer = checked[g]
@@ -567,8 +558,10 @@ def _march(groups, boundary: BoundarySpec, skip: bool = True) -> list:
         _seed(seeds, initializer, grid.nodes(), dt)
         if skip and any(not any(row[k] for row in tables[i])
                         for k in (2, 3, 4)):
-            may_skip[i] = seeds[2][:, 1:-1].all() and all(
-                np.isfinite(seed).all() for seed in seeds)
+            may_skip[i] = not any(
+                w[5] == 0.0 and math.copysign(1.0, w[5]) < 0.0
+                for w in tables[i]) and all(np.isfinite(seed).all()
+                                            for seed in seeds)
             if may_skip[i]:
                 kept[i] = [seed.copy() for seed in seeds]
     finals = [None] * len(order)
@@ -589,9 +582,7 @@ def _march(groups, boundary: BoundarySpec, skip: bool = True) -> list:
             final = _blocks(ring[level % 4], layout)[active]
             if level > 2:
                 _add_zero_terms(final, tables[active])
-                inner = final[:, 1:-1]
-                if active in kept and not (inner.all()
-                                           and np.isfinite(inner).all()):
+                if active in kept and not np.isfinite(final).all():
                     (dt, _), cases, grid, _ = checked[order[active]]
                     again = iter(kept[active])
                     (final,) = _march([(cases, grid, lambda x, t: next(again),

@@ -164,6 +164,7 @@ def test_fd_equivalence_deviation_carries_nan_through():
     with pytest.MonkeyPatch.context() as patch:
         forks = _counting_forks(patch)
         patch.setattr(lbm, "_cpus", lambda: 2)
+        patch.setattr(lbm, "_FORK_NODE_STEPS", 0)
         with np.errstate(over="ignore", invalid="ignore"):
             dev, max_phi = lbm.fd_equivalence_deviation(
                 2 ** 14, 20, 0.5, 1.5, 0.5, seed=1, source_R=1e308)
@@ -422,9 +423,10 @@ def test_streamed_check_matches_the_stored_trajectory_bit_for_bit():
             assert lbm.fd_equivalence_deviation(*args) == \
                 _stored_trajectory_deviation(*args)
     # Long rows whose prediction runs in a forked child on two CPUs, and in
-    # this process on one CPU or with no `os.fork`.  9 and 11 steps take the
-    # forked check's ring of eight rows into its second round, so its
-    # collision waits for freed rows.
+    # this process on one CPU or with no `os.fork`, with no floor on the
+    # node-steps that fork.  9 and 11 steps take the forked check's ring of
+    # eight rows into its second round, so its collision waits for freed
+    # rows.
     long_rows = [(16384, 11), (16387, 11), (2 ** 15 + 5, 9)]
     with np.errstate(invalid="raise", over="raise"):
         for (n_nodes, steps), source_R in itertools.product(
@@ -437,6 +439,7 @@ def test_streamed_check_matches_the_stored_trajectory_bit_for_bit():
                 with pytest.MonkeyPatch.context() as patch:
                     forks = _counting_forks(patch)
                     patch.setattr(lbm, "_cpus", lambda: cpus)
+                    patch.setattr(lbm, "_FORK_NODE_STEPS", 0)
                     if not has_fork:
                         patch.delattr(os, "fork")
                     assert lbm.fd_equivalence_deviation(*args) == want
@@ -458,7 +461,8 @@ def _counting_forks(patch):
 
 def test_the_check_forks_only_for_long_rows_on_two_cpus(monkeypatch):
     # The CLI's default 64 x 200, `analysis`'s path, and 9000 x 31 batch
-    # their levels; a long row forks only on two CPUs with no other thread
+    # their levels, and 2**14 x 11 is short of 2**21 node-steps; a long
+    # row of 2**21 node-steps forks only on two CPUs with no other thread
     # and SIGCHLD not ignored.
     from lbmfd import cli
 
@@ -467,15 +471,16 @@ def test_the_check_forks_only_for_long_rows_on_two_cpus(monkeypatch):
     assert cli.main(["equivalence", "--omega0", "0.5", "--s1", "1.5",
                      "--s2", "0.5", "--output", os.devnull]) == 0
     lbm.fd_equivalence_deviation(9000, 31, 0.7, 1.2, 0.9, seed=1)
-    assert forks == []
     lbm.fd_equivalence_deviation(2 ** 14, 11, 0.7, 1.2, 0.9, seed=1)
+    assert forks == []
+    lbm.fd_equivalence_deviation(2 ** 14, 128, 0.7, 1.2, 0.9, seed=1)
     assert forks == [os.getpid()]
     forks.clear()
     release = threading.Event()
     waiter = threading.Thread(target=release.wait, args=(10.0,))
     waiter.start()
     try:
-        lbm.fd_equivalence_deviation(2 ** 14, 11, 0.7, 1.2, 0.9, seed=1)
+        lbm.fd_equivalence_deviation(2 ** 14, 128, 0.7, 1.2, 0.9, seed=1)
     finally:
         release.set()
         waiter.join(10.0)
@@ -483,11 +488,11 @@ def test_the_check_forks_only_for_long_rows_on_two_cpus(monkeypatch):
     # A caller that ignores SIGCHLD could not wait for a child.
     ignored = signal.signal(signal.SIGCHLD, signal.SIG_IGN)
     try:
-        lbm.fd_equivalence_deviation(2 ** 14, 11, 0.7, 1.2, 0.9, seed=1)
+        lbm.fd_equivalence_deviation(2 ** 14, 128, 0.7, 1.2, 0.9, seed=1)
     finally:
         signal.signal(signal.SIGCHLD, ignored)
     monkeypatch.setattr(lbm, "_cpus", lambda: 1)
-    lbm.fd_equivalence_deviation(2 ** 14, 11, 0.7, 1.2, 0.9, seed=1)
+    lbm.fd_equivalence_deviation(2 ** 14, 128, 0.7, 1.2, 0.9, seed=1)
     assert forks == []
 
 
@@ -503,13 +508,15 @@ def _assert_no_child_left(fds):
 
 def _both_paths(monkeypatch, call):
     # call() with the prediction in a forked child and in this process,
-    # each as (result or exception, floating-point callbacks, forks).
+    # each as (result or exception, floating-point callbacks, forks), with
+    # no floor on the node-steps that fork.
     outcomes = []
     for cpus in (2, 1):
         calls = []
         with monkeypatch.context() as patch:
             forks = _counting_forks(patch)
             patch.setattr(lbm, "_cpus", lambda: cpus)
+            patch.setattr(lbm, "_FORK_NODE_STEPS", 0)
             fds = _open_fds()
             with np.errstate(call=lambda kind, flag: calls.append(
                     (kind, os.getpid()))):
@@ -577,6 +584,7 @@ def test_a_failed_child_or_producer_leaves_no_process(monkeypatch):
     args = (2 ** 14, 11, 0.7, 1.2, 0.9, 1, 0.3)
     want = _stored_trajectory_deviation(*args)
     monkeypatch.setattr(lbm, "_cpus", lambda: 2)
+    monkeypatch.setattr(lbm, "_FORK_NODE_STEPS", 0)
     forks = _counting_forks(monkeypatch)
     fds = _open_fds()
     assert lbm.fd_equivalence_deviation(*args) == want

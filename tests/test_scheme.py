@@ -652,8 +652,10 @@ def test_non_finite_huge_and_subnormal_starts_match_the_reference_march(
     # so every start set marches to the bits of the reference march: alone,
     # with zero to six updates, and all five sets as the rows of one group.
     # The triples are second order at epsilon = 0.1 and 0.4 (whose small
-    # center_n rounds subnormal products to zero), fourth and sixth order,
-    # and the -0.0 source term keeps the sign of every zero in the result.
+    # center_n rounds subnormal products to zero), fourth and sixth order.
+    # The -0.0 source term keeps the sign of every zero in the result, and
+    # so marches on the full plan; the +0.0 one leaves out the zero weights
+    # from finite starts, and marches again if the result is not finite.
     rng = np.random.default_rng(53)
     grid = Grid1D(11)
     sixth = cal.calibrate_sixth(0.1)
@@ -662,11 +664,13 @@ def test_non_finite_huge_and_subnormal_starts_match_the_reference_march(
     sets = _edge_starts(rng, grid.n_intervals + 1)
     boundary = _SIGNED_ENDS[0]
     with np.errstate(all="ignore"):
-        for triple, n_steps in itertools.product(triples, (2, 3, 4, 5, 8)):
+        for triple, n_steps, R in itertools.product(
+                triples, (2, 3, 4, 5, 8), (-0.0, 0.0)):
             co = coefficients(*triple)
-            p = cal.ModelParams(*triple, dx=grid.dx, dt=1e-4, source_R=-0.0)
-            want = [_reference_march(list(starts), co, -0.0, boundary,
-                                     n_steps - 2) for starts in sets]
+            p = cal.ModelParams(*triple, dx=grid.dx, dt=1e-4, source_R=R)
+            want = [_reference_march(list(starts), co, co.source * 1e-4 * R,
+                                     boundary, n_steps - 2)
+                    for starts in sets]
             for starts, expected in zip(sets, want):
                 (final,) = scheme._march(
                     [([p], grid, lambda x, t: starts[round(t / 1e-4)],
@@ -780,16 +784,57 @@ def test_a_march_leaves_out_the_history_weights_that_are_zero(monkeypatch):
     assert counts == _per_stage(10, 10, 4, 6, 4)
     # A group with a zero history weight skips only from finite start
     # levels: a stage that holds one with a NaN keeps all ten, and the
-    # stage after it has ended skips again.  Nor does it skip when its last
-    # start level has a zero inside: a one-update march keeps those zeros,
-    # so it would run twice, on the skipping plan and on the full one.
+    # stage after it has ended skips again.  A field of compact support
+    # skips, as its zeros differ from the full plan's only in sign, which
+    # the read-out's add of +0.0 settles; a -0.0 source term would keep
+    # that sign, so a group with one keeps all ten.
     counts.clear()
     nan_start = lambda x, t: np.where((x == x[3]) & (t == 0.0), np.nan, 1.0)
     scheme._march([([p2], grid, nan_start, 6e-4), ([p2], grid, init, 9e-4)],
                   boundary)
     bump = lambda x, t: 1.0 * (np.abs(x - 0.5) < 0.15)
     scheme._march([([p2], grid, bump, 3e-4)], boundary)
-    assert counts == _per_stage(10, 4, 10)
+    p2_minus = dataclasses.replace(p2, source_R=-0.0)
+    scheme._march([([p2_minus], grid, bump, 3e-4)], boundary)
+    assert counts == _per_stage(10, 4, 4, 10)
+
+
+def test_a_skipping_march_keeps_the_bits_of_the_reference_march():
+    # Groups of one to three second- and fourth-order rows, whose zero
+    # history weights a march leaves out, from starts of signed zeros,
+    # subnormals and a few plain values, half of them zero on one half of
+    # the row (compact support), under +-0.0, +-1e-320 (a zero term of
+    # either sign) and nonzero sources, three pairs of ends and 2 to 11
+    # steps: every row gets the reference march's bits.
+    rng = np.random.default_rng(61)
+    values = np.array([0.0, -0.0, 5e-324, -5e-324, 1e-310, -1e-310, 0.3,
+                       -0.7, 1.0])
+    triples = ((0.8, 1.0, 1.0), (0.2, 1.0, 1.0), *_FOURTH)
+    sources = (0.0, -0.0, 1e-320, -1e-320, 0.5, -0.3)
+    ends = (*_SIGNED_ENDS, BoundarySpec.dirichlet(0.25, -1.5))
+    for case in range(600):
+        n_rows = int(rng.integers(1, 4))
+        grid = Grid1D(int(rng.integers(4, 13)))
+        rows = [(triples[rng.integers(4)], sources[rng.integers(6)])
+                for _ in range(n_rows)]
+        starts = [rng.choice(values, (n_rows, grid.n_intervals + 1))
+                  for _ in range(3)]
+        if case % 2:
+            for level in starts:
+                level[:, grid.n_intervals // 2:] *= 0.0
+        n_steps = int(rng.integers(2, 12))
+        boundary = ends[case % 3]
+        params = [cal.ModelParams(*t, dx=grid.dx, dt=1e-4, source_R=r)
+                  for t, r in rows]
+        (final,) = scheme._march([(params, grid,
+                                   lambda x, t: starts[round(t / 1e-4)],
+                                   n_steps * 1e-4)], boundary)
+        for i, (t, r) in enumerate(rows):
+            co = coefficients(*t)
+            want = _reference_march([level[i] for level in starts], co,
+                                    co.source * 1e-4 * r, boundary,
+                                    n_steps - 2)
+            assert final[i].tobytes() == want.tobytes()
 
 
 def test_an_overflowing_source_term_is_refused():
@@ -834,9 +879,9 @@ def test_the_bits_do_not_depend_on_the_worker_count(monkeypatch):
     # A row of 2**16 intervals is two passes at the default `_CHUNK`.  The
     # staged groups at `_CHUNK` 3 and 8 put row ends and group seams inside
     # every worker's run, and stages end after each phase.  A fourth-order
-    # row of subnormal starts leaves out its zero history weights, holds
-    # zeros at the end and is marched again, threaded, on the full plan.
-    # (Starts of a few subnormal units make exact zeros by rounding.)
+    # row of starts near 1.7e308 leaves out its zero history weights,
+    # overflows to non-finite values and is marched again, threaded, on the
+    # full plan.
     boundary = BoundarySpec.dirichlet(0.25, -1.5)
     sixth = cal.calibrate_sixth(0.1)
     wide = Grid1D(2 ** 16)
@@ -855,20 +900,19 @@ def test_the_bits_do_not_depend_on_the_worker_count(monkeypatch):
     # `_CHUNK` is still 8, so a row of 64 intervals is eight passes.
     grid = Grid1D(64)
     p = cal.ModelParams(*_FOURTH[1], dx=grid.dx, dt=1e-4)
-    rng = np.random.default_rng(59)
-    units = [-3.0, -2.0, -1.0, 1.0, 2.0, 3.0]
-    starts = [5e-324 * rng.choice(units, 65) for _ in range(3)]
+    starts = _edge_starts(np.random.default_rng(59), 65)[3]
     marches, workers = [], []
     march, advance = scheme._march, scheme._advance
     monkeypatch.setattr(scheme, "_march", lambda *args: marches.append(
         args[-1]) or march(*args))
     monkeypatch.setattr(scheme, "_advance", lambda runs, n: workers.append(
         len(runs)) or advance(runs, n))
-    one, two, three = _by_worker_count(monkeypatch, lambda: run(
-        p, grid, lambda x, t: starts[round(t / 1e-4)], boundary,
-        6e-4).tobytes())
+    with np.errstate(all="ignore"):
+        one, two, three = _by_worker_count(monkeypatch, lambda: run(
+            p, grid, lambda x, t: starts[round(t / 1e-4)], boundary,
+            6e-4).tobytes())
     assert one == two == three
-    assert (np.frombuffer(one)[1:-1] == 0.0).any()
+    assert not np.isfinite(np.frombuffer(one)).all()
     assert marches == [boundary, False] * 3
     assert workers == [1, 1, 2, 2, 3, 3]
 

@@ -1,12 +1,16 @@
 """Source layout: every line of the package fits in 79 columns, as PEP 8
-asks, every name that a module imports is used, and every private
-module-level name is used by the package itself, not by tests alone.  No
-linter is configured for the project, so the suite checks all three."""
+asks, every name that a module imports is used, every private
+module-level name is used by the package itself, not by tests alone, and
+every measurement record that the package or README cites exists.  No
+linter is configured for the project, so the suite checks all four."""
 
 import ast
+import json
+import re
 from pathlib import Path
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "lbmfd"
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "lbmfd"
 
 
 def test_every_source_line_fits_in_79_columns():
@@ -66,3 +70,22 @@ def test_every_private_name_is_used():
     unused = [f"{where} {target}" for target, where in defined.items()
               if target not in loaded]
     assert not unused, f"private names the package never uses: {unused}"
+
+
+def test_every_cited_bench_record_and_key_exists():
+    # A citation names a BENCH_*.json record at the root of the repository,
+    # and a key of it in backticks right after the name, across a comment's
+    # line break, names one of its top-level keys.
+    cite = re.compile(r"(BENCH_\d+\.json)`?\s*(?:#\s*)?(?:`(\w+)`)?")
+    paths = [*sorted(SRC.glob("*.py")), ROOT / "README.md"]
+    cited = [(path.name, *match.groups()) for path in paths
+             for match in cite.finditer(path.read_text())]
+    assert cited
+    missing = []
+    for where, name, key in cited:
+        record = ROOT / name
+        if not record.is_file():
+            missing.append(f"{where}: {name}")
+        elif key is not None and key not in json.loads(record.read_text()):
+            missing.append(f"{where}: {name} `{key}`")
+    assert not missing, f"cited records or keys that do not exist: {missing}"
