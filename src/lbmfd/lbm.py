@@ -22,31 +22,25 @@ collides and streams three preallocated population arrays with slice
 operations, its scalars held as 0-d arrays.  `_collider` slices the
 streaming views and binds the scalars once, then returns the collision;
 the check builds one per run, so each level pays only for its ufunc calls.
-The equivalence check streams
-the trajectory through it into a ring of macroscopic levels, rows of one
-block, each with a ghost node at either end that holds its periodic
-neighbour.  The ring holds three levels more than one cache-sized pass of
-the four-level kernel of `scheme` can predict, and at most the whole
-trajectory, so its memory grows with the node count, not with nodes times
-steps.  The kernel predicts all but three of the ring's levels in one
-flat pass over the padded rows, which saves its per-call cost on short
-rows, and the other three one row at a time.  Each array starts a 64-byte
-cache line at the first node that a kernel writes.
+The equivalence check streams the trajectory through it into a ring of
+ghost-padded levels, laid out as `_deviation` describes, whose memory
+grows with the node count, not with nodes times steps.  Each array starts
+a 64-byte cache line at the first node that a kernel writes.
 A source term of +-0.0 sets only the sign of exact zeros, which the
 check's maxima of |gap| and |phi| cannot see, so the check leaves out its
 zero source adds; `evolve`, which returns its populations, keeps them.
 
 The check is a producer, the collision, that hands levels to a consumer,
-the prediction with the running maxima of |gap| and |phi|.  Where the ring
-holds four levels, the check takes `_FORK_NODE_STEPS` node-steps or more,
-`os.fork` exists, the process may run on two or more CPUs, no other thread
-runs and SIGCHLD is not ignored, the consumer runs in one forked child,
-which has a GIL of its own (threads cannot share this work: numpy calls
-on rows of 2**14 nodes hold the GIL for much of their time).  The two
-share a ring of eight rows in an anonymous shared map and pass one byte a
-level each way through two pipes; the child sends its two maxima back and
-is reaped before the call returns.  Everywhere else the two interleave in
-the calling process.
+the prediction with the running maxima of |gap| and |phi|.  Where the rows
+are long (see `_deviation`), the check takes `_FORK_NODE_STEPS` node-steps
+or more, `os.fork` exists, the process may run on two or more CPUs, no
+other thread runs and SIGCHLD is not ignored, the consumer runs in one
+forked child, which has a GIL of its own (threads cannot share this work:
+numpy calls on rows of 2**14 nodes hold the GIL for much of their time).
+The two share a ring of eight rows in an anonymous shared map and pass
+one byte a level each way through two pipes; the child sends its two
+maxima back and is reaped before the call returns.  Everywhere else the
+two interleave in the calling process.
 
 The lattice is periodic, the form on which the model is analysed; the
 Dirichlet decaying-sine problem is marched in the finite-difference form.
@@ -71,13 +65,13 @@ from .scheme import (_CHUNK, _LINE, _aligned, _check_node_steps, _cpus,
                      _plan, _weight_row, coefficients)
 
 # The equivalence check holds thirteen node-length float64 arrays and no
-# temporaries, about 105 B per node, when its window is one level (from
-# about 2**14 nodes: a tracemalloc peak of 1.72 MB there).  A longer window
-# stretches six of them to about one `_CHUNK` pass each (0.81 MB at 64
-# nodes, 1.68 MB at 9,000).  A forked check holds nineteen, about 152 B
-# per node: seven in the parent, the eight rows of the shared ring and four
-# that the child allocates, which shares the parent's other pages until
-# either writes to them.  So 2**21 nodes keep it near 320 MB.
+# temporaries, about 105 B per node, on long rows (from 10,919 nodes: a
+# tracemalloc peak of 1.72 MB at 2**14).  A window of short rows stretches
+# six of them to about one `_CHUNK` pass each (0.81 MB at 64 nodes, 1.68
+# MB at 9,000).  A forked check holds nineteen, about 152 B per node:
+# seven in the parent, the eight rows of the shared ring and four that the
+# child allocates, which shares the parent's other pages until either
+# writes to them.  So 2**21 nodes keep it near 320 MB.
 _MAX_EQUIV_NODES = 2 ** 21
 
 # Rows of the forked check's shared ring: the four levels that a
@@ -276,99 +270,95 @@ def evolve_matrix_form(f: DistributionField,
 
 def _produce(collide, block, n_nodes: int, steps: int, batched: bool):
     # The check's producer.  Collision n writes level n into the middle of
-    # row n % ring of `block`, and n is yielded once the ghost nodes of its
-    # rows hold their periodic neighbours.  A row is whole cache lines of
-    # eight nodes long, starts node 1 on a line and has a ghost node at each
-    # end, which a strided copy fills with the level's last and first node.
-    # Rows 0, 1 and 2 are handed on one by one; when `batched`, rows 3 ..
-    # ring-1 are one window, handed on, and their ghosts filled in one copy,
-    # at its last row or the trajectory's.  Otherwise every row is handed
-    # on alone.  The last collision's populations are never read.
+    # its row of `block` (see `_deviation`), and (n, row) is yielded once
+    # the ghost nodes hold their periodic neighbours, which a strided copy
+    # fills with the level's last and first node: when `batched`, of every
+    # row at once, at levels 0, 1 and 2 and at the last level of a window or
+    # of the trajectory; otherwise of the level's row alone, at every level.
+    # The last collision's populations are never read.
     ring = len(block)
     mids = list(block[:, 1:n_nodes + 1])
     ends = block[:, :n_nodes + 2:n_nodes + 1]
     wraps = block[:, n_nodes:0:1 - n_nodes]
-    ghosts = list(zip(ends, wraps))
-    if batched:
-        ghosts[3:] = [(ends[3:], wraps[3:])] * (ring - 3)
+    ghosts = [(ends, wraps)] * ring if batched else list(zip(ends, wraps))
     for n in range(steps + 1):
-        t = n % ring
+        t = 3 + (n - 3) % (ring - 3) if batched and n > 2 else n % ring
         collide(mids[t])
-        if t < 3 or t == ring - 1 or n == steps or not batched:
+        if n < 3 or t == ring - 1 or n == steps or not batched:
             ghost, wrap = ghosts[t]
             ghost[...] = wrap
-            yield n
+            yield n, t
 
 
 def _deviation(levels, block, n_nodes: int, steps: int, table: list,
                batched: bool, scratch: list) -> tuple[float, float]:
-    # The check's consumer: (max |gap|, max |phi|) over the rows of `block`
-    # as `_produce` hands them on, each n that `levels` yields.  Rows 3 ..
-    # ring-1 of a `batched` ring, as many as one `_CHUNK` pass holds, are a
-    # window: one plan predicts them in one flat pass into `out`, which is
-    # laid out alike, reading the old, previous and current levels from the
-    # flat block at rows 0, 1 and 2 on; the padding after each row's ghosts
-    # must be zero, so that a flat pass reads only finite values.  A last
-    # window cut short at row t predicts every row and compares rows 3 .. t.
-    # Every other row is predicted alone, with wrap, by one cyclic plan.
-    # The plans' Dirichlet pins land on ghost nodes, which are never
-    # compared.  They share one carried pair, scratch[0], of span - 2 nodes
-    # (span: the flat length of a window): the window's last row hands it
-    # on to the single rows, which hand it back only to a one-row window,
-    # so a longer window adds it again.  scratch[1:] are the plans' two
-    # work arrays.  |phi| is reduced over each group of rows at its last
-    # row or the trajectory's: the whole ring when batched, else four rows,
-    # none of which the forked check frees before its last row is taken.
+    # The check's consumer: (max |gap|, max |phi|) over the levels that
+    # `levels` yields as (n, row of `block`).  A row is whole cache lines of
+    # eight nodes long, starts node 1 on a line and has a ghost node at each
+    # end that holds its periodic neighbour, so one plan of the kernel of
+    # `scheme` predicts a level with wrap; its Dirichlet pins land on ghost
+    # nodes, which are never compared.  A short (`batched`) row keeps levels
+    # 0, 1 and 2 in rows 0, 1 and 2 and writes every later level into rows
+    # 3 .. ring-1, a window of as many rows as one `_CHUNK` pass holds.  At
+    # the window's last row, or the trajectory's (row t), one flat pass
+    # predicts the window into `out`, which is laid out alike, from the old,
+    # previous and current levels at rows 0, 1 and 2 on; rows 3 .. t are
+    # compared, and rows ring-3 .. ring-1, ghosts and padding included, are
+    # copied to rows 0, 1 and 2 for the next window.  The padding after each
+    # row's ghosts is zero, and a window cut short predicts its stale rows
+    # too, so a flat pass reads only finite values.  A long row keeps level
+    # n in row n % ring, and each level is predicted alone, by one phase of
+    # a cyclic plan.  The plan carries a pair, scratch[0], of span - 2 nodes
+    # (span: the flat length of a window or a row), which is seeded again
+    # before every window but the first; scratch[1:] are its two work
+    # arrays.  |phi| is reduced at the last row of each group of rows or of
+    # the trajectory: a window, the first with rows 0, 1 and 2, or four
+    # rows of a long ring, none of which the forked check frees before its
+    # last row is taken.
     ring, width = block.shape
     span = scratch[0].shape[0] + 2
+    phases = 1 if batched else ring
     out = _aligned((ring - 3 if batched else 1) * width, 1)
     gaps = out.reshape(-1, width)[:, 1:n_nodes + 1]
     mids = block[:, 1:n_nodes + 1]
-    rows = list(block[:, :n_nodes + 2])
     flat = block.reshape(-1)
-    flats = [flat[k * width:k * width + span] for k in range(3)]
-    group, first = (ring, ring - 3) if batched else (4, 0)
+    # Phase k reads rows k, k+1 and k+2 (mod ring) and predicts row k+3.
+    reads = [flat[k % ring * width:][:span] for k in range(phases + 2)]
     max_dev = max_phi = 0.0
-    windowed = singles = None
-    for n in levels:
-        t = n % ring
+    plan = None
+    for n, t in levels:
         # Every level is in the block at one of these reductions.
-        if t % group == group - 1 or n == steps:
-            max_phi = _max_abs(mids[t - t % group:t + 1], max_phi)
+        lo = (0 if n == t else 3) if batched else t - t % 4
+        if t == (ring - 1 if batched else lo + 3) or n == steps:
+            max_phi = _max_abs(mids[lo:t + 1], max_phi)
         if n < 3:
             continue
-        if batched and t >= 3:
-            if windowed is None:
-                ((windowed,),) = _plan(flats, [out[:span]], table,
-                                       (0.0, 0.0), [(1, span)], scratch)
-            else:
-                np.add(flats[1][:-2], flats[1][2:], scratch[0])
-            calls, gap, new = windowed, gaps[:t - 2], mids[3:t + 1]
-        else:
-            if singles is None:
-                # Phase k predicts row (first + k + 3) % ring.
-                (phases,) = _plan(
-                    [rows[i % ring] for i in range(first, ring + 2)],
-                    [out[:n_nodes + 2]] * (ring - first), table, (0.0, 0.0),
-                    [(1, n_nodes + 2)],
-                    (scratch[0][span - 2 - n_nodes:], *scratch[1:]))
-                singles = cycle(phases)
-            calls, gap, new = next(singles), gaps[0], mids[t]
-        for fn, args in calls:
+        if plan is None:
+            (calls,) = _plan(reads, [out[:span]] * phases, table, (0.0, 0.0),
+                             [(1, span)], scratch)
+            plan = cycle(calls)
+        elif batched:
+            np.add(reads[1][:-2], reads[1][2:], scratch[0])
+        for fn, args in next(plan):
             fn(*args)
+        gap, new = ((gaps[:t - 2], mids[3:t + 1]) if batched
+                    else (gaps[0], mids[t]))
         np.subtract(gap, new, out=gap)
         max_dev = _max_abs(gap, max_dev)
+        if batched:
+            block[:3] = block[-3:]
     return float(max_dev), float(max_phi)
 
 
 def _handed(levels_r: int, frees_w: int, steps: int):
-    # The levels of a forked check as its child takes them: one byte from
-    # the producer per level, and one byte back once level n is taken to
-    # free the row of level n-3, when the producer will write into it.
+    # The (level, row) pairs of a forked check as its child takes them: one
+    # byte from the producer per level, and one byte back once level n is
+    # taken to free the row of level n-3, when the producer will write into
+    # it.
     for n in range(steps + 1):
         if not os.read(levels_r, 1):
             raise EOFError("the producer stopped")
-        yield n
+        yield n, n % _SHARED_ROWS
         if 3 <= n <= steps + 3 - _SHARED_ROWS:
             os.write(frees_w, b"\0")
 
@@ -415,7 +405,7 @@ def _forked(collide, n_nodes: int, width: int, steps: int, table: list):
     data = b""
     try:
         with np.errstate(**strict):
-            for n in _produce(collide, block, n_nodes, steps, False):
+            for n, _ in _produce(collide, block, n_nodes, steps, False):
                 os.write(levels_w, b"\0")
                 # Level n+1 overwrites level n+1-ring once that is freed.
                 # If the child has ended, this read gets no byte and the
@@ -448,22 +438,21 @@ def fd_equivalence_deviation(n_nodes: int, steps: int, omega0: float,
     preceding macroscopic levels with the four-level stencil.  Returns
     (max absolute deviation, max absolute field value); a NaN anywhere in
     the trajectory or a prediction makes the deviation NaN.  The
-    trajectory is streamed through a ring of levels, three more than one
-    pass of `scheme`'s kernel predicts at once: the whole trajectory of a
-    short row, but four levels from about 2**14 nodes on.  There, when
-    n_nodes x steps is at least 2**21, `os.fork` exists, the process may
-    run on two or more CPUs, no other thread runs and SIGCHLD is not
-    ignored, the prediction runs in one forked child: the collision
-    hands it each level through a ring of eight levels in shared memory,
-    one pipe byte per level each way, and it sends back the two maxima.
-    The results have the same bits either way.  While the fork runs, both
-    processes raise on every floating-point event that the caller's
-    `np.geterr()` does not ignore; on such an event or any failure of the
-    child, the child is reaped and the whole check runs again in this
-    process, so warnings, errors and `np.seterrcall` callbacks come as
-    without the fork.  No child outlives the call.  At most 2**21 nodes
-    and, as in `scheme.run`, 2**36 node-steps (n_nodes x steps) are taken;
-    the seed must be a non-negative integer.
+    trajectory is streamed through a ring of levels: a window of short rows
+    that one pass of `scheme`'s kernel predicts, or four long rows (from
+    10,919 nodes).  On long rows, when n_nodes x steps is at least 2**21,
+    `os.fork` exists, the process may run on two or more CPUs, no other
+    thread runs and SIGCHLD is not ignored, the prediction runs in one
+    forked child: the collision hands it each level through a ring of eight
+    levels in shared memory, one pipe byte per level each way, and it sends
+    back the two maxima.  The results have the same bits either way.  While
+    the fork runs, both processes raise on every floating-point event that
+    the caller's `np.geterr()` does not ignore; on such an event or any
+    failure of the child, the child is reaped and the whole check runs
+    again in this process, so warnings, errors and `np.seterrcall`
+    callbacks come as without the fork.  No child outlives the call.  At
+    most 2**21 nodes and, as in `scheme.run`, 2**36 node-steps (n_nodes x
+    steps) are taken; the seed must be a non-negative integer.
     """
     try:
         n_nodes, steps, seed = map(operator.index, (n_nodes, steps, seed))
@@ -494,7 +483,7 @@ def fd_equivalence_deviation(n_nodes: int, steps: int, omega0: float,
         return _collider(*pops, consts, *(w[:n_nodes] for w in work))
 
     width = -(-(n_nodes + 2) // 8) * 8
-    batched = _CHUNK // width > 1
+    batched = _CHUNK // width > 2
     # A caller that ignores SIGCHLD has its children reaped by the kernel,
     # so a child could be neither waited for nor safely killed.
     if (not batched and n_nodes * steps >= _FORK_NODE_STEPS
@@ -505,7 +494,7 @@ def fd_equivalence_deviation(n_nodes: int, steps: int, omega0: float,
                          n_nodes, width, steps, table)
         if maxima is not None:
             return maxima
-    ring = min(steps + 1, 3 + max(1, _CHUNK // width))
+    ring = min(steps + 1, 3 + (_CHUNK // width if batched else 1))
     span = (ring - 4) * width + n_nodes + 2
     block = _aligned(ring * width, 1).reshape(ring, width)
     block[:, n_nodes + 2:] = 0.0

@@ -45,8 +45,8 @@ zero or not, so they make all ten calls.  Every row has Dirichlet ends,
 and the passes also cover the seam nodes between rows, which pinning
 overwrites.  The periodic four-level form is the one of
 `lbm.fd_equivalence_deviation`, which plans this kernel over rows with a
-ghost node at either end that holds its periodic neighbour, a window of
-such rows in one flat pass.
+ghost node at either end that holds its periodic neighbour: a window of
+short rows in one flat pass, a long row alone.
 
 Long rows are cut into passes of `_CHUNK` nodes, and every output of a
 pass starts a 64-byte cache line.  The levels rotate through four buffers:
@@ -141,7 +141,11 @@ class Grid1D:
         if self.n_intervals < 2:
             raise DomainError("need at least 2 intervals")
         if self.n_intervals > _MAX_INTERVALS:
-            raise DomainError(f"{self.n_intervals} intervals exceed the "
+            # A count past 15 digits (1/dx at dx = 1e-300) is shown to three.
+            count = self.n_intervals
+            if count >= 10 ** 15:
+                count = f"{count:.3g}" if count < 1e308 else "over 1e+308"
+            raise DomainError(f"{count} intervals exceed the "
                               f"{_MAX_INTERVALS} a grid may hold")
         object.__setattr__(self, "dx", 1.0 / self.n_intervals)
 
@@ -386,21 +390,16 @@ def _advance(runs: list, n_levels: int) -> None:
     the calls runs[w][i % 4] of every worker w.
 
     Worker 0 is the caller's thread, and each other worker a thread that is
-    started here and joined before the return.  The workers meet at one
-    `threading.Barrier` after each level, which serves every level in turn;
-    one worker makes its calls alone, without it.  Each worker runs under
-    the caller's numpy error settings, which numpy keeps per thread (1.x)
-    or per context (2.x).  A worker that raises breaks the barrier, so the
-    others stop at it, all at one level; once all are joined, the
-    exception of the first worker that raised one is raised again: the one
-    that a march on one thread would raise.
+    started here and joined before the return.  Two or more workers meet at
+    one `threading.Barrier` after each level, which serves every level in
+    turn; one worker makes its calls alone, with no barrier.  Each worker
+    runs under the caller's numpy error settings, which numpy keeps per
+    thread (1.x) or per context (2.x).  A worker that raises breaks the
+    barrier, so the others stop at it, all at one level; once all are
+    joined, the exception of the first worker that raised one is raised
+    again: the one that a march on one thread would raise.
     """
-    if len(runs) == 1:
-        for calls in islice(cycle(runs[0]), n_levels):
-            for fn, args in calls:
-                fn(*args)
-        return
-    barrier = threading.Barrier(len(runs))
+    barrier = threading.Barrier(len(runs)) if len(runs) > 1 else None
     errors = [None] * len(runs)
     settings = dict(np.geterr(), call=np.geterrcall())
 
@@ -410,12 +409,14 @@ def _advance(runs: list, n_levels: int) -> None:
                 for calls in islice(cycle(runs[w]), n_levels):
                     for fn, args in calls:
                         fn(*args)
-                    barrier.wait()
+                    if barrier:
+                        barrier.wait()
         except threading.BrokenBarrierError:
             pass
         except BaseException as exc:
             errors[w] = exc
-            barrier.abort()
+            if barrier:
+                barrier.abort()
 
     threads = [threading.Thread(target=work, args=(w,))
                for w in range(1, len(runs))]
@@ -426,7 +427,8 @@ def _advance(runs: list, n_levels: int) -> None:
             started += 1
         work(0)
     except BaseException:
-        barrier.abort()
+        if barrier:
+            barrier.abort()
         raise
     finally:
         for thread in threads[:started]:

@@ -116,6 +116,22 @@ def test_run_rejects_infeasible_and_invalid(capsys, tmp_path):
         _assert_one_error_line(capsys)
 
 
+def test_a_refused_interval_count_is_one_short_line(capsys):
+    # 1/dx at dx = 1e-300 and 1e-100 is a count of 301 and 101 digits,
+    # shown to three; the 13 digits of 2**40 are shown whole.
+    tiny = repr(2.0 ** -40)
+    for argv, count in (
+            (["convergence", "--order", "6", "--eps-list", "0.1",
+              "--dx-list", "1e-300"], "1e+300"),
+            (["run", "--epsilon", "0.1", "--dx", "1e-100"], "1e+100"),
+            (["run", "--epsilon", "0.1", "--dx", tiny], str(2 ** 40))):
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err == (f"lbmfd: error: {count} intervals exceed the 4194304 "
+                       f"a grid may hold\n")
+        assert len(err) < 160
+
+
 def test_run_marches_to_its_own_t_end(capsys):
     # At dx = 0.25, dt = 1.875: 7.5 is four steps, while the tables' 12 is
     # 6.4 steps and is refused.

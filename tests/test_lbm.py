@@ -153,8 +153,8 @@ def test_fd_equivalence_deviation_carries_nan_through():
                                                     seed=1, source_R=1e308)
     assert np.isnan(dev)
     assert not dev <= 1e-12 * max_phi
-    # So does a check whose windows of three levels alternate with wrap
-    # phases.
+    # So does a check whose windows of three levels carry the last three
+    # rows forward.
     with np.errstate(over="ignore", invalid="ignore"):
         dev, max_phi = lbm.fd_equivalence_deviation(9000, 20, 0.5, 1.5, 0.5,
                                                     seed=1, source_R=1e308)
@@ -392,6 +392,12 @@ def test_the_check_predicts_a_window_of_levels_per_pass(monkeypatch):
     # the collision's calls, and the check, set-up and all, under 16.2.
     assert per_level(64, 100, 200) == 16
     assert _check_calls(monkeypatch, 64, 200) < 16.2 * 201
+    # Over 400 levels of windows of 455 levels, a carry of the last three
+    # rows included, a level makes a few hundredths of a call more.
+    assert per_level(64, 600, 1000) < 16.1
+    # A 12,000-node row, too long for a window of three levels, predicts
+    # each level alone on the cycle of four rows.
+    assert per_level(12000, 7, 11) == 30.5
 
 
 def test_streamed_check_matches_the_stored_trajectory_bit_for_bit():
@@ -407,13 +413,17 @@ def test_streamed_check_matches_the_stored_trajectory_bit_for_bit():
                 args = (n_nodes, steps, *triple, seed, source_R)
                 assert lbm.fd_equivalence_deviation(*args) == \
                     _stored_trajectory_deviation(*args)
-    # Every shape of window: one level (2**14 nodes and up); five, four,
-    # three and two levels with wrap phases, the last cut to three levels
-    # (6000 x 29) or to one (12000 x 28), or ending on a wrap phase (8000 x
-    # 30, 9000 x 31); and one window of the whole trajectory (64 x 200).
-    # Zeroed padding keeps every flat pass finite.
+    # Every shape of ring: long rows on the cycle of four (2**14 nodes and
+    # up, and 12000 x 28); windows of five, four and three levels whose last
+    # three rows carry forward, the last window cut to two levels (6000 x
+    # 29, 9000 x 31) or whole (8000 x 30); one window of the whole
+    # trajectory (64 x 200); and windows that carry more than once, ending
+    # mid-window (64 x 1000, 256 x 260), on a window's last row (256 x 250)
+    # or one level after a carry (256 x 251).  Zeroed padding keeps every
+    # flat pass finite.
     windows = [(16384, 11), (16387, 11), (6000, 29), (8000, 30), (9000, 31),
-               (12000, 28), (64, 200)]
+               (12000, 28), (64, 200), (64, 1000), (256, 250), (256, 251),
+               (256, 260)]
     with np.errstate(invalid="raise", over="raise"):
         for (n_nodes, steps), source_R in itertools.product(
                 windows, (0.0, 0.3, -1.7)):

@@ -340,6 +340,10 @@ def test_grid_and_boundary_validation():
     for bad in (2 ** 22 + 1, 2 ** 40):
         with pytest.raises(DomainError, match="intervals exceed"):
             Grid1D(bad)
+    # A count past the float range is refused in words, not by an
+    # OverflowError from formatting it.
+    with pytest.raises(DomainError, match="^over 1e\\+308 intervals exceed"):
+        Grid1D(10 ** 400)
 
 
 def _sine_bump(x, t):
