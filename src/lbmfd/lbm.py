@@ -31,16 +31,10 @@ check's maxima of |gap| and |phi| cannot see, so the check leaves out its
 zero source adds; `evolve`, which returns its populations, keeps them.
 
 The check is a producer, the collision, that hands levels to a consumer,
-the prediction with the running maxima of |gap| and |phi|.  Where the rows
-are long (see `_deviation`), the check takes `_FORK_NODE_STEPS` node-steps
-or more, `os.fork` exists, the process may run on two or more CPUs, no
-other thread runs and SIGCHLD is not ignored, the consumer runs in one
-forked child, which has a GIL of its own (threads cannot share this work:
-numpy calls on rows of 2**14 nodes hold the GIL for much of their time).
-The two share a ring of eight rows in an anonymous shared map and pass
-one byte a level each way through two pipes; the child sends its two
-maxima back and is reaped before the call returns.  Everywhere else the
-two interleave in the calling process.
+the prediction with the running maxima of |gap| and |phi|.  On long rows
+(see `_deviation`) that `scheme._may_fork`, the consumer runs in one
+forked child, which has a GIL of its own (`_forked_check`).  Everywhere
+else the two interleave in the calling process.
 
 The lattice is periodic, the form on which the model is analysed; the
 Dirichlet decaying-sine problem is marched in the finite-difference form.
@@ -49,11 +43,8 @@ Dirichlet decaying-sine problem is marched in the finite-difference form.
 from __future__ import annotations
 
 import math
-import mmap
 import operator
 import os
-import signal
-import threading
 from dataclasses import dataclass
 from itertools import cycle
 
@@ -61,28 +52,21 @@ import numpy as np
 
 from .calibration import ModelParams
 from .errors import DomainError
-from .scheme import (_CHUNK, _LINE, _aligned, _check_node_steps, _cpus,
-                     _plan, _weight_row, coefficients)
+from .scheme import (_CHUNK, _aligned, _check_node_steps, _forked,
+                     _may_fork, _plan, _shared, _take, _weight_row,
+                     coefficients)
 
-# The equivalence check holds thirteen node-length float64 arrays and no
-# temporaries, about 105 B per node, on long rows (from 10,919 nodes: a
-# tracemalloc peak of 1.72 MB at 2**14).  A window of short rows stretches
-# six of them to about one `_CHUNK` pass each (0.81 MB at 64 nodes, 1.68
-# MB at 9,000).  A forked check holds nineteen, about 152 B per node:
-# seven in the parent, the eight rows of the shared ring and four that the
-# child allocates, which shares the parent's other pages until either
-# writes to them.  So 2**21 nodes keep it near 320 MB.
+# The equivalence check holds thirteen node-length float64 arrays, about
+# 105 B per node, on long rows, and a window of short rows stretches six of
+# them to about one `_CHUNK` pass each.  A forked check holds about 152 B
+# per node: seven arrays in the parent, the shared ring's eight rows and
+# the child's four.  So 2**21 nodes keep it near 320 MB.
 _MAX_EQUIV_NODES = 2 ** 21
 
 # Rows of the forked check's shared ring: the four levels that a
 # prediction reads and compares, and four more that the collision may run
 # ahead (16 rows were no faster in a scratch prototype).
 _SHARED_ROWS = 8
-
-# Node-steps (n_nodes x steps) from which the check forks: a fork and the
-# reaping of its child cost 3-4 ms whatever the steps, more than a shorter
-# check gains (BENCH_25.json `fork_break_even`).
-_FORK_NODE_STEPS = 2 ** 21
 
 
 @dataclass(frozen=True)
@@ -356,74 +340,41 @@ def _handed(levels_r: int, frees_w: int, steps: int):
     # taken to free the row of level n-3, when the producer will write into
     # it.
     for n in range(steps + 1):
-        if not os.read(levels_r, 1):
+        if not _take(levels_r):
             raise EOFError("the producer stopped")
         yield n, n % _SHARED_ROWS
         if 3 <= n <= steps + 3 - _SHARED_ROWS:
             os.write(frees_w, b"\0")
 
 
-def _forked(collide, n_nodes: int, width: int, steps: int, table: list):
+def _forked_check(collide, n_nodes: int, width: int, steps: int,
+                  table: list):
     # The check with its consumer in a forked child, which reads the levels
-    # from a ring of `_SHARED_ROWS` rows of `width` nodes in shared memory
-    # and sends its two maxima back; None if the fork is abandoned.  Both
-    # processes raise on every floating-point event that the caller's
-    # settings do not ignore.  Such an event, or any failure of the child,
-    # abandons the fork; the child is reaped before the return either way.
-    strict = {kind: "ignore" if mode == "ignore" else "raise"
-              for kind, mode in np.geterr().items()}
-    fds = []
+    # from a shared ring of `_SHARED_ROWS` rows of `width` nodes and sends
+    # back its two maxima; None on a floating-point event or a failure.
+    def consume(levels_r, frees_w):
+        scratch = [_aligned(n_nodes) for _ in range(3)]
+        maxima = _deviation(_handed(levels_r, frees_w, steps), block,
+                            n_nodes, steps, table, False, scratch)
+        os.write(frees_w, np.array(maxima).tobytes())
+
+    def produce(ends):
+        ((frees_r, levels_w),) = ends
+        for n, _ in _produce(collide, block, n_nodes, steps, False):
+            os.write(levels_w, b"\0")
+            # Level n+1 overwrites level n+1-ring once that is freed.  If
+            # the child has ended, this read gets no byte and the next
+            # write raises BrokenPipeError.
+            if _SHARED_ROWS - 1 <= n < steps:
+                _take(frees_r)
+        return _take(frees_r, 16)
+
     try:
-        # An anonymous map starts a page, so node 1 of every row starts a
-        # cache line, and it is zeroed.
-        size = _SHARED_ROWS * width
-        block = np.frombuffer(mmap.mmap(-1, 8 * size + _LINE), np.float64,
-                              size, _LINE - 8).reshape(_SHARED_ROWS, width)
-        fds += os.pipe()
-        fds += os.pipe()
-        pid = os.fork()
-    except OSError:
-        for fd in fds:
-            os.close(fd)
-        return None
-    levels_r, levels_w, frees_r, frees_w = fds
-    if pid == 0:
-        code = 1
-        try:
-            os.close(levels_w)
-            os.close(frees_r)
-            scratch = [_aligned(n_nodes) for _ in range(3)]
-            with np.errstate(**strict):
-                maxima = _deviation(_handed(levels_r, frees_w, steps), block,
-                                    n_nodes, steps, table, False, scratch)
-            os.write(frees_w, np.array(maxima).tobytes())
-            code = 0
-        finally:
-            os._exit(code)
-    os.close(levels_r)
-    os.close(frees_w)
-    data = b""
-    try:
-        with np.errstate(**strict):
-            for n, _ in _produce(collide, block, n_nodes, steps, False):
-                os.write(levels_w, b"\0")
-                # Level n+1 overwrites level n+1-ring once that is freed.
-                # If the child has ended, this read gets no byte and the
-                # next write raises BrokenPipeError.
-                if _SHARED_ROWS - 1 <= n < steps:
-                    os.read(frees_r, 1)
-        data = os.read(frees_r, 16)
+        block = _shared(_SHARED_ROWS * width).reshape(_SHARED_ROWS, width)
+        data = _forked([consume], produce)
     except (FloatingPointError, OSError):
-        pass
-    finally:
-        os.close(levels_w)
-        os.close(frees_r)
-        if len(data) < 16:
-            os.kill(pid, signal.SIGKILL)
-        status = os.waitpid(pid, 0)[1]
-    if len(data) < 16 or status:
         return None
-    return tuple(np.frombuffer(data).tolist())
+    return tuple(np.frombuffer(data).tolist()) if len(data) == 16 else None
 
 
 def fd_equivalence_deviation(n_nodes: int, steps: int, omega0: float,
@@ -440,19 +391,15 @@ def fd_equivalence_deviation(n_nodes: int, steps: int, omega0: float,
     the trajectory or a prediction makes the deviation NaN.  The
     trajectory is streamed through a ring of levels: a window of short rows
     that one pass of `scheme`'s kernel predicts, or four long rows (from
-    10,919 nodes).  On long rows, when n_nodes x steps is at least 2**21,
-    `os.fork` exists, the process may run on two or more CPUs, no other
-    thread runs and SIGCHLD is not ignored, the prediction runs in one
-    forked child: the collision hands it each level through a ring of eight
-    levels in shared memory, one pipe byte per level each way, and it sends
-    back the two maxima.  The results have the same bits either way.  While
-    the fork runs, both processes raise on every floating-point event that
-    the caller's `np.geterr()` does not ignore; on such an event or any
-    failure of the child, the child is reaped and the whole check runs
-    again in this process, so warnings, errors and `np.seterrcall`
-    callbacks come as without the fork.  No child outlives the call.  At
-    most 2**21 nodes and, as in `scheme.run`, 2**36 node-steps (n_nodes x
-    steps) are taken; the seed must be a non-negative integer.
+    10,919 nodes).  On long rows that `scheme._may_fork` (n_nodes x steps
+    node-steps), the prediction runs in one forked child, with the same
+    bits.  On a floating-point event that the caller's `np.geterr()` does
+    not ignore, or any failure of the child, the child is reaped and the
+    whole check runs again in this process, so warnings, errors and
+    `np.seterrcall` callbacks come as without the fork, and no child
+    outlives the call.  At most 2**21 nodes and, as in `scheme.run`, 2**36
+    node-steps (n_nodes x steps) are taken; the seed must be a
+    non-negative integer.
     """
     try:
         n_nodes, steps, seed = map(operator.index, (n_nodes, steps, seed))
@@ -484,14 +431,10 @@ def fd_equivalence_deviation(n_nodes: int, steps: int, omega0: float,
 
     width = -(-(n_nodes + 2) // 8) * 8
     batched = _CHUNK // width > 2
-    # A caller that ignores SIGCHLD has its children reaped by the kernel,
-    # so a child could be neither waited for nor safely killed.
-    if (not batched and n_nodes * steps >= _FORK_NODE_STEPS
-            and hasattr(os, "fork") and _cpus() > 1
-            and threading.active_count() == 1
-            and signal.getsignal(signal.SIGCHLD) != signal.SIG_IGN):
-        maxima = _forked(collision(*(_aligned(n_nodes) for _ in range(3))),
-                         n_nodes, width, steps, table)
+    if not batched and _may_fork(n_nodes * steps):
+        maxima = _forked_check(collision(*(_aligned(n_nodes)
+                                           for _ in range(3))),
+                               n_nodes, width, steps, table)
         if maxima is not None:
             return maxima
     ring = min(steps + 1, 3 + (_CHUNK // width if batched else 1))

@@ -53,17 +53,11 @@ pass starts a 64-byte cache line.  The levels rotate through four buffers:
 level n+1 overwrites level n-3, which no pass reads any more.  `_plan`
 builds the calls of all four phases once per stage, as one list per
 worker and phase, and a march makes them one level at a time.  A stage
-whose level spans two or more passes cuts them into contiguous runs, one
-per CPU that the process may run on (and at most one per pass), and a
-worker's phase ends with one `put` that pins the end nodes among its
-nodes.  The caller's thread makes the first run and a thread of its own
-each other run, and they meet at a barrier after every level, as a pass
-reads the nodes beside its run from the level before.  numpy lets go of
-the GIL inside a ufunc call on a long slice, so the runs of one level are
-made at once.  Every node gets the same calls in the same order whichever
+that `_may_fork` shares its passes between the caller and forked children
+(`_advance`).  Every node gets the same calls in the same order whichever
 worker makes them, so the bits do not depend on the CPU count.  `step`
-and the equivalence check make their passes on one thread: the caller's,
-or for the check's long rows that of a forked child (see `lbm`).
+and the equivalence check make their passes in one process: the caller's,
+or for the check's long rows a forked child's (see `lbm`).
 
 `run` is the one-row case of the staged march `_march`, in which the
 convergence tables march all of their spacings at once.
@@ -72,10 +66,15 @@ convergence tables march all of their spacings at once.
 from __future__ import annotations
 
 import math
+import mmap
 import operator
 import os
+import select
+import signal
 import threading
+import time
 from dataclasses import dataclass, field
+from functools import partial
 from itertools import accumulate, cycle, islice
 
 import numpy as np
@@ -150,7 +149,9 @@ class Grid1D:
         object.__setattr__(self, "dx", 1.0 / self.n_intervals)
 
     def nodes(self) -> np.ndarray:
-        return self.dx * np.arange(self.n_intervals + 1)
+        nodes = np.arange(self.n_intervals + 1, dtype=float)
+        nodes *= self.dx
+        return nodes
 
 
 @dataclass(frozen=True)
@@ -264,6 +265,89 @@ def _cpus() -> int:
     if hasattr(os, "sched_getaffinity"):
         return len(os.sched_getaffinity(0))
     return os.cpu_count() or 1
+
+
+# Node-steps (nodes x levels) from which a march's stage or the equivalence
+# check forks: a fork and the reaping of its child cost 3-4 ms whatever the
+# steps, more than shorter work gains (BENCH_25.json `fork_break_even`).
+_FORK_NODE_STEPS = 2 ** 21
+
+# Seconds that a read of a hand-off byte spins before it sleeps in `poll`
+# (BENCH_27.json `knock_outs`).
+_SPIN_S = 1e-4
+
+
+def _may_fork(node_steps: int) -> bool:
+    """Whether work of `node_steps` node-steps may use forked children: it
+    takes `_FORK_NODE_STEPS` or more, `os.fork` exists, the process may run
+    on two or more CPUs, no other thread runs (a child would copy its held
+    locks) and SIGCHLD is not ignored (the kernel would reap a child)."""
+    return (node_steps >= _FORK_NODE_STEPS and hasattr(os, "fork")
+            and _cpus() > 1 and threading.active_count() == 1
+            and signal.getsignal(signal.SIGCHLD) != signal.SIG_IGN)
+
+
+def _shared(n: int) -> np.ndarray:
+    """`n` zeroed float64s in an anonymous map that forked children share;
+    element 1 starts a cache line, as a map starts a page."""
+    return np.frombuffer(mmap.mmap(-1, 8 * n + _LINE), np.float64, n,
+                         _LINE - 8)
+
+
+def _take(fd: int, size: int = 1) -> bytes:
+    """Up to `size` bytes from the non-blocking pipe end `fd`; b"" at EOF."""
+    spin = time.perf_counter() + _SPIN_S
+    while True:
+        try:
+            return os.read(fd, size)
+        except BlockingIOError:
+            if time.perf_counter() > spin:
+                waiting = select.poll()
+                waiting.register(fd, select.POLLIN)
+                waiting.poll()
+
+
+def _forked(children: list, parent):
+    """`parent(ends)`, while each of `children` runs in a forked child as
+    child(r, w), with the ends of its pipes from and to the parent; ends[i]
+    is the parent's (r, w) of child i.  Read ends are non-blocking, for
+    `_take`.  Every process runs under the caller's numpy error settings
+    with each event that they do not ignore raised.  However this ends,
+    every child is killed and reaped and every pipe end closed."""
+    strict = {kind: "ignore" if mode == "ignore" else "raise"
+              for kind, mode in np.geterr().items()}
+    fds, ends, pids = [], [], []
+    try:
+        for child in children:
+            fds += os.pipe()
+            fds += os.pipe()
+            down_r, down_w, up_r, up_w = fds[-4:]
+            pid = os.fork()
+            if pid == 0:
+                code = 1
+                try:
+                    for fd in fds[:-4] + [down_w, up_r]:
+                        os.close(fd)
+                    os.set_blocking(down_r, False)
+                    with np.errstate(**strict):
+                        child(down_r, up_w)
+                    code = 0
+                finally:
+                    os._exit(code)
+            pids.append(pid)
+            fds[-4:] = [down_w, up_r]
+            os.close(down_r)
+            os.close(up_w)
+            os.set_blocking(up_r, False)
+            ends.append((up_r, down_w))
+        with np.errstate(**strict):
+            return parent(ends)
+    finally:
+        for fd in fds:
+            os.close(fd)
+        for pid in pids:
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
 
 
 def _pass_calls(cur, prev_m, old_m, acc, pair, term, part, weights) -> list:
@@ -385,57 +469,49 @@ def _plan(ring: list, outs: list, table, ends: tuple, layout: list,
     return runs
 
 
-def _advance(runs: list, n_levels: int) -> None:
-    """Make `n_levels` levels of a stage planned by `_plan`: level i makes
-    the calls runs[w][i % 4] of every worker w.
-
-    Worker 0 is the caller's thread, and each other worker a thread that is
-    started here and joined before the return.  Two or more workers meet at
-    one `threading.Barrier` after each level, which serves every level in
-    turn; one worker makes its calls alone, with no barrier.  Each worker
-    runs under the caller's numpy error settings, which numpy keeps per
-    thread (1.x) or per context (2.x).  A worker that raises breaks the
-    barrier, so the others stop at it, all at one level; once all are
-    joined, the exception of the first worker that raised one is raised
-    again: the one that a march on one thread would raise.
+def _advance(runs: list, n_levels: int) -> int:
+    """Make up to `n_levels` levels of a stage planned by `_plan`, level i
+    with the calls runs[w][i % 4] of every worker w; return how many every
+    worker made.  Worker 0 is the caller and each other a forked child
+    (`_forked`) on levels in shared maps, which sends a byte after each
+    level and gets one back once every worker has made it.  A
+    floating-point event, or a failure of a fork or a child, stops every
+    worker within the same level, so the three levels before it are whole.
     """
-    barrier = threading.Barrier(len(runs)) if len(runs) > 1 else None
-    errors = [None] * len(runs)
-    settings = dict(np.geterr(), call=np.geterrcall())
+    levels = islice(cycle(runs[0]), n_levels)
+    if len(runs) == 1:
+        for calls in levels:
+            for fn, args in calls:
+                fn(*args)
+        return n_levels
+    done = 0
 
-    def work(w: int) -> None:
-        try:
-            with np.errstate(**settings):
-                for calls in islice(cycle(runs[w]), n_levels):
-                    for fn, args in calls:
-                        fn(*args)
-                    if barrier:
-                        barrier.wait()
-        except threading.BrokenBarrierError:
-            pass
-        except BaseException as exc:
-            errors[w] = exc
-            if barrier:
-                barrier.abort()
+    def lead(ends):
+        nonlocal done
+        for calls in levels:
+            for fn, args in calls:
+                fn(*args)
+            if not all(_take(r) for r, _ in ends):
+                return
+            for _, w in ends:
+                os.write(w, b"\0")
+            done += 1
 
-    threads = [threading.Thread(target=work, args=(w,))
-               for w in range(1, len(runs))]
-    started = 0
     try:
-        for thread in threads:
-            thread.start()
-            started += 1
-        work(0)
-    except BaseException:
-        if barrier:
-            barrier.abort()
-        raise
-    finally:
-        for thread in threads[:started]:
-            thread.join()
-    for exc in errors:
-        if exc is not None:
-            raise exc
+        _forked([partial(_follow, phases, n_levels) for phases in runs[1:]],
+                lead)
+    except (FloatingPointError, OSError):
+        pass
+    return done
+
+
+def _follow(phases: list, n_levels: int, r: int, w: int) -> None:
+    # A forked worker of `_advance`.
+    for calls in islice(cycle(phases), n_levels):
+        for fn, args in calls:
+            fn(*args)
+        os.write(w, b"\0")
+        _take(r)
 
 
 def step(history: PhiHistory, coeffs: FdCoefficients, dt: float, R: float,
@@ -522,12 +598,13 @@ def _march(groups, boundary: BoundarySpec, skip: bool = True) -> list:
     to the step count of the next group to end; that group is then read
     out, with its zero source terms added back, and costs nothing more, as
     later stages write only a shorter prefix.  A stage of two or more
-    passes per level splits them between `_cpus()` workers, at most one per
-    pass, which meet at a barrier after each level (`_advance`); the other
-    workers' threads have ended when `_march` returns or raises, and a
-    worker raises what the march on one thread would.  Returns one (rows,
-    nodes) array per group, in the order given: views of march buffers
-    whose blocks do not overlap.
+    passes per level that `_may_fork` splits them between `_cpus()`
+    workers, at most one per pass (`_advance`).  If they stop short, the
+    rest of the stage is planned again from the level they reached and
+    made by one worker, so raises, warnings and callbacks come as from a
+    march in one process, and no child outlives the call.  Returns one
+    (rows, nodes) array per group, in the order given: views of march
+    buffers whose blocks do not overlap.
 
     With `skip`, a stage leaves out the history weights that are +-0.0 in
     all of its rows.  A group with such a weight skips only from finite
@@ -550,8 +627,11 @@ def _march(groups, boundary: BoundarySpec, skip: bool = True) -> list:
                                    p.source_R) for p in cases])
         layout.append((len(cases), grid.n_intervals + 1))
     # Level m lives in ring[m % 4], whose node 1, the first that a pass
-    # writes, starts a cache line.  A group's nodes live only for its seeds.
-    ring = [_aligned(sum(r * n for r, n in layout), 1) for _ in range(4)]
+    # writes, starts a cache line; in shared maps if any stage may fork.  A
+    # group's nodes live only for its seeds.
+    size = sum(r * n for r, n in layout)
+    shared = size - 2 > _CHUNK and _may_fork(size * (steps[0] - 2))
+    ring = [_shared(size) if shared else _aligned(size, 1) for _ in range(4)]
     starts = [_blocks(ring[k], layout) for k in range(3)]
     may_skip, kept = [True] * len(order), {}
     for i, g in enumerate(order):
@@ -569,16 +649,18 @@ def _march(groups, boundary: BoundarySpec, skip: bool = True) -> list:
     finals = [None] * len(order)
     level, active = 2, len(order)
     while active:
-        if steps[active - 1] > level:
-            size = sum(r * n for r, n in layout[:active])
+        size = sum(r * n for r, n in layout[:active])
+        workers = _cpus() if shared and _may_fork(
+            size * (steps[active - 1] - level)) else 1
+        while steps[active - 1] > level:
             rot = [ring[(level - 2 + i) % 4][:size] for i in range(4)]
-            _advance(_plan(rot, rot[3:] + rot[:3],
-                           [row for t in tables[:active] for row in t],
-                           (boundary.left_value, boundary.right_value),
-                           layout[:active], None,
-                           skip and all(may_skip[:active]), _cpus()),
-                     steps[active - 1] - level)
-            level = steps[active - 1]
+            runs = _plan(rot, rot[3:] + rot[:3],
+                         [row for t in tables[:active] for row in t],
+                         (boundary.left_value, boundary.right_value),
+                         layout[:active], None,
+                         skip and all(may_skip[:active]), workers)
+            level += _advance(runs, steps[active - 1] - level)
+            workers = 1
         while active and steps[active - 1] == level:
             active -= 1
             final = _blocks(ring[level % 4], layout)[active]
@@ -607,9 +689,8 @@ def run(params: ModelParams, grid: Grid1D, initializer,
     third seeded level is returned with zero four-level updates applied, so
     the result is always the field at exactly t_end.  The result is a fresh
     array.  The end nodes are pinned to `boundary`'s Dirichlet values.  A
-    row of two or more `_CHUNK` passes (2**15 nodes) is marched on as many
-    threads as the process has CPUs, up to one per pass, all joined before
-    the return; the result's bits do not depend on their number.
+    long row may be split between forked processes (see `_march`); the
+    result's bits do not depend on their number.
     """
     if not isinstance(params, ModelParams):
         raise DomainError("params must be one ModelParams")

@@ -40,7 +40,13 @@ _MAX_TABLE_NODES = 2 ** 20
 
 def analytic_phi(x, t, kappa: float):
     """Exact solution of the decaying-sine problem; broadcasts over x."""
-    return np.sin(np.pi * x) * np.exp(-kappa * np.pi ** 2 * t)
+    phi = np.multiply(np.pi, x)
+    decay = np.exp(-kappa * np.pi ** 2 * t)
+    if (type(phi) is not np.ndarray or np.ndim(decay)
+            or np.result_type(phi, decay) != phi.dtype):
+        return np.sin(phi) * decay
+    # A field of the result's dtype is made in its one temporary.
+    return np.multiply(np.sin(phi, out=phi), decay, out=phi)
 
 
 def rmse(numerical: np.ndarray, analytic: np.ndarray) -> float:

@@ -9,7 +9,7 @@ import types
 import numpy as np
 import pytest
 
-from lbmfd import lbm
+from lbmfd import lbm, scheme
 from lbmfd.calibration import ModelParams
 from lbmfd.errors import DomainError
 from lbmfd.scheme import coefficients
@@ -163,8 +163,8 @@ def test_fd_equivalence_deviation_carries_nan_through():
     # And so does a check whose prediction runs in a forked child.
     with pytest.MonkeyPatch.context() as patch:
         forks = _counting_forks(patch)
-        patch.setattr(lbm, "_cpus", lambda: 2)
-        patch.setattr(lbm, "_FORK_NODE_STEPS", 0)
+        patch.setattr(scheme, "_cpus", lambda: 2)
+        patch.setattr(scheme, "_FORK_NODE_STEPS", 0)
         with np.errstate(over="ignore", invalid="ignore"):
             dev, max_phi = lbm.fd_equivalence_deviation(
                 2 ** 14, 20, 0.5, 1.5, 0.5, seed=1, source_R=1e308)
@@ -372,7 +372,7 @@ def _check_calls(monkeypatch, n_nodes, steps):
     with monkeypatch.context() as patch:
         patch.setattr(lbm, "np", Counting(np))
         patch.setattr(lbm, "_plan", counting_plan)
-        patch.setattr(lbm, "_cpus", lambda: 1)
+        patch.setattr(scheme, "_cpus", lambda: 1)
         lbm.fd_equivalence_deviation(n_nodes, steps, 0.7, 1.2, 0.9, seed=1)
     return count[0]
 
@@ -448,8 +448,8 @@ def test_streamed_check_matches_the_stored_trajectory_bit_for_bit():
             for cpus, has_fork in ((1, True), (2, True), (2, False)):
                 with pytest.MonkeyPatch.context() as patch:
                     forks = _counting_forks(patch)
-                    patch.setattr(lbm, "_cpus", lambda: cpus)
-                    patch.setattr(lbm, "_FORK_NODE_STEPS", 0)
+                    patch.setattr(scheme, "_cpus", lambda: cpus)
+                    patch.setattr(scheme, "_FORK_NODE_STEPS", 0)
                     if not has_fork:
                         patch.delattr(os, "fork")
                     assert lbm.fd_equivalence_deviation(*args) == want
@@ -477,7 +477,7 @@ def test_the_check_forks_only_for_long_rows_on_two_cpus(monkeypatch):
     from lbmfd import cli
 
     forks = _counting_forks(monkeypatch)
-    monkeypatch.setattr(lbm, "_cpus", lambda: 2)
+    monkeypatch.setattr(scheme, "_cpus", lambda: 2)
     assert cli.main(["equivalence", "--omega0", "0.5", "--s1", "1.5",
                      "--s2", "0.5", "--output", os.devnull]) == 0
     lbm.fd_equivalence_deviation(9000, 31, 0.7, 1.2, 0.9, seed=1)
@@ -501,7 +501,7 @@ def test_the_check_forks_only_for_long_rows_on_two_cpus(monkeypatch):
         lbm.fd_equivalence_deviation(2 ** 14, 128, 0.7, 1.2, 0.9, seed=1)
     finally:
         signal.signal(signal.SIGCHLD, ignored)
-    monkeypatch.setattr(lbm, "_cpus", lambda: 1)
+    monkeypatch.setattr(scheme, "_cpus", lambda: 1)
     lbm.fd_equivalence_deviation(2 ** 14, 128, 0.7, 1.2, 0.9, seed=1)
     assert forks == []
 
@@ -525,8 +525,8 @@ def _both_paths(monkeypatch, call):
         calls = []
         with monkeypatch.context() as patch:
             forks = _counting_forks(patch)
-            patch.setattr(lbm, "_cpus", lambda: cpus)
-            patch.setattr(lbm, "_FORK_NODE_STEPS", 0)
+            patch.setattr(scheme, "_cpus", lambda: cpus)
+            patch.setattr(scheme, "_FORK_NODE_STEPS", 0)
             fds = _open_fds()
             with np.errstate(call=lambda kind, flag: calls.append(
                     (kind, os.getpid()))):
@@ -593,8 +593,8 @@ def test_a_floating_point_event_reruns_the_check_in_this_process(
 def test_a_failed_child_or_producer_leaves_no_process(monkeypatch):
     args = (2 ** 14, 11, 0.7, 1.2, 0.9, 1, 0.3)
     want = _stored_trajectory_deviation(*args)
-    monkeypatch.setattr(lbm, "_cpus", lambda: 2)
-    monkeypatch.setattr(lbm, "_FORK_NODE_STEPS", 0)
+    monkeypatch.setattr(scheme, "_cpus", lambda: 2)
+    monkeypatch.setattr(scheme, "_FORK_NODE_STEPS", 0)
     forks = _counting_forks(monkeypatch)
     fds = _open_fds()
     assert lbm.fd_equivalence_deviation(*args) == want

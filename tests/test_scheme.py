@@ -4,7 +4,8 @@ import dataclasses
 import faulthandler
 import itertools
 import math
-import sys
+import os
+import signal
 import threading
 
 import numpy as np
@@ -22,18 +23,17 @@ from lbmfd.scheme import (
     run,
     step,
 )
+from test_lbm import _assert_no_child_left, _counting_forks, _open_fds
 
 
 @pytest.fixture
 def chunk(request, monkeypatch):
     # The `_CHUNK` of a reference-march test, its default when None.  A
-    # short chunk makes plans of many passes, which every case but chunk 3
-    # marches on one worker: two threads on passes of a few nodes take
-    # longer than the march, and the split has tests of its own.
+    # short chunk makes plans of many passes, which march in one process,
+    # as no stage reaches `_FORK_NODE_STEPS`: forks would cost more than
+    # these marches, and the split has tests of its own.
     if request.param is not None:
         monkeypatch.setattr(scheme, "_CHUNK", request.param)
-        if request.param != 3:
-            monkeypatch.setattr(scheme, "_cpus", lambda: 1)
     return request.param
 
 
@@ -865,10 +865,11 @@ def _staged_march_groups() -> list:
 
 
 def _by_worker_count(monkeypatch, march, counts=(1, 2, 3)) -> list:
-    # The result of `march()` when `_cpus` reports each count of CPUs.  A
-    # march that hangs ends the test run, with every thread's traceback,
-    # after a minute.
+    # The result of `march()` when `_cpus` reports each count of CPUs, with
+    # no floor on the node-steps that fork.  A march that hangs ends the
+    # test run, with a traceback, after a minute.
     results = []
+    monkeypatch.setattr(scheme, "_FORK_NODE_STEPS", 0)
     faulthandler.dump_traceback_later(60, exit=True)
     try:
         for n_cpus in counts:
@@ -884,7 +885,7 @@ def test_the_bits_do_not_depend_on_the_worker_count(monkeypatch):
     # staged groups at `_CHUNK` 3 and 8 put row ends and group seams inside
     # every worker's run, and stages end after each phase.  A fourth-order
     # row of starts near 1.7e308 leaves out its zero history weights,
-    # overflows to non-finite values and is marched again, threaded, on the
+    # overflows to non-finite values and is marched again, forked, on the
     # full plan.
     boundary = BoundarySpec.dirichlet(0.25, -1.5)
     sixth = cal.calibrate_sixth(0.1)
@@ -946,48 +947,50 @@ def test_each_worker_pins_its_run_once_per_phase(monkeypatch):
                 assert puts == [False] * (len(calls) - 1) + [True]
 
 
-def test_more_workers_than_cpus_keep_the_bits_under_fast_switching(
-        monkeypatch):
-    # Five workers, each a run of 2-node passes, on fewer cores, with the
-    # interpreter switching threads every microsecond: a level read before
-    # its neighbours have written it, or a node written by two workers,
-    # would change the bits of the staged groups.
+def test_more_workers_than_cpus_keep_the_bits(monkeypatch):
+    # Five workers, each a run of 2-node passes, on fewer cores: a level
+    # read before its neighbours have written it, or a node written by two
+    # workers, would change the bits of the staged groups.
     monkeypatch.setattr(scheme, "_CHUNK", 2)
     boundary = BoundarySpec.dirichlet(0.25, -1.5)
     groups = _staged_march_groups()
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        one, five = _by_worker_count(monkeypatch, lambda: [
-            final.tobytes() for final in scheme._march(groups, boundary)],
-            (1, 5))
-    finally:
-        sys.setswitchinterval(interval)
+    forks = _counting_forks(monkeypatch)
+    fds = _open_fds()
+    one, five = _by_worker_count(monkeypatch, lambda: [
+        final.tobytes() for final in scheme._march(groups, boundary)],
+        (1, 5))
     assert one == five
+    # Four children for each of the five stages.
+    assert len(forks) == 20
+    _assert_no_child_left(fds)
 
 
-def test_a_threaded_march_raises_or_stays_quiet_as_one_thread_does(
+def test_a_forked_march_raises_or_stays_quiet_as_one_process_does(
         monkeypatch):
-    # At 2**16 intervals a level is two passes.  The third start level is
-    # near 1.7e308 in the second pass only, so the first pair sum overflows
-    # in the second worker's run, which must raise FloatingPointError under
-    # over="raise" as one thread does, and must let no warning out under
-    # all="ignore" (the suite makes a warning an error).  With +inf and
-    # -inf two nodes apart in the first pass as well, the first worker's
-    # invalid sum is raised under all="raise", as one thread raises it
-    # first.  None may hang or leave a thread running.
-    grid = Grid1D(2 ** 16)
+    # At `_CHUNK` 2**10 a row of 2**11 intervals is two passes.  The third
+    # start level is near 1.7e308 in the second pass only, so the first
+    # pair sum overflows in the child's run, which must raise
+    # FloatingPointError under over="raise" as one process does, and must
+    # let no warning out under all="ignore" (the suite makes a warning an
+    # error).  With +inf and -inf two nodes apart in the first pass as well,
+    # the first worker's invalid sum is raised under all="raise", as one
+    # process raises it first.  Under all="call" the callbacks come in this
+    # process, in the order of one process, from either start.  No child
+    # may be left.
+    monkeypatch.setattr(scheme, "_CHUNK", 2 ** 10)
+    grid = Grid1D(2 ** 11)
     p = cal.ModelParams(*_TRIPLES[0], dx=grid.dx, dt=1e-4)
     huge = lambda x, t: np.where((x > 0.75) & (t > 1.5e-4), 1.7e308, 1.0)
     boundary = BoundarySpec.dirichlet(0.0, 0.0)
-    threads = threading.active_count()
+    fds = _open_fds()
+    forks = _counting_forks(monkeypatch)
 
     def raising(errors: str, start, message: str):
         def march():
             with pytest.raises(FloatingPointError, match=message), \
                     np.errstate(**{errors: "raise"}):
                 run(p, grid, start, boundary, 6e-4)
-            return threading.active_count()
+            _assert_no_child_left(fds)
         return march
 
     def both(x, t):
@@ -996,54 +999,123 @@ def test_a_threaded_march_raises_or_stays_quiet_as_one_thread_does(
             level[[100, 102]] = np.inf, -np.inf
         return level
 
-    assert _by_worker_count(monkeypatch, raising(
-        "over", huge, "overflow")) == [threads] * 3
-    assert _by_worker_count(monkeypatch, raising(
-        "all", both, "invalid")) == [threads] * 3
+    _by_worker_count(monkeypatch, raising("over", huge, "overflow"), (1, 2))
+    _by_worker_count(monkeypatch, raising("all", both, "invalid"), (1, 2))
+
+    def called(start):
+        def march():
+            calls = []
+            with np.errstate(all="call", call=lambda kind, flag: calls.append(
+                    (kind, flag, os.getpid()))):
+                final = run(p, grid, start, boundary, 6e-4).tobytes()
+            return final, calls
+        return march
+
+    for start in (huge, both):
+        alone, forked = _by_worker_count(monkeypatch, called(start), (1, 2))
+        assert forked == alone and alone[1]
+        assert {pid for _, _, pid in alone[1]} == {os.getpid()}
 
     def quiet():
         with np.errstate(all="ignore"):
             return run(p, grid, huge, boundary, 6e-4).tobytes()
 
-    one, two, three = _by_worker_count(monkeypatch, quiet)
-    assert one == two == three
-    assert threading.active_count() == threads
+    assert len(set(_by_worker_count(monkeypatch, quiet))) == 1
+    assert len(forks) == 6
+    _assert_no_child_left(fds)
 
 
-def test_only_a_march_of_long_rows_starts_threads(monkeypatch, capsys):
-    # Every default table, `step`, the equivalence check and every CLI
-    # subcommand at its defaults march rows of one pass per level on the
-    # caller's thread; a run of 2**16 intervals, two passes, starts one
-    # thread less than it has workers.  Every thread has ended on return.
-    starts = []
-    start = threading.Thread.start
-    monkeypatch.setattr(threading.Thread, "start",
-                        lambda self: starts.append(self) or start(self))
+def test_a_march_that_may_not_fork_or_loses_a_child_keeps_the_bits(
+        monkeypatch):
+    # A march of two passes that may fork, but where `os.fork` fails,
+    # another thread runs, SIGCHLD is ignored or one CPU is left, starts no
+    # child and has the bits of one worker.  A child that dies after three
+    # levels leaves the rest of the stage to one worker, from those levels.
+    monkeypatch.setattr(scheme, "_CHUNK", 2 ** 10)
+    grid = Grid1D(2 ** 11)
+    p = cal.ModelParams(*_TRIPLES[0], dx=grid.dx, dt=1e-4)
+    boundary = BoundarySpec.dirichlet(0.25, -1.5)
 
-    def started(call) -> int:
-        threads, starts[:] = threading.active_count(), []
+    def march():
+        return run(p, grid, _sine_bump, boundary, 1e-3).tobytes()
+
+    (want,) = _by_worker_count(monkeypatch, march, (1,))
+    fds = _open_fds()
+    forks = _counting_forks(monkeypatch)
+    fork = os.fork
+
+    def failing_fork():
+        raise OSError("no fork")
+
+    monkeypatch.setattr(os, "fork", failing_fork)
+    assert _by_worker_count(monkeypatch, march, (2,)) == [want]
+    monkeypatch.setattr(os, "fork", fork)
+    release = threading.Event()
+    waiter = threading.Thread(target=release.wait, args=(10.0,))
+    waiter.start()
+    try:
+        assert _by_worker_count(monkeypatch, march, (2,)) == [want]
+    finally:
+        release.set()
+        waiter.join(10.0)
+    assert not waiter.is_alive()
+    ignored = signal.signal(signal.SIGCHLD, signal.SIG_IGN)
+    try:
+        assert _by_worker_count(monkeypatch, march, (2,)) == [want]
+    finally:
+        signal.signal(signal.SIGCHLD, ignored)
+    assert _by_worker_count(monkeypatch, march, (1,)) == [want]
+    assert forks == []
+    _assert_no_child_left(fds)
+    follow, advance, made = scheme._follow, scheme._advance, []
+
+    def dying(phases, n_levels, r, w):
+        follow(phases, 3, r, w)
+        raise RuntimeError("the child dies")
+
+    monkeypatch.setattr(scheme, "_follow", dying)
+    monkeypatch.setattr(scheme, "_advance", lambda runs, n: made.append(
+        (len(runs), advance(runs, n))) or made[-1][1])
+    assert _by_worker_count(monkeypatch, march, (2,)) == [want]
+    assert made == [(2, 3), (1, 5)]
+    _assert_no_child_left(fds)
+
+
+def test_only_a_march_of_many_node_steps_forks(monkeypatch, capsys):
+    # On two CPUs, every default table, `step`, the equivalence check's
+    # short rows and every CLI subcommand at its defaults march in this
+    # process, and so does a run of 2**16 intervals, two passes, for 32
+    # steps (30 levels), below `_FORK_NODE_STEPS`; 34 steps (32 levels)
+    # reach it and fork one child.  No child is left.
+    monkeypatch.setattr(scheme, "_cpus", lambda: 2)
+    forks = _counting_forks(monkeypatch)
+    fds = _open_fds()
+
+    def forked(call) -> int:
+        forks.clear()
         call()
-        assert threading.active_count() == threads
-        return len(starts)
+        _assert_no_child_left(fds)
+        return len(forks)
 
     for order in cal.ORDERS:
-        assert started(lambda: ver.reproduce_table(order)) == 0
+        assert forked(lambda: ver.reproduce_table(order)) == 0
     levels = [np.linspace(0.0, 1.0, 41)] * 3
-    assert started(lambda: step(PhiHistory.from_levels(*levels),
-                                coefficients(*_TRIPLES[0]), 1e-4, 0.0,
-                                BoundarySpec.dirichlet(0.0, 0.0))) == 0
-    assert started(lambda: lbm.fd_equivalence_deviation(
-        2 ** 14, 400, *_TRIPLES[0], seed=1)) == 0
+    assert forked(lambda: step(PhiHistory.from_levels(*levels),
+                               coefficients(*_TRIPLES[0]), 1e-4, 0.0,
+                               BoundarySpec.dirichlet(0.0, 0.0))) == 0
+    assert forked(lambda: lbm.fd_equivalence_deviation(
+        9000, 31, *_TRIPLES[0], seed=1)) == 0
     triple = ["--omega0", "0.83", "--s1", "0.92", "--s2", "1.15"]
     for argv in (["calibrate", "--epsilon", "0.1", "--order", "6"],
                  ["run", "--epsilon", "0.1"], ["convergence", "--order", "6"],
                  ["stability", *triple], ["equivalence", *triple],
                  ["sweep", "--eps-min", "0.05", "--eps-max", "0.2",
                   "--n-points", "4"], ["profile"]):
-        assert started(lambda: cli.main(argv)) == 0
+        assert forked(lambda: cli.main(argv)) == 0
     capsys.readouterr()
     grid = Grid1D(2 ** 16)
     p = cal.ModelParams(*_TRIPLES[0], dx=grid.dx, dt=1e-4)
-    assert started(lambda: run(p, grid, _sine_bump,
-                               BoundarySpec.dirichlet(0.0, 0.0), 5e-4)) == \
-        min(scheme._cpus(), 2) - 1
+    for steps, children in ((32, 0), (34, 1)):
+        assert forked(lambda: run(p, grid, _sine_bump,
+                                  BoundarySpec.dirichlet(0.0, 0.0),
+                                  steps * 1e-4)) == children

@@ -47,6 +47,31 @@ def test_analytic_phi_values():
         0.6738254512314336, rtol=1e-12)
 
 
+def test_analytic_phi_and_the_nodes_keep_the_bits_of_plain_expressions():
+    # The exact solution in its plain form, with a temporary per operation,
+    # is the reference for every input that it takes: Python and numpy
+    # scalars give an np.float64, int64, float64 and float32 arrays a
+    # float64 array (the sine of a float32 array in float32), strided and
+    # 2-D arrays included.  Grid nodes are dx times the node index.
+    def plain(x, t, kappa):
+        return np.sin(np.pi * x) * np.exp(-kappa * np.pi ** 2 * t)
+
+    rng = np.random.default_rng(36)
+    xs = [0.3, 1, np.float64(0.25), np.float32(0.7), np.int64(1),
+          np.array(0.4), np.arange(-3, 40), rng.random(1001),
+          rng.random(1001).astype(np.float32), rng.random((3, 8))[:, ::3],
+          scheme.Grid1D(2 ** 12).nodes()]
+    for x in xs:
+        for t, kappa in ((0.0, 1.0), (12.0, 0.1 / 30.0), (0.37, 2.5)):
+            want, got = plain(x, t, kappa), ver.analytic_phi(x, t, kappa)
+            assert type(got) is type(want)
+            assert got.dtype == want.dtype and got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
+    for n in (2, 10, 41, 3 * 2 ** 12 + 1):
+        grid = scheme.Grid1D(n)
+        assert grid.nodes().tobytes() == (grid.dx * np.arange(n + 1)).tobytes()
+
+
 def test_rmse_examples():
     a = np.array([1.0, 2.0, 3.0])
     assert ver.rmse(a, a) == 0.0
